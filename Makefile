@@ -2,7 +2,9 @@
 #
 #   make test        tier-1 test suite
 #   make obs-test    observability-layer tests only (pytest -m obs)
-#   make sweep-test  parallel experiment-runner tests only (pytest -m sweep)
+#   make exec-test   task-grid execution: runner, cache and farm tests
+#                    (pytest -m "sweep or farm" — one execution core,
+#                    one target), then the kill-resume gate (farm-demo)
 #   make check-test  invariant-monitor + fault-injection tests only
 #   make bench       paper tables/figures + simulator microbenchmarks
 #   make bench-gate  hot-path benchmark suite gated against the recorded
@@ -17,8 +19,6 @@
 #                    result cache, progress trace validated
 #   make pathmgr-test  path-management tests only (pytest -m pathmgr)
 #   make hybrid-test hybrid flow-class tier tests only (pytest -m hybrid)
-#   make farm-test   distributed-farm tests only (pytest -m farm):
-#                    broker/worker/lease layer, crash-resume properties
 #   make farm-demo   2-worker farm over demo_rtt with an injected
 #                    worker SIGKILL mid-lease, resumed and gated on the
 #                    resumed rows being bit-identical to a serial run
@@ -45,8 +45,8 @@ RT_OUT    ?= rt-trace.jsonl
 SWEEP_CACHE ?= .sweep-demo-cache
 BENCH_OUT ?= BENCH_pr4.json
 
-.PHONY: test obs-test sweep-test check-test pathmgr-test hybrid-test \
-	farm-test farm-demo \
+.PHONY: test obs-test exec-test check-test pathmgr-test hybrid-test \
+	farm-demo \
 	bench bench-gate bench-smoke bench-baseline trace-demo sweep-demo \
 	handover-demo docs-check rt-test rt-demo
 
@@ -56,8 +56,9 @@ test:
 obs-test:
 	$(PP) $(PYTHON) -m pytest -m obs -q
 
-sweep-test:
-	$(PP) $(PYTHON) -m pytest -m sweep -q
+exec-test:
+	$(PP) $(PYTHON) -m pytest -m "sweep or farm" -q
+	$(MAKE) farm-demo
 
 check-test:
 	$(PP) $(PYTHON) -m pytest -m "invariants or fault" -q
@@ -67,9 +68,6 @@ pathmgr-test:
 
 hybrid-test:
 	$(PP) $(PYTHON) -m pytest -m hybrid -q
-
-farm-test:
-	$(PP) $(PYTHON) -m pytest -m farm -q
 
 farm-demo:
 	$(PP) $(PYTHON) -m pytest -m farm -q \

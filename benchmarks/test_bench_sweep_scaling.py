@@ -1,10 +1,10 @@
-"""Sweep-runner scaling: serial vs process-pool wall-clock, fixed grid.
+"""Sweep-runner scaling: in-process vs worker-process wall-clock, fixed grid.
 
 Runs the 8-point `demo_rtt` grid (scaled-down Fig 16 shape) once
 in-process and once over worker processes, records both wall-clocks and
 the speedup, and checks the runner's core guarantee along the way: rows
 are bit-identical whatever the worker count.  On a single-CPU host the
-"speedup" is honestly ≤ 1 (pool overhead, no extra cores); the recorded
+"speedup" is honestly ≤ 1 (worker overhead, no extra cores); the recorded
 table states the CPU count so the number can be read in context.
 """
 
@@ -50,12 +50,12 @@ def test_sweep_scaling(benchmark):
     speedup = r["serial_wall"] / max(r["parallel_wall"], 1e-9)
     table = Table(["mode", "workers", "wall (s)", "speedup"], precision=2)
     table.add_row(["serial", 1, r["serial_wall"], 1.0])
-    table.add_row(["process pool", WORKERS, r["parallel_wall"], speedup])
+    table.add_row(["worker processes", WORKERS, r["parallel_wall"], speedup])
     record("sweep_scaling", table.render(
         "Sweep-runner scaling on the 8-point demo_rtt grid\n"
         f"(rows bit-identical across modes; host has {os.cpu_count()} "
         "CPU(s) — expect speedup ~min(workers, CPUs) on multicore hosts)"
     ))
 
-    # Pool overhead must stay sane even with nothing to gain (1 CPU).
+    # Worker overhead must stay sane even with nothing to gain (1 CPU).
     assert r["parallel_wall"] < r["serial_wall"] * 5 + 2.0

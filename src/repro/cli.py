@@ -680,8 +680,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep",
-        help="run a named parameter grid over worker processes, "
-             "with result caching",
+        help="run a named parameter grid, cached, in-process or over "
+             "worker processes",
     )
     p.add_argument("grid", nargs="?", choices=sorted(SWEEP_GRIDS),
                    help="named grid (see --list)")
@@ -694,7 +694,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-cache", action="store_true",
                    help="disable the result cache")
     p.add_argument("--timeout", type=float, default=None,
-                   help="per-point timeout, wall seconds (pool execution)")
+                   help="wall seconds any one attempt of a point may run; "
+                        "points then run in worker processes even with "
+                        "--parallel 1 (default: unbounded)")
     p.add_argument("--retries", type=int, default=1,
                    help="failed attempts tolerated per point (default 1)")
     p.add_argument("--seed", type=int, default=None,
@@ -746,7 +748,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="override the grid's measurement window, "
                          "simulated seconds")
     fp.add_argument("--trace", default=None,
-                    help="write farm.* progress events to this JSONL file")
+                    help="write exp.*/farm.* progress events to this JSONL "
+                         "file")
     fp.set_defaults(func=_cmd_farm_serve)
 
     fp = farm_sub.add_parser(

@@ -1,4 +1,4 @@
-"""Parallel experiment runner: declarative sweeps over process pools.
+"""Parallel experiment runner: declarative sweeps over worker processes.
 
 The paper's evaluation is dozens of parameter sweeps (Fig 8's capacity
 sweep, Fig 16's RTT/capacity grid, the fabric tables); ``repro.exp``
@@ -7,10 +7,12 @@ reproduces them at full-machine speed:
 * :class:`~repro.exp.spec.ScenarioSpec` / :class:`~repro.exp.spec.TaskSpec`
   — picklable descriptions of one simulation point (scenario, algorithm,
   seed, warm-up, duration, grid parameters).
-* :class:`~repro.exp.runner.Runner` — fans points out over a
-  ``ProcessPoolExecutor`` with per-task timeouts, bounded seed-preserving
-  retries, graceful degradation to in-process execution when workers die,
-  and deterministic grid-order aggregation.
+* :class:`~repro.exp.runner.Runner` — serves cached points, runs the
+  rest through the :mod:`repro.farm` claim → execute → publish loop on
+  forked workers (or in-process when one worker and no timeout is asked
+  for), with per-attempt timeouts, one bounded seed-preserving retry
+  budget for raises, timeouts and worker deaths alike, and deterministic
+  grid-order aggregation.
 * :class:`~repro.exp.cache.ResultCache` — content-addressed on-disk rows
   (``sha256(spec + code version)``), so re-running a sweep only computes
   changed points.

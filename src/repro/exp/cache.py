@@ -28,7 +28,29 @@ from typing import Any, Dict, Optional, Union
 
 from .spec import TaskSpec
 
-__all__ = ["ResultCache", "code_version"]
+__all__ = ["ResultCache", "atomic_write", "code_version", "publish_row"]
+
+
+def atomic_write(path: Union[str, os.PathLike], data: bytes) -> None:
+    """Write ``data`` to ``path`` via temp file + ``os.replace``.
+
+    Readers see the old file or the new one, never a partial write, and
+    a writer killed mid-way leaves no truncated file behind.  The one
+    such helper for cache entries and every farm file.
+    """
+    path = pathlib.Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 @lru_cache(maxsize=1)
@@ -121,26 +143,31 @@ class ResultCache:
         through JSON before storing, so a warm-cache rerun returns rows
         bit-identical to the cold run.
         """
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         # No sort_keys: the row's key order is part of the result (output
         # columns follow it), so a warm rerun must preserve it exactly.
         payload = json.dumps(
             {"key": key, "target": task.target(),
              "spec": task.spec.canonical(), "row": row}
         )
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(self._path(key), payload.encode("utf-8"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ResultCache({str(self.root)!r}, version={self.version!r}, "
                 f"hits={self.hits}, misses={self.misses})")
+
+
+def publish_row(cache: Optional[ResultCache], key: Optional[str],
+                task: TaskSpec, row: Dict[str, Any]) -> Dict[str, Any]:
+    """Canonicalise a fresh result row and persist it; returns the
+    canonical row.
+
+    The one publish step of every execution path (the runner's
+    in-process loop and the farm worker): the row goes through one JSON
+    round-trip, so computed, cached and farmed rows have identical types
+    and key order, and is stored under ``key`` when there is a cache.
+    Raises ``TypeError``/``ValueError`` for a row JSON cannot carry.
+    """
+    row = json.loads(json.dumps(row))
+    if cache is not None and key is not None:
+        cache.store(key, task, row)
+    return row

@@ -1,73 +1,70 @@
-"""Process-pool sweep execution with caching, retries and serial fallback.
+"""Sweep execution: cache, then one of two execution loops.
 
 The paper's evaluation is a battery of parameter sweeps; a
 :class:`Runner` turns a list of :class:`~repro.exp.spec.ScenarioSpec`
-grid points into result rows using every core available:
+grid points into result rows:
 
-* **Fan-out** — points run on a ``ProcessPoolExecutor`` (``parallel``
-  workers); each point is an independent seeded simulation, so workers
-  share nothing.
 * **Caching** — with a :class:`~repro.exp.cache.ResultCache` attached,
   previously computed points are served from disk (``exp.cache_hit``)
   and only changed points simulate.
-* **Fault tolerance** — a point that times out or raises is retried (at
-  most ``retries`` failed attempts are tolerated) *in-process*, replaying
-  the exact run it replaces because the spec carries the seed; a dying
-  worker process (``BrokenProcessPool``) degrades the affected points to
-  the serial path without consuming their retry budget.  Tasks that
-  cannot be pickled never reach the pool and run serially.
-* **Farm execution** — with ``farm=`` pointing at a farm directory the
-  picklable points run through the :mod:`repro.farm` broker/worker layer
-  instead of a local pool: ``parallel`` local worker processes are
-  spawned, rows are published through the shared content-addressed
-  result store, and an interrupted grid resumes from the same directory
-  bit-identically (see ``docs/RUNNER.md``).
+* **Out-of-process execution** — points that pickle run through the
+  :mod:`repro.farm` claim → execute → publish loop whenever more than
+  one worker, a ``timeout`` or a ``farm=`` directory is asked for: the
+  broker serves them into a farm directory (a private temporary one,
+  or ``farm=`` to keep it and resume an interrupted grid), ``parallel``
+  forked workers lease and execute them, and rows come back through
+  the content-addressed result store.  A raise, a timeout and a dead
+  worker each cost the point one failure from the same ``retries``
+  budget, requeue it on the same back-off and end in the same
+  :class:`TaskError`; ``timeout`` bounds every attempt.
+* **In-process execution** — everything else (``parallel=1`` with no
+  timeout, points that do not pickle) runs in a plain loop in this
+  process with the same budget and the same error.
 * **Deterministic aggregation** — output row *i* always corresponds to
-  grid point *i*, whatever order workers finish in, and rows are
-  canonicalised through JSON so cold runs, warm-cache reruns and any
-  worker count produce bit-identical rows.
+  grid point *i*, whatever order workers finish in, and every row goes
+  through :func:`~repro.exp.cache.publish_row`, so cold runs, warm-cache
+  reruns and any worker count produce bit-identical rows.  Each attempt
+  replays the identical simulation because the spec carries the seed.
 
 Progress is reported through a :class:`~repro.obs.trace.TraceBus` as
 ``exp.task_start`` / ``exp.task_done`` / ``exp.task_retry`` /
-``exp.cache_hit`` events (see :mod:`repro.obs.schema`); their ``t`` field
-is wall-clock seconds since the run started, not simulated time.
+``exp.task_failed`` / ``exp.cache_hit`` events on either loop (see
+:mod:`repro.obs.schema`); their ``t`` field is wall-clock seconds since
+the run started, not simulated time.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import json
 import pickle
+import shutil
+import tempfile
 import time
-from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
+from ..farm import WorkerStartError, run_farm
 from ..harness.sweep import merge_row
 from ..obs.trace import NULL_TRACE
-from .cache import ResultCache
+from .cache import ResultCache, publish_row
 from .spec import ScenarioSpec, TaskSpec, execute_task
 
 __all__ = ["Runner", "TaskError"]
 
 
 class TaskError(RuntimeError):
-    """A sweep point kept failing after its retry budget was spent."""
+    """A sweep point kept failing after its retry budget was spent.
 
-    def __init__(self, task: TaskSpec, failures: int, cause: BaseException):
+    ``reason`` is the last failure: ``"<ExceptionType>: <message>"``,
+    ``"timeout"``, ``"worker_died"`` or ``"lease expired"``.
+    """
+
+    def __init__(self, task: TaskSpec, failures: int, reason: str):
         super().__init__(
             f"task {task.index} ({task.target()}) failed {failures} time(s), "
-            f"retry budget exhausted: {type(cause).__name__}: {cause}"
+            f"retry budget exhausted: {reason}"
         )
         self.task = task
         self.failures = failures
-        self.cause = cause
-
-
-def _execute_in_worker(task: TaskSpec) -> Tuple[float, dict]:
-    """Worker-side entry point: run the task, return (wall seconds, row)."""
-    start = time.perf_counter()
-    row = execute_task(task)
-    return time.perf_counter() - start, row
+        self.reason = reason
 
 
 def _picklable(task: TaskSpec) -> bool:
@@ -84,32 +81,30 @@ class Runner:
     Parameters
     ----------
     parallel:
-        Worker process count; ``1`` (default) runs everything in-process.
+        Worker process count.  ``1`` (default) runs in-process unless
+        ``timeout`` or ``farm`` asks for worker processes.
     cache:
         A :class:`ResultCache`, a cache directory path, or ``None``.
     trace:
         A :class:`~repro.obs.trace.TraceBus` receiving ``exp.*`` progress
-        events (``None`` disables reporting).
+        events (and the ``farm.*`` queue/lease detail of out-of-process
+        runs); ``None`` disables reporting.
     timeout:
-        Per-task wall-clock timeout in seconds, enforced on pool
-        execution as a *submission deadline*: every pool task must finish
-        within ``timeout`` seconds of being submitted, and the runner
-        waits on whichever deadline expires first rather than on tasks in
-        submission order (one stuck point can no longer stall the grid
-        for N×timeout).  Tasks queued behind a full pool share the same
-        clock, so pick a timeout that covers expected queueing.  The
-        serial path cannot preempt a running simulation, so timed-out
-        tasks retry without a timeout.
+        Wall seconds any one attempt of a picklable task may run,
+        measured from the moment a worker claims it (queueing is free).
+        An attempt that overruns is killed with its worker and counts as
+        one failure.  Setting it moves picklable tasks out of process
+        even at ``parallel=1`` — a running simulation can only be
+        preempted from outside.
     retries:
-        Failed attempts tolerated per task beyond which :class:`TaskError`
-        is raised.  Worker-process death does not consume this budget.
+        Failed attempts (raises, timeouts, worker deaths alike)
+        tolerated per task beyond which :class:`TaskError` is raised.
     farm:
-        A farm directory path (or ``None``).  When set, picklable tasks
-        execute through the :mod:`repro.farm` broker with ``parallel``
-        locally spawned worker processes and ``retries`` as the per-task
-        failure budget; the directory holds the persistent queue, so an
-        interrupted run resumed with the same ``farm=`` continues where
-        it stopped.
+        A farm directory path (or ``None``).  When set, the queue the
+        picklable tasks run through is kept there instead of in a
+        temporary directory, so an interrupted run resumed with the
+        same ``farm=`` continues where it stopped and workers on other
+        hosts can join it.
 
     After :meth:`run` the counters ``executed`` (simulations actually
     run), ``cache_hits``, ``retried`` (retry attempts started), and
@@ -156,31 +151,14 @@ class Runner:
         self.executed = self.cache_hits = self.retried = 0
         raw: Dict[int, dict] = {}
         keys: Dict[int, Optional[str]] = {}
-        computed: Set[int] = set()
 
         compute = self._serve_from_cache(tasks, raw, keys)
-
-        pool_tasks: List[TaskSpec] = []
-        serial_tasks: List[TaskSpec] = []
-        if self.farm is not None and compute:
-            for task in compute:
-                (pool_tasks if _picklable(task) else serial_tasks).append(task)
-            if pool_tasks:
-                self._run_farm(pool_tasks, raw, computed)
-            pool_tasks = []
-        elif self.parallel > 1 and len(compute) > 1:
-            for task in compute:
-                (pool_tasks if _picklable(task) else serial_tasks).append(task)
-        else:
-            serial_tasks = list(compute)
-
-        degraded: List[Tuple[TaskSpec, int, int]] = []
-        if pool_tasks:
-            degraded = self._run_pool(pool_tasks, raw, keys, computed)
-        for task in serial_tasks:
-            self._run_serial(task, raw, keys, computed, attempt=1, failures=0)
-        for task, attempt, failures in degraded:
-            self._run_serial(task, raw, keys, computed, attempt, failures)
+        if (self.farm is not None or self.timeout is not None
+                or (self.parallel > 1 and len(compute) > 1)):
+            self._run_farm([t for t in compute if _picklable(t)], raw)
+        for task in compute:
+            if task.index not in raw:
+                self._run_local(task, keys[task.index], raw)
 
         rows = [merge_row(dict(t.spec.params), raw[t.index]) for t in tasks]
         self.wall = time.monotonic() - self._t0
@@ -203,197 +181,80 @@ class Runner:
             compute.append(task)
         return compute
 
-    def _run_farm(self, tasks, raw, computed):
-        """Execute tasks through the :mod:`repro.farm` broker/worker layer.
+    def _run_farm(self, tasks, raw) -> None:
+        """Out-of-process execution: the :mod:`repro.farm` broker serves
+        the tasks into a farm directory, supervises ``parallel`` local
+        workers and enforces ``timeout`` and the ``retries`` budget.
 
-        The broker owns a persistent queue under ``self.farm``; rows are
-        published through the shared content-addressed result store, so a
-        previously interrupted run over the same directory resumes
-        instead of recomputing.  Farm rows are canonicalised through the
-        same JSON round-trip as pool/serial rows, keeping the
-        bit-identical aggregation guarantee.
+        The result store is the caller's cache (or lives in the farm
+        directory), so a previously interrupted run over the same
+        ``farm=`` resumes instead of recomputing.  If no worker process
+        can be started, ``raw`` is left for the in-process loop to fill.
         """
-        from ..farm import run_farm
-
-        broker = run_farm(
-            tasks,
-            self.farm,
-            workers=self.parallel,
-            cache=self.cache,
-            trace=None if not self.trace.enabled else self.trace,
-            t0=self._t0,
-            max_failures=self.retries,
-        )
-        for task in tasks:
-            raw[task.index] = broker.raw[task.index]
-            computed.add(task.index)
+        if not tasks:
+            return
+        root = self.farm
+        if root is None:
+            root = tempfile.mkdtemp(prefix="repro-farm-")
+        try:
+            broker = run_farm(
+                tasks,
+                root,
+                workers=min(self.parallel, len(tasks)),
+                cache=self.cache,
+                trace=self.trace,
+                t0=self._t0,
+                max_failures=self.retries,
+                timeout=self.timeout,
+            )
+        except WorkerStartError:
+            return
+        finally:
+            if self.farm is None:
+                shutil.rmtree(root, ignore_errors=True)
+        raw.update(broker.raw)
         self.executed += broker.executed
         self.cache_hits += broker.store_hits
         self.retried += broker.requeued
 
-    def _run_pool(self, tasks, raw, keys, computed):
-        """First attempt of every picklable task on the process pool.
-
-        Returns ``(task, next_attempt, failures)`` triples for tasks that
-        must fall back to the serial path.
-
-        Waiting is deadline-based: each future carries a deadline of
-        ``submit time + timeout`` and the runner always waits on the
-        earliest pending deadline (``concurrent.futures.wait``), so one
-        stuck task delays the grid by at most ``timeout`` — not by
-        ``timeout`` per queued task as the old submission-order wait did.
-        """
-        try:
-            executor = concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(self.parallel, len(tasks))
-            )
-        except (OSError, ImportError, NotImplementedError):
-            # No usable multiprocessing (e.g. missing /dev/shm): everything
-            # degrades to the serial path with its full retry budget.
-            return [(task, 1, 0) for task in tasks]
-        degraded: List[Tuple[TaskSpec, int, int]] = []
-        abandon_pool = False
-        try:
-            futures: Dict[concurrent.futures.Future, TaskSpec] = {}
-            deadlines: Dict[concurrent.futures.Future, float] = {}
-            for task in tasks:
-                fut = executor.submit(_execute_in_worker, task)
-                futures[fut] = task
-                if self.timeout is not None:
-                    deadlines[fut] = time.monotonic() + self.timeout
-                self._emit("exp.task_start", task=task.index,
-                           target=task.target(), attempt=1,
-                           key=keys[task.index])
-            pending = set(futures)
-            while pending:
-                wait_for = None
-                if self.timeout is not None:
-                    wait_for = max(
-                        0.0,
-                        min(deadlines[f] for f in pending) - time.monotonic(),
-                    )
-                done, pending = concurrent.futures.wait(
-                    pending, timeout=wait_for,
-                    return_when=concurrent.futures.FIRST_COMPLETED,
-                )
-                for fut in sorted(done, key=lambda f: futures[f].index):
-                    task = futures[fut]
-                    try:
-                        wall, row = fut.result()
-                    except BrokenProcessPool:
-                        abandon_pool = True
-                        self._note_retry(task, keys, attempt=1,
-                                         reason="worker_died")
-                        degraded.append((task, 2, 0))
-                    except Exception as exc:
-                        self._note_retry(task, keys, attempt=1,
-                                         reason=f"{type(exc).__name__}: {exc}")
-                        degraded.append((task, 2, 1))
-                    else:
-                        self._record(task, row, raw, keys, computed)
-                        self.executed += 1
-                        self._emit("exp.task_done", task=task.index,
-                                   attempt=1, wall=wall,
-                                   key=keys[task.index])
-                if self.timeout is None or not pending:
-                    continue
-                now = time.monotonic()
-                expired = sorted(
-                    (f for f in pending if deadlines[f] <= now),
-                    key=lambda f: futures[f].index,
-                )
-                for fut in expired:
-                    if not fut.cancel() and fut.done():
-                        # Completed in the race window between wait() and
-                        # the deadline sweep: harvest it next iteration.
-                        continue
-                    task = futures[fut]
-                    pending.discard(fut)
-                    abandon_pool = True
-                    self._note_retry(task, keys, attempt=1, reason="timeout")
-                    degraded.append((task, 2, 1))
-        finally:
-            # A stuck or dead worker must not hold the runner hostage:
-            # leave timed-out tasks behind rather than joining them — but
-            # reap the orphaned worker processes instead of leaking them.
-            orphans = []
-            if abandon_pool:
-                orphans = list(
-                    (getattr(executor, "_processes", None) or {}).values()
-                )
-            executor.shutdown(wait=not abandon_pool,
-                              cancel_futures=abandon_pool)
-            if abandon_pool:
-                reaped = 0
-                for proc in orphans:
-                    try:
-                        if proc.is_alive():
-                            proc.kill()
-                            reaped += 1
-                    except (OSError, ValueError):
-                        pass
-                for proc in orphans:
-                    try:
-                        proc.join(timeout=1.0)
-                    except (OSError, ValueError, AssertionError):
-                        pass
-                self._emit("exp.pool_abandoned", reaped=reaped)
-        return degraded
-
-    def _run_serial(self, task, raw, keys, computed, attempt, failures):
-        """In-process execution with the remaining retry budget.
+    def _run_local(self, task, key, raw) -> None:
+        """In-process execution of one task within the retry budget.
 
         The spec carries the seed, so each attempt replays the identical
         simulation — a retried point is indistinguishable from a
         first-try success.
         """
+        attempt = 1  # every earlier attempt failed: failures == attempt - 1
         while True:
             self._emit("exp.task_start", task=task.index,
-                       target=task.target(), attempt=attempt,
-                       key=keys[task.index])
-            if attempt > 1:
-                self.retried += 1
+                       target=task.target(), attempt=attempt, key=key)
             start = time.perf_counter()
             try:
                 row = execute_task(task)
             except Exception as exc:
-                failures += 1
-                if failures > self.retries:
+                reason = f"{type(exc).__name__}: {exc}"
+                if attempt > self.retries:
                     self._emit("exp.task_failed", task=task.index,
-                               attempt=attempt, failures=failures,
-                               reason=f"{type(exc).__name__}: {exc}",
-                               key=keys[task.index])
-                    raise TaskError(task, failures, exc) from exc
-                self._note_retry(task, keys, attempt,
-                                 reason=f"{type(exc).__name__}: {exc}")
+                               attempt=attempt, failures=attempt,
+                               reason=reason, key=key)
+                    raise TaskError(task, attempt, reason) from exc
+                self._emit("exp.task_retry", task=task.index,
+                           attempt=attempt, reason=reason, key=key)
                 attempt += 1
+                self.retried += 1
                 continue
-            self._record(task, row, raw, keys, computed)
+            try:
+                row = publish_row(self.cache, key, task, row)
+            except (TypeError, ValueError):
+                # A non-JSON row never leaves this process, so it stays
+                # usable — but uncached, and outside the bit-identical
+                # warm-rerun guarantee.
+                pass
+            raw[task.index] = row
             self.executed += 1
             self._emit("exp.task_done", task=task.index, attempt=attempt,
-                       wall=time.perf_counter() - start,
-                       key=keys[task.index])
+                       wall=time.perf_counter() - start, key=key)
             return
-
-    # ------------------------------------------------------------------
-    def _record(self, task, row, raw, keys, computed):
-        """Canonicalise a fresh result and persist it to the cache."""
-        try:
-            row = json.loads(json.dumps(row))
-        except (TypeError, ValueError):
-            # Non-JSON rows stay usable but cannot be cached (and lose the
-            # bit-identical warm-rerun guarantee).
-            raw[task.index] = row
-            computed.add(task.index)
-            return
-        raw[task.index] = row
-        computed.add(task.index)
-        if self.cache is not None and keys[task.index] is not None:
-            self.cache.store(keys[task.index], task, row)
-
-    def _note_retry(self, task, keys, attempt, reason):
-        self._emit("exp.task_retry", task=task.index, attempt=attempt,
-                   reason=reason, key=keys[task.index])
 
     def _emit(self, ev: str, **fields) -> None:
         if self.trace.enabled:

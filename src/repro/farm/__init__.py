@@ -1,16 +1,19 @@
-"""Distributed, resumable experiment farm.
+"""Distributed, resumable experiment farm — and the
+:class:`~repro.exp.runner.Runner`'s one out-of-process execution core.
 
 The full controller-zoo × topology × fault matrix is 10^5–10^6 cacheable
-points — beyond one ``ProcessPoolExecutor``.  The farm splits the
-:class:`~repro.exp.runner.Runner`'s execution layer into three pieces
-that survive crashes independently:
+points — beyond one machine and one uninterrupted run.  The farm is the
+:class:`~repro.exp.runner.Runner`'s execution layer in three pieces
+that survive crashes independently (a local ``parallel=N`` run is the
+same thing over a temporary directory):
 
 * a **broker** (:class:`~repro.farm.broker.Broker`) owns a persistent
   work queue under one *farm directory*: pickled task files, claim
   tokens, a lease table with heartbeat/expiry, and an append-only
   journal used for failure budgets and observability;
-* **workers** (:mod:`repro.farm.worker`, spawnable on any host that can
-  see the farm directory) lease tasks via atomic rename, execute them
+* **workers** (:mod:`repro.farm.worker`: forked and supervised by the
+  broker locally, startable on any host that can see the farm
+  directory) lease tasks via atomic rename, execute them
   through the existing :func:`~repro.exp.spec.execute_task`, and publish
   rows through the shared content-addressed
   :class:`~repro.exp.cache.ResultCache` — already atomic and
@@ -22,15 +25,16 @@ Because every task is a seeded, deterministic simulation and the result
 store is content-addressed, duplicate execution is harmless and
 *completion authority is cache presence*: a grid interrupted at any
 point (worker SIGKILL, broker SIGKILL, power loss) and resumed over the
-same directory produces rows bit-identical to an uninterrupted serial
-:class:`~repro.exp.runner.Runner` run.  See ``docs/RUNNER.md``.
+same directory produces rows bit-identical to an uninterrupted
+in-process :class:`~repro.exp.runner.Runner` run.  See ``docs/RUNNER.md``.
 """
 
-from .broker import Broker, FarmError, farm_status, run_farm
+from .broker import (Broker, FarmError, WorkerStartError, farm_status,
+                     run_farm)
 from .layout import FarmLayout
 
-__all__ = ["Broker", "FarmError", "FarmLayout", "farm_status", "run_farm",
-           "work"]
+__all__ = ["Broker", "FarmError", "FarmLayout", "WorkerStartError",
+           "farm_status", "run_farm", "work"]
 
 
 def __getattr__(name):

@@ -7,12 +7,18 @@ execute.  Its responsibilities:
   task files + one queue token per point), or *resume*: verify the
   directory holds the same grid (content keys must match) and replay
   the journal to restore per-task failure counts;
-* **lease expiry** — a lease whose heartbeat deadline passed means a
-  dead or wedged worker: journal ``expired``, count a failure, requeue
-  with exponential backoff (``backoff × 2^(failures-1)``, capped);
-* **failure budget** — a task failing (raise or expiry) more than
+* **one failure rule** — a worker that reports a raise, a lease whose
+  heartbeat deadline passed, a lease older than ``timeout`` and a local
+  worker that died each journal one failure against the task's single
+  budget and requeue it with exponential backoff
+  (``backoff × 2^(failures-1)``, capped); a task failing more than
   ``max_failures`` times marks the farm ``FAILED`` and raises
-  :exc:`~repro.exp.runner.TaskError`, mirroring the serial runner;
+  :exc:`~repro.exp.runner.TaskError`;
+* **local workers** — :meth:`Broker.run` keeps ``workers``
+  ``multiprocessing`` children running :func:`~repro.farm.worker.work`
+  (no interpreter start, no re-import).  One that exits, or that holds a
+  lease the broker takes away, is killed, its lease expired at once and
+  a replacement started; none outlives :meth:`Broker.run`;
 * **completion authority** — a task is done iff its row loads from the
   content-addressed store.  The journal only informs budgets and
   observability; a journal lost or truncated mid-run costs retried
@@ -23,12 +29,16 @@ execute.  Its responsibilities:
   broker killed between unlink and requeue);
 * **aggregation** — rows are folded in grid order into ``rows.jsonl``
   as they land, and exposed as ``broker.raw`` for the
-  :class:`~repro.exp.runner.Runner`'s farm path.
+  :class:`~repro.exp.runner.Runner`;
+* **progress** — the journal records workers write become ``farm.*``
+  events (queue and lease detail) and the ``exp.task_start`` /
+  ``exp.task_done`` / ``exp.task_retry`` / ``exp.task_failed`` lifecycle
+  every execution path shares.
 
-Determinism: tasks are seeded specs, rows are canonicalised through the
-same JSON round-trip as ``Runner._record``, and aggregation follows grid
+Determinism: tasks are seeded specs, every row goes through
+:func:`~repro.exp.cache.publish_row`, and aggregation follows grid
 index — so an interrupted-and-resumed farm run is bit-identical to an
-uninterrupted serial run.
+uninterrupted in-process run.
 
 ``python -m repro.farm.broker <root>`` serves a previously initialised
 farm directory (used by the crash-resume tests to SIGKILL a live
@@ -38,6 +48,8 @@ broker); ``repro farm serve`` is the user-facing entry.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import multiprocessing.connection
 import os
 import pathlib
 import subprocess
@@ -49,14 +61,13 @@ from ..exp.cache import ResultCache
 from ..exp.spec import TaskSpec
 from ..harness.sweep import merge_row
 from ..obs.trace import NULL_TRACE
-from .layout import FarmLayout
+from .layout import DEFAULT_LEASE_TTL, DEFAULT_POLL, FarmLayout
 
-__all__ = ["Broker", "FarmError", "run_farm", "farm_status"]
+__all__ = ["Broker", "FarmError", "WorkerStartError", "run_farm",
+           "farm_status"]
 
-DEFAULT_LEASE_TTL = 15.0
 DEFAULT_BACKOFF = 0.25
 MAX_BACKOFF = 30.0
-DEFAULT_POLL = 0.05
 RECONCILE_EVERY = 1.0
 
 
@@ -64,12 +75,16 @@ class FarmError(RuntimeError):
     """The farm directory disagrees with the grid being served."""
 
 
+class WorkerStartError(FarmError):
+    """No local worker process could be started."""
+
+
 class _Aggregator:
     """Streams rows to ``rows.jsonl`` in grid order as they land."""
 
-    def __init__(self, layout: FarmLayout, params: Dict[int, dict]):
+    def __init__(self, layout: FarmLayout, tasks: Dict[int, TaskSpec]):
         self._layout = layout
-        self._params = params
+        self._tasks = tasks
         self._pending: Dict[int, dict] = {}
         self._next = 0
         self._fh = open(layout.rows_path, "w", encoding="utf-8")
@@ -78,7 +93,7 @@ class _Aggregator:
         self._pending[index] = row
         while self._next in self._pending:
             raw = self._pending.pop(self._next)
-            merged = merge_row(dict(self._params[self._next]), raw)
+            merged = merge_row(dict(self._tasks[self._next].spec.params), raw)
             self._fh.write(json.dumps(merged) + "\n")
             self._fh.flush()
             self._next += 1
@@ -100,12 +115,17 @@ class Broker:
         Shared :class:`ResultCache` used as the result store; ``None``
         uses (or creates) ``<root>/results``.
     trace / t0:
-        Optional :class:`~repro.obs.trace.TraceBus` for ``farm.*``
-        events; ``t0`` is the monotonic origin for their wall-clock
-        ``t`` field (so events share the owning runner's clock).
+        Optional :class:`~repro.obs.trace.TraceBus` for ``farm.*`` and
+        ``exp.task_*`` events; ``t0`` is the monotonic origin for their
+        wall-clock ``t`` field (so events share the owning runner's
+        clock).
     max_failures:
-        Failed attempts (raises + lease expiries) tolerated per task
-        before the farm fails, mirroring ``Runner(retries=...)``.
+        Failed attempts (raises, timeouts, lease expiries, worker
+        deaths) tolerated per task before the farm fails —
+        ``Runner(retries=...)``.
+    timeout:
+        Wall seconds one attempt may hold its lease, measured from the
+        claim whatever the heartbeat says; ``None`` = unbounded.
     lease_ttl / backoff / poll:
         Heartbeat deadline horizon, base requeue delay, and scan
         interval, in seconds.
@@ -124,6 +144,7 @@ class Broker:
         trace=None,
         t0: Optional[float] = None,
         max_failures: int = 1,
+        timeout: Optional[float] = None,
         lease_ttl: float = DEFAULT_LEASE_TTL,
         backoff: float = DEFAULT_BACKOFF,
         poll: float = DEFAULT_POLL,
@@ -132,6 +153,7 @@ class Broker:
         self.trace = NULL_TRACE if trace is None else trace
         self._t0 = time.monotonic() if t0 is None else t0
         self.max_failures = max_failures
+        self.timeout = timeout
         self.lease_ttl = lease_ttl
         self.backoff = backoff
         self.poll = poll
@@ -142,14 +164,16 @@ class Broker:
         self.requeued = 0
 
         self._keys: Dict[int, str] = {}
-        self._params: Dict[int, dict] = {}
+        self._tasks: Dict[int, TaskSpec] = {}
         self._failures: Dict[int, int] = {}
         self._delayed: Dict[int, float] = {}  # index -> monotonic due time
-        self._last_reason: Dict[int, str] = {}
+        self._open: Dict[int, int] = {}  # index -> attempt started, unclosed
         self._done: set = set()
         self._journal_offset = 0
         self._lease_grace: Dict[int, float] = {}  # unparsable-lease grace
         self._aggregator: Optional[_Aggregator] = None
+        self._local: Dict[str, multiprocessing.Process] = {}
+        self._spawned = 0
 
         external = cache is not None
         self.store = cache if external else ResultCache(self.layout.results_dir)
@@ -162,6 +186,9 @@ class Broker:
     def _serve(self, tasks: Sequence[TaskSpec], external: bool) -> None:
         tasks = sorted(tasks, key=lambda t: t.index)
         keys = [self.store.key(task) for task in tasks]
+        for task, key in zip(tasks, keys):
+            self._keys[task.index] = key
+            self._tasks[task.index] = task
         manifest = self.layout.read_manifest()
         if manifest is not None:
             if manifest.get("keys") != keys:
@@ -172,9 +199,6 @@ class Broker:
                     "the original grid"
                 )
             # Same grid: this is a resume with the specs in hand.
-            for task, key in zip(tasks, keys):
-                self._keys[task.index] = key
-                self._params[task.index] = dict(task.spec.params)
             self._replay_journal()
             self.layout.clear_markers()
             return
@@ -183,8 +207,6 @@ class Broker:
                       if external else None)
         self.layout.write_manifest(keys, store=store_path)
         for task, key in zip(tasks, keys):
-            self._keys[task.index] = key
-            self._params[task.index] = dict(task.spec.params)
             self.layout.write_task(task, key)
             self.layout.enqueue(task.index, attempt=1)
             self.layout.journal("enqueue", task=task.index, attempt=1,
@@ -200,8 +222,7 @@ class Broker:
             )
         for index, key in enumerate(manifest["keys"]):
             self._keys[index] = key
-            entry = self.layout.read_task(index)
-            self._params[index] = dict(entry["task"].spec.params)
+            self._tasks[index] = self.layout.read_task(index)["task"]
         self._replay_journal()
         self.layout.clear_markers()
 
@@ -213,21 +234,20 @@ class Broker:
                 task = record.get("task")
                 if isinstance(task, int):
                     self._failures[task] = self._failures.get(task, 0) + 1
-                    reason = record.get("reason")
-                    if isinstance(reason, str):
-                        self._last_reason[task] = reason
 
     # -- main loop -----------------------------------------------------
-    def run(self) -> List[dict]:
-        """Drive the farm to completion; returns merged rows in grid
-        order.
+    def run(self, workers: int = 0) -> List[dict]:
+        """Drive the farm to completion with ``workers`` supervised
+        local worker processes (``0``: workers join from elsewhere);
+        returns merged rows in grid order.
 
         Raises :exc:`~repro.exp.runner.TaskError` when a task exhausts
         its failure budget (after marking the farm ``FAILED`` so workers
-        stop).
+        stop) and :exc:`WorkerStartError` when local workers are wanted
+        and none can be started.
         """
         total = len(self._keys)
-        self._aggregator = _Aggregator(self.layout, self._params)
+        self._aggregator = _Aggregator(self.layout, self._tasks)
         try:
             self._scan_store(initial=True)
             self._emit("farm.serve", tasks=total, done=len(self._done),
@@ -239,24 +259,79 @@ class Broker:
             while len(self._done) < total:
                 self._drain_journal()
                 self._expire_leases()
+                self._supervise(workers)
                 self._release_delayed()
                 now = time.monotonic()
                 if now - last_reconcile >= RECONCILE_EVERY:
                     self._reconcile()
                     last_reconcile = now
                 if len(self._done) < total:
-                    time.sleep(self.poll)
+                    # Sleep one poll interval, or until a local worker
+                    # exits: its lease is expired without waiting.
+                    multiprocessing.connection.wait(
+                        [proc.sentinel for proc in self._local.values()],
+                        timeout=self.poll)
+            self.layout.journal("complete", rows=total,
+                                executed=self.executed,
+                                store_hits=self.store_hits)
+            self.layout.mark("done")
         finally:
             self._aggregator.close()
             self._aggregator = None
-        self.layout.journal("complete", rows=total, executed=self.executed,
-                            store_hits=self.store_hits)
-        self.layout.mark("done")
+            self._stop_workers()
         wall = time.monotonic() - start
         self._emit("farm.complete", rows=total, executed=self.executed,
                    store_hits=self.store_hits, wall=wall)
-        return [merge_row(dict(self._params[index]), self.raw[index])
+        return [merge_row(dict(self._tasks[index].spec.params),
+                          self.raw[index])
                 for index in sorted(self._keys)]
+
+    # -- local workers -------------------------------------------------
+    def _supervise(self, want: int) -> None:
+        """Keep ``want`` local workers alive.  One found dead held its
+        lease (if any) to the end: expire it now, not after
+        ``lease_ttl``."""
+        for worker, proc in list(self._local.items()):
+            if proc.is_alive():
+                continue
+            proc.join()
+            del self._local[worker]
+            for index, record in self.layout.leases():
+                if record.get("worker") == worker:
+                    self._expire(index, record, "worker_died")
+        if len(self._local) >= want:
+            return
+        # Lazy: ``python -m repro.farm.worker`` imports this package
+        # first, and importing the worker module at import time would
+        # trip runpy's double-import warning.
+        from .worker import work
+
+        while len(self._local) < want:
+            worker = f"local-{self._spawned}"
+            proc = multiprocessing.Process(
+                target=work, args=(str(self.layout.root),),
+                kwargs=dict(worker_id=worker, lease_ttl=self.lease_ttl,
+                            poll=self.poll),
+                daemon=True)
+            try:
+                proc.start()
+            except OSError as exc:
+                if self._local:
+                    return  # carry on with the workers there are
+                raise WorkerStartError(
+                    f"cannot start a local worker process: {exc}") from exc
+            self._spawned += 1
+            self._local[worker] = proc
+
+    def _stop_workers(self) -> None:
+        """No local worker outlives the run.  Killing is safe at any
+        instant: a finished grid has every row in the store, and store
+        writes and journal appends are atomic."""
+        for proc in self._local.values():
+            proc.kill()
+        for proc in self._local.values():
+            proc.join()
+        self._local.clear()
 
     # -- completion ----------------------------------------------------
     def _scan_store(self, initial: bool = False) -> None:
@@ -289,31 +364,45 @@ class Broker:
             if not isinstance(task, int) or task not in self._keys:
                 continue
             worker = str(record.get("worker", "?"))
+            key = self._keys[task]
             if op == "lease":
+                attempt = int(record.get("attempt", 1))
                 self._emit("farm.lease", task=task, worker=worker,
-                           attempt=int(record.get("attempt", 1)))
+                           attempt=attempt)
+                self._open[task] = attempt
+                self._emit("exp.task_start", task=task,
+                           target=self._tasks[task].target(),
+                           attempt=attempt, key=key)
             elif op == "done":
                 if self._complete(task):
+                    wall = float(record.get("wall", 0.0))
                     self.executed += 1
                     self._emit("farm.task_done", task=task, worker=worker,
-                               wall=float(record.get("wall", 0.0)),
-                               key=self._keys[task])
+                               wall=wall, key=key)
+                    if task in self._open:
+                        self._emit("exp.task_done", task=task,
+                                   attempt=self._open.pop(task), wall=wall,
+                                   key=key)
                 # else: journal says done but the store entry is
                 # unreadable — reconcile will requeue it.
             elif op == "failed":
-                self._count_failure(
-                    task, str(record.get("reason", "unknown")))
+                reason = str(record.get("reason", "unknown"))
                 self._emit("farm.task_failed", task=task, worker=worker,
-                           reason=str(record.get("reason", "unknown")),
-                           failures=self._failures[task])
+                           reason=reason,
+                           failures=self._failures.get(task, 0) + 1)
+                self._count_failure(task, reason)
 
     # -- failure handling ---------------------------------------------
     def _count_failure(self, index: int, reason: str) -> None:
-        self._failures[index] = self._failures.get(index, 0) + 1
-        self._last_reason[index] = reason
-        failures = self._failures[index]
+        """The one failure rule: charge the budget, then requeue with
+        backoff or give up."""
+        failures = self._failures[index] = self._failures.get(index, 0) + 1
+        attempt = self._open.pop(index, None)
         if failures > self.max_failures:
-            self._exhaust(index, failures)
+            self._exhaust(index, attempt or failures, failures, reason)
+        if attempt is not None:
+            self._emit("exp.task_retry", task=index, attempt=attempt,
+                       reason=reason, key=self._keys[index])
         delay = min(self.backoff * (2 ** (failures - 1)), MAX_BACKOFF)
         self._delayed[index] = time.monotonic() + delay
         self.layout.journal("requeue", task=index, failures=failures,
@@ -321,16 +410,17 @@ class Broker:
         self._emit("farm.requeue", task=index, failures=failures,
                    delay=delay)
 
-    def _exhaust(self, index: int, failures: int) -> None:
+    def _exhaust(self, index: int, attempt: int, failures: int,
+                 reason: str) -> None:
         from ..exp.runner import TaskError
 
         self.layout.journal("exhausted", task=index, failures=failures)
         self._emit("farm.exhausted", task=index, failures=failures)
-        reason = self._last_reason.get(index, "unknown")
+        self._emit("exp.task_failed", task=index, attempt=attempt,
+                   failures=failures, reason=reason, key=self._keys[index])
         self.layout.mark("failed",
                          f"task {index} failed {failures} time(s): {reason}\n")
-        entry = self.layout.read_task(index)
-        raise TaskError(entry["task"], failures, RuntimeError(reason))
+        raise TaskError(self._tasks[index], failures, reason)
 
     # -- lease expiry --------------------------------------------------
     def _expire_leases(self) -> None:
@@ -340,7 +430,13 @@ class Broker:
         for index, record in self.layout.leases():
             live.add(index)
             deadline = record.get("deadline")
-            if not isinstance(deadline, (int, float)):
+            claimed = record.get("claimed")
+            reason = "lease expired"
+            if (self.timeout is not None
+                    and isinstance(claimed, (int, float))
+                    and claimed + self.timeout <= now):
+                reason = "timeout"
+            elif not isinstance(deadline, (int, float)):
                 # Claim-to-rewrite race window or torn heartbeat: grant
                 # one ttl of grace from first sighting.
                 grace = self._lease_grace.setdefault(index,
@@ -351,25 +447,37 @@ class Broker:
                 self._lease_grace.pop(index, None)
                 continue
             self._lease_grace.pop(index, None)
-            if (self._complete(index)
-                    or index in self.layout.queued_tasks()
-                    or index in self._delayed):
-                # Stale lease for a task that moved on (e.g. a worker
-                # journalled "failed" then died before releasing): drop
-                # it without charging a second failure.
-                self.layout.release_lease(index)
-                continue
-            worker = record.get("worker")
-            self.layout.release_lease(index)
-            self.layout.journal("expired", task=index, worker=worker,
-                                reason="lease expired")
-            self._emit("farm.lease_expired", task=index,
-                       worker=worker if isinstance(worker, str) else None,
-                       failures=self._failures.get(index, 0) + 1)
-            self._count_failure(index, "lease expired")
+            self._expire(index, record, reason)
         for index in list(self._lease_grace):
             if index not in live:
                 del self._lease_grace[index]
+
+    def _expire(self, index: int, record: Dict[str, Any],
+                reason: str) -> None:
+        """Take a lease from its holder — a local worker is killed, so a
+        wedged point cannot outlive its lease — and charge one failure."""
+        worker = record.get("worker")
+        if not isinstance(worker, str):
+            worker = None
+        proc = self._local.pop(worker, None)
+        if proc is not None:
+            proc.kill()
+            proc.join()
+        # Judge the lease on everything its holder managed to journal.
+        self._drain_journal()
+        self.layout.release_lease(index)
+        if (self._complete(index)
+                or index in self.layout.queued_tasks()
+                or index in self._delayed):
+            # Stale lease for a task that moved on (e.g. a worker
+            # journalled "failed" then died before releasing): dropped
+            # without charging a second failure.
+            return
+        self.layout.journal("expired", task=index, worker=worker,
+                            reason=reason)
+        self._emit("farm.lease_expired", task=index, worker=worker,
+                   reason=reason, failures=self._failures.get(index, 0) + 1)
+        self._count_failure(index, reason)
 
     # -- requeue / reconcile ------------------------------------------
     def _release_delayed(self) -> None:
@@ -429,11 +537,13 @@ def spawn_worker(
     lease_ttl: float = DEFAULT_LEASE_TTL,
     poll: float = DEFAULT_POLL,
 ) -> subprocess.Popen:
-    """Spawn one local worker subprocess against ``root``.
+    """Start a worker the way another host would: a separate
+    ``python -m repro.farm.worker`` interpreter against ``root``, not
+    supervised by any broker (the crash-resume tests SIGKILL these).
 
-    The child runs ``python -m repro.farm.worker`` with the parent's
-    ``sys.path`` as ``PYTHONPATH`` so pickled tasks referencing modules
-    outside ``site-packages`` (e.g. test modules) still resolve.
+    The child gets the parent's ``sys.path`` as ``PYTHONPATH`` so
+    pickled tasks referencing modules outside ``site-packages`` (e.g.
+    test modules) still resolve.
     """
     cmd = [sys.executable, "-m", "repro.farm.worker", str(root),
            "--lease-ttl", str(lease_ttl), "--poll", str(poll)]
@@ -454,40 +564,24 @@ def run_farm(
     trace=None,
     t0: Optional[float] = None,
     max_failures: int = 1,
+    timeout: Optional[float] = None,
     lease_ttl: float = DEFAULT_LEASE_TTL,
     backoff: float = DEFAULT_BACKOFF,
     poll: float = DEFAULT_POLL,
 ) -> Broker:
-    """Serve ``tasks`` into ``root``, run ``workers`` local workers, and
-    drive the broker to completion.  Returns the finished broker.
+    """Serve ``tasks`` into ``root`` and drive the broker to completion
+    with ``workers`` supervised local workers.  Returns the finished
+    broker.
 
-    This is the :class:`~repro.exp.runner.Runner`'s farm path; remote
-    workers started separately with ``repro farm work`` (or
+    This is the :class:`~repro.exp.runner.Runner`'s out-of-process path;
+    remote workers started separately with ``repro farm work`` (or
     ``python -m repro.farm.worker``) join the same run simply by
     pointing at the same directory.
     """
     broker = Broker(root, tasks=tasks, cache=cache, trace=trace, t0=t0,
-                    max_failures=max_failures, lease_ttl=lease_ttl,
-                    backoff=backoff, poll=poll)
-    procs: List[subprocess.Popen] = []
-    try:
-        for i in range(max(0, workers)):
-            procs.append(spawn_worker(root, worker_id=f"local-{i}",
-                                      lease_ttl=lease_ttl, poll=poll))
-        broker.run()
-    finally:
-        # Workers exit on the DONE/FAILED marker; give them a moment,
-        # then insist.
-        for proc in procs:
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                proc.terminate()
-                try:
-                    proc.wait(timeout=2.0)
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait()
+                    max_failures=max_failures, timeout=timeout,
+                    lease_ttl=lease_ttl, backoff=backoff, poll=poll)
+    broker.run(workers=max(0, workers))
     return broker
 
 
@@ -539,18 +633,7 @@ def main(argv=None) -> int:  # pragma: no cover - exercised via subprocess
     broker = Broker(args.root, max_failures=args.max_failures,
                     lease_ttl=args.lease_ttl, backoff=args.backoff,
                     poll=args.poll)
-    procs = [spawn_worker(args.root, worker_id=f"local-{i}",
-                          lease_ttl=args.lease_ttl, poll=args.poll)
-             for i in range(max(0, args.workers))]
-    try:
-        rows = broker.run()
-    finally:
-        for proc in procs:
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+    rows = broker.run(workers=max(0, args.workers))
     print(f"farm complete: {len(rows)} row(s), executed={broker.executed}, "
           f"store_hits={broker.store_hits}")
     return 0

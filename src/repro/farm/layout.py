@@ -9,7 +9,7 @@ hosts that mount it.  The layout::
       tasks/<index>.task   pickled TaskSpec per grid point (written once)
       queue/<index>        claim token: JSON {"task", "attempt"}
       leases/<index>       lease: JSON {"task", "worker", "attempt",
-                           "deadline"} (unix seconds)
+                           "deadline", "claimed"} (unix seconds)
       journal.jsonl        append-only event log (budgets, observability)
       results/             content-addressed ResultCache (default store)
       rows.jsonl           aggregated rows in grid order (broker output)
@@ -36,30 +36,22 @@ import json
 import os
 import pathlib
 import pickle
-import tempfile
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
+from ..exp.cache import atomic_write
 from ..exp.spec import TaskSpec
 
-__all__ = ["FarmLayout"]
+__all__ = ["FarmLayout", "DEFAULT_LEASE_TTL", "DEFAULT_POLL"]
 
 MANIFEST_VERSION = 1
+#: Heartbeat deadline horizon and idle/scan interval, seconds — shared
+#: by the broker and every worker of a farm.
+DEFAULT_LEASE_TTL = 15.0
+DEFAULT_POLL = 0.05
 
 
-def _atomic_write(path: pathlib.Path, payload: str) -> None:
-    """Write ``payload`` to ``path`` via temp file + ``os.replace``."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+def _write_json(path: pathlib.Path, record: Any) -> None:
+    atomic_write(path, json.dumps(record).encode("utf-8"))
 
 
 class FarmLayout:
@@ -106,11 +98,9 @@ class FarmLayout:
         default ``results/`` directory inside the farm root.  Workers
         read it back so every process publishes to the same store.
         """
-        _atomic_write(
-            self.manifest_path,
-            json.dumps({"version": MANIFEST_VERSION, "tasks": len(keys),
-                        "keys": keys, "store": store}),
-        )
+        _write_json(self.manifest_path,
+                    {"version": MANIFEST_VERSION, "tasks": len(keys),
+                     "keys": keys, "store": store})
 
     def store_root(self) -> pathlib.Path:
         manifest = self.read_manifest() or {}
@@ -125,19 +115,9 @@ class FarmLayout:
         return self.tasks_dir / f"{self._name(index)}.task"
 
     def write_task(self, task: TaskSpec, key: str) -> None:
-        path = self.task_path(task.index)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump({"index": task.index, "key": key, "task": task},
-                            fh)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(
+            self.task_path(task.index),
+            pickle.dumps({"index": task.index, "key": key, "task": task}))
 
     def read_task(self, index: int) -> Dict[str, Any]:
         with open(self.task_path(index), "rb") as fh:
@@ -148,8 +128,8 @@ class FarmLayout:
         return self.queue_dir / self._name(index)
 
     def enqueue(self, index: int, attempt: int) -> None:
-        _atomic_write(self.queue_token_path(index),
-                      json.dumps({"task": index, "attempt": attempt}))
+        _write_json(self.queue_token_path(index),
+                    {"task": index, "attempt": attempt})
 
     def queued_tasks(self) -> List[int]:
         try:
@@ -191,12 +171,14 @@ class FarmLayout:
         return token
 
     def write_lease(self, index: int, worker: str, attempt: int,
-                    deadline: float) -> None:
-        _atomic_write(
-            self.lease_path(index),
-            json.dumps({"task": index, "worker": worker,
-                        "attempt": attempt, "deadline": deadline}),
-        )
+                    deadline: float, claimed: Optional[float] = None) -> None:
+        """(Re)write a lease: ``deadline`` is the heartbeat horizon,
+        ``claimed`` the time the holder claimed the task — the broker
+        measures a per-task ``timeout`` from it, whatever the heartbeat
+        says."""
+        _write_json(self.lease_path(index),
+                    {"task": index, "worker": worker, "attempt": attempt,
+                     "deadline": deadline, "claimed": claimed})
 
     def release_lease(self, index: int) -> None:
         try:
@@ -293,7 +275,7 @@ class FarmLayout:
 
     def mark(self, state: str, text: str = "") -> None:
         marker = self.done_marker if state == "done" else self.failed_marker
-        _atomic_write(marker, text)
+        atomic_write(marker, text.encode("utf-8"))
 
     def clear_markers(self) -> None:
         for marker in (self.done_marker, self.failed_marker):

@@ -10,9 +10,9 @@ many hosts as can see that directory.  The loop:
    task after the deadline passes;
 3. execute via :func:`~repro.exp.spec.execute_task` (the task file
    carries the full pickled :class:`~repro.exp.spec.TaskSpec`, seed
-   included), canonicalise the row through a JSON round-trip exactly
-   like ``Runner._record``, and publish it to the shared
-   content-addressed store;
+   included) and publish the row to the shared content-addressed store
+   through :func:`~repro.exp.cache.publish_row` — the same publish step
+   as the runner's in-process loop;
 4. journal ``done``/``failed`` and release the lease.
 
 Workers exit when the broker writes a ``DONE``/``FAILED`` marker, or on
@@ -22,28 +22,26 @@ a task executed twice (lease expired under a slow-but-alive worker)
 publishes the same bytes — duplicate execution wastes time, never
 correctness.
 
-This module is the worker's entry point (``python -m repro.farm.worker``)
-precisely so remote hosts need none of the CLI's optional plotting
-dependencies.
+The broker starts its local workers by calling :func:`work` in
+``multiprocessing`` children; this module is also the entry point for
+every other host (``python -m repro.farm.worker``), so remote hosts need
+none of the CLI's optional plotting dependencies.
 """
 
 from __future__ import annotations
 
-import json
+import multiprocessing
 import os
 import socket
 import threading
 import time
 from typing import Optional, Union
 
-from ..exp.cache import ResultCache
+from ..exp.cache import ResultCache, publish_row
 from ..exp.spec import execute_task
-from .layout import FarmLayout
+from .layout import DEFAULT_LEASE_TTL, DEFAULT_POLL, FarmLayout
 
 __all__ = ["work"]
-
-DEFAULT_LEASE_TTL = 15.0
-DEFAULT_POLL = 0.05
 
 
 def _default_worker_id() -> str:
@@ -60,20 +58,22 @@ class _Heartbeat:
         self._worker = worker
         self._attempt = attempt
         self._ttl = ttl
+        self._claimed = time.time()
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
-    def start(self) -> None:
+    def _beat(self) -> None:
         self._layout.write_lease(self._index, self._worker, self._attempt,
-                                 time.time() + self._ttl)
+                                 time.time() + self._ttl, self._claimed)
+
+    def start(self) -> None:
+        self._beat()
         self._thread.start()
 
     def _run(self) -> None:
         while not self._stop.wait(self._ttl / 3.0):
             try:
-                self._layout.write_lease(self._index, self._worker,
-                                         self._attempt,
-                                         time.time() + self._ttl)
+                self._beat()
             except OSError:  # pragma: no cover - transient fs trouble
                 pass
 
@@ -103,10 +103,15 @@ def work(
         # The manifest names the shared store (an external cache passed
         # by the broker, or the farm's own results/ directory).
         store = ResultCache(layout.store_root())
+    # Set only in a broker's local worker: that one must not outlive a
+    # broker that died without reaping it.
+    parent = multiprocessing.parent_process()
     processed = 0
     idle_since = time.monotonic()
     while True:
         if layout.finished() is not None:
+            return processed
+        if parent is not None and not parent.is_alive():
             return processed
         if max_tasks is not None and processed >= max_tasks:
             return processed
@@ -143,10 +148,13 @@ def _run_one(layout: FarmLayout, store: ResultCache, index: int,
         task = entry["task"]
         key = entry["key"]
         row = execute_task(task)
-        # Same canonicalisation as Runner._record: a farm row must be
-        # bit-identical to the row a serial run would produce.
-        row = json.loads(json.dumps(row))
-        store.store(key, task, row)
+        try:
+            publish_row(store, key, task, row)
+        except (TypeError, ValueError) as exc:
+            # Rows leave this process only through the JSON store.
+            raise TypeError(
+                f"task {index} ({task.target()}) returned a row that is "
+                f"not JSON-serialisable: {exc}") from exc
     except Exception as exc:
         layout.journal("failed", task=index, worker=worker, attempt=attempt,
                        reason=f"{type(exc).__name__}: {exc}")

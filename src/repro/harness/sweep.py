@@ -67,14 +67,16 @@ def sweep(
     Passing any of ``parallel`` (worker process count), ``cache`` (a
     :class:`~repro.exp.cache.ResultCache` or cache directory path),
     ``trace`` (a :class:`~repro.obs.trace.TraceBus` for ``exp.*`` progress
-    events) or ``farm`` (a farm directory for crash-resumable multi-host
-    execution, see :mod:`repro.farm`) delegates to the
+    events), ``timeout`` (wall seconds per attempt) or ``farm`` (a farm
+    directory for crash-resumable multi-host execution, see
+    :mod:`repro.farm`) delegates to the
     :class:`~repro.exp.runner.Runner`; see ``docs/RUNNER.md``.  Rows come
     back in grid order either way, and ``run`` must be a picklable
-    module-level function to execute on more than one worker.
+    module-level function to execute in worker processes.
     """
     points = grid_points(parameters)
-    if parallel is None and cache is None and trace is None and farm is None:
+    if (parallel is None and cache is None and trace is None
+            and timeout is None and farm is None):
         return [merge_row(point, run(**point)) for point in points]
 
     from ..exp.runner import Runner

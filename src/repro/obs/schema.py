@@ -159,6 +159,7 @@ EVENT_TYPES: Dict[str, Dict[str, FieldSpec]] = {
                              "attempt number that failed"),
         "reason": FieldSpec((str,), True, False,
                             "'timeout' | 'worker_died' | "
+                            "'lease expired' | "
                             "'<ExceptionType>: <message>'"),
         "key": FieldSpec((str,), True, True,
                          "result-cache key (null when caching is off)"),
@@ -172,16 +173,11 @@ EVENT_TYPES: Dict[str, Dict[str, FieldSpec]] = {
                               "total failed attempts accumulated by the "
                               "task (the spent retry budget)"),
         "reason": FieldSpec((str,), True, False,
-                            "'<ExceptionType>: <message>' of the last "
-                            "failure"),
+                            "the last failure: 'timeout' | 'worker_died' "
+                            "| 'lease expired' | "
+                            "'<ExceptionType>: <message>'"),
         "key": FieldSpec((str,), True, True,
                          "result-cache key (null when caching is off)"),
-    },
-    "exp.pool_abandoned": {
-        "reaped": FieldSpec((int,), True, False,
-                            "orphaned pool worker processes killed after "
-                            "the pool was abandoned (timed-out tasks "
-                            "cannot be preempted, only reaped)"),
     },
     "exp.cache_hit": {
         "task": FieldSpec((int,), True, False,
@@ -254,6 +250,11 @@ EVENT_TYPES: Dict[str, Dict[str, FieldSpec]] = {
         "worker": FieldSpec((str,), True, True,
                             "last known lease holder (null when the "
                             "lease file was unreadable)"),
+        "reason": FieldSpec((str,), True, False,
+                            "'lease expired' (heartbeat deadline passed) "
+                            "| 'timeout' (lease older than the per-task "
+                            "timeout) | 'worker_died' (local worker "
+                            "process exited)"),
         "failures": FieldSpec((int,), True, False,
                               "failed attempts accumulated by the task "
                               "(an expiry counts as one)"),

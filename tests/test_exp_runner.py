@@ -1,23 +1,28 @@
 """The parallel experiment runner (repro.exp): fan-out, deterministic
 aggregation, retries, fault tolerance, progress events, and the CLI.
 
-Point functions used by pool tests live at module level so they pickle by
-reference into worker processes; cross-attempt state (forcing a first
+Point functions used out of process live at module level so they pickle
+by reference into worker processes; cross-attempt state (forcing a first
 failure, a worker kill, a stall) goes through flag files because workers
 share no memory with the parent.
 """
 
 from __future__ import annotations
 
+import contextlib
+import glob
 import json
+import multiprocessing
 import os
 import pathlib
+import tempfile
 import time
 
 import pytest
 
 from repro.cli import main
 from repro.exp import Runner, ScenarioSpec, TaskError, specs_for_grid
+from repro.exp.spec import target_id
 from repro.harness.sweep import sweep
 from repro.obs import JsonlSink, MemorySink, TraceBus, validate_event
 
@@ -50,10 +55,12 @@ def flaky_point(flag_dir, x):
     return {"ok": x}
 
 
-def killer_point(parent_pid, x):
-    if os.getpid() != parent_pid:
-        os._exit(13)  # simulate a worker process dying mid-task
-    return {"ok": x}  # the in-process degradation path survives
+def killer_point(flag_dir, x):
+    flag = pathlib.Path(flag_dir) / f"died-{x}"
+    if not flag.exists():
+        flag.write_text("")
+        os._exit(13)  # simulate a worker process dying mid-task, once
+    return {"ok": x}
 
 
 def sleepy_point(flag_dir, x):
@@ -62,6 +69,15 @@ def sleepy_point(flag_dir, x):
         flag.write_text("")
         time.sleep(2.5)
     return {"ok": x}
+
+
+def always_sleeps(x):
+    time.sleep(30.0)
+    return {"ok": x}
+
+
+def set_row_point(x):
+    return {"val": {x}}  # a set: JSON cannot carry it across processes
 
 
 def sim_point(seed, c2):
@@ -105,6 +121,32 @@ def assert_stream_closed(events):
             f"task/attempt {key}: {n} start(s) but "
             f"{closures.get(key, 0)} closure(s)"
         )
+
+
+#: The three ways to ask a Runner for the same grid.  One rule set must
+#: hold on each: ``timeout`` bounds every attempt, one budget, one error.
+SPELLINGS = ["parallel=1", "parallel=2", "farm"]
+
+
+def spelling(name, tmp_path):
+    return {
+        "parallel=1": {"parallel": 1},
+        "parallel=2": {"parallel": 2},
+        "farm": {"parallel": 2, "farm": str(tmp_path / "farm")},
+    }[name]
+
+
+@contextlib.contextmanager
+def no_leftovers():
+    """After a run — clean, timed-out or failed — no worker process and
+    no temporary farm directory may remain."""
+    pattern = os.path.join(tempfile.gettempdir(), "repro-farm-*")
+    before = set(glob.glob(pattern))
+    try:
+        yield
+    finally:
+        assert multiprocessing.active_children() == []
+        assert set(glob.glob(pattern)) <= before
 
 
 # -- deterministic aggregation -----------------------------------------
@@ -220,57 +262,119 @@ class TestFaultTolerance:
         assert [r["rate"] for r in retried] == [r["rate"] for r in clean]
         assert len(sink.of_type("exp.task_retry")) == 2
 
-    def test_worker_death_degrades_to_serial(self):
+    def test_worker_death_is_an_ordinary_failure(self, tmp_path):
+        # Each point kills its worker once.  The death is charged to the
+        # point like any other failure and the retry runs in a fresh
+        # worker — never inside the runner's own process.
         sink = MemorySink()
-        rows = sweep(
-            {"parent_pid": [os.getpid()], "x": [1, 2, 3]},
-            killer_point, parallel=2, trace=TraceBus(sinks=[sink]),
-        )
+        with no_leftovers():
+            rows = sweep(
+                {"flag_dir": [str(tmp_path)], "x": [1, 2, 3]},
+                killer_point, parallel=2, trace=TraceBus(sinks=[sink]),
+            )
         assert [r["ok"] for r in rows] == [1, 2, 3]
-        reasons = {r["reason"] for r in sink.of_type("exp.task_retry")}
-        assert "worker_died" in reasons
+        retries = sink.of_type("exp.task_retry")
+        assert [r["reason"] for r in retries] == ["worker_died"] * 3
+        assert sorted(r["task"] for r in retries) == [0, 1, 2]
+        assert {r["failures"] for r in sink.of_type("farm.requeue")} == {1}
+        expired = sink.of_type("farm.lease_expired")
+        assert [r["reason"] for r in expired] == ["worker_died"] * 3
+        for record in sink.events:
+            assert validate_event(record) == []
+        assert_stream_closed(sink.events)
 
-    def test_timeout_retries_in_process(self, tmp_path):
+    @pytest.mark.parametrize("how", SPELLINGS)
+    def test_stuck_point_is_retried_within_bound(self, tmp_path, how):
+        # The first attempt of each point stalls for 2.5 s; with a 0.4 s
+        # timeout it is preempted and the retry (instant: the flag file
+        # exists) finishes long before the stall would have.
         sink = MemorySink()
-        rows = sweep(
-            {"flag_dir": [str(tmp_path)], "x": [1, 2]},
-            sleepy_point, parallel=2, timeout=0.4,
-            trace=TraceBus(sinks=[sink]),
-        )
+        start = time.monotonic()
+        with no_leftovers():
+            rows = sweep(
+                {"flag_dir": [str(tmp_path)], "x": [1, 2]},
+                sleepy_point, timeout=0.4, trace=TraceBus(sinks=[sink]),
+                **spelling(how, tmp_path),
+            )
+        wall = time.monotonic() - start
         assert [r["ok"] for r in rows] == [1, 2]
         reasons = [r["reason"] for r in sink.of_type("exp.task_retry")]
-        assert "timeout" in reasons
+        assert reasons == ["timeout"] * 2
+        assert wall < 2.2, f"{how}: stalled attempts were waited out"
+        for record in sink.events:
+            assert validate_event(record) == []
+        assert_stream_closed(sink.events)
+
+    @pytest.mark.parametrize("how", SPELLINGS)
+    def test_point_stalling_on_every_attempt_fails_in_bounded_time(
+            self, tmp_path, how):
+        # timeout applies to the retry too: (retries + 1) x timeout plus
+        # one back-off, not a 30 s hang on the second attempt.
+        start = time.monotonic()
+        with no_leftovers():
+            with pytest.raises(TaskError, match="exhausted: timeout"):
+                sweep({"x": [1]}, always_sleeps, timeout=0.3, retries=1,
+                      **spelling(how, tmp_path))
+        assert time.monotonic() - start < 2 * 0.3 + 2.0
 
     def test_stuck_tasks_share_one_deadline_and_workers_are_reaped(
             self, tmp_path):
-        # Three tasks all stall past the timeout on their first (pool)
-        # attempt.  The old submission-order wait granted each future a
-        # fresh timeout — a ~3×timeout stall; the deadline-based wait
-        # expires them together, so the pool phase costs ~1×timeout and
-        # the orphaned workers are reaped (exp.pool_abandoned).
+        # Three tasks all stall past the timeout on their first attempt.
+        # Each is timed from its own claim, so they expire together
+        # after ~1 x timeout (not one after another), their workers are
+        # killed, and fresh workers run the instant retries.
         sink = MemorySink()
         runner_timeout = 1.0
         start = time.monotonic()
-        rows = sweep(
-            {"flag_dir": [str(tmp_path)], "x": [1, 2, 3]},
-            sleepy_point, parallel=3, timeout=runner_timeout,
-            trace=TraceBus(sinks=[sink]),
-        )
+        with no_leftovers():
+            rows = sweep(
+                {"flag_dir": [str(tmp_path)], "x": [1, 2, 3]},
+                sleepy_point, parallel=3, timeout=runner_timeout,
+                trace=TraceBus(sinks=[sink]),
+            )
         wall = time.monotonic() - start
         assert [r["ok"] for r in rows] == [1, 2, 3]
-        # Retries are instant (flag files exist), so anything well under
-        # 3×timeout proves the deadlines were shared; generous headroom
-        # for pool start-up on a loaded single-CPU machine.
+        # Generous headroom for worker start-up on a loaded single-CPU
+        # machine; anything well under 3 x timeout proves the point.
         assert wall < 2.5 * runner_timeout, (
-            f"pool stall took {wall:.2f}s — futures are waited in "
-            "submission order again?"
+            f"stall took {wall:.2f}s — timeouts are serialised again?"
         )
         reasons = [r["reason"] for r in sink.of_type("exp.task_retry")]
         assert reasons.count("timeout") == 3
-        abandoned = sink.of_type("exp.pool_abandoned")
-        assert len(abandoned) == 1
-        assert abandoned[0]["reaped"] >= 1
         assert_stream_closed(sink.events)
+
+    @pytest.mark.parametrize("how", SPELLINGS)
+    def test_budget_exhaustion_is_the_same_error_on_every_spelling(
+            self, tmp_path, how):
+        sink = MemorySink()
+        with no_leftovers():
+            with pytest.raises(TaskError) as err:
+                sweep({"x": [1]}, always_fails, retries=1,
+                      trace=TraceBus(sinks=[sink]),
+                      **spelling(how, tmp_path))
+        assert str(err.value) == (
+            f"task 0 ({target_id(always_fails)}) failed 2 time(s), "
+            "retry budget exhausted: RuntimeError: boom"
+        )
+        failed = sink.of_type("exp.task_failed")
+        assert [(r["attempt"], r["failures"]) for r in failed] == [(2, 2)]
+        assert_stream_closed(sink.events)
+
+    def test_unserializable_row_out_of_process_fails_naming_the_task(self):
+        # Rows cross the process boundary through the JSON store; the
+        # in-process tolerance (tests/test_exp_cache.py) cannot apply.
+        with pytest.raises(TaskError, match=r"task [01] \(.*set_row_point\) "
+                           "returned a row that is not JSON-serialisable"):
+            sweep({"x": [1, 2]}, set_row_point, parallel=2, retries=0)
+
+    def test_no_startable_worker_process_runs_in_process(self, monkeypatch):
+        def refuse(self):
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(multiprocessing.Process, "start", refuse)
+        with no_leftovers():
+            rows = sweep({"x": [1, 2, 3]}, square_point, parallel=2)
+        assert rows == [{"x": x, "sq": x * x} for x in (1, 2, 3)]
 
     def test_retry_budget_exhausted_raises(self):
         with pytest.raises(TaskError, match="retry budget exhausted"):
@@ -294,7 +398,7 @@ class TestFaultTolerance:
             sweep({"x": [1]}, always_fails, parallel=1, retries=0)
 
     def test_unpicklable_point_function_runs_serially(self):
-        offset = 7  # closure → unpicklable → must not reach the pool
+        offset = 7  # closure → unpicklable → must stay in this process
         rows = sweep({"x": [1, 2]}, lambda x: {"y": x + offset}, parallel=2)
         assert rows == [{"x": 1, "y": 8}, {"x": 2, "y": 9}]
 
@@ -321,6 +425,30 @@ class TestRunnerEvents:
         counts = sink.counts()
         assert counts["exp.task_done"] == 2
         assert counts["exp.task_retry"] >= 1
+        assert_stream_closed(sink.events)
+
+    @pytest.mark.parametrize("how", SPELLINGS)
+    def test_one_lifecycle_on_every_spelling(self, tmp_path, how):
+        # The same exp.* lifecycle whichever loop ran the point: two
+        # failed first attempts, two successful second ones.
+        sink = MemorySink()
+        sweep(
+            {"flag_dir": [str(tmp_path)], "x": [1, 2]},
+            flaky_point, trace=TraceBus(sinks=[sink]),
+            **spelling(how, tmp_path),
+        )
+        for record in sink.events:
+            assert validate_event(record) == []
+
+        def seen(ev):
+            return sorted((r["task"], r["attempt"])
+                          for r in sink.of_type(ev))
+
+        assert seen("exp.task_start") == [(0, 1), (0, 2), (1, 1), (1, 2)]
+        assert seen("exp.task_retry") == [(0, 1), (1, 1)]
+        assert seen("exp.task_done") == [(0, 2), (1, 2)]
+        assert {r["reason"] for r in sink.of_type("exp.task_retry")} == {
+            "RuntimeError: transient failure"}
         assert_stream_closed(sink.events)
 
     def test_trace_validate_accepts_runner_jsonl(self, tmp_path):

@@ -259,7 +259,7 @@ class TestSchemaValidation:
             "tcp.timeout", "tcp.fast_retransmit", "mptcp.dsn_ack",
             "engine.event_fired",
             "exp.task_start", "exp.task_done", "exp.task_retry",
-            "exp.task_failed", "exp.cache_hit", "exp.pool_abandoned",
+            "exp.task_failed", "exp.cache_hit",
             "farm.serve", "farm.enqueue", "farm.lease", "farm.task_done",
             "farm.task_failed", "farm.lease_expired", "farm.requeue",
             "farm.exhausted", "farm.complete",
