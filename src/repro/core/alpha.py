@@ -7,7 +7,8 @@ The MPTCP rule (§2, eq. (1)) increases the window of subflow r, per ACK, by
 
 The appendix shows that with subflows ordered by w/RTT² the minimising subset
 is always a prefix-by-value set, so the minimum can be found with a linear
-scan after sorting (``mptcp_increase``).  ``mptcp_increase_bruteforce``
+scan after sorting (``mptcp_increases``, all subflows from one sort;
+``mptcp_increase`` is one entry of it).  ``mptcp_increase_bruteforce``
 enumerates all subsets and exists to cross-check the linear search in tests.
 
 ``rfc6356_alpha`` computes the aggressiveness parameter of the equivalent
@@ -21,10 +22,11 @@ with per-ACK increase min(a/w_total, 1/w_r).
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Sequence
+from typing import List, Sequence
 
 __all__ = [
     "mptcp_increase",
+    "mptcp_increases",
     "mptcp_increase_bruteforce",
     "rfc6356_alpha",
     "rfc6356_increase",
@@ -45,36 +47,46 @@ def _validate(windows: Sequence[float], rtts: Sequence[float], index: int) -> No
         raise ValueError("RTTs must be positive")
 
 
-def mptcp_increase(
-    windows: Sequence[float], rtts: Sequence[float], index: int
-) -> float:
-    """Per-ACK window increase for subflow ``index`` (eq. (1)), via the
+def mptcp_increases(windows: Sequence[float], rtts: Sequence[float]) -> List[float]:
+    """Per-ACK window increase of *every* subflow (eq. (1)), via the
     appendix's linear search.
 
     Sort subflows by w/RTT² ascending.  For a candidate maximum element u,
     the best subset S is *every* subflow whose w/RTT² does not exceed u's
-    (adding such subflows grows the denominator without changing the max).
-    Valid candidates are those at or after ``index`` in the sort order, so a
-    single pass over prefix sums finds the minimum.
+    (adding such subflows grows the denominator without changing the max),
+    so each rank has one candidate, from a prefix sum; a subflow may use
+    the candidates at or after its own rank, hence the suffix minimum.
     """
-    _validate(windows, rtts, index)
+    _validate(windows, rtts, 0)
     n = len(windows)
     if n == 1:
-        return 1.0 / windows[0]
+        return [1.0 / windows[0]]
 
     order = sorted(range(n), key=lambda i: windows[i] / (rtts[i] * rtts[i]))
-    position = order.index(index)
-
-    best = float("inf")
+    increases = [0.0] * n
     prefix_rate = 0.0  # running Σ w/RTT over the sorted prefix
-    for rank, i in enumerate(order):
+    for i in order:
         prefix_rate += windows[i] / rtts[i]
-        if rank < position:
-            continue
-        value = (windows[i] / (rtts[i] * rtts[i])) / (prefix_rate * prefix_rate)
-        if value < best:
-            best = value
-    return best
+        increases[i] = (
+            (windows[i] / (rtts[i] * rtts[i])) / (prefix_rate * prefix_rate)
+        )
+    best = float("inf")
+    for i in reversed(order):  # candidates -> suffix minima, in place
+        if increases[i] < best:
+            best = increases[i]
+        increases[i] = best
+    return increases
+
+
+def mptcp_increase(
+    windows: Sequence[float], rtts: Sequence[float], index: int
+) -> float:
+    """Per-ACK window increase for subflow ``index`` (eq. (1)): one entry
+    of :func:`mptcp_increases`."""
+    increases = mptcp_increases(windows, rtts)
+    if not 0 <= index < len(increases):
+        raise ValueError(f"subflow index {index} out of range")
+    return increases[index]
 
 
 def mptcp_increase_bruteforce(

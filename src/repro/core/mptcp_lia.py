@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .alpha import AlphaCache, mptcp_increase
+from .alpha import AlphaCache, mptcp_increase, mptcp_increases
 from .base import CongestionController, WindowedSubflow
 
 __all__ = ["MptcpController", "LinkedIncreasesController"]
@@ -70,10 +70,10 @@ class MptcpController(CongestionController):
             subflows = self.subflows
             if len(subflows) == 2:
                 # The common two-path case, with the generic machinery of
-                # increase_for/mptcp_increase unrolled: same expressions in
-                # the same order (sort by w/RTT² with stable ties, prefix
-                # sums over Σ w/RTT), so the result is bit-identical — the
-                # golden suite holds it to that.
+                # increase_for/mptcp_increases unrolled into the same float
+                # operations (x0 + x1 commutes, so sort order does not
+                # matter to the sum): bit-identical, and the golden suite
+                # holds it to that.
                 s0, s1 = subflows
                 w0 = s0.cwnd
                 w1 = s1.cwnd
@@ -81,30 +81,17 @@ class MptcpController(CongestionController):
                 r1 = s1.srtt or _DEFAULT_RTT
                 v0 = w0 / (r0 * r0)
                 v1 = w1 / (r1 * r1)
-                if v0 <= v1:
-                    first = 0 if subflow is s0 else 1
-                    prefix = w0 / r0
-                    if first == 0:
-                        best = v0 / (prefix * prefix)
-                        prefix += w1 / r1
-                        value = v1 / (prefix * prefix)
-                        if value < best:
-                            best = value
-                    else:
-                        prefix += w1 / r1
-                        best = v1 / (prefix * prefix)
-                else:
-                    first = 0 if subflow is s1 else 1
-                    prefix = w1 / r1
-                    if first == 0:
-                        best = v1 / (prefix * prefix)
-                        prefix += w0 / r0
-                        value = v0 / (prefix * prefix)
-                        if value < best:
-                            best = value
-                    else:
-                        prefix += w0 / r0
-                        best = v0 / (prefix * prefix)
+                x0 = w0 / r0
+                x1 = w1 / r1
+                total = x0 + x1
+                # S = both subflows; whichever sorts first by w/RTT²
+                # (ties: s0) may also stand alone, S = {r}.
+                best = (v1 if v0 <= v1 else v0) / (total * total)
+                if subflow is s0:
+                    if v0 <= v1 and v0 / (x0 * x0) < best:
+                        best = v0 / (x0 * x0)
+                elif v1 < v0 and v1 / (x1 * x1) < best:
+                    best = v1 / (x1 * x1)
                 subflow.cwnd += best
                 return
             subflow.cwnd += self.increase_for(subflow)
@@ -116,11 +103,8 @@ class MptcpController(CongestionController):
         if key not in self._cached or (
             self._acks_since_recompute >= self.total_window
         ):
-            windows, rtts = self._windows_and_rtts()
-            self._cached = {
-                id(s): mptcp_increase(windows, rtts, i)
-                for i, s in enumerate(self.subflows)
-            }
+            increases = mptcp_increases(*self._windows_and_rtts())
+            self._cached = dict(zip(map(id, self.subflows), increases))
             self._acks_since_recompute = 0
         subflow.cwnd += self._cached[key]
 

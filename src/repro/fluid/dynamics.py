@@ -7,18 +7,18 @@ Two families of differential equations:
 
       dw_r/dt = (w_r / RTT_r) · [ (1-p_r)·inc_r(w) − p_r·dec_r(w) ]
 
-  with the per-ACK increase/decrease of REGULAR TCP, EWTCP, COUPLED,
-  SEMICOUPLED, MPTCP/LIA, OLIA, BALIA or WVEGAS — every registry
-  controller except CUBIC, whose window law sits outside this fluid
-  family.  The newcomers' (increase, decrease) terms follow the unified
-  model of Peng, Walid, Hwang & Low ("Multipath TCP: Analysis, Design
-  and Implementation"); OLIA's path-quality sets use the equilibrium
-  inter-loss estimate l_r ≈ 1/p_r, which is why its term needs the loss
-  vector, and WVEGAS maps to per-path Reno because the fixed-loss
-  validation routes have no queueing delay to react to (see
-  ``repro.core.wvegas``).  Trajectories converge to the §2 equilibria
-  and inherit the RTT bias of windowed control: the equilibrium *rate*
-  w/RTT depends on RTT.
+  one kernel (:func:`window_derivative`) parameterised by a *vector law*
+  per algorithm, which returns every path's per-ACK (increase, decrease)
+  terms in one call.  The ``_LAWS`` table maps registry names to laws —
+  every controller except CUBIC, whose window law sits outside this
+  fluid family — following the unified model of Peng, Walid, Hwang & Low
+  ("Multipath TCP: Analysis, Design and Implementation").  OLIA's
+  path-quality sets use the equilibrium inter-loss estimate l_r ≈ 1/p_r,
+  which is why laws receive the loss vector; WVEGAS shares the Reno law
+  because the fixed-loss validation routes have no queueing delay to
+  react to (see ``repro.core.wvegas``).  Trajectories converge to the §2
+  equilibria and inherit the RTT bias of windowed control: the
+  equilibrium *rate* w/RTT depends on RTT.
 
 * **Rate-based** (:func:`integrate_rates_coupled`) — the Kelly & Voice /
   Han et al. equations the paper adapted COUPLED from ("the rate-based
@@ -47,7 +47,8 @@ from __future__ import annotations
 import math
 from typing import Callable, List, Sequence, Tuple
 
-from ..core.alpha import mptcp_increase
+from ..core.alpha import mptcp_increases
+from ..core.registry import ALGORITHMS
 
 __all__ = [
     "window_derivative",
@@ -56,6 +57,7 @@ __all__ = [
     "step_windows",
     "FluidInstabilityError",
     "FLUID_ALGORITHMS",
+    "fluid_law",
     "FluidTrajectory",
 ]
 
@@ -84,24 +86,6 @@ _WINDOW_CEILING = 1e9
 #: (2^20 reduction covers any physically meaningful stiffness gap).
 _MAX_HALVINGS = 20
 
-#: Algorithms the window-based fluid family covers — every registry
-#: controller except CUBIC (whose window law is outside this analysis).
-#: Validated up front so the stepper's blow-up handling (which treats a
-#: stage-level ValueError as an overshot-negative-window symptom) can
-#: never mask a typo'd algorithm name.
-FLUID_ALGORITHMS = frozenset([
-    "reno", "uncoupled", "single", "ewtcp", "coupled", "semicoupled",
-    "mptcp", "lia", "olia", "balia", "wvegas",
-])
-
-
-def _check_algorithm(algorithm: str) -> None:
-    if algorithm not in FLUID_ALGORITHMS:
-        raise ValueError(
-            f"unknown fluid algorithm {algorithm!r}; known: "
-            f"{', '.join(sorted(FLUID_ALGORITHMS))}"
-        )
-
 
 class FluidTrajectory:
     """Sampled trajectory: times plus per-path state vectors."""
@@ -127,12 +111,42 @@ class FluidTrajectory:
 _REL_TIE = 1e-9
 
 
-def _olia_alpha(windows, rtts, losses, index):
-    """OLIA's α_r at the fluid level: path quality l_r²/RTT_r with the
-    equilibrium inter-loss estimate l_r ≈ 1/p_r substituted."""
+# Vector laws: (windows, rtts, losses, a) -> every path's per-ACK
+# (increases, decreases); what paths share is computed once per call.
+
+def _halves(windows):
+    return [w / 2.0 for w in windows]
+
+
+def _reno_law(windows, rtts, losses, a):
+    return [1.0 / w for w in windows], _halves(windows)
+
+
+def _ewtcp_law(windows, rtts, losses, a):
+    weight = a if a is not None else 1.0 / len(windows) ** 2
+    return [weight / w for w in windows], _halves(windows)
+
+
+def _coupled_law(windows, rtts, losses, a):
+    total = sum(windows)
+    return [1.0 / total] * len(windows), [total / 2.0] * len(windows)
+
+
+def _semicoupled_law(windows, rtts, losses, a):
+    gain = (a if a is not None else 1.0) / sum(windows)
+    return [gain] * len(windows), _halves(windows)
+
+
+def _lia_law(windows, rtts, losses, a):
+    # Raises ValueError on a non-positive window: the stiffness guard
+    # relies on that when an RK4 stage overshoots a window negative.
+    return mptcp_increases(windows, rtts), _halves(windows)
+
+
+def _olia_law(windows, rtts, losses, a):
+    """OLIA's α uses path quality l_r²/RTT_r with the equilibrium
+    inter-loss estimate l_r ≈ 1/p_r substituted."""
     n = len(windows)
-    if n <= 1 or losses is None:
-        return 0.0
     # A loss-free path has an unbounded inter-loss interval: its quality
     # is +inf, making it (jointly) best.  The hybrid tier hits p=0 on any
     # uncongested link, so this must not divide by zero.
@@ -140,75 +154,78 @@ def _olia_alpha(windows, rtts, losses, index):
         math.inf if p <= 0.0 else 1.0 / (p * p * rtt)
         for p, rtt in zip(losses, rtts)
     ]
-    best_q = max(qualities)
-    if math.isinf(best_q):
-        best = {r for r, q in enumerate(qualities) if math.isinf(q)}
-    else:
-        best = {
-            r for r, q in enumerate(qualities) if q >= best_q * (1 - _REL_TIE)
-        }
-    max_w = max(windows)
-    maxw = {r for r, w in enumerate(windows) if w >= max_w * (1 - _REL_TIE)}
-    collected = best - maxw
-    if not collected:
-        return 0.0
-    if index in collected:
-        return 1.0 / (n * len(collected))
-    if index in maxw:
-        return -1.0 / (n * len(maxw))
-    return 0.0
+    best_q = max(qualities) * (1 - _REL_TIE)  # inf stays inf
+    max_w = max(windows) * (1 - _REL_TIE)
+    maxw = [r for r, w in enumerate(windows) if w >= max_w]
+    collected = [
+        r for r, q in enumerate(qualities) if q >= best_q and r not in maxw
+    ]
+    alphas = [0.0] * n
+    if collected:
+        for r in collected:
+            alphas[r] = 1.0 / (n * len(collected))
+        for r in maxw:
+            alphas[r] = -1.0 / (n * len(maxw))
+    rate_sum = sum(w / rtt for w, rtt in zip(windows, rtts))
+    # The packet controller clamps at 1/w (fairness constraint (4)).
+    return [
+        min((w / (rtt * rtt)) / (rate_sum * rate_sum) + alpha / w, 1.0 / w)
+        for w, rtt, alpha in zip(windows, rtts, alphas)
+    ], _halves(windows)
 
 
-def _balia_alpha(windows, rtts, index):
+def _balia_law(windows, rtts, losses, a):
     rates = [w / rtt for w, rtt in zip(windows, rtts)]
-    return max(rates) / rates[index]
+    rate_sum, best = sum(rates), max(rates)
+    alphas = [best / x for x in rates]
+    return [
+        x / (rtt * rate_sum * rate_sum)
+        * ((1.0 + alpha) / 2.0) * ((4.0 + alpha) / 5.0)
+        for x, rtt, alpha in zip(rates, rtts, alphas)
+    ], [w / 2.0 * min(alpha, 1.5) for w, alpha in zip(windows, alphas)]
 
 
-def _increase(algorithm: str, windows, rtts, index, a=None, losses=None):
-    w = windows[index]
-    total = sum(windows)
-    if algorithm in ("reno", "uncoupled", "single"):
-        return 1.0 / w
-    if algorithm == "ewtcp":
-        weight = a if a is not None else 1.0 / len(windows) ** 2
-        return weight / w
-    if algorithm == "coupled":
-        return 1.0 / total
-    if algorithm == "semicoupled":
-        return (a if a is not None else 1.0) / total
-    if algorithm in ("mptcp", "lia"):
-        return mptcp_increase(windows, rtts, index)
-    if algorithm == "olia":
-        rate_sum = sum(wi / ri for wi, ri in zip(windows, rtts))
-        rtt = rtts[index]
-        coupled = (w / (rtt * rtt)) / (rate_sum * rate_sum)
-        alpha = _olia_alpha(windows, rtts, losses, index)
-        # The packet controller clamps at 1/w (fairness constraint (4)).
-        return min(coupled + alpha / w, 1.0 / w)
-    if algorithm == "balia":
-        rates = [wi / ri for wi, ri in zip(windows, rtts)]
-        rate_sum = sum(rates)
-        x, rtt = rates[index], rtts[index]
-        alpha = _balia_alpha(windows, rtts, index)
-        return (
-            x / (rtt * rate_sum * rate_sum)
-            * ((1.0 + alpha) / 2.0)
-            * ((4.0 + alpha) / 5.0)
+#: The whole zoo as data: registry name -> vector law.  Aliases are two
+#: keys on one function; a registry controller without a row (CUBIC) has
+#: no fluid model.
+_LAWS = {
+    "reno": _reno_law,
+    "single": _reno_law,
+    "uncoupled": _reno_law,
+    # Fixed-loss routes have srtt ≈ base_rtt, so wVegas sits in its
+    # Vegas increase phase permanently: per-path Reno.
+    "wvegas": _reno_law,
+    "ewtcp": _ewtcp_law,
+    "coupled": _coupled_law,
+    "semicoupled": _semicoupled_law,
+    "mptcp": _lia_law,
+    "lia": _lia_law,
+    "olia": _olia_law,
+    "balia": _balia_law,
+}
+
+#: Algorithms the window-based fluid family covers.
+FLUID_ALGORITHMS = frozenset(_LAWS)
+
+
+def fluid_law(algorithm: str) -> Callable:
+    """The vector law for a registry name; the one place a name is
+    checked.  Callers resolve the name up front so the stepper's blow-up
+    handling (which treats a stage-level ValueError as an
+    overshot-negative-window symptom) can never mask a typo'd name."""
+    law = _LAWS.get(algorithm)
+    if law is not None:
+        return law
+    registered = algorithm in ALGORITHMS
+    if registered:
+        raise ValueError(
+            f"{algorithm} has no fluid model (its window law is outside the "
+            f"paper's analysis); run {algorithm} flows as packet-level tracers"
         )
-    if algorithm == "wvegas":
-        # Fixed-loss routes have srtt ≈ base_rtt, so wVegas sits in its
-        # Vegas increase phase permanently: per-path Reno.
-        return 1.0 / w
-    raise ValueError(f"unknown algorithm {algorithm!r}")
-
-
-def _decrease(algorithm: str, windows, rtts, index):
-    if algorithm == "coupled":
-        return sum(windows) / 2.0
-    if algorithm == "balia":
-        alpha = _balia_alpha(windows, rtts, index)
-        return windows[index] / 2.0 * min(alpha, 1.5)
-    return windows[index] / 2.0
+    raise ValueError(
+        f"unknown fluid algorithm {algorithm!r}; known: "
+        f"{', '.join(sorted(_LAWS))}"
+    )
 
 
 def window_derivative(
@@ -218,14 +235,13 @@ def window_derivative(
     rtts: Sequence[float],
     a: float = None,
 ) -> List[float]:
-    """dw/dt of the window-based fluid model at one state point."""
-    derivs = []
-    for r, (w, p, rtt) in enumerate(zip(windows, losses, rtts)):
-        ack_rate = w / rtt
-        inc = _increase(algorithm, windows, rtts, r, a=a, losses=losses)
-        dec = _decrease(algorithm, windows, rtts, r)
-        derivs.append(ack_rate * ((1.0 - p) * inc - p * dec))
-    return derivs
+    """dw/dt of the window-based fluid model at one state point: the
+    single kernel — one table lookup, one law call for all paths."""
+    incs, decs = fluid_law(algorithm)(windows, rtts, losses, a)
+    return [
+        (w / rtt) * ((1.0 - p) * inc - p * dec)
+        for w, p, rtt, inc, dec in zip(windows, losses, rtts, incs, decs)
+    ]
 
 
 def _rk4(deriv: Callable[[List[float]], List[float]],
@@ -299,12 +315,25 @@ def step_windows(
     ratios raise :class:`FluidInstabilityError` rather than silently
     producing NaN windows.
     """
-    _check_algorithm(algorithm)
+    fluid_law(algorithm)
 
     def deriv(state):
         return window_derivative(algorithm, state, losses, rtts, a=a)
 
     return _guarded_step(deriv, list(windows), dt, floor, _MAX_HALVINGS)
+
+
+def _integrate(deriv, state, duration, dt, floor, sample_every):
+    """The sampling loop both integrators share: ``round(duration / dt)``
+    guarded steps, sampled every ``sample_every`` and at the end."""
+    times, states = [0.0], [list(state)]
+    steps = round(duration / dt)
+    for step in range(1, steps + 1):
+        state = _guarded_step(deriv, state, dt, floor, _MAX_HALVINGS)
+        if step % sample_every == 0 or step == steps:
+            times.append(step * dt)
+            states.append(list(state))
+    return FluidTrajectory(times, states)
 
 
 def integrate_windows(
@@ -326,7 +355,7 @@ def integrate_windows(
     half size, and :class:`FluidInstabilityError` is raised when halving
     cannot restore stability.
     """
-    _check_algorithm(algorithm)
+    fluid_law(algorithm)
     if len(losses) != len(rtts):
         raise ValueError("losses and rtts must have the same length")
     state = list(initial) if initial is not None else [2.0] * len(losses)
@@ -334,14 +363,7 @@ def integrate_windows(
     def deriv(windows):
         return window_derivative(algorithm, windows, losses, rtts, a=a)
 
-    times, states = [0.0], [list(state)]
-    steps = int(duration / dt)
-    for step in range(1, steps + 1):
-        state = _guarded_step(deriv, state, dt, floor, _MAX_HALVINGS)
-        if step % sample_every == 0 or step == steps:
-            times.append(step * dt)
-            states.append(list(state))
-    return FluidTrajectory(times, states)
+    return _integrate(deriv, state, duration, dt, floor, sample_every)
 
 
 def integrate_rates_coupled(
@@ -369,11 +391,4 @@ def integrate_rates_coupled(
             for x, p in zip(rates, losses)
         ]
 
-    times, states = [0.0], [list(state)]
-    steps = int(duration / dt)
-    for step in range(1, steps + 1):
-        state = _guarded_step(deriv, state, dt, floor, _MAX_HALVINGS)
-        if step % sample_every == 0 or step == steps:
-            times.append(step * dt)
-            states.append(list(state))
-    return FluidTrajectory(times, states)
+    return _integrate(deriv, state, duration, dt, floor, sample_every)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..fluid.dynamics import FLUID_ALGORITHMS, step_windows
+from ..fluid.dynamics import fluid_law, step_windows
 from .links import HybridLink
 
 __all__ = ["ClassPath", "FlowClass"]
@@ -96,16 +96,7 @@ class FlowClass:
         floor: float = 1.0,
         a: Optional[float] = None,
     ):
-        if algorithm == "cubic":
-            raise ValueError(
-                "cubic has no fluid model (its window law is outside the "
-                "paper's analysis); run cubic flows as packet-level tracers"
-            )
-        if algorithm not in FLUID_ALGORITHMS:
-            raise ValueError(
-                f"unknown fluid algorithm {algorithm!r}; known: "
-                f"{', '.join(sorted(FLUID_ALGORITHMS))}"
-            )
+        fluid_law(algorithm)  # raises for a name with no fluid model
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count!r}")
         if not paths:
@@ -151,11 +142,10 @@ class FlowClass:
         and by the path's *intrinsic* random loss only.  (``p.loss``,
         which combines both, is what the window dynamics react to;
         using it here too would double-count every congestion drop.)"""
-        total = 0.0
-        for w, p in zip(self.windows, self.paths):
-            offered = self.count * w / p.rtt
-            total += offered * (1.0 - p.extra_loss) * p.served_fraction
-        return total
+        return sum(
+            offered * (1.0 - p.extra_loss) * p.served_fraction
+            for offered, p in zip(self.rates(), self.paths)
+        )
 
     # ------------------------------------------------------------------
     def deposit(self) -> None:
@@ -163,9 +153,8 @@ class FlowClass:
         remember them: :meth:`advance` integrates delivered packets from
         exactly these rates, so summed over classes, delivered through a
         link is exactly ``served_fraction · fluid_pps ≤ capacity``."""
-        for r, (w, p) in enumerate(zip(self.windows, self.paths)):
-            rate = self.count * w / p.rtt
-            self._offered[r] = rate
+        self._offered = self.rates()
+        for rate, p in zip(self._offered, self.paths):
             for link in p.links:
                 link.add_fluid(rate)
 

@@ -167,9 +167,9 @@ class ColumnarSink(TraceSink):
     tables: a 10⁶-record stream of ``cc.cwnd_update`` events is six flat
     lists of primitives rather than 10⁶ dicts each carrying the same six
     keys — a large constant-factor saving in memory and in post-processing
-    (columns feed ``numpy.asarray`` directly).  Schema drift within a type
-    is tolerated by padding with a private sentinel (``None`` is a
-    legitimate field value, e.g. ``dsn=None``, and round-trips intact).
+    (a column is a flat list, ready for an array constructor).  Schema
+    drift within a type is tolerated by padding with a private sentinel
+    (``None`` is a legitimate field value, e.g. ``dsn=None``; it round-trips).
 
     The emission order of the full stream is recoverable through the ``i``
     column; :meth:`records` reconstructs exactly the dict stream a

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.core.alpha import (
     mptcp_increase,
     mptcp_increase_bruteforce,
+    mptcp_increases,
     rfc6356_alpha,
     rfc6356_increase,
 )
@@ -87,6 +88,51 @@ class TestLinearSearchCorrectness:
         fast = mptcp_increase(windows, rtts, index)
         slow = mptcp_increase_bruteforce(windows, rtts, index)
         assert fast == pytest.approx(slow, rel=1e-9)
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.tuples(
+                st.lists(positive, min_size=n, max_size=n),
+                st.lists(rtt_values, min_size=n, max_size=n),
+            )
+        )
+    )
+    @settings(max_examples=300)
+    def test_all_paths_form_equals_bruteforce_at_every_index(self, case):
+        """One sort + prefix sums + suffix minimum gives every subflow's
+        eq. (1) increase; the subset enumeration is the oracle."""
+        windows, rtts = case
+        fast = mptcp_increases(windows, rtts)
+        assert len(fast) == len(windows)
+        for index, value in enumerate(fast):
+            slow = mptcp_increase_bruteforce(windows, rtts, index)
+            assert value == pytest.approx(slow, rel=1e-12)
+
+    #: (windows, rtts, eq. (1) increase per index) as computed by the
+    #: per-index linear search this module had before the all-paths form
+    #: (commit cd09797).  ``mptcp_increase`` is now one entry of
+    #: ``mptcp_increases``, so comparing those two would prove nothing;
+    #: these are compared with ``==`` — the float operations and their
+    #: order are part of the contract the golden traces rest on.
+    FROZEN = [
+        ([12.0, 30.0], [0.05, 0.2],
+         [0.031558185404339245, 0.031558185404339245]),
+        ([30.0, 2.0], [0.2, 0.01],
+         [0.033333333333333326, 0.16326530612244897]),
+        ([8.0, 20.0, 1.5], [0.1, 0.3, 0.005],
+         [0.037190082644628086, 0.037190082644628086, 0.3007351303185565]),
+        # tied w/RTT² (4/0.25² == 16/0.5²): the sort must stay stable
+        ([4.0, 16.0, 7.0, 22.5], [0.25, 0.5, 0.015, 0.3],
+         [0.016524555489457332, 0.016524555489457332,
+          0.08947513565868558, 0.016524555489457332]),
+    ]
+
+    @pytest.mark.parametrize("windows, rtts, expected", FROZEN)
+    def test_values_frozen_at_the_per_index_search(self, windows, rtts, expected):
+        assert mptcp_increases(windows, rtts) == expected
+        assert [
+            mptcp_increase(windows, rtts, i) for i in range(len(windows))
+        ] == expected
 
     @given(
         st.integers(2, 6).flatmap(

@@ -4,13 +4,16 @@ import math
 
 import pytest
 
+from repro.core import alpha
 from repro.fluid import (
     coupled_windows,
+    dynamics,
     mptcp_equilibrium_windows,
     semicoupled_windows,
     tcp_window,
 )
 from repro.fluid.dynamics import (
+    FLUID_ALGORITHMS,
     FluidInstabilityError,
     integrate_rates_coupled,
     integrate_windows,
@@ -66,6 +69,116 @@ class TestWindowOde:
         with pytest.raises(ValueError):
             integrate_windows("reno", [0.01, 0.02], [0.1])
 
+    @pytest.mark.parametrize("duration, dt, steps", [
+        (0.3, 0.1, 3),        # 0.3/0.1 = 2.9999999999999996: int() gave 2
+        (0.7, 0.1, 7),        # 6.999999999999999: int() gave 6
+        (1.0, 0.25, 4),
+        (200.0, 0.01, 20000),  # the defaults: unchanged, goldens rest on it
+    ])
+    def test_step_count_rounds_instead_of_truncating(self, duration, dt, steps):
+        every = 1 if steps < 100 else 100
+        traj = integrate_windows("reno", [0.01], [0.1], duration=duration,
+                                 dt=dt, sample_every=every)
+        assert len(traj.times) == steps // every + 1
+        assert traj.times[-1] == pytest.approx(duration)
+        rates = integrate_rates_coupled([0.01], duration=duration, dt=dt,
+                                        sample_every=every)
+        assert rates.times == traj.times
+
+
+#: Fixed states for the frozen derivative table: two paths, three paths
+#: with a loss-free one (OLIA's +inf path quality), and tied windows with
+#: an explicit ``a`` (OLIA's tie sets, EWTCP/SEMICOUPLED's parameter).
+STATES = {
+    "two_paths": dict(
+        windows=[12.0, 30.0], losses=[0.01, 0.002], rtts=[0.05, 0.2], a=None),
+    "three_paths_one_lossless": dict(
+        windows=[8.0, 20.0, 5.5], losses=[0.004, 0.0, 0.02],
+        rtts=[0.1, 0.03, 0.25], a=None),
+    "tied_windows_with_a": dict(
+        windows=[15.0, 15.0], losses=[0.003, 0.01], rtts=[0.08, 0.02], a=0.5),
+}
+
+#: ``window_derivative`` at those states for every fluid name, as the
+#: per-path ``if algorithm == …`` chains computed them (commit cd09797).
+#: Compared with ``==``: a law that drifts by one ulp fails here in
+#: milliseconds instead of in a golden sweep.
+DERIVATIVES = {
+    "two_paths": {
+        "balia": [-6.901775147928993, -5.675230769230769],
+        "coupled": [-44.74285714285714, -2.735714285714286],
+        "ewtcp": [-9.45, -3.2525],
+        "lia": [-6.901775147928995, 0.22426035502958533],
+        "mptcp": [-6.901775147928995, 0.22426035502958533],
+        "olia": [-6.901775147928995, -3.7618343195266273],
+        "reno": [5.399999999999999, 0.49000000000000016],
+        "semicoupled": [-8.742857142857142, -0.9357142857142855],
+        "single": [5.399999999999999, 0.49000000000000016],
+        "uncoupled": [5.399999999999999, 0.49000000000000016],
+        "wvegas": [5.399999999999999, 0.49000000000000016],
+    },
+    "three_paths_one_lossless": {
+        "balia": [-0.6781176297136549, 25.073798457309476, -1.470194487174376],
+        "coupled": [-2.981492537313433, 19.900497512437813, -6.726417910447762],
+        "ewtcp": [-0.1733333333333334, 3.7037037037037037, -0.7744444444444445],
+        "lia": [1.716820391617628, 25.073798457309476, -0.39911335789061175],
+        "mptcp": [1.716820391617628, 25.073798457309476, -0.39911335789061175],
+        "olia": [-1.1721144659017655, 25.073798457309476, -1.206788888897247],
+        "reno": [8.68, 33.333333333333336, 2.7100000000000004],
+        "semicoupled": [1.098507462686567, 19.900497512437813, -0.5664179104477612],
+        "single": [8.68, 33.333333333333336, 2.7100000000000004],
+        "uncoupled": [8.68, 33.333333333333336, 2.7100000000000004],
+        "wvegas": [8.68, 33.333333333333336, 2.7100000000000004],
+    },
+    "tied_windows_with_a": {
+        "balia": [-4.334125, -24.569999999999997],
+        "coupled": [-2.2062500000000003, -87.75],
+        "ewtcp": [2.0124999999999997, -31.499999999999996],
+        "lia": [3.757249999999999, -24.569999999999997],
+        "mptcp": [3.757249999999999, -24.569999999999997],
+        "olia": [-3.7202499999999996, -24.569999999999997],
+        "reno": [8.243749999999999, -6.749999999999996],
+        "semicoupled": [-1.1031250000000001, -43.875],
+        "single": [8.243749999999999, -6.749999999999996],
+        "uncoupled": [8.243749999999999, -6.749999999999996],
+        "wvegas": [8.243749999999999, -6.749999999999996],
+    },
+}
+
+
+class TestKernel:
+    @pytest.mark.parametrize("state", sorted(STATES))
+    def test_derivatives_frozen_for_every_fluid_algorithm(self, state):
+        assert set(DERIVATIVES[state]) == FLUID_ALGORITHMS
+        s = STATES[state]
+        for algorithm, expected in DERIVATIVES[state].items():
+            got = window_derivative(
+                algorithm, s["windows"], s["losses"], s["rtts"], a=s["a"])
+            assert got == expected, algorithm
+
+    def test_one_derivative_is_one_law_call(self, monkeypatch):
+        """An n-path LIA derivative sorts and validates once, not n
+        times: the law returns every path's terms from one call."""
+        calls = {"validate": 0, "sorted": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(
+            alpha, "_validate", counting("validate", alpha._validate))
+        monkeypatch.setattr(
+            alpha, "sorted", counting("sorted", sorted), raising=False)
+        s = STATES["three_paths_one_lossless"]
+        window_derivative("lia", s["windows"], s["losses"], s["rtts"])
+        assert calls == {"validate": 1, "sorted": 1}
+
+    def test_cubic_is_registered_but_has_no_law(self):
+        with pytest.raises(ValueError, match="cubic has no fluid model"):
+            window_derivative("cubic", [2.0], [0.01], [0.1])
+
 
 class TestStiffnessGuard:
     """Extreme RTT ratios make the window ODE stiff; the guarded stepper
@@ -95,6 +208,26 @@ class TestStiffnessGuard:
         nxt = step_windows("lia", self.STIFF["initial"],
                            self.STIFF["losses"], self.STIFF["rtts"],
                            dt=self.STIFF["dt"])
+        assert all(math.isfinite(w) and w >= 1.0 for w in nxt)
+
+    def test_negative_lia_window_raises_and_the_step_halves_through_it(
+            self, monkeypatch):
+        # The guard's contract with the LIA law: a stage that overshoots
+        # a window negative surfaces as ValueError (eq. (1)'s positivity
+        # check, once per law call), and step_windows retries at half
+        # size instead of propagating it.
+        with pytest.raises(ValueError, match="windows must be positive"):
+            window_derivative("lia", [-3.0, 200.0], self.STIFF["losses"],
+                              self.STIFF["rtts"])
+        steps = []
+        real = dynamics._guarded_step
+        monkeypatch.setattr(
+            dynamics, "_guarded_step",
+            lambda *args: steps.append(args[2]) or real(*args))
+        nxt = step_windows("lia", self.STIFF["initial"],
+                           self.STIFF["losses"], self.STIFF["rtts"],
+                           dt=self.STIFF["dt"])
+        assert min(steps) < self.STIFF["dt"]          # it did halve
         assert all(math.isfinite(w) and w >= 1.0 for w in nxt)
 
     def test_instability_raises_not_nan(self):

@@ -194,7 +194,7 @@ def test_registry_is_fully_covered():
     against the hybrid tier or an explicit, justified exemption."""
     from repro.fluid.dynamics import FLUID_ALGORITHMS
 
-    for algo in sorted(ALGORITHMS):
-        assert algo in FLUID_ALGORITHMS or algo in NO_FLUID_MODEL, (
-            f"{algo!r} is neither hybrid-capable nor exempted"
-        )
+    # Equality, not inclusion: a law-table row for a name the registry
+    # does not have fails as well as a registered name with neither a
+    # row nor an exemption.
+    assert FLUID_ALGORITHMS == set(ALGORITHMS) - NO_FLUID_MODEL

@@ -23,8 +23,11 @@ Two checks keep ``docs/*.md`` from silently rotting:
    :data:`repro.obs.schema.EVENT_TYPES` must appear in
    docs/OBSERVABILITY.md's tables, and every registry algorithm in
    :data:`repro.core.registry.ALGORITHMS` must appear in both
-   docs/CONTROLLERS.md and the README controller table.  Adding an
-   event or a controller without documenting it fails CI.
+   docs/CONTROLLERS.md and the README controller table; the
+   CONTROLLERS.md fluid-mapping table must name exactly
+   :data:`repro.fluid.dynamics.FLUID_ALGORITHMS` plus the exempt
+   controllers, each row naming the law its keys resolve to.  Adding an
+   event, a controller or a fluid law without documenting it fails CI.
 
 Run from the repository root::
 
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+import re
 import sys
 import tempfile
 import traceback
@@ -102,8 +106,45 @@ def check_event_table(repo: pathlib.Path) -> List[str]:
     ]
 
 
+def check_fluid_mapping(text: str) -> List[str]:
+    """CONTROLLERS.md's fluid-mapping table vs the law table: the rows
+    name exactly FLUID_ALGORITHMS (each beside the law it resolves to)
+    plus, marked *exempt*, the registry controllers without a law."""
+    from repro.core.registry import ALGORITHMS
+    from repro.fluid.dynamics import FLUID_ALGORITHMS, fluid_law
+
+    rel = "docs/CONTROLLERS.md fluid-mapping table"
+    section = text.partition("## Fluid-model mapping")[2].partition("\n## ")[0]
+    errors: List[str] = []
+    mapped, exempt = set(), set()
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if not line.startswith("| `") or len(cells) < 2:
+            continue
+        names = set(re.findall(r"`(\w+)`", cells[0]))
+        if any("*exempt*" in c for c in cells):
+            exempt |= names
+            continue
+        mapped |= names
+        for name in sorted(names & FLUID_ALGORITHMS):
+            law = fluid_law(name).__name__
+            if f"`{law}`" not in cells[1]:
+                errors.append(f"{rel}: `{name}` resolves to `{law}`, "
+                              f"which its row does not name")
+    for label, documented, actual in (
+        ("with a law", mapped, set(FLUID_ALGORITHMS)),
+        ("exempt", exempt, set(ALGORITHMS) - FLUID_ALGORITHMS),
+    ):
+        if documented != actual:
+            errors.append(
+                f"{rel}: names {label} are {sorted(documented)}, "
+                f"the code has {sorted(actual)}")
+    return errors
+
+
 def check_controller_docs(repo: pathlib.Path) -> List[str]:
-    """Every registry algorithm must appear in CONTROLLERS.md + README."""
+    """Every registry algorithm must appear in CONTROLLERS.md + README,
+    and CONTROLLERS.md's fluid-mapping table must match the law table."""
     from repro.core.registry import ALGORITHMS
 
     errors: List[str] = []
@@ -117,6 +158,8 @@ def check_controller_docs(repo: pathlib.Path) -> List[str]:
             if f"`{algo}`" not in text:
                 errors.append(f"{rel}: registry algorithm `{algo}` "
                               f"is not documented")
+        if rel == "docs/CONTROLLERS.md":
+            errors.extend(check_fluid_mapping(text))
     return errors
 
 
