@@ -14,9 +14,9 @@ We replay that storyline as a scripted link schedule:
 
 from repro import Simulation, Table, measure
 from repro.core.registry import make_controller
-from repro.metrics import ThroughputMeter
 from repro.mptcp.connection import MptcpFlow
 from repro.net.network import pps_to_mbps
+from repro.obs.series import SeriesRecorder
 from repro.tcp.sender import TcpFlow
 from repro.topology import LinkSchedule, build_3g_path, build_wifi_path
 
@@ -44,11 +44,12 @@ def run_experiment(seed: int = 151):
         sim, [wifi.route("m.wifi"), threeg.route("m.3g")],
         make_controller("mptcp"), name="m", enable_reinjection=True,
     )
-    meter = ThroughputMeter(sim, lambda: multi.packets_delivered, interval=5.0)
+    rec = SeriesRecorder(sim, interval=5.0)
+    rec.add_rate_probe("goodput", lambda: multi.packets_delivered)
     schedule.start()
     tcp_wifi.start()
     multi.start(at=0.2)
-    meter.start()
+    rec.start()
 
     phase_rates = []
     wifi_subflow_rates = []
@@ -67,7 +68,7 @@ def run_experiment(seed: int = 151):
     return {
         "phase_rates": phase_rates,
         "wifi_subflow_rates": wifi_subflow_rates,
-        "timeline": meter.samples,
+        "timeline": list(zip(*rec.series("goodput"))),
     }
 
 

@@ -53,9 +53,10 @@ _BUS_OVERRIDE: List[Optional[TraceBus]] = [None]
 
 
 @contextmanager
-def trace_override(bus: TraceBus):
+def trace_override(bus: Optional[TraceBus]):
     """Make monitored point functions run on ``bus`` (instead of a
-    private, sinkless one) for the duration of the block."""
+    private, sinkless one) for the duration of the block; ``None`` is a
+    no-op, so callers with an optional bus need no branch."""
     _BUS_OVERRIDE[0] = bus
     try:
         yield bus

@@ -384,6 +384,25 @@ def _cmd_check(args) -> int:
     return 0
 
 
+def _print_handover(row: dict, title: str) -> None:
+    """The phase table and counter line of a handover row (either
+    backend: ``repro handover`` and ``repro rt --handover``)."""
+    table = Table(["phase", "pkt/s", "Mb/s"], precision=1)
+    for phase, key in (("before outage", "pre_pps"),
+                       ("during outage", "outage_pps"),
+                       ("after recovery", "post_pps")):
+        table.add_row([phase, row[key], pps_to_mbps(row[key])])
+    print(table.render(title))
+    print(
+        f"handovers={row['handovers']}  "
+        f"subflows opened={row['subflows_opened']} "
+        f"closed={row['subflows_closed']}  "
+        f"join failures={row['join_failures']}  "
+        f"delivery gap={row['delivery_gap']}  "
+        f"violations={row['violations']}"
+    )
+
+
 def _cmd_handover(args) -> int:
     spec = ScenarioSpec(
         scenario="wifi_3g_handover",
@@ -403,10 +422,7 @@ def _cmd_handover(args) -> int:
         sink = JsonlSink(args.trace)
         bus = TraceBus(sinks=[FilterSink(sink, PATHMGR_EVENTS | CHECK_EVENTS)])
     try:
-        if bus is not None:
-            with trace_override(bus):
-                row = SCENARIOS["wifi_3g_handover"](spec)
-        else:
+        with trace_override(bus):
             row = SCENARIOS["wifi_3g_handover"](spec)
     except InvariantViolation as exc:
         print(f"VIOLATION: {exc}", file=sys.stderr)
@@ -414,24 +430,10 @@ def _cmd_handover(args) -> int:
     finally:
         if bus is not None:
             bus.close()
-    table = Table(["phase", "pkt/s", "Mb/s"], precision=1)
-    table.add_row(["before outage", row["pre_pps"],
-                   pps_to_mbps(row["pre_pps"])])
-    table.add_row(["during outage", row["outage_pps"],
-                   pps_to_mbps(row["outage_pps"])])
-    table.add_row(["after recovery", row["post_pps"],
-                   pps_to_mbps(row["post_pps"])])
-    print(table.render(
+    _print_handover(
+        row,
         f"WiFi→3G handover: {args.algo}, {args.policy} policy, "
-        f"{args.mode} (seed {args.seed})"
-    ))
-    print(
-        f"handovers={row['handovers']}  "
-        f"subflows opened={row['subflows_opened']} "
-        f"closed={row['subflows_closed']}  "
-        f"join failures={row['join_failures']}  "
-        f"delivery gap={row['delivery_gap']}  "
-        f"violations={row['violations']}"
+        f"{args.mode} (seed {args.seed})",
     )
     if args.trace:
         print(f"wrote {sink.records_written} pathmgr/check events "
@@ -475,10 +477,7 @@ def _cmd_rt(args) -> int:
             print("divergence within tolerance "
                   f"(scale={rt_tolerance_scale():g})")
             return 0
-        if bus is not None:
-            with trace_override(bus):
-                row = SCENARIOS[scenario](spec)
-        else:
+        with trace_override(bus):
             row = SCENARIOS[scenario](spec)
     except InvariantViolation as exc:
         print(f"VIOLATION: {exc}", file=sys.stderr)
@@ -487,23 +486,10 @@ def _cmd_rt(args) -> int:
         if bus is not None:
             bus.close()
     if args.handover:
-        table = Table(["phase", "pkt/s", "Mb/s"], precision=1)
-        table.add_row(["before outage", row["pre_pps"],
-                       pps_to_mbps(row["pre_pps"])])
-        table.add_row(["during outage", row["outage_pps"],
-                       pps_to_mbps(row["outage_pps"])])
-        table.add_row(["after recovery", row["post_pps"],
-                       pps_to_mbps(row["post_pps"])])
-        print(table.render(
+        _print_handover(
+            row,
             f"WiFi→3G handover on real UDP sockets: {args.algo} "
-            f"(seed {args.seed})"
-        ))
-        print(
-            f"handovers={row['handovers']}  "
-            f"subflows opened={row['subflows_opened']} "
-            f"closed={row['subflows_closed']}  "
-            f"delivery gap={row['delivery_gap']}  "
-            f"violations={row['violations']}"
+            f"(seed {args.seed})",
         )
     else:
         table = Table(["metric", "value"], precision=1)

@@ -27,9 +27,8 @@ from ..harness.experiment import make_flow, measure
 from ..harness.sweep import grid_points
 from ..hybrid import HybridSimulation
 from ..metrics import jain_index
-from ..pathmgr import ManagedMptcpFlow, WirelessHandover
+from ..pathmgr import ManagedMptcpFlow
 from ..topology.scenarios import SWEEP_GRIDS, build_torus, build_two_links
-from ..topology.wireless import LinkSchedule, build_3g_path, build_wifi_path
 from .spec import ScenarioSpec
 
 __all__ = ["SCENARIOS", "scenario", "specs_for_grid", "torus_balance",
@@ -130,66 +129,24 @@ def rtt_ratio(spec: ScenarioSpec) -> dict:
 def wifi_3g_handover(spec: ScenarioSpec) -> dict:
     """§5 mobility point: a WiFi+3G client under a scripted WiFi outage.
 
-    The WiFi path degrades one second before losing coverage entirely
-    (the user walking away from the basestation), stays dark for the
-    middle third of the measurement window, then recovers.  Params:
-    ``algo`` (default lia), ``policy`` (default backup — §5.2's 3G hot
-    standby), ``mode`` (break_before_make | make_before_break),
-    ``degraded_mbps`` (make-before-break pre-warm threshold, default 5).
+    The WiFi path degrades up to one second (at most half a phase)
+    before losing coverage entirely (the user walking away from the
+    basestation), stays dark for the middle third of the measurement
+    window, then recovers.  Params: ``algo`` (default lia), ``policy``
+    (default backup — §5.2's 3G hot standby), ``mode``
+    (break_before_make | make_before_break), ``degraded_mbps``
+    (make-before-break pre-warm threshold, default 5).
 
     Returns per-phase goodput (packets/s before, during and after the
     outage), handover/lifecycle counters and ``delivery_gap`` — the
     number of data packets acknowledged at connection level but never
     delivered in order, which must be 0 (exactly-once across the
     migration).
+
+    The body is shared with the real backend's ``rt_handover``
+    (:func:`repro.rt.scenarios._handover_run`, ``backend='sim'`` here).
     """
-    p = spec.params
-    algo = p.get("algo", spec.algorithm or "lia")
-    policy = p.get("policy", "backup")
-    mode = p.get("mode", "break_before_make")
-    degraded = float(p.get("degraded_mbps", 5.0))
-    ctx = CheckContext.from_spec(spec)
-    sim = ctx.simulation()
-    wifi = build_wifi_path(sim, name="wifi")
-    g3 = build_3g_path(sim, name="3g")
-    flow = ManagedMptcpFlow(sim, make_controller(algo), policy=policy, name="m")
-    flow.add_path(wifi.route("m.wifi"), name="wifi", wireless=wifi)
-    flow.add_path(
-        g3.route("m.3g"), name="3g", backup=(policy == "backup"), wireless=g3
-    )
-    t_down = spec.warmup + spec.duration / 3.0
-    t_up = spec.warmup + 2.0 * spec.duration / 3.0
-    schedule = LinkSchedule(sim, [
-        (t_down - 1.0, wifi, 2.0),     # fading signal
-        (t_down, wifi, 0.0),           # coverage lost
-        (t_up, wifi, 14.4),            # coverage back
-    ])
-    handover = WirelessHandover(
-        flow.manager, schedule, mode=mode, degraded_mbps=degraded
-    )
-    ctx.arm()
-    schedule.start()
-    flow.start()
-    sim.run_until(spec.warmup)
-    d0 = flow.packets_delivered
-    sim.run_until(t_down)
-    d1 = flow.packets_delivered
-    sim.run_until(t_up)
-    d2 = flow.packets_delivered
-    sim.run_until(spec.warmup + spec.duration)
-    d3 = flow.packets_delivered
-    phase = spec.duration / 3.0
-    reasm = flow.receiver.reassembler
-    return ctx.finish({
-        "pre_pps": (d1 - d0) / phase,
-        "outage_pps": (d2 - d1) / phase,
-        "post_pps": (d3 - d2) / phase,
-        "handovers": handover.handovers,
-        "subflows_opened": flow.manager.subflows_opened,
-        "subflows_closed": flow.manager.subflows_closed,
-        "join_failures": flow.manager.join_failures,
-        "delivery_gap": reasm.data_cum_ack - reasm.delivered,
-    })
+    return _rt_scenarios._handover_run(spec, "sim")
 
 
 @scenario("subflow_churn")
@@ -359,7 +316,8 @@ def specs_for_grid(
     ]
 
 
-# Real-backend point functions register themselves through the same
-# decorator; imported last so `scenario`/`SCENARIOS` exist when the
-# partially-initialised module cycle (rt.scenarios -> exp.grids) closes.
-from ..rt import scenarios as _rt_scenarios  # noqa: E402,F401  isort:skip
+# Real-backend point functions (and the handover body both backends
+# share) register themselves through the same decorator; imported last
+# so `scenario`/`SCENARIOS` exist when the partially-initialised module
+# cycle (rt.scenarios -> exp.grids) closes.
+from ..rt import scenarios as _rt_scenarios  # noqa: E402  isort:skip

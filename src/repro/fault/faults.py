@@ -79,6 +79,11 @@ class Fault:
         raise NotImplementedError
 
     # -- helpers --------------------------------------------------------
+    def _at(self, rel: float, callback) -> None:
+        """Schedule ``callback`` at scenario time ``rel`` — seconds after
+        the run origin on every backend, like ``spec.start`` itself."""
+        self.sim.schedule_at(self.sim.at(rel), callback)
+
     def _chain_intercept(self, mine) -> None:
         """Install ``mine`` on the target's intercept slot, after any
         interceptor already present (first consumer wins)."""
@@ -149,8 +154,8 @@ class LinkFlapFault(Fault):
         self._chain_intercept(self._intercept)
         for k in range(self.repeats):
             base = self.spec.start + k * self.period
-            self.sim.schedule_at(base, self._go_down)
-            self.sim.schedule_at(base + self.down_for, self._go_up)
+            self._at(base, self._go_down)
+            self._at(base + self.down_for, self._go_up)
 
     def _go_down(self) -> None:
         self.down = True
@@ -187,8 +192,8 @@ class LossBurstFault(Fault):
 
     def _schedule(self) -> None:
         self._chain_intercept(self._intercept)
-        self.sim.schedule_at(self.spec.start, self._begin)
-        self.sim.schedule_at(self.spec.start + self.duration, self._end)
+        self._at(self.spec.start, self._begin)
+        self._at(self.spec.start + self.duration, self._end)
 
     def _begin(self) -> None:
         self.active = True
@@ -239,10 +244,11 @@ class ReorderFault(Fault):
         self._chain_intercept(self._intercept)
 
     def _active(self) -> bool:
-        if self.sim.now < self.spec.start:
+        elapsed = self.sim.elapsed
+        if elapsed < self.spec.start:
             return False
         if self.duration is not None:
-            return self.sim.now < self.spec.start + float(self.duration)
+            return elapsed < self.spec.start + float(self.duration)
         return True
 
     def _intercept(self, packet: Packet) -> bool:
@@ -284,11 +290,9 @@ class SubflowKillFault(Fault):
         self.revive_after = spec.params.get("revive_after")
 
     def _schedule(self) -> None:
-        self.sim.schedule_at(self.spec.start, self._kill)
+        self._at(self.spec.start, self._kill)
         if self.revive_after is not None:
-            self.sim.schedule_at(
-                self.spec.start + float(self.revive_after), self._revive
-            )
+            self._at(self.spec.start + float(self.revive_after), self._revive)
 
     def _kill(self) -> None:
         self.fires += 1
@@ -338,8 +342,8 @@ class AckDropFault(Fault):
             original(ack)
 
         self.target.receive = guarded_receive
-        self.sim.schedule_at(self.spec.start, self._begin)
-        self.sim.schedule_at(self.spec.start + self.duration, self._end)
+        self._at(self.spec.start, self._begin)
+        self._at(self.spec.start + self.duration, self._end)
 
     def _begin(self) -> None:
         self.active = True

@@ -38,7 +38,8 @@ class FaultSpec:
     ``target`` is an ``fnmatch``-style glob over component names; by
     default the first matching component (in sorted name order, for
     determinism) is faulted, or every match when ``params["scope"]`` is
-    ``"all"``.
+    ``"all"``.  ``start`` is scenario time — seconds after the run
+    origin (``sim.at(start)``) — on every backend.
     """
 
     kind: str

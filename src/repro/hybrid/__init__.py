@@ -12,8 +12,8 @@ keep per-packet fidelity where it matters — riding the very same
 queues, slowed and dropped by the aggregate load, and feeding their
 measured rate back into the fluid totals.
 
-:class:`HybridSimulation` mirrors the :class:`~repro.sim.simulation.
-Simulation` API, so experiment specs, the invariant monitor and the
+:class:`HybridSimulation` subclasses :class:`~repro.sim.simulation.
+Simulation`, so experiment specs, the invariant monitor and the
 trace bus work unchanged.  See ``docs/HYBRID.md`` for the model and
 when to use which tier.
 """

@@ -1,6 +1,6 @@
-"""Measurement utilities: throughput meters, loss rates, fairness."""
+"""Measurement utilities: windowed rates, fairness."""
 
 from .jain import jain_index
-from .meters import LossMeter, ThroughputMeter, windowed_rate
+from .meters import windowed_rate
 
-__all__ = ["LossMeter", "ThroughputMeter", "jain_index", "windowed_rate"]
+__all__ = ["jain_index", "windowed_rate"]

@@ -1,29 +1,15 @@
-"""Throughput and loss measurement helpers.
+"""Windowed-rate helper.
 
 Experiments measure goodput as in-order deliveries per second over a
-measurement window (discarding warm-up), and link congestion as the drop
-fraction at each queue over the same window.  :class:`ThroughputMeter`
-samples any monotonic counter; :class:`LossMeter` snapshots queue counters.
-:func:`windowed_rate` averages a counter delta over a window and raises
-``ValueError`` when the window is not positive.
-
-.. deprecated:: 1.1
-    For new code prefer :class:`repro.obs.series.SeriesRecorder`, which
-    generalises :class:`ThroughputMeter` to many aligned probes (cwnd, RTT,
-    queue depth, goodput) with warm-up discard and CSV/JSONL export, and
-    subsumes :class:`LossMeter` via rate probes over ``queue.drops`` /
-    ``queue.arrivals``.  These classes keep working and are not scheduled
-    for removal; they simply stopped growing features.
+measurement window (discarding warm-up): :func:`windowed_rate` averages
+a counter delta over a window and raises ``ValueError`` when the window
+is not positive.  Sampled series (goodput, cwnd, queue loss over time)
+are :class:`repro.obs.series.SeriesRecorder`'s job.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
-
-from ..net.queue import DropTailQueue
-from ..sim.simulation import Simulation
-
-__all__ = ["ThroughputMeter", "LossMeter", "windowed_rate"]
+__all__ = ["windowed_rate"]
 
 
 def windowed_rate(counter_before: int, counter_after: int, window: float) -> float:
@@ -37,93 +23,3 @@ def windowed_rate(counter_before: int, counter_after: int, window: float) -> flo
     if window <= 0:
         raise ValueError(f"window must be positive, got {window!r}")
     return (counter_after - counter_before) / window
-
-
-class ThroughputMeter:
-    """Periodically samples a counter and records (time, rate) points.
-
-    .. deprecated:: 1.1
-        Prefer ``SeriesRecorder.add_rate_probe`` from
-        :mod:`repro.obs.series` — same semantics, plus aligned multi-probe
-        rows, warm-up discard and CSV/JSONL export.
-
-    >>> meter = ThroughputMeter(sim, lambda: flow.packets_delivered, 1.0)
-    >>> meter.start()
-    ... # run simulation ...
-    >>> times, rates = zip(*meter.samples)
-    """
-
-    def __init__(
-        self,
-        sim: Simulation,
-        counter: Callable[[], int],
-        interval: float = 1.0,
-    ):
-        if interval <= 0:
-            raise ValueError(f"interval must be positive, got {interval!r}")
-        self.sim = sim
-        self.counter = counter
-        self.interval = interval
-        self.samples: List[Tuple[float, float]] = []
-        self._last_value = 0
-        self._running = False
-
-    def start(self) -> None:
-        self._running = True
-        self._last_value = self.counter()
-        self.sim.schedule_in(self.interval, self._tick)
-
-    def stop(self) -> None:
-        self._running = False
-
-    def _tick(self) -> None:
-        if not self._running:
-            return
-        value = self.counter()
-        rate = (value - self._last_value) / self.interval
-        self.samples.append((self.sim.now, rate))
-        self._last_value = value
-        self.sim.schedule_in(self.interval, self._tick)
-
-    def mean_rate(self, since: float = 0.0) -> float:
-        """Average of samples taken after ``since``."""
-        chosen = [r for t, r in self.samples if t > since]
-        if not chosen:
-            raise ValueError(f"no samples after t={since}")
-        return sum(chosen) / len(chosen)
-
-
-class LossMeter:
-    """Measures per-queue loss rates over an interval by snapshotting the
-    arrival/drop counters.
-
-    .. deprecated:: 1.1
-        Prefer :mod:`repro.obs.series` rate probes over ``queue.drops`` and
-        ``queue.arrivals`` (or ``pkt.drop`` trace events) for new code.
-    """
-
-    def __init__(self, queues: List[DropTailQueue]):
-        self.queues = list(queues)
-        # Baseline the monotonic totals, not the public since-reset
-        # counters: a reset_counters() between snapshot() and
-        # loss_rates() (warmup re-baselining does exactly this) would
-        # otherwise leave these baselines above the live counters and
-        # produce negative windows.
-        self._arrivals = [q.total_arrivals for q in self.queues]
-        self._drops = [q.total_drops for q in self.queues]
-
-    def snapshot(self) -> None:
-        """Re-baseline: subsequent loss_rates() cover from this point."""
-        self._arrivals = [q.total_arrivals for q in self.queues]
-        self._drops = [q.total_drops for q in self.queues]
-
-    def loss_rates(self) -> List[float]:
-        """Drop fraction per queue since the last snapshot."""
-        rates = []
-        for queue, base_arrivals, base_drops in zip(
-            self.queues, self._arrivals, self._drops
-        ):
-            arrivals = queue.total_arrivals - base_arrivals
-            drops = queue.total_drops - base_drops
-            rates.append(drops / arrivals if arrivals else 0.0)
-        return rates

@@ -11,7 +11,7 @@ schema and worked examples):
   validators backing ``python -m repro trace-validate``.
 * :class:`SeriesRecorder` — aligned per-flow/per-queue time series
   (cwnd, RTT, queue depth, goodput) with warm-up discard and CSV/JSONL
-  export; the successor to ``repro.metrics.ThroughputMeter``.
+  export.
 """
 
 from .schema import (

@@ -1,9 +1,9 @@
 """Per-flow / per-queue time-series recording.
 
-:class:`SeriesRecorder` generalises the old ``ThroughputMeter`` to an
-arbitrary set of named probes sampled on one shared clock: gauges (cwnd,
-smoothed RTT, queue depth — sampled values) and rates (goodput — the delta
-of a monotonic counter divided by the sampling interval).  All probes are
+:class:`SeriesRecorder` samples an arbitrary set of named probes on one
+shared clock: gauges (cwnd, smoothed RTT, queue depth — sampled values)
+and rates (goodput — the delta of a monotonic counter divided by the
+sampling interval).  All probes are
 sampled at the same instants, so rows line up into a table that exports
 directly to CSV or JSONL — the raw material for every per-flow figure in
 the paper (e.g. the Fig. 2-style cwnd traces).
@@ -74,19 +74,17 @@ class SeriesRecorder:
     warmup:
         Samples at ``t <= warmup`` are discarded; rate probes still
         consume them to re-baseline their counters.
-    time_origin:
-        Epoch of the clock relative to the run start.  Recorded times
-        are ``sim.now - time_origin`` and ``warmup`` is compared on the
-        rebased axis, so a run on the real-network backend (whose clock
-        is raw ``loop.time()`` monotonic seconds — an arbitrary large
-        origin) produces the same 0-based time axis as a sim run and the
-        two align sample-for-sample in the divergence harness.  ``None``
-        (the default) resolves to ``sim.time_origin`` when the owning
-        simulation declares one, else 0.0 — sim runs are unaffected.
+
+    Recorded times are ``sim.elapsed`` — seconds since
+    ``sim.time_origin`` — and ``warmup`` is compared on that axis, so a
+    run on the real-network backend (whose clock is raw ``loop.time()``
+    monotonic seconds, an arbitrary large origin) produces the same
+    0-based time axis as a sim run and the two align sample-for-sample in
+    the divergence harness.  On virtual time the origin is 0.0 and
+    ``elapsed`` is ``now`` bit-for-bit.
     """
 
-    def __init__(self, sim, interval: float = 1.0, warmup: float = 0.0,
-                 time_origin: Optional[float] = None):
+    def __init__(self, sim, interval: float = 1.0, warmup: float = 0.0):
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval!r}")
         if warmup < 0:
@@ -94,9 +92,6 @@ class SeriesRecorder:
         self.sim = sim
         self.interval = float(interval)
         self.warmup = float(warmup)
-        if time_origin is None:
-            time_origin = getattr(sim, "time_origin", 0.0)
-        self.time_origin = float(time_origin)
         self._gauges: Dict[str, Probe] = {}
         self._rates: Dict[str, Callable[[], int]] = {}
         self._rate_last: Dict[str, float] = {}
@@ -160,11 +155,7 @@ class SeriesRecorder:
     def _tick(self) -> None:
         if not self._running:
             return
-        now = self.sim.now
-        if self.time_origin:
-            # Rebase real-backend monotonic clocks to a 0-based axis; the
-            # guard keeps the sim hot path free of a useless subtraction.
-            now -= self.time_origin
+        now = self.sim.elapsed
         if now > self.warmup:
             self._times.append(now)
             for column, probe in self._gauge_samplers:

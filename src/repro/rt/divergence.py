@@ -5,9 +5,8 @@ the *same emulated impairments* behave like the simulation.  This module
 measures that claim instead of asserting it: :func:`divergence_report`
 runs one ``rt_loopback`` spec on both backends, aligns the two
 :class:`~repro.obs.series.SeriesRecorder` outputs sample-for-sample
-(both axes are 0-based scenario time — the recorder rebases rt
-timestamps through ``sim.time_origin``), and reports per-metric relative
-error:
+(both axes are 0-based scenario time — the recorder samples
+``sim.elapsed``), and reports per-metric relative error:
 
     ``rel_err = |rt − sim| / max(|sim|, eps)``
 

@@ -4,12 +4,12 @@
 protocol on a real event loop — ``now`` is ``loop.time()`` (the OS
 monotonic clock) and ``schedule_at``/``schedule_in`` wrap
 ``loop.call_at``/``loop.call_later``, whose handles already expose the
-``.cancel()`` the protocol requires.  :class:`RtSimulation` then mirrors
-the :class:`~repro.sim.simulation.Simulation` surface the rest of the
-repo programs against (``now``, ``schedule_at``, ``register``,
-``on_register``, ``trace``, ``rng``, ``run_until``, ``finish``), so the
-TCP/MPTCP state machines, the path manager, the invariant monitor and
-``repro.exp`` point functions run on real sockets *unchanged*.
+``.cancel()`` the protocol requires.  :class:`RtSimulation` is the
+:class:`~repro.sim.simulation.Simulation` subclass that runs on them, so
+the TCP/MPTCP state machines, the path manager, the invariant monitor,
+the fault layer and ``repro.exp`` point functions run on real sockets
+*unchanged*: the registry, ``at_end``/``finish``, teardown and the
+scenario-time vocabulary are the base class's.
 
 Two deliberate differences from the simulator:
 
@@ -17,8 +17,8 @@ Two deliberate differences from the simulator:
   whatever ``loop.time()`` returns, and every trace event carries that
   epoch (the run's ``rt.run`` record declares ``time_origin`` so tools
   can rebase).  Scenario code converts scenario-relative times with
-  :meth:`RtSimulation.at` and runs phases with
-  :meth:`RtSimulation.run_until_elapsed`.
+  ``sim.at`` and runs phases with ``sim.run_until_elapsed``, as on
+  every backend.
 * **Runs are wall-clock.**  ``run_until`` blocks the calling thread for
   real seconds while the private event loop services sockets and timers.
   Nothing here is deterministic; determinism claims stay with the sim
@@ -29,11 +29,10 @@ Two deliberate differences from the simulator:
 from __future__ import annotations
 
 import asyncio
-import random
 import time
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable
 
-from ..obs.trace import NULL_TRACE
+from ..sim.simulation import Simulation
 
 __all__ = ["AsyncioTimers", "RtSimulation"]
 
@@ -70,38 +69,25 @@ class AsyncioTimers:
     post_in = schedule_in
 
 
-class RtSimulation:
-    """Drop-in ``Simulation`` replacement running on real sockets.
+class RtSimulation(Simulation):
+    """``Simulation`` on real sockets: asyncio timers, wall-clock runs.
 
     Owns a private event loop (never installed as the thread's global
     loop) so multiple runs — and the sim backend — can coexist in one
-    process.  Constructor shape matches ``Simulation(seed, trace)``, so
-    :meth:`repro.check.hooks.CheckContext.simulation` can build one with
-    full invariant-monitor wiring via ``cls=RtSimulation``.
+    process.  Supplies only what differs from the base: the loop and its
+    :class:`AsyncioTimers`, a blocking :meth:`run_until`, ``origin_unix``
+    and the ``rt.run`` trace record.  :meth:`close` (or ``with``) must
+    be reached: it closes the paths' sockets, then the loop.
     """
 
     def __init__(self, seed: int = 1, trace=None):
-        self.trace = NULL_TRACE if trace is None else trace
-        self._loop = asyncio.new_event_loop()
-        self.timers = AsyncioTimers(self._loop)
-        #: Interface parity with ``Simulation.scheduler`` — components
-        #: that only need the Timers surface keep working; anything
-        #: touching heap internals fails loudly (as it should here).
-        self.scheduler = self.timers
-        self.seed = seed
-        #: Seeded RNG for the impairment layer (loss draws, jitter) —
-        #: the impairment *schedule* is reproducible even though packet
-        #: timing is not.
-        self.rng = random.Random(seed)
-        self._components: List[Any] = []
-        self._watchers: List[Callable[[Any], None]] = []
-        self._at_end: List[Callable[[], None]] = []
-        self._cleanups: List[Callable[[], None]] = []
-        self._closed = False
-        #: Monotonic-clock value at the run origin; observers rebase
-        #: timestamps by subtracting it (SeriesRecorder does so
-        #: automatically — see its ``time_origin`` parameter).
-        self.time_origin = self._loop.time()
+        #: The private event loop.  Created before super(): the base
+        #: constructor calls _make_timers().
+        self.loop = asyncio.new_event_loop()
+        super().__init__(seed=seed, trace=trace)
+        # First cleanup registered, so the last to run: after the paths
+        # have closed their transports.
+        self.add_cleanup(self._close_loop)
         #: Wall-clock (Unix epoch) time at the run origin.
         self.origin_unix = time.time()
         if self.trace.enabled:
@@ -114,99 +100,17 @@ class RtSimulation:
                 seed=seed,
             )
 
-    # -- time ----------------------------------------------------------
-    @property
-    def loop(self) -> asyncio.AbstractEventLoop:
-        return self._loop
+    def _make_timers(self) -> AsyncioTimers:
+        return AsyncioTimers(self.loop)
 
-    @property
-    def now(self) -> float:
-        """Monotonic-clock seconds (same epoch as ``timers.now``)."""
-        return self._loop.time()
-
-    @property
-    def elapsed(self) -> float:
-        """Seconds since the run origin (a 0-based, sim-like axis)."""
-        return self._loop.time() - self.time_origin
-
-    def at(self, rel: float) -> float:
-        """Absolute loop time for a scenario-relative instant."""
-        return self.time_origin + rel
-
-    def schedule_at(self, when: float, callback, arg=None):
-        return self.timers.schedule_at(when, callback, arg)
-
-    def schedule_in(self, delay: float, callback, arg=None):
-        return self.timers.schedule_in(delay, callback, arg)
-
-    # -- components (same contract as Simulation) -----------------------
-    def register(self, component: Any) -> Any:
-        self._components.append(component)
-        for watcher in self._watchers:
-            watcher(component)
-        return component
-
-    def on_register(
-        self, callback: Callable[[Any], None], replay: bool = True
-    ) -> None:
-        self._watchers.append(callback)
-        if replay:
-            for component in self._components:
-                callback(component)
-
-    @property
-    def components(self) -> List[Any]:
-        return list(self._components)
-
-    # -- running ---------------------------------------------------------
     def run_until(self, end_time: float) -> None:
         """Service sockets and timers until absolute loop time
         ``end_time`` (already-past times return immediately)."""
-        remaining = end_time - self._loop.time()
+        remaining = end_time - self.loop.time()
         if remaining > 0:
-            self._loop.run_until_complete(asyncio.sleep(remaining))
+            self.loop.run_until_complete(asyncio.sleep(remaining))
 
-    def run_until_elapsed(self, rel: float) -> None:
-        """Run until ``rel`` seconds after the run origin — the
-        real-backend spelling of the simulator's ``run_until(t)``."""
-        self.run_until(self.time_origin + rel)
-
-    def run_for(self, duration: float) -> None:
-        self.run_until(self._loop.time() + duration)
-
-    def at_end(self, callback: Callable[[], None]) -> None:
-        self._at_end.append(callback)
-
-    def finish(self) -> None:
-        for callback in self._at_end:
-            callback()
-        self.trace.flush()
-
-    # -- teardown --------------------------------------------------------
-    def add_cleanup(self, callback: Callable[[], None]) -> None:
-        """Register transport/socket teardown run by :meth:`close`."""
-        self._cleanups.append(callback)
-
-    def close(self) -> None:
-        """Close sockets and the event loop.  Idempotent; every run
-        should reach it (``with RtSimulation() as sim`` does)."""
-        if self._closed:
-            return
-        self._closed = True
-        for callback in reversed(self._cleanups):
-            callback()
+    def _close_loop(self) -> None:
         # One last spin so transport.close() teardown callbacks run.
-        self._loop.run_until_complete(asyncio.sleep(0))
-        self._loop.close()
-
-    def __enter__(self) -> "RtSimulation":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"RtSimulation(seed={self.seed}, elapsed={self.elapsed:.3f}s, "
-            f"components={len(self._components)})"
-        )
+        self.loop.run_until_complete(asyncio.sleep(0))
+        self.loop.close()

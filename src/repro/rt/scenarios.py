@@ -16,10 +16,12 @@ values).
     the divergence harness (:mod:`repro.rt.divergence`) runs twice.
 
 ``rt_handover``
-    The §5 WiFi→3G handover ported end-to-end to the real backend: real
-    sockets, a :class:`~repro.topology.wireless.LinkSchedule` driving
-    netem rate changes, and the *unchanged*
-    :class:`~repro.pathmgr.WirelessHandover` + path-manager machinery.
+    The §5 WiFi→3G handover on the real backend: real sockets, a
+    :class:`~repro.topology.wireless.LinkSchedule` driving netem rate
+    changes, and the *unchanged* :class:`~repro.pathmgr.WirelessHandover`
+    + path-manager machinery.  It is the second registration of the one
+    handover body (:func:`_handover_run`); the sim's
+    ``wifi_3g_handover`` in :mod:`repro.exp.grids` is the first.
 
 ``spec.warmup`` / ``spec.duration`` are wall-clock seconds on the rt
 backend — keep them small (a grid point runs in real time).
@@ -37,7 +39,8 @@ from ..mptcp.handshake import AddAddrOption, MpCapableOption, MpJoinOption
 from ..net.packet import MSS_BYTES
 from ..obs.series import SeriesRecorder
 from ..pathmgr import ManagedMptcpFlow, WirelessHandover
-from ..topology.wireless import LinkSchedule, build_wifi_path
+from ..sim.simulation import Simulation
+from ..topology.wireless import LinkSchedule, build_3g_path, build_wifi_path
 from .loop import RtSimulation
 from .netem import PROFILES, NetemProfile
 from .wire import RtPath
@@ -70,6 +73,22 @@ def _sim_twin_path(sim, profile: NetemProfile, name: str):
     )
 
 
+def _mirror_handshake(manager, rt_paths) -> None:
+    """Mirror the (synchronous) MPTCP handshake onto the wire as CTRL
+    frames, so the signalling crosses the real sockets too.  Call after
+    ``flow.start()``: the token exists only once establishment ran."""
+    rt_paths[0].send_option(MpCapableOption(sender_key=manager.client.key))
+    for managed, rt_path in zip(manager.ordered_paths(), rt_paths):
+        rt_path.send_option(AddAddrOption(addr_id=managed.addr_id))
+    if manager.token is not None:
+        for rt_path in rt_paths[1:]:
+            rt_path.send_option(MpJoinOption(token=manager.token))
+
+
+def _ctrl_frames(rt_paths) -> int:
+    return sum(len(path.options_received) for path in rt_paths)
+
+
 def _safe_mean(rec: SeriesRecorder, name: str, fallback: float) -> float:
     try:
         return rec.mean(name)
@@ -92,8 +111,7 @@ def _loopback_run(
     interval = float(p.get("interval", 0.25))
     ctx = CheckContext.from_spec(spec)
     real = backend == "rt"
-    sim = ctx.simulation(cls=RtSimulation) if real else ctx.simulation()
-    try:
+    with ctx.simulation(cls=RtSimulation if real else Simulation) as sim:
         flow = ManagedMptcpFlow(sim, make_controller(algo), name="m")
         if real:
             rt_paths = [
@@ -121,24 +139,10 @@ def _loopback_run(
         flow.start()
         rec.start()
         if real:
-            # Mirror the (synchronous) handshake onto the wire as CTRL
-            # frames, so the signalling crosses the real sockets too
-            # (token exists only after start() runs the establishment).
-            manager = flow.manager
-            rt_paths[0].send_option(
-                MpCapableOption(sender_key=manager.client.key)
-            )
-            for path_name, rt_path in zip(manager.path_order(), rt_paths):
-                rt_path.send_option(
-                    AddAddrOption(addr_id=manager.paths[path_name].addr_id)
-                )
-            if manager.token is not None:
-                for rt_path in rt_paths[1:]:
-                    rt_path.send_option(MpJoinOption(token=manager.token))
-        run_to = getattr(sim, "run_until_elapsed", sim.run_until)
-        run_to(spec.warmup)
+            _mirror_handshake(flow.manager, rt_paths)
+        sim.run_until_elapsed(spec.warmup)
         d0 = flow.packets_delivered
-        run_to(spec.warmup + spec.duration)
+        sim.run_until_elapsed(spec.warmup + spec.duration)
         d1 = flow.packets_delivered
         sim.finish()
         delivered = d1 - d0
@@ -153,14 +157,9 @@ def _loopback_run(
             "delivery_gap": reasm.data_cum_ack - reasm.delivered,
             "subflows_opened": flow.manager.subflows_opened,
             "join_failures": flow.manager.join_failures,
-            "ctrl_frames": sum(
-                len(path.options_received) for path in rt_paths
-            ),
+            "ctrl_frames": _ctrl_frames(rt_paths),
         }
         return ctx.finish(row), rec
-    finally:
-        if real:
-            sim.close()
 
 
 @scenario("rt_loopback")
@@ -181,21 +180,15 @@ def rt_loopback(spec: ScenarioSpec) -> dict:
     return row
 
 
-@scenario("rt_handover")
-def rt_handover(spec: ScenarioSpec) -> dict:
-    """§5 WiFi→3G handover on the real backend, via ``repro.pathmgr``.
+def _handover_run(spec: ScenarioSpec, backend: str) -> dict:
+    """The §5 WiFi→3G handover point, once for both backends: the sim's
+    ``wifi_3g_handover`` (``backend='sim'``, documented in
+    :mod:`repro.exp.grids`) and ``rt_handover`` (``backend='rt'``).
+    Only path construction and the CTRL-frame mirroring differ.
 
-    The same scenario shape as the sim's ``wifi_3g_handover`` point: the
-    WiFi path fades, goes dark for the middle third of the measurement
-    window, then recovers, while a backup 3G path takes over.  Here the
-    paths are loopback UDP sockets with wifi/3g netem profiles and the
-    ``LinkSchedule`` drives netem rates — the handover, path-manager and
-    reinjection machinery run unchanged.
-
-    Params: ``algo`` (default lia), ``policy`` (default backup),
-    ``mode`` (break_before_make | make_before_break), ``degraded_mbps``
-    (default 5).  Returns per-phase goodput, handover/lifecycle counters
-    and ``delivery_gap`` (must be 0: exactly-once across the migration).
+    The WiFi path fades (for up to a second, at most half a phase)
+    before losing coverage, stays dark for the middle third of the
+    measurement window, then recovers — all on the scenario-time axis.
     """
     p = spec.params
     algo = p.get("algo", spec.algorithm or "lia")
@@ -203,10 +196,14 @@ def rt_handover(spec: ScenarioSpec) -> dict:
     mode = p.get("mode", "break_before_make")
     degraded = float(p.get("degraded_mbps", 5.0))
     ctx = CheckContext.from_spec(spec)
-    sim = ctx.simulation(cls=RtSimulation)
-    try:
-        wifi = RtPath(sim, "wifi", profile=PROFILES["wifi"])
-        g3 = RtPath(sim, "3g", profile=PROFILES["3g"])
+    real = backend == "rt"
+    with ctx.simulation(cls=RtSimulation if real else Simulation) as sim:
+        if real:
+            wifi = RtPath(sim, "wifi", profile=PROFILES["wifi"])
+            g3 = RtPath(sim, "3g", profile=PROFILES["3g"])
+        else:
+            wifi = build_wifi_path(sim, name="wifi")
+            g3 = build_3g_path(sim, name="3g")
         flow = ManagedMptcpFlow(
             sim, make_controller(algo), policy=policy, name="m"
         )
@@ -231,9 +228,8 @@ def rt_handover(spec: ScenarioSpec) -> dict:
         ctx.arm()
         schedule.start()
         flow.start()
-        wifi.send_option(MpCapableOption(sender_key=manager.client.key))
-        if manager.token is not None:
-            g3.send_option(MpJoinOption(token=manager.token))
+        if real:
+            _mirror_handshake(manager, [wifi, g3])
         sim.run_until_elapsed(spec.warmup)
         d0 = flow.packets_delivered
         sim.run_until_elapsed(t_down)
@@ -244,7 +240,7 @@ def rt_handover(spec: ScenarioSpec) -> dict:
         d3 = flow.packets_delivered
         sim.finish()
         reasm = flow.receiver.reassembler
-        return ctx.finish({
+        row = {
             "pre_pps": (d1 - d0) / phase,
             "outage_pps": (d2 - d1) / phase,
             "post_pps": (d3 - d2) / phase,
@@ -253,8 +249,20 @@ def rt_handover(spec: ScenarioSpec) -> dict:
             "subflows_closed": manager.subflows_closed,
             "join_failures": manager.join_failures,
             "delivery_gap": reasm.data_cum_ack - reasm.delivered,
-            "ctrl_frames": len(wifi.options_received)
-            + len(g3.options_received),
-        })
-    finally:
-        sim.close()
+        }
+        if real:
+            row["ctrl_frames"] = _ctrl_frames([wifi, g3])
+        return ctx.finish(row)
+
+
+@scenario("rt_handover")
+def rt_handover(spec: ScenarioSpec) -> dict:
+    """§5 WiFi→3G handover on the real backend, via ``repro.pathmgr``.
+
+    The same body as the sim's ``wifi_3g_handover`` point (same params,
+    same row plus ``ctrl_frames``); here the paths are loopback UDP
+    sockets with wifi/3g netem profiles and the ``LinkSchedule`` drives
+    netem rates — the handover, path-manager and reinjection machinery
+    run unchanged.
+    """
+    return _handover_run(spec, "rt")

@@ -27,10 +27,13 @@ narrow capabilities, named here as structural protocols:
     packet to ``route[0].receive``; it never learns whether the next hop
     is a simulated queue or a socket.
 
-Senders and receivers reach their ``Timers`` through ``sim.timers``
-(see :class:`repro.sim.simulation.Simulation`, where it is the scheduler
-itself, and :class:`repro.rt.loop.RtSimulation`, where it wraps the
-asyncio loop).  The protocols are ``runtime_checkable`` so tests can
+Senders and receivers reach their ``Timers`` through ``sim.timers``:
+the scheduler itself on :class:`repro.sim.simulation.Simulation`, an
+``AsyncioTimers`` on its subclass :class:`repro.rt.loop.RtSimulation`.
+The seam is the *only* thing a backend swaps; the container around it
+(registry, ``finish``, teardown) and the conversion between a clock's
+epoch and scenario time (``sim.time_origin`` / ``at`` / ``elapsed``)
+live once, on ``Simulation``.  The protocols are ``runtime_checkable`` so tests can
 assert an implementation satisfies the seam structurally, but hot-path
 code must never ``isinstance``-check them per packet.
 """

@@ -1,8 +1,22 @@
-"""Top-level simulation container.
+"""Top-level simulation container — the one run surface of every backend.
 
-A :class:`Simulation` bundles the event scheduler with a seeded random number
-generator and a registry of components, so that an experiment is fully
-reproducible from ``(scenario, seed)``.
+A :class:`Simulation` bundles a :class:`~repro.sim.clock.Timers`
+implementation with a seeded random number generator, a trace bus and a
+registry of components.  On the default backend the timers are the
+discrete-event scheduler, so an experiment is fully reproducible from
+``(scenario, seed)``; :class:`~repro.hybrid.HybridSimulation` adds a
+fluid tier on the same scheduler and
+:class:`~repro.rt.loop.RtSimulation` swaps in asyncio timers on the OS
+monotonic clock.  Both are subclasses: everything else — registry,
+``at_end``/``finish``, teardown and the scenario-time vocabulary below —
+exists only here.
+
+**Scenario time.**  ``now`` is the backend clock's own epoch (0-based
+virtual seconds here, raw monotonic seconds on real sockets), so code
+that means "x seconds into the run" says so through ``time_origin``,
+``elapsed``, ``at(rel)``, ``run_until_elapsed(rel)`` and
+``run_for(d)``.  On virtual time ``time_origin == 0.0``, hence
+``at(x) == x`` and ``elapsed == now`` bit-for-bit.
 """
 
 from __future__ import annotations
@@ -17,11 +31,11 @@ __all__ = ["Simulation"]
 
 
 class Simulation:
-    """Event scheduler + seeded randomness + component registry.
+    """Timers + seeded randomness + component registry + scenario time.
 
-    All simulator components take a ``Simulation`` in their constructor and
-    use ``sim.scheduler`` for timing and ``sim.rng`` for randomness, so that
-    a run is a pure function of the scenario and the seed.
+    All components take a ``Simulation`` in their constructor and use
+    ``sim.timers`` for timing and ``sim.rng`` for randomness, so that a
+    simulated run is a pure function of the scenario and the seed.
 
     Passing a :class:`~repro.obs.trace.TraceBus` as ``trace`` turns on
     structured event tracing for every component built on this simulation
@@ -32,29 +46,44 @@ class Simulation:
 
     def __init__(self, seed: int = 1, trace=None):
         self.trace = NULL_TRACE if trace is None else trace
-        self.scheduler = EventScheduler(trace=self.trace)
         #: The :class:`~repro.sim.clock.Timers` implementation components
-        #: use for time and timer access.  Here it *is* the event
-        #: scheduler (same object, so sim behaviour and cost are
-        #: unchanged); on the real-network backend
-        #: (:class:`repro.rt.loop.RtSimulation`) it wraps the asyncio
-        #: event loop's monotonic clock instead.
-        self.timers = self.scheduler
-        #: Epoch of ``now`` relative to the run start: 0 in simulation.
-        #: Real-backend runs set this to the monotonic clock's value at
-        #: the run origin so observers (e.g. SeriesRecorder) can rebase.
-        self.time_origin = 0.0
+        #: use for time and timer access, under both of its names: here
+        #: the event scheduler itself (one object, cached by the packet
+        #: hot path), on the real-network backend an
+        #: :class:`~repro.rt.loop.AsyncioTimers` — anything touching heap
+        #: internals through ``scheduler`` fails loudly there.
+        self.timers = self.scheduler = self._make_timers()
+        #: ``now`` at the run origin: 0.0 on virtual time, the monotonic
+        #: clock's reading when the run was built on real sockets.
+        self.time_origin = self.timers.now
         self.seed = seed
+        #: Seeded RNG.  On the real backend it feeds the impairment layer
+        #: (loss draws, jitter): the impairment *schedule* is reproducible
+        #: even though packet timing is not.
         self.rng = random.Random(seed)
         self._components: List[Any] = []
         self._watchers: List[Callable[[Any], None]] = []
         self._at_end: List[Callable[[], None]] = []
+        self._cleanups: List[Callable[[], None]] = []
+
+    def _make_timers(self):
+        """The backend's :class:`~repro.sim.clock.Timers` (subclass hook)."""
+        return EventScheduler(trace=self.trace)
 
     # -- time ----------------------------------------------------------
     @property
     def now(self) -> float:
-        """Current simulated time in seconds."""
+        """Current time in seconds on the backend clock's own epoch."""
         return self.scheduler.now
+
+    @property
+    def elapsed(self) -> float:
+        """Seconds since the run origin (the 0-based scenario axis)."""
+        return self.scheduler.now - self.time_origin
+
+    def at(self, rel: float) -> float:
+        """Absolute clock time of the scenario-relative instant ``rel``."""
+        return self.time_origin + rel
 
     def schedule_at(self, time: float, callback, arg=None):
         return self.scheduler.schedule_at(time, callback, arg)
@@ -94,7 +123,16 @@ class Simulation:
 
     # -- running ---------------------------------------------------------
     def run_until(self, end_time: float) -> None:
+        """Run to absolute clock time ``end_time`` (backends override)."""
         self.scheduler.run_until(end_time)
+
+    def run_until_elapsed(self, rel: float) -> None:
+        """Run until ``rel`` seconds after the run origin."""
+        self.run_until(self.at(rel))
+
+    def run_for(self, duration: float) -> None:
+        """Run for ``duration`` seconds from now."""
+        self.run_until(self.now + duration)
 
     def run(self, max_events: Optional[int] = None) -> int:
         return self.scheduler.run(max_events=max_events)
@@ -110,5 +148,26 @@ class Simulation:
             callback()
         self.trace.flush()
 
+    # -- teardown --------------------------------------------------------
+    def add_cleanup(self, callback: Callable[[], None]) -> None:
+        """Register teardown (sockets, transports) run by :meth:`close`."""
+        self._cleanups.append(callback)
+
+    def close(self) -> None:
+        """Run the cleanups, newest first.  Idempotent, and a no-op on
+        virtual time where nothing registers one; every run on real
+        sockets must reach it (``with cls(...) as sim`` does)."""
+        while self._cleanups:
+            self._cleanups.pop()()
+
+    def __enter__(self) -> "Simulation":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Simulation(seed={self.seed}, now={self.now:.3f})"
+        return (
+            f"{type(self).__name__}(seed={self.seed}, "
+            f"elapsed={self.elapsed:.3f}, components={len(self._components)})"
+        )

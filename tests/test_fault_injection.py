@@ -8,7 +8,7 @@ import pathlib
 
 import pytest
 
-from repro.check import CHECK_EVENTS, InvariantMonitor
+from repro.check import CHECK_EVENTS, InvariantMonitor, trace_override
 from repro.cli import main
 from repro.core.registry import make_controller
 from repro.exp.grids import SCENARIOS
@@ -22,6 +22,7 @@ from repro.fault import (
 from repro.harness.experiment import make_flow, measure
 from repro.mptcp.connection import MptcpFlow
 from repro.obs import FilterSink, JsonlSink, MemorySink, TraceBus
+from repro.rt.divergence import tolerance_scale
 from repro.sim.simulation import Simulation
 from repro.topology import build_two_links
 
@@ -203,6 +204,43 @@ class TestExperimentComposition:
         row = SCENARIOS["rtt_ratio"](checked)
         assert row["violations"] == 0
         assert row["fault_fires"] > 0
+
+
+    @pytest.mark.parametrize("backend", [
+        "sim", pytest.param("rt", marks=pytest.mark.realnet),
+    ])
+    def test_fault_start_is_scenario_time_on_every_backend(self, backend):
+        """Regression: faults scheduled ``spec.start`` on the backend
+        clock's own epoch, so on real sockets (raw monotonic ``now``) a
+        kill with ``start=1.5`` fired 1 ms into the run and an ACK-drop
+        window was open from the first packet.  ``start`` is scenario
+        time: seconds after the run origin, whatever the backend."""
+        sink = MemorySink()
+        spec = ScenarioSpec(
+            scenario="rt_loopback",
+            params={"backend": backend, "faults": [
+                {"kind": "subflow_kill", "target": "m.p1*", "start": 1.5},
+                {"kind": "ack_drop", "target": "m.p0*", "start": 0.6,
+                 "params": {"duration": 0.5, "prob": 0.2}},
+            ]},
+            seed=5, warmup=0.2, duration=1.6,
+        )
+        with trace_override(TraceBus(sinks=[sink])):
+            row = SCENARIOS["rt_loopback"](spec)
+        assert row["violations"] == 0 and row["delivery_gap"] == 0
+        runs = sink.of_type("rt.run")
+        origin = runs[0]["origin_mono"] if runs else 0.0
+        fired = {ev["action"]: ev["t"] - origin
+                 for ev in sink.of_type("fault.fire")}
+        # Generous on rt: a loaded machine delays timers, never advances
+        # them — the parent's 1.499 s error is far outside either bound.
+        slack = 0.0 if backend == "sim" else 0.4 * tolerance_scale()
+        for action, start in (("window_start", 0.6), ("window_end", 1.1),
+                              ("kill", 1.5)):
+            assert start <= fired[action] <= start + slack, (action, fired)
+        drops = [ev["t"] - origin for ev in sink.of_type("pkt.drop")
+                 if ev["kind"] == "fault"]
+        assert drops and all(0.6 <= t <= 1.1 + slack for t in drops)
 
 
 class TestCliCheck:

@@ -11,7 +11,7 @@ from repro.harness import (
     measure,
     sweep,
 )
-from repro.metrics import LossMeter, ThroughputMeter, jain_index, windowed_rate
+from repro.metrics import jain_index, windowed_rate
 from repro.mptcp.connection import MptcpFlow
 from repro.net.queue import DropTailQueue
 from repro.net.pipe import Pipe
@@ -67,41 +67,6 @@ class TestMeters:
         # ... and a positive window keeps working, including negative
         # deltas (callers may pass re-baselined counters).
         assert windowed_rate(10, 5, 5.0) == -1.0
-
-    def test_throughput_meter_samples(self):
-        sim = Simulation()
-        counter = {"n": 0}
-        sim.schedule_at(0.5, lambda: counter.__setitem__("n", 50))
-        sim.schedule_at(1.5, lambda: counter.__setitem__("n", 150))
-        meter = ThroughputMeter(sim, lambda: counter["n"], interval=1.0)
-        meter.start()
-        sim.run_until(2.0)
-        times, rates = zip(*meter.samples)
-        assert rates == (50.0, 100.0)
-
-    def test_throughput_meter_mean(self):
-        sim = Simulation()
-        counter = {"n": 0}
-
-        def bump():
-            counter["n"] += 10
-            sim.schedule_in(0.1, bump)
-
-        sim.schedule_at(0.0, bump)
-        meter = ThroughputMeter(sim, lambda: counter["n"], interval=1.0)
-        meter.start()
-        sim.run_until(10.0)
-        assert meter.mean_rate() == pytest.approx(100.0, rel=0.05)
-
-    def test_loss_meter_baseline(self):
-        sim = Simulation()
-        q = DropTailQueue(sim, rate_pps=100.0, capacity=10, jitter=0.0)
-        q.arrivals, q.drops = 100, 10
-        meter = LossMeter([q])
-        q.arrivals, q.drops = 200, 40
-        assert meter.loss_rates() == [pytest.approx(0.3)]
-        meter.snapshot()
-        assert meter.loss_rates() == [0.0]
 
 
 class TestTable:

@@ -132,22 +132,24 @@ class TestDropTailQueue:
         assert q.total_drops - base_drops == 2
 
     def test_loss_meter_window_spanning_a_reset(self):
-        """Regression: LossMeter baselines taken before reset_counters()
-        used to go stale (negative windows); with total_* they stay
-        correct."""
-        from repro.metrics.meters import LossMeter
-
+        """Regression: a loss measurement baselined before
+        reset_counters() used to go stale (negative windows) when it
+        read ``arrivals``/``drops``; ``total_arrivals``/``total_drops``
+        stay monotonic across the reset, so the window stays exact."""
         sim = Simulation()
         q = DropTailQueue(sim, rate_pps=1.0, capacity=1, jitter=0.0)
         sink = Collector(sim)
         send_packets(sim, q, sink, 2)   # 1 accepted, 1 dropped
         sim.run()
-        meter = LossMeter([q])
+        base_arrivals, base_drops = q.total_arrivals, q.total_drops
         q.reset_counters()              # e.g. a warmup re-baseline
+        assert (q.arrivals, q.drops) == (0, 0)
+        assert (q.total_arrivals, q.total_drops) == (base_arrivals, base_drops)
         send_packets(sim, q, sink, 4)   # 1 accepted, 3 dropped
         sim.run()
-        (rate,) = meter.loss_rates()
-        assert rate == pytest.approx(0.75)
+        arrivals = q.total_arrivals - base_arrivals
+        drops = q.total_drops - base_drops
+        assert drops / arrivals == pytest.approx(0.75)
 
     def test_smaller_packets_serve_faster(self):
         sim = Simulation()

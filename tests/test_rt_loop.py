@@ -21,6 +21,7 @@ from repro.exp.spec import ScenarioSpec
 from repro.obs import JsonlSink, MemorySink, TraceBus, validate_jsonl
 from repro.obs.series import SeriesRecorder
 from repro.check import InvariantMonitor, trace_override
+from repro.hybrid import HybridSimulation
 from repro.rt import PROFILES, NetemChannel, RtPath, RtSimulation
 from repro.rt.loop import AsyncioTimers
 from repro.rt.netem import NetemProfile, profile_replace
@@ -96,14 +97,83 @@ def test_rt_simulation_clock_and_phases():
         assert fired == ["x"]
 
 
-def test_rt_simulation_register_and_on_register_replay():
-    with RtSimulation(seed=1) as sim:
-        seen = []
+#: What ``Simulation`` alone implements; a backend that re-mirrors any of
+#: it by hand has forked the surface again.
+SHARED_SURFACE = (
+    "register", "on_register", "components", "at_end", "finish",
+    "schedule_at", "schedule_in", "at", "elapsed", "run_until_elapsed",
+    "run_for", "add_cleanup", "close", "__enter__", "__exit__",
+)
+
+
+@pytest.mark.parametrize("cls", [Simulation, HybridSimulation, RtSimulation])
+def test_simulation_surface_conformance(cls):
+    """One run container: every backend *is* a ``Simulation`` and
+    answers the same surface — ``(seed, trace)`` construction, the
+    component registry, scenario time, ``at_end`` → ``finish`` and
+    ``with`` → ``close`` — differing only in what the clock is."""
+    bus = TraceBus(sinks=[MemorySink()])
+    closed, ended, seen, fired = [], [], [], []
+    with cls(seed=3, trace=bus) as sim:
+        assert isinstance(sim, Simulation)
+        assert sim.seed == 3 and sim.trace is bus
+        assert sim.timers is sim.scheduler
+        assert isinstance(sim.timers, Timers)
+        if cls is not Simulation:
+            assert not set(SHARED_SURFACE) & set(vars(cls))
+
         sim.register("a")
         sim.on_register(seen.append)        # replay=True: sees "a"
         sim.register("b")
-        assert seen == ["a", "b"]
-        assert sim.components == ["a", "b"]
+        assert seen == ["a", "b"] == sim.components
+
+        assert sim.at(1.5) == sim.time_origin + 1.5
+        assert sim.elapsed == pytest.approx(sim.now - sim.time_origin,
+                                            abs=0.05)
+        sim.run_until_elapsed(0.03)
+        assert sim.elapsed >= 0.03
+        sim.run_until_elapsed(0.01)         # already past: returns at once
+        sim.schedule_in(0.01, fired.append, "in")
+        sim.schedule_at(sim.at(sim.elapsed + 0.02), fired.append, "at")
+        before = sim.elapsed
+        sim.run_for(0.04)
+        assert fired == ["in", "at"]
+        assert sim.elapsed >= before + 0.04
+
+        sim.at_end(lambda: ended.append("end"))
+        sim.finish()
+        assert ended == ["end"]
+        sim.add_cleanup(lambda: closed.append("cleanup"))
+        assert closed == []
+    assert closed == ["cleanup"]
+    sim.close()                             # idempotent
+    assert closed == ["cleanup"]
+
+
+def test_virtual_time_scenario_axis_is_the_identity():
+    """``time_origin == 0.0`` on virtual time, so the scenario-time
+    vocabulary is bit-for-bit the raw clock (what keeps every golden)."""
+    sim = Simulation(seed=1)
+    assert sim.time_origin == 0.0
+    for x in (0.0, 0.1, 1.0 / 3.0, 17.25, 1e-9):
+        assert sim.at(x) == x
+    sim.run_until_elapsed(1.0 / 3.0)
+    assert sim.now == sim.elapsed == 1.0 / 3.0
+    sim.close()                             # no cleanups: a no-op
+
+
+def test_handover_names_share_one_body(monkeypatch):
+    """``wifi_3g_handover`` and ``rt_handover`` are two registrations of
+    one body, differing only in the backend they pass it."""
+    calls = []
+    monkeypatch.setattr(
+        "repro.rt.scenarios._handover_run",
+        lambda spec, backend: calls.append((spec, backend)) or {},
+    )
+    spec = ScenarioSpec(scenario="wifi_3g_handover", params={}, seed=1)
+    assert SCENARIOS["wifi_3g_handover"](spec) == {}
+    assert SCENARIOS["rt_handover"](spec) == {}
+    assert calls == [(spec, "sim"), (spec, "rt")]
 
 
 @pytest.mark.realnet

@@ -28,6 +28,11 @@ Two checks keep ``docs/*.md`` from silently rotting:
    :data:`repro.fluid.dynamics.FLUID_ALGORITHMS` plus the exempt
    controllers, each row naming the law its keys resolve to.  Adding an
    event, a controller or a fluid law without documenting it fails CI.
+   In the other direction, every ``SCENARIOS["<name>"]`` and
+   ``repro sweep <grid>`` a doc (or the README) spells must exist in
+   :data:`repro.exp.grids.SCENARIOS` /
+   :data:`repro.topology.scenarios.SWEEP_GRIDS`, so merging or renaming
+   point functions cannot leave a doc pointing at a name that is gone.
 
 Run from the repository root::
 
@@ -163,6 +168,26 @@ def check_controller_docs(repo: pathlib.Path) -> List[str]:
     return errors
 
 
+def check_scenario_names(paths: List[pathlib.Path]) -> List[str]:
+    """Every ``SCENARIOS["<name>"]`` / ``repro sweep <grid>`` spelled in
+    the docs must name a registered point function / sweep grid."""
+    from repro.exp.grids import SCENARIOS
+    from repro.topology.scenarios import SWEEP_GRIDS
+
+    errors: List[str] = []
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        for pattern, known, what in (
+            (r"""SCENARIOS\[["'](\w+)["']\]""", SCENARIOS,
+             "repro.exp.grids.SCENARIOS"),
+            (r"repro sweep (\w+)", SWEEP_GRIDS,
+             "repro.topology.scenarios.SWEEP_GRIDS"),
+        ):
+            for name in sorted(set(re.findall(pattern, text)) - set(known)):
+                errors.append(f"{path.name}: `{name}` is not in {what}")
+    return errors
+
+
 def main() -> int:
     repo = pathlib.Path(__file__).resolve().parent.parent
     docs = sorted((repo / "docs").glob("*.md"))
@@ -185,6 +210,7 @@ def main() -> int:
     print("docs-check: verifying schema/doc sync")
     errors.extend(check_event_table(repo))
     errors.extend(check_controller_docs(repo))
+    errors.extend(check_scenario_names(docs + [repo / "README.md"]))
 
     if errors:
         print(f"\ndocs-check FAILED ({len(errors)} error(s)):",
