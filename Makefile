@@ -13,6 +13,11 @@
 #   make bench-smoke ungated seconds-long bench run (CI artifact)
 #   make bench-baseline  re-record benchmarks/bench_baseline.json for this
 #                    machine (do this once before relying on bench-gate)
+#   make perf WORKLOAD=<name>  one perfbench workload (BENCHMARK.json)
+#                    exactly as the PR gate runs it: seed 1, 15 s, timed
+#                    (tracing off) — see perfbench/README.md
+#   make perf-selftest  the benchmark's own self-test (tier-1 does not
+#                    collect perfbench/)
 #   make trace-demo  quickstart with tracing on, JSONL validated against
 #                    the schema in docs/OBSERVABILITY.md
 #   make sweep-demo  8-point grid over 2 workers, rerun warm from the
@@ -44,10 +49,12 @@ HANDOVER_OUT ?= handover-trace.jsonl
 RT_OUT    ?= rt-trace.jsonl
 SWEEP_CACHE ?= .sweep-demo-cache
 BENCH_OUT ?= BENCH_pr4.json
+WORKLOAD  ?= zoo_checked
 
 .PHONY: test obs-test exec-test check-test pathmgr-test hybrid-test \
 	farm-demo \
-	bench bench-gate bench-smoke bench-baseline trace-demo sweep-demo \
+	bench bench-gate bench-smoke bench-baseline perf perf-selftest \
+	trace-demo sweep-demo \
 	handover-demo docs-check rt-test rt-demo
 
 test:
@@ -84,6 +91,12 @@ bench-smoke:
 
 bench-baseline:
 	$(PP) $(PYTHON) -m repro bench --update-baseline
+
+perf:
+	python3 -m perfbench --workload $(WORKLOAD) --seed 1 --seconds 15 --trace 0
+
+perf-selftest:
+	$(PYTHON) -m pytest perfbench -q
 
 trace-demo:
 	$(PP) $(PYTHON) examples/quickstart.py --trace $(TRACE_OUT)

@@ -17,7 +17,9 @@ Checked invariants
     Per drop-tail queue: ``arrivals == departures + drops + occupancy``
     (packets are never created or lost inside a buffer).  Tolerates
     ``reset_counters()`` — the conserved quantity is the *balance*, which
-    a counter reset shifts by the occupancy frozen in the buffer.
+    a counter reset shifts by the occupancy frozen in the buffer; the
+    queue's monotonic ``total_*`` counters, which a reset does not touch,
+    tell that shift from a leak.
 ``queue_bounds``
     ``0 <= occupancy <= capacity`` for every queue, also re-checked from
     each ``pkt.enqueue`` event's ``occ`` field.
@@ -41,12 +43,25 @@ Checked invariants
     Subflow level: per-flow ``pkt.deliver`` sequence numbers are dense
     (0, 1, 2, ...).  Connection level: the reassembler has delivered
     exactly ``data_cum_ack`` packets — each DSN exactly once.
+
+Cost model
+----------
+
+Every record the monitor sees — ``engine.event_fired`` included, about
+half of a packet run's records — gets its event-driven check (one
+memoised dict lookup finds it) and then one *sweep* over every watched
+queue and receiver.  A sweep's common case is a few attribute reads and
+one comparison per component; only a component that fails the comparison
+reaches the slow path that tells a counter reset from a leak and words
+the violation.  ``docs/CHECKING.md`` ("What a checked run costs") has the
+measured slowdown.  The dense-delivery and DSN checks need *every*
+record, so a monitored bus must not be ``pause()``d mid-run.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..mptcp.connection import MptcpConnection, MptcpReceiver
 from ..net.queue import DropTailQueue
@@ -81,9 +96,11 @@ class InvariantViolation(AssertionError):
         The trace record being processed when the violation was detected
         (None for state-sweep violations with no single trigger event).
     ``tail``
-        The last trace records before the violation, in emission order —
-        feed them to ``repro trace-validate`` or diff them against a
-        healthy run's tail to localise the divergence.
+        The last trace records up to the violation, in emission order,
+        ending with ``event`` itself when there is one (a record enters
+        the tail before it is checked) — feed them to ``repro
+        trace-validate`` or diff them against a healthy run's tail to
+        localise the divergence.
     """
 
     def __init__(
@@ -102,6 +119,33 @@ class InvariantViolation(AssertionError):
             f"invariant {invariant!r} violated{at}: {detail} "
             f"[trace-tail: {len(self.tail)} records]"
         )
+
+
+def _queue_balances(queue: DropTailQueue) -> Tuple[int, int]:
+    """``arrivals - departures - drops - occupancy`` over the since-reset
+    counters, which ``reset_counters()`` legitimately shifts, and over the
+    monotonic ``total_*`` counters, which nothing may shift."""
+    occ = queue.occupancy
+    return (
+        queue.arrivals - queue.departures - queue.drops - occ,
+        queue.total_arrivals - queue.total_departures
+        - queue.total_drops - occ,
+    )
+
+
+class _QueueWatch:
+    """What the sweep remembers about one watched queue: the two
+    :func:`_queue_balances` it expects to find."""
+
+    __slots__ = ("queue", "expected", "expected_total")
+
+    def __init__(self, queue: DropTailQueue):
+        self.queue = queue
+        self.expected, self.expected_total = _queue_balances(queue)
+
+
+#: ``InvariantMonitor._route`` value for event types the monitor skips.
+_BOOKKEEPING = object()
 
 
 class InvariantMonitor(TraceSink):
@@ -129,13 +173,9 @@ class InvariantMonitor(TraceSink):
         self,
         tail: int = 64,
         exempt_controllers: tuple = ("cubic",),
-        sweep_every: int = 1,
     ):
-        if sweep_every < 1:
-            raise ValueError(f"sweep_every must be >= 1, got {sweep_every!r}")
         self.tail: deque = deque(maxlen=tail)
         self.exempt_controllers = set(exempt_controllers)
-        self.sweep_every = sweep_every
         self.sim: Optional[Simulation] = None
         self.bus: Optional[TraceBus] = None
 
@@ -149,7 +189,7 @@ class InvariantMonitor(TraceSink):
         self._wrapped_controllers: Dict[int, Any] = {}
 
         # Per-entity check state.
-        self._balance: Dict[int, tuple] = {}      # queue id -> (last_arrivals, balance)
+        self._queue_watch: List[_QueueWatch] = []  # one per entry of queues
         self._next_deliver: Dict[str, int] = {}   # flow name -> next seq
         self._last_data_ack: Dict[str, int] = {}  # conn name -> data_ack
 
@@ -157,8 +197,17 @@ class InvariantMonitor(TraceSink):
         self.events_seen = 0
         self.checks_run = 0
         self.violations = 0
-        self._since_sweep = 0
         self._finished = False
+
+        # Event type -> its event-driven check, None for a type that only
+        # triggers the sweep, _BOOKKEEPING for one the monitor ignores;
+        # write() memoises every type it meets here.
+        self._route: Dict[str, Any] = {
+            "pkt.enqueue": self._check_enqueue,
+            "pkt.deliver": self._check_deliver,
+            "cc.cwnd_update": self._check_cwnd_update,
+            "mptcp.dsn_ack": self._check_dsn_ack,
+        }
 
     # ------------------------------------------------------------------
     # Wiring
@@ -184,10 +233,7 @@ class InvariantMonitor(TraceSink):
             self.queues.append(component)
             if component.name:
                 self._queues_by_name[component.name] = component
-            self._balance[id(component)] = (
-                component.arrivals,
-                self._queue_balance(component),
-            )
+            self._queue_watch.append(_QueueWatch(component))
         elif isinstance(component, TcpSender):
             self.senders.append(component)
             if component.name:
@@ -229,18 +275,20 @@ class InvariantMonitor(TraceSink):
     # TraceSink contract
     # ------------------------------------------------------------------
     def write(self, record: dict) -> None:
-        ev = record["ev"]
         self.tail.append(record)
-        if ev.startswith("check.") or ev.startswith("fault."):
-            return  # our own (or the fault layer's) bookkeeping events
+        ev = record["ev"]
+        try:
+            check = self._route[ev]
+        except KeyError:
+            check = self._route[ev] = (
+                _BOOKKEEPING if ev.startswith(("check.", "fault.")) else None
+            )
+        if check is _BOOKKEEPING:
+            return  # our own (or the fault layer's) records
         self.events_seen += 1
-        handler = self._EVENT_CHECKS.get(ev)
-        if handler is not None:
-            handler(self, record)
-        self._since_sweep += 1
-        if self._since_sweep >= self.sweep_every:
-            self._since_sweep = 0
-            self._sweep(record)
+        if check is not None:
+            check(record)
+        self._sweep(record)
 
     def flush(self) -> None:
         pass
@@ -334,81 +382,106 @@ class InvariantMonitor(TraceSink):
                 record,
             )
 
-    _EVENT_CHECKS = {
-        "pkt.enqueue": _check_enqueue,
-        "pkt.deliver": _check_deliver,
-        "cc.cwnd_update": _check_cwnd_update,
-        "mptcp.dsn_ack": _check_dsn_ack,
-    }
-
     # ------------------------------------------------------------------
     # State sweeps
     # ------------------------------------------------------------------
-    @staticmethod
-    def _queue_balance(queue: DropTailQueue) -> int:
-        return (
-            queue.arrivals - queue.departures - queue.drops - queue.occupancy
-        )
-
     def _sweep(self, record: Optional[dict]) -> None:
-        for queue in self.queues:
-            self.checks_run += 1
-            occ = queue.occupancy
-            if occ < 0 or occ > queue.capacity:
-                self._violate(
-                    "queue_bounds",
-                    f"queue {queue.name!r} occupancy {occ} outside "
-                    f"[0, {queue.capacity}]",
-                    record,
-                )
-            last_arrivals, expected = self._balance[id(queue)]
-            if queue.arrivals < last_arrivals:
-                # reset_counters() zeroed the counters with packets still
-                # buffered; the conserved balance shifts accordingly.
-                expected = self._queue_balance(queue)
-            balance = self._queue_balance(queue)
-            if balance != expected:
-                self._violate(
-                    "queue_conservation",
-                    f"queue {queue.name!r} leaks packets: arrivals "
-                    f"{queue.arrivals} != departures {queue.departures} + "
-                    f"drops {queue.drops} + occupancy {occ} "
-                    f"(balance {balance}, expected {expected})",
-                    record,
-                )
-            self._balance[id(queue)] = (queue.arrivals, expected)
-        for receiver in self.receivers:
-            self.checks_run += 1
-            reassembler = receiver.reassembler
-            if reassembler.delivered != reassembler.data_cum_ack:
-                self._violate(
-                    "exactly_once_delivery",
-                    f"receiver {receiver.name!r} delivered "
-                    f"{reassembler.delivered} packets but the data "
-                    f"cumulative ACK is {reassembler.data_cum_ack}; every "
-                    f"DSN below it must be delivered exactly once",
-                    record,
-                )
-            buffer = receiver.buffer
-            if buffer.unread < 0:
-                self._violate(
-                    "receive_buffer_bound",
-                    f"receiver {receiver.name!r} has negative unread count "
-                    f"{buffer.unread}",
-                    record,
-                )
+        """Re-check every watched queue and receiver against live state.
+
+        The loops below are the fast path: slot reads and one comparison
+        per component, nothing allocated or stored.  A component whose
+        comparison fails is handed to a ``_recheck_*`` method, which works
+        out what (if anything) is wrong and builds the violation.
+        """
+        watches = self._queue_watch
+        receivers = self.receivers
+        self.checks_run += len(watches) + len(receivers)
+        for watch in watches:
+            queue = watch.queue
+            occ = len(queue._buffer)  # queue.occupancy, minus the call
             if (
-                buffer.capacity is not None
-                and buffer.occupancy > buffer.capacity
+                queue.arrivals - queue.departures - queue.drops - occ
+                == watch.expected
+                and 0 <= occ <= queue.capacity
             ):
-                self._violate(
-                    "receive_buffer_bound",
-                    f"receiver {receiver.name!r} shared buffer holds "
-                    f"{buffer.occupancy} > capacity {buffer.capacity} "
-                    f"({reassembler.buffered} out-of-order + "
-                    f"{buffer.unread} unread)",
-                    record,
+                continue
+            self._recheck_queue(watch, record)
+        for receiver in receivers:
+            reassembler = receiver.reassembler
+            buffer = receiver.buffer
+            if (
+                reassembler.delivered == reassembler.data_cum_ack
+                and buffer.unread >= 0
+                and (
+                    buffer.capacity is None
+                    or buffer.occupancy <= buffer.capacity
                 )
+            ):
+                continue
+            self._recheck_receiver(receiver, record)
+
+    def _recheck_queue(
+        self, watch: _QueueWatch, record: Optional[dict]
+    ) -> None:
+        """Slow path for a queue that failed the sweep's comparison: a
+        bound is broken, packets leaked, or ``reset_counters()`` shifted
+        the since-reset balance (then re-base and carry on)."""
+        queue = watch.queue
+        occ = queue.occupancy
+        if occ < 0 or occ > queue.capacity:
+            self._violate(
+                "queue_bounds",
+                f"queue {queue.name!r} occupancy {occ} outside "
+                f"[0, {queue.capacity}]",
+                record,
+            )
+        # The total_* counters do not move at a reset, so their balance
+        # tells a reset (still conserved) from a leak (off by the leak),
+        # even when both fell between the same two sweeps.
+        balance, total_balance = _queue_balances(queue)
+        leaked = total_balance - watch.expected_total
+        if leaked:
+            self._violate(
+                "queue_conservation",
+                f"queue {queue.name!r} leaks packets: arrivals "
+                f"{queue.arrivals} != departures {queue.departures} + "
+                f"drops {queue.drops} + occupancy {occ} "
+                f"(balance {balance}, expected {balance - leaked})",
+                record,
+            )
+        watch.expected = balance
+
+    def _recheck_receiver(
+        self, receiver: MptcpReceiver, record: Optional[dict]
+    ) -> None:
+        """Slow path for a receiver that failed the sweep's comparison."""
+        reassembler = receiver.reassembler
+        buffer = receiver.buffer
+        if reassembler.delivered != reassembler.data_cum_ack:
+            self._violate(
+                "exactly_once_delivery",
+                f"receiver {receiver.name!r} delivered "
+                f"{reassembler.delivered} packets but the data "
+                f"cumulative ACK is {reassembler.data_cum_ack}; every "
+                f"DSN below it must be delivered exactly once",
+                record,
+            )
+        if buffer.unread < 0:
+            self._violate(
+                "receive_buffer_bound",
+                f"receiver {receiver.name!r} has negative unread count "
+                f"{buffer.unread}",
+                record,
+            )
+        if buffer.capacity is not None and buffer.occupancy > buffer.capacity:
+            self._violate(
+                "receive_buffer_bound",
+                f"receiver {receiver.name!r} shared buffer holds "
+                f"{buffer.occupancy} > capacity {buffer.capacity} "
+                f"({reassembler.buffered} out-of-order + "
+                f"{buffer.unread} unread)",
+                record,
+            )
 
     # ------------------------------------------------------------------
     # Violation / lifecycle

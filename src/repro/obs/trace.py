@@ -128,8 +128,7 @@ class TraceBus:
             return
         if self._filter is not None and ev not in self._filter:
             return
-        record = {"ev": ev, "t": t, "i": next(self._seq)}
-        record.update(fields)
+        record = {"ev": ev, "t": t, "i": next(self._seq), **fields}
         self.events_emitted += 1
         for sink in self._sinks:
             sink.write(record)
