@@ -6,18 +6,16 @@
 #                    (pytest -m "sweep or farm" — one execution core,
 #                    one target), then the kill-resume gate (farm-demo)
 #   make check-test  invariant-monitor + fault-injection tests only
-#   make bench       paper tables/figures + simulator microbenchmarks
-#   make bench-gate  hot-path benchmark suite gated against the recorded
-#                    baseline (fails on >10% events/sec regression);
-#                    writes BENCH_pr4.json — see docs/REPRODUCTION_NOTES.md
-#   make bench-smoke ungated seconds-long bench run (CI artifact)
-#   make bench-baseline  re-record benchmarks/bench_baseline.json for this
-#                    machine (do this once before relying on bench-gate)
+#   make bench       the paper's tables and figures (benchmarks/, one
+#                    file per table/figure — see EXPERIMENTS.md)
 #   make perf WORKLOAD=<name>  one perfbench workload (BENCHMARK.json)
 #                    exactly as the PR gate runs it: seed 1, 15 s, timed
 #                    (tracing off) — see perfbench/README.md
 #   make perf-selftest  the benchmark's own self-test (tier-1 does not
 #                    collect perfbench/)
+#   make perf-record LABEL=<label>  run all five workloads and append
+#                    their per-workload medians as one line of
+#                    BENCH_trend.jsonl (tools/perf_record.py)
 #   make trace-demo  quickstart with tracing on, JSONL validated against
 #                    the schema in docs/OBSERVABILITY.md
 #   make sweep-demo  8-point grid over 2 workers, rerun warm from the
@@ -48,12 +46,12 @@ TRACE_OUT ?= quickstart-trace.jsonl
 HANDOVER_OUT ?= handover-trace.jsonl
 RT_OUT    ?= rt-trace.jsonl
 SWEEP_CACHE ?= .sweep-demo-cache
-BENCH_OUT ?= BENCH_pr4.json
 WORKLOAD  ?= zoo_checked
+PERF_OUT  := .perfbench-record
 
 .PHONY: test obs-test exec-test check-test pathmgr-test hybrid-test \
 	farm-demo \
-	bench bench-gate bench-smoke bench-baseline perf perf-selftest \
+	bench perf perf-selftest perf-record \
 	trace-demo sweep-demo \
 	handover-demo docs-check rt-test rt-demo
 
@@ -83,20 +81,17 @@ farm-demo:
 bench:
 	$(PP) $(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-bench-gate:
-	$(PP) $(PYTHON) -m repro bench --gate --out $(BENCH_OUT)
-
-bench-smoke:
-	$(PP) $(PYTHON) -m repro bench --scale smoke --out $(BENCH_OUT)
-
-bench-baseline:
-	$(PP) $(PYTHON) -m repro bench --update-baseline
-
 perf:
 	python3 -m perfbench --workload $(WORKLOAD) --seed 1 --seconds 15 --trace 0
 
 perf-selftest:
 	$(PYTHON) -m pytest perfbench -q
+
+perf-record:
+	@test -n "$(LABEL)" || { echo "usage: make perf-record LABEL=pr16"; exit 2; }
+	rm -rf $(PERF_OUT)
+	python3 -m perfbench --out $(PERF_OUT)
+	$(PYTHON) tools/perf_record.py $(LABEL) $(PERF_OUT)
 
 trace-demo:
 	$(PP) $(PYTHON) examples/quickstart.py --trace $(TRACE_OUT)

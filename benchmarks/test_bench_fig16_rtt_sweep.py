@@ -11,8 +11,8 @@ The 16-point C2 x RTT2 grid runs through the parallel experiment runner
 (`repro.exp`); the point function is `repro.exp.grids.rtt_ratio` and the
 grid is `repro.topology.scenarios.SWEEP_GRIDS["fig16_rtt"]` — the same
 sweep is one command away as `python -m repro sweep fig16_rtt --parallel
-4`.  Serial-vs-parallel wall-clock for the runner itself is recorded by
-`test_bench_sweep_scaling.py`.
+4`.  Serial-vs-parallel wall-clock for the runner itself is perfbench's
+`exec_paths` workload.
 """
 
 import os

@@ -12,8 +12,8 @@ runner (`repro.exp`); the point function is
 `repro.exp.grids.torus_balance` and the grid is
 `repro.topology.scenarios.SWEEP_GRIDS["fig8_torus"]` — the same sweep is
 one command away as `python -m repro sweep fig8_torus --parallel 4`.
-Serial-vs-parallel wall-clock for the runner itself is recorded by
-`test_bench_sweep_scaling.py`.
+Serial-vs-parallel wall-clock for the runner itself is perfbench's
+`exec_paths` workload.
 """
 
 import os

@@ -45,12 +45,6 @@ Real-network backend: the same state machines over loopback UDP sockets
     python -m repro rt --algo lia --netem lan --trace rt.jsonl
     python -m repro rt --handover --mode make_before_break
     python -m repro rt --divergence
-
-Hot-path benchmarks and the regression gate (see docs/REPRODUCTION_NOTES.md):
-
-    python -m repro bench                    # write BENCH_pr4.json
-    python -m repro bench --gate             # fail on >10% rate regression
-    python -m repro bench --update-baseline  # re-record the local baseline
 """
 
 from __future__ import annotations
@@ -60,7 +54,6 @@ import json
 import sys
 from typing import List, Optional
 
-from . import bench as bench_mod
 from .check import CHECK_EVENTS, InvariantViolation, trace_override
 from .core.registry import ALGORITHMS
 from .exp import ResultCache, Runner, specs_for_grid
@@ -234,16 +227,21 @@ def _cmd_sweep(args) -> int:
     specs = specs_for_grid(
         args.grid, seed=args.seed, warmup=args.warmup, duration=args.duration
     )
+    # The Runner validates its counts; build it before the trace file is
+    # opened so a bad count leaves nothing behind.
+    try:
+        runner = Runner(
+            parallel=args.parallel,
+            cache=None if args.no_cache else ResultCache(args.cache_dir),
+            timeout=args.timeout,
+            retries=args.retries,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     bus = None
     if args.trace:
-        bus = TraceBus(sinks=[JsonlSink(args.trace)])
-    runner = Runner(
-        parallel=args.parallel,
-        cache=None if args.no_cache else ResultCache(args.cache_dir),
-        trace=bus,
-        timeout=args.timeout,
-        retries=args.retries,
-    )
+        bus = runner.trace = TraceBus(sinks=[JsonlSink(args.trace)])
     try:
         rows = runner.run(specs)
     finally:
@@ -831,35 +829,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None,
                    help="write all trace events to this JSONL file")
     p.set_defaults(func=_cmd_rt)
-
-    p = sub.add_parser(
-        "bench",
-        help="run the hot-path benchmark suite, write a BENCH_*.json "
-             "report, optionally gate on the recorded baseline",
-    )
-    p.add_argument("--scale", choices=sorted(bench_mod.SCALES),
-                   default="full",
-                   help="suite scale (default full; smoke for CI)")
-    p.add_argument("--quick", action="store_const", const="quick",
-                   dest="scale", help="alias for --scale quick")
-    p.add_argument("--only", default=None,
-                   help="comma-separated benchmark names to run "
-                        f"(of: {', '.join(bench_mod.BENCH_SUITE)})")
-    p.add_argument("--out", default=bench_mod.DEFAULT_OUT_PATH,
-                   help=f"report path (default {bench_mod.DEFAULT_OUT_PATH})")
-    p.add_argument("--baseline", default=bench_mod.DEFAULT_BASELINE_PATH,
-                   help="baseline file to compare against "
-                        f"(default {bench_mod.DEFAULT_BASELINE_PATH})")
-    p.add_argument("--gate", action="store_true",
-                   help="exit 1 if any rate regresses more than the "
-                        "tolerance below the baseline")
-    p.add_argument("--tolerance", type=float,
-                   default=bench_mod.GATE_TOLERANCE,
-                   help="gate tolerance as a fraction (default "
-                        f"{bench_mod.GATE_TOLERANCE})")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="re-record the baseline file from this run")
-    p.set_defaults(func=bench_mod.main)
 
     p = sub.add_parser(
         "trace", help="run a scenario with event tracing, emit JSONL"

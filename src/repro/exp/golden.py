@@ -30,7 +30,7 @@ queue occupancy, in exact emission order — is pinned.
 Each grid runs at its registered seed but with golden-specific (short)
 warm-up/duration so the whole suite replays in seconds; the oversized
 ``fig8_torus_hybrid_1m`` point additionally runs a scaled-down class
-layout (the full 10^6-flow layout is exercised by the hybrid bench).
+layout (the full 10^6-flow layout is perfbench's ``hybrid_1m`` workload).
 Every golden spec forces ``check=1`` so the run is traced *and* the
 invariant monitor rides along — a rewrite that breaks an invariant
 fails before the digest even diverges.
@@ -77,7 +77,7 @@ GOLDEN_SETTINGS: Dict[str, dict] = {
         "warmup": 0.5,
         "duration": 1.0,
         # 40x25 = 1000 aggregate flows: same code paths, 1/1000 the
-        # integration cost.  The full-size layout stays a bench point.
+        # integration cost.
         "params": {"classes": 40, "flows_per_class": 25, "tracers": 4},
     },
     "wifi_3g_handover": {"warmup": 3.0, "duration": 6.0},

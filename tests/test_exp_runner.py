@@ -472,6 +472,19 @@ class TestSweepCli:
     def test_grid_required_without_list(self, capsys):
         assert main(["sweep"]) == 2
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--parallel", "0", "error: parallel must be >= 1, got 0"),
+        ("--retries", "-1", "error: retries must be >= 0, got -1"),
+    ])
+    def test_bad_count_is_a_usage_error(self, tmp_path, capsys,
+                                        flag, value, message):
+        trace = tmp_path / "sweep.jsonl"
+        rc = main(["sweep", "demo_rtt", flag, value, "--no-cache",
+                   "--trace", str(trace)])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == message
+        assert not trace.exists()  # rejected before the sink is opened
+
     def test_cold_then_warm_run(self, tmp_path, capsys):
         args = [
             "sweep", "demo_rtt", "--parallel", "2",

@@ -1,12 +1,15 @@
 """Tests for the flow-class / fluid-hybrid tier (repro.hybrid)."""
 
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.check import InvariantMonitor
+from repro.exp.grids import SCENARIOS
+from repro.exp.spec import ScenarioSpec
 from repro.harness.experiment import make_flow, measure
 from repro.hybrid import ClassPath, FlowClass, HybridLink, HybridSimulation
 from repro.net.pipe import Pipe
@@ -250,6 +253,30 @@ class TestTraceEvents:
         sim.run_until(20.0)
         assert len(rec.rows) == 30
         assert rec.mean("goodput.c") > 0
+
+
+class TestScale:
+    def test_memory_is_per_class_not_per_flow(self):
+        """docs/HYBRID.md § Scale: 100x the flows in the same five torus
+        classes allocates the same heap (~120 KiB either way)."""
+        def peak_heap(flows_per_class):
+            spec = ScenarioSpec(
+                scenario="torus_hybrid", seed=61, warmup=0.5, duration=0.5,
+                params={"classes": 5, "flows_per_class": flows_per_class,
+                        "tracers": 1},
+            )
+            tracemalloc.start()
+            try:
+                row = SCENARIOS["torus_hybrid"](spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert row["aggregate_flows"] == 5 * flows_per_class + 1
+            return peak
+
+        small, large = peak_heap(2_000), peak_heap(200_000)
+        assert large / small < 1.25
+        assert max(small, large) < 8 * 1024 * 1024
 
 
 #: Capacity-conservation property (the hypothesis satellite): however the

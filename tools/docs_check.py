@@ -33,6 +33,11 @@ Two checks keep ``docs/*.md`` from silently rotting:
    :data:`repro.exp.grids.SCENARIOS` /
    :data:`repro.topology.scenarios.SWEEP_GRIDS`, so merging or renaming
    point functions cannot leave a doc pointing at a name that is gone.
+   Likewise every ``make <target>`` and ``python -m repro <sub>`` (or
+   backquoted ``repro <sub>``) named in the docs, README.md, EXPERIMENTS.md,
+   DESIGN.md or the Makefile's header must be a Makefile rule / a
+   subcommand of :func:`repro.cli._build_parser`, so a command cannot be
+   deleted while a doc still tells the reader to run it.
 
 Run from the repository root::
 
@@ -41,6 +46,7 @@ Run from the repository root::
 
 from __future__ import annotations
 
+import argparse
 import os
 import pathlib
 import re
@@ -188,6 +194,40 @@ def check_scenario_names(paths: List[pathlib.Path]) -> List[str]:
     return errors
 
 
+def check_commands(repo: pathlib.Path, paths: List[pathlib.Path]) -> List[str]:
+    """Every ``make <target>`` / ``repro <sub>`` the docs and the
+    Makefile header tell the reader to run must exist."""
+    from repro.cli import _build_parser
+
+    subcommands = next(
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    makefile = (repo / "Makefile").read_text(encoding="utf-8")
+    targets = set(re.findall(r"^([a-z][\w-]*):", makefile, re.M))
+    errors: List[str] = []
+
+    def check(label: str, made: List[str], text: str) -> None:
+        for name in sorted(set(made) - targets):
+            errors.append(f"{label}: `make {name}` is not a Makefile target")
+        named = re.findall(r"(?:python3? -m |`)repro ([a-z][\w-]*)", text)
+        for name in sorted(set(named) - set(subcommands)):
+            errors.append(f"{label}: `repro {name}` is not a subcommand of "
+                          f"repro.cli")
+
+    # The Makefile header names a target at the start of a comment line,
+    # markdown in code (`make x`, or a fenced block); prose such as "make
+    # sense" is neither.
+    header = makefile.partition("\n\n")[0]
+    check("Makefile header",
+          re.findall(r"^#\s+make ([a-z][\w-]*)", header, re.M), header)
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        code = "\n".join(re.findall(r"```.*?```|`[^`]+`", text, re.S))
+        check(path.name, re.findall(r"\bmake ([a-z][\w-]*)", code), text)
+    return errors
+
+
 def main() -> int:
     repo = pathlib.Path(__file__).resolve().parent.parent
     docs = sorted((repo / "docs").glob("*.md"))
@@ -211,6 +251,8 @@ def main() -> int:
     errors.extend(check_event_table(repo))
     errors.extend(check_controller_docs(repo))
     errors.extend(check_scenario_names(docs + [repo / "README.md"]))
+    errors.extend(check_commands(repo, docs + [
+        repo / name for name in ("README.md", "EXPERIMENTS.md", "DESIGN.md")]))
 
     if errors:
         print(f"\ndocs-check FAILED ({len(errors)} error(s)):",
