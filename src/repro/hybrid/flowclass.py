@@ -134,7 +134,11 @@ class FlowClass:
         ]
 
     def throughput_pps(self) -> float:
-        """Aggregate *delivered* rate right now.
+        """Aggregate *delivered* rate over the last fluid step: the rates
+        that step deposited against the served fractions they produced —
+        what :meth:`advance` integrated, so summed over classes it never
+        exceeds capacity.  (Post-step :meth:`rates` against those
+        fractions would overshoot by one step of window growth.)
 
         Congestion drops ARE the served-fraction shortfall — a link that
         forwards ``min(1, C/total)`` of its offered fluid has thereby
@@ -144,7 +148,7 @@ class FlowClass:
         using it here too would double-count every congestion drop.)"""
         return sum(
             offered * (1.0 - p.extra_loss) * p.served_fraction
-            for offered, p in zip(self.rates(), self.paths)
+            for offered, p in zip(self._offered, self.paths)
         )
 
     # ------------------------------------------------------------------

@@ -59,6 +59,17 @@ class MptcpConnection:
         self.enable_reinjection = enable_reinjection
         self.reinjection_timeout_threshold = reinjection_timeout_threshold
         self._subflow_timeout_marks: dict = {}
+        #: Some subflow asked :meth:`next_dsn` for data and was refused
+        #: since the last kick.  ``on_data_ack`` kicks the subflows only
+        #: then, because a kick of a subflow that was never refused sends
+        #: nothing: (1) every sender event already ends in a ``maybe_send``
+        #: that runs until the window is full or ``next_dsn`` refuses;
+        #: (2) a controller writes only the ``cwnd`` of the subflow whose
+        #: event it is handling, so no other subflow's ACK can open a full
+        #: window; (3) timer arming in ``maybe_send`` is idempotent.
+        #: Retirement and reinjection change what is sendable without a
+        #: refusal and kick unconditionally.
+        self._refused = False
         #: Set by :class:`repro.pathmgr.PathManager` when it attaches; the
         #: connection never imports pathmgr (the dependency points one way).
         self.path_manager = None
@@ -138,15 +149,22 @@ class MptcpConnection:
     # ------------------------------------------------------------------
     # Data scheduling (called by subflows)
     # ------------------------------------------------------------------
-    def next_dsn(self, subflow: MptcpSubflow) -> Optional[int]:
-        if self.completed:
-            return None
-        flow_limit = None
-        if self.peer_rwnd is not None:
-            # Receive window is advertised relative to the data cumulative
-            # ACK (§6): fresh data must stay below data_acked + rwnd.
-            flow_limit = self.data_acked + self.peer_rwnd
-        return self.scheduler.next_dsn(flow_limit)
+    def next_dsn(self) -> Optional[int]:
+        """Next DSN for the asking subflow, or None: transfer finished or
+        connection-level flow control (the shared receive buffer, §6)
+        blocks new data."""
+        dsn = None
+        if not self.completed:
+            flow_limit = None
+            if self.peer_rwnd is not None:
+                # Receive window is advertised relative to the data
+                # cumulative ACK (§6): fresh data must stay below
+                # data_acked + rwnd.
+                flow_limit = self.data_acked + self.peer_rwnd
+            dsn = self.scheduler.next_dsn(flow_limit)
+        if dsn is None:
+            self._refused = True
+        return dsn
 
     # ------------------------------------------------------------------
     # ACK plumbing (called by subflows)
@@ -159,7 +177,9 @@ class MptcpConnection:
             self.peer_rwnd = rwnd
         if data_ack is not None and data_ack > self.data_acked:
             self.data_acked = data_ack
-            self.scheduler.drop_reinjections_below(data_ack)
+            scheduler = self.scheduler
+            if scheduler.pending_reinjections:
+                scheduler.drop_reinjections_below(data_ack)
             if self.trace.enabled:
                 self.trace.emit(
                     "mptcp.dsn_ack",
@@ -169,23 +189,21 @@ class MptcpConnection:
                     rwnd=self.peer_rwnd,
                 )
             opened = True
-            self._check_complete()
-        if opened and not self.completed:
+            limit = scheduler.limit
+            if limit is not None and data_ack >= limit and not self.completed:
+                self.completed = True
+                for subflow in self.subflows:
+                    subflow.stop()
+                if self.on_complete is not None:
+                    self.on_complete(self)
+        if opened and self._refused and not self.completed:
             self._kick_subflows()
 
     def _kick_subflows(self) -> None:
+        self._refused = False
         for subflow in self.subflows:
             if subflow.running:
                 subflow.maybe_send()
-
-    def _check_complete(self) -> None:
-        limit = self.scheduler.limit
-        if limit is not None and self.data_acked >= limit and not self.completed:
-            self.completed = True
-            for subflow in self.subflows:
-                subflow.stop()
-            if self.on_complete is not None:
-                self.on_complete(self)
 
     # ------------------------------------------------------------------
     # Reinjection extension
@@ -252,11 +270,13 @@ class MptcpReceiver:
         self.reassembler = DataReassembler()
         self.buffer = SharedReceiveBuffer(capacity=receive_buffer)
         self.buffer.bind(self.reassembler)
-        self.reassembler.on_data = self._on_in_order_data
         self.app_read_rate = app_read_rate
         self.enable_sack = enable_sack
         self.subflow_receivers: List[TcpReceiver] = []
         self._read_timer = None
+        #: The window the last ACK advertised (the sender assumes an open
+        #: one until the first).
+        self._advertised_rwnd = self.buffer.rwnd
         sim.register(self)
 
     def new_subflow_receiver(self, name: str = "") -> TcpReceiver:
@@ -269,17 +289,21 @@ class MptcpReceiver:
 
     # ------------------------------------------------------------------
     def _on_subflow_deliver(self, packet: DataPacket) -> None:
-        if packet.dsn is None:
+        dsn = packet.dsn
+        if dsn is None:
             raise ValueError(
                 f"multipath receiver {self.name!r} got packet without DSN"
             )
-        self.reassembler.receive(packet.dsn, packet)
-
-    def _on_in_order_data(self, dsn: int, payload: object) -> None:
-        self.buffer.on_in_order(1)
-        if self.app_read_rate is None:
-            self.buffer.app_read(1)
-        else:
+        reassembler = self.reassembler
+        before = reassembler.delivered
+        reassembler.receive(dsn, packet)
+        # Pool accounting, once per arrival.  Most arrivals release nothing
+        # (a hole below them is still open); one that fills a hole releases
+        # its whole run.  An application that reads instantly never leaves
+        # in-order data in the pool.
+        released = reassembler.delivered - before
+        if released and self.app_read_rate is not None:
+            self.buffer.on_in_order(released)
             self._ensure_read_timer()
 
     def _ensure_read_timer(self) -> None:
@@ -290,11 +314,29 @@ class MptcpReceiver:
 
     def _app_read_tick(self) -> None:
         self._read_timer = None
-        self.buffer.app_read(1)
+        buffer = self.buffer
+        buffer.app_read(1)
         self._ensure_read_timer()
+        # ACKs otherwise leave only when data arrives, so a window the
+        # sender saw closed would stay closed once nothing is in flight.
+        # RFC 1122 §4.2.3.3's receiver rule: advertise again when the
+        # window has grown by half the pool since last advertised — on the
+        # subflow whose last ACK answered the most recently sent data (the
+        # one that last delivered, unless its ACK is still delayed).
+        if (
+            buffer.capacity is not None
+            and 2 * (buffer.rwnd - self._advertised_rwnd) >= buffer.capacity
+        ):
+            acked = [
+                r for r in self.subflow_receivers if r.acked_packet is not None
+            ]
+            if acked:
+                freshest = max(acked, key=lambda r: r.acked_packet.timestamp)
+                freshest.send_window_update()
 
     def _ack_extension(self) -> Tuple[Optional[int], Optional[int]]:
-        return self.reassembler.data_cum_ack, self.buffer.rwnd
+        rwnd = self._advertised_rwnd = self.buffer.rwnd
+        return self.reassembler.data_cum_ack, rwnd
 
     @property
     def packets_delivered(self) -> int:

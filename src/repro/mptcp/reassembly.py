@@ -30,29 +30,32 @@ class DataReassembler:
         self._held: Dict[int, object] = {}  # out-of-order DSN -> payload
         self.delivered = 0             # packets handed to the application side
         self.duplicates = 0
-        #: callback invoked with each in-order payload
+        #: Called as ``on_data(dsn, payload)`` for each DSN as it joins the
+        #: in-order stream: one call per DSN, in DSN order, made after
+        #: ``data_cum_ack`` and ``delivered`` have moved past that DSN.
         self.on_data: Optional[Callable[[int, object], None]] = None
 
     def receive(self, dsn: int, payload: object = None) -> bool:
         """Accept one data packet.  Returns True if it advanced or buffered
         new data, False for a duplicate."""
-        if dsn < self.data_cum_ack or dsn in self._held:
+        held = self._held
+        if dsn < self.data_cum_ack or dsn in held:
             self.duplicates += 1
             return False
-        if dsn == self.data_cum_ack:
-            self._emit(dsn, payload)
-            while self.data_cum_ack in self._held:
-                held_dsn = self.data_cum_ack
-                self._emit(held_dsn, self._held.pop(held_dsn))
-        else:
-            self._held[dsn] = payload
-        return True
-
-    def _emit(self, dsn: int, payload: object) -> None:
-        self.data_cum_ack = dsn + 1
-        self.delivered += 1
-        if self.on_data is not None:
-            self.on_data(dsn, payload)
+        if dsn != self.data_cum_ack:
+            held[dsn] = payload
+            return True
+        # In order: release it and the run of held data it uncovers.
+        on_data = self.on_data
+        while True:
+            self.data_cum_ack = dsn + 1
+            self.delivered += 1
+            if on_data is not None:
+                on_data(dsn, payload)
+            dsn += 1
+            if dsn not in held:
+                return True
+            payload = held.pop(dsn)
 
     @property
     def buffered(self) -> int:

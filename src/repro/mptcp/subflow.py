@@ -14,9 +14,6 @@ between subflows happens.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
-
-from ..net.packet import AckPacket
 from ..tcp.sender import TcpSender
 
 __all__ = ["MptcpSubflow"]
@@ -30,14 +27,11 @@ class MptcpSubflow(TcpSender):
     def __init__(self, sim, controller, connection, name="", **kwargs):
         super().__init__(sim, controller, source=None, name=name, **kwargs)
         self.connection = connection
-
-    def receive(self, ack: AckPacket) -> None:
-        # A retired subflow no longer belongs to the connection or its
-        # controller; a late ACK still in flight at retirement time must
-        # not feed data ACKs or window updates into state it left behind.
-        if self.retired:
-            return
-        super().receive(ack)
+        # One call per layer crossing: the sender pulls data sequence
+        # numbers from, and feeds the explicit data ACK and receive window
+        # to, the connection itself.
+        self.next_dsn = connection.next_dsn
+        self.on_ack_extension = connection.on_data_ack
 
     def path_down(self, reason: str = "") -> None:
         """Path failure under this subflow: stop, then tell the connection
@@ -54,30 +48,9 @@ class MptcpSubflow(TcpSender):
             self.start()
         self.connection.notice_path_up(self, reason)
 
-    def _acquire_payload(self, seq: int) -> Tuple[bool, Optional[int]]:
-        """Pull the next data sequence number from the connection.
-
-        Returns (False, None) when the connection has no more data for us —
-        either the transfer is finished or connection-level flow control
-        (the shared receive buffer, §6) blocks new data.
-        """
-        dsn = self.connection.next_dsn(self)
-        if dsn is None:
-            return False, None
-        return True, dsn
-
-    def _process_ack_extras(self, ack: AckPacket) -> None:
-        """Feed the explicit data ACK and receive window to the connection."""
-        self.connection.on_data_ack(ack.data_ack, ack.rwnd)
-
     def _on_timeout(self) -> None:
         super()._on_timeout()
         self.connection.notice_subflow_timeout(self)
-
-    def _check_complete(self) -> None:
-        # Completion is a connection-level notion (the data cumulative ACK
-        # reaching the transfer size); the connection stops its subflows.
-        pass
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -97,7 +97,9 @@ class AckPacket(Packet):
     cumulative data acknowledgment (§6 of the paper argues it must be
     explicit), and ``rwnd`` the receive window advertised relative to it.
     ``echo_timestamp`` echoes the timestamp of the data packet that triggered
-    this ACK.
+    this ACK.  ``window_update`` marks a pure window update: the last ACK
+    repeated for its fresh ``data_ack``/``rwnd`` alone, which the sender
+    must take neither for a duplicate ACK nor for an RTT sample.
     """
 
     __slots__ = (
@@ -107,6 +109,7 @@ class AckPacket(Packet):
         "rwnd",
         "for_retransmit",
         "sack_blocks",
+        "window_update",
     )
 
     def __init__(
@@ -119,6 +122,7 @@ class AckPacket(Packet):
         rwnd: Optional[int] = None,
         for_retransmit: bool = False,
         sack_blocks: tuple = (),
+        window_update: bool = False,
     ):
         # Base __init__ flattened in, as for DataPacket: one AckPacket
         # per (delayed) ACK.
@@ -132,6 +136,7 @@ class AckPacket(Packet):
         self.rwnd = rwnd
         self.for_retransmit = for_retransmit
         self.sack_blocks = sack_blocks
+        self.window_update = window_update
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AckPacket(ack_seq={self.ack_seq}, data_ack={self.data_ack})"

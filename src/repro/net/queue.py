@@ -173,7 +173,12 @@ class DropTailQueue:
         if self.trace.enabled:
             self._trace_enqueue(packet)
         if not self._busy:
-            self._start_service()
+            # _start_service inlined: an idle queue serves the arrival.
+            self._busy = True
+            service = packet.size / self.rate_pps
+            if self.jitter:
+                service *= 1.0 + self.jitter * (2.0 * self._rand() - 1.0)
+            self._post_in(service, self._complete)
 
     def _trace_enqueue(self, packet: Packet) -> None:
         self.trace.emit(
@@ -212,11 +217,17 @@ class DropTailQueue:
         self._post_in(service, self._complete)
 
     def _complete(self) -> None:
-        packet = self._buffer.popleft()
+        buffer = self._buffer
+        packet = buffer.popleft()
         self.departures += 1
-        self._busy = False
-        if self._buffer:
-            self._start_service()
+        if buffer:
+            # _start_service inlined: the server stays busy with the next.
+            service = buffer[0].size / self.rate_pps
+            if self.jitter:
+                service *= 1.0 + self.jitter * (2.0 * self._rand() - 1.0)
+            self._post_in(service, self._complete)
+        else:
+            self._busy = False
         # packet.forward() inlined: one service completion per packet per
         # queue makes this one of the hottest callbacks in the simulator.
         hop = packet.hop + 1

@@ -25,7 +25,8 @@ Frame layout (network byte order)::
 DATA body:  flags(1B: bit0 retransmit, bit1 has-dsn)  seq(8B)
             timestamp(8B double)  size(8B double)  [dsn(8B)]
 ACK  body:  flags(1B: bit0 for-retransmit, bit1 has-data-ack,
-            bit2 has-rwnd)  ack_seq(8B)  echo_timestamp(8B double)
+            bit2 has-rwnd, bit3 window-update)  ack_seq(8B)
+            echo_timestamp(8B double)
             [data_ack(8B)]  [rwnd(8B signed)]  n_sack(1B)
             n_sack × (start(8B) end(8B))
 CTRL body:  subtype(1B: 1..4)  value(8B: key / token / addr_id)
@@ -122,6 +123,8 @@ def encode(channel: int, payload: WirePayload, pad_to: int = 0) -> bytes:
             flags |= 2
         if rwnd is not None:
             flags |= 4
+        if payload.window_update:
+            flags |= 8
         body = _ACK_FIXED.pack(flags, payload.ack_seq, payload.echo_timestamp)
         if data_ack is not None:
             body += _U64.pack(data_ack)
@@ -194,7 +197,7 @@ def decode(datagram: bytes) -> Tuple[int, WirePayload]:
                 off += _SACK.size
             payload = AckPacket(
                 (), None, ack_seq, echo, data_ack, rwnd,
-                bool(flags & 1), tuple(blocks),
+                bool(flags & 1), tuple(blocks), bool(flags & 8),
             )
         elif ptype == _CTRL:
             subtype, value = _CTRL_BODY.unpack_from(frame, off)

@@ -54,6 +54,7 @@ class TcpReceiver:
         "_delack_deadline", "_pending_packet", "expected", "_out_of_order",
         "_sack_set", "_sack_rotate", "packets_received", "packets_delivered",
         "duplicates", "_ack_route", "on_deliver", "ack_extension", "_sched",
+        "acked_packet",
         # Tests and fault hooks may wrap methods on live instances.
         "__dict__",
     )
@@ -90,6 +91,8 @@ class TcpReceiver:
         self.packets_delivered = 0     # delivered in order
         self.duplicates = 0
         self._ack_route: Optional[Tuple] = None
+        #: the data packet the most recent ACK answered (None before it).
+        self.acked_packet: Optional[DataPacket] = None
         #: in-order delivery callback (packet) — MPTCP reassembly hooks this.
         self.on_deliver: Optional[Callable[[DataPacket], None]] = None
         #: returns (data_ack, rwnd) stamped on every ACK — MPTCP hooks this.
@@ -166,6 +169,16 @@ class TcpReceiver:
         self._clear_delack()
         self._send_ack(packet)
 
+    def send_window_update(self) -> None:
+        """Advertise ``ack_extension`` afresh although nothing arrived (an
+        application read reopened the MPTCP receive window).  A pending
+        delayed ACK is released early and carries it; otherwise the last
+        ACK is repeated, marked ``window_update``."""
+        if self._pending_packet is not None:
+            self._emit_pending_ack()
+        elif self.acked_packet is not None:
+            self._send_ack(self.acked_packet, window_update=True)
+
     def _clear_delack(self) -> None:
         # The armed heap event, if any, is left to fire as a no-op (or
         # re-arm towards a newer deadline) instead of being cancelled.
@@ -222,10 +235,11 @@ class TcpReceiver:
             blocks.extend(rotated[: MAX_SACK_BLOCKS - len(blocks)])
         return tuple(blocks)
 
-    def _send_ack(self, data_packet: DataPacket) -> None:
+    def _send_ack(self, data_packet: DataPacket, window_update: bool = False) -> None:
         route = self._ack_route
         if route is None:
             raise RuntimeError(f"receiver {self.name!r} has no ACK route")
+        self.acked_packet = data_packet
         data_ack, rwnd = (None, None)
         if self.ack_extension is not None:
             data_ack, rwnd = self.ack_extension()
@@ -238,10 +252,13 @@ class TcpReceiver:
             rwnd,
             data_packet.is_retransmit,
             # _sack_blocks_for's empty cases hoisted: the common in-order
-            # ACK carries no blocks and should not pay the call.
+            # ACK carries no blocks and should not pay the call.  (The SACK
+            # set holds exactly the buffered ranges; the dict's truth is a
+            # C-level test, the set's a Python call.)
             self._sack_blocks_for(data_packet.seq)
-            if self.enable_sack and self._sack_set
+            if self.enable_sack and self._out_of_order
             else (),
+            window_update,
         )
         # ack.send() inlined (hop is 0 from construction).
         route[0].receive(ack)

@@ -25,7 +25,9 @@ implementation is retained there as the reference for the equivalence
 property test).
 
 A multipath subflow subclasses this sender and plugs the connection-level
-data-sequence machinery into ``_acquire_payload`` / ``_process_ack_extras``.
+data-sequence machinery into the ``next_dsn`` / ``on_ack_extension`` hooks
+(the sending-side twins of the receiver's ``on_deliver`` /
+``ack_extension``).
 
 Sequence numbers count packets from 0; ``last_acked`` is the cumulative ACK
 (the next sequence number the receiver expects).
@@ -61,6 +63,7 @@ class TcpSender:
         "_timer_deadline", "_data_route", "_route", "_dsn_map",
         "packets_sent", "retransmissions", "loss_events", "timeouts",
         "running", "completed", "retired", "on_complete", "_sched",
+        "next_dsn", "on_ack_extension",
         # Fault injection (repro.fault) wraps .receive on live instances,
         # and tests attach ad-hoc probes; keep a dict alongside the slots.
         "__dict__",
@@ -122,6 +125,13 @@ class TcpSender:
 
         # Data-sequence mapping for multipath (seq -> dsn).
         self._dsn_map: Dict[int, Optional[int]] = {}
+        #: returns the next data sequence number to carry, or None when
+        #: the connection has nothing we may send — MPTCP hooks this.
+        self.next_dsn: Optional[Callable[[], Optional[int]]] = None
+        #: called with every ACK's (data_ack, rwnd) — MPTCP hooks this.
+        self.on_ack_extension: Optional[
+            Callable[[Optional[int], Optional[int]], None]
+        ] = None
 
         # Statistics.
         self.packets_sent = 0
@@ -220,22 +230,54 @@ class TcpSender:
             window += self.dup_acks
         return window
 
-    def _pipe(self) -> int:
-        """SACK pipe estimate: packets believed to be in the network."""
-        sb = self._sb
-        return (
-            self.highest_sent - self.last_acked
-            - sb.n_sacked - sb.n_lost + sb.n_rtx
-        )
-
     def maybe_send(self) -> None:
         """Send as much as the window (or the SACK pipe rule) allows."""
         if not self.running:
             return
-        if self.in_recovery and self.enable_sack:
-            self._sack_recovery_send()
-        else:
-            self._window_send()
+        # The window bound is loop-invariant: nothing below touches cwnd,
+        # dup_acks or the recovery flags.
+        window = self.effective_window()
+        sack_recovery = self.in_recovery and self.enable_sack
+        sb = self._sb
+        next_dsn = self.next_dsn
+        while True:
+            seq = self.highest_sent
+            if sack_recovery:
+                # SACK pipe estimate: packets believed to be in the
+                # network.  Retransmissions go first, then new data.
+                pipe = seq - self.last_acked - sb.n_sacked - sb.n_lost + sb.n_rtx
+                if pipe >= window:
+                    break
+                if sb.n_lost:
+                    self._fast_retransmit(sb.pop_min_lost())
+                    continue
+            elif seq - self.last_acked >= window:
+                break
+            if seq < self.max_seq_sent:
+                # Go-back-N territory after a timeout: resend old sequence
+                # numbers with their original payload mapping, skipping any
+                # the scoreboard says the receiver already holds.
+                if not (self.enable_sack and sb.is_sacked(seq)):
+                    self._transmit(seq, self._dsn_map.get(seq), is_retransmit=True)
+            else:
+                if next_dsn is None:
+                    # Plain TCP consults its application source and carries
+                    # no DSN, so it skips the mapping dict entirely.
+                    limit = self.source.limit
+                    if limit is not None and seq >= limit:
+                        break
+                    dsn = None
+                else:
+                    # Multipath: the connection hands out the next data
+                    # sequence number, or refuses (transfer finished, or
+                    # the shared receive buffer of §6 blocks new data).
+                    dsn = next_dsn()
+                    if dsn is None:
+                        break
+                    self._dsn_map[seq] = dsn
+                self._transmit(seq, dsn, is_retransmit=False)
+                self.max_seq_sent = seq + 1
+            self.highest_sent = seq + 1
         # Arm the timer if idle, but do not push an existing deadline out:
         # only forward progress (a new cumulative ACK) may do that,
         # otherwise a steady stream of duplicate ACKs would forever postpone
@@ -249,63 +291,6 @@ class TcpSender:
                 )
         else:
             self._timer_deadline = None
-
-    def _window_send(self) -> None:
-        # The window bound is loop-invariant: nothing inside _send_next
-        # touches cwnd, dup_acks or the recovery flags.
-        window = self.effective_window()
-        while self.highest_sent - self.last_acked < window:
-            if not self._send_next():
-                break
-
-    def _sack_recovery_send(self) -> None:
-        window = int(self.cwnd + 1e-9)
-        sb = self._sb
-        while (
-            self.highest_sent - self.last_acked
-            - sb.n_sacked - sb.n_lost + sb.n_rtx
-        ) < window:
-            if sb.n_lost:
-                self._fast_retransmit(sb.pop_min_lost())
-            elif not self._send_next():
-                break
-
-    def _send_next(self) -> bool:
-        """Transmit the next packet at the send cursor.  Returns False when
-        no data is available (source exhausted / flow-control limited)."""
-        seq = self.highest_sent
-        if seq < self.max_seq_sent:
-            # Go-back-N territory after a timeout: resend old sequence
-            # numbers with their original payload mapping, skipping any the
-            # scoreboard says the receiver already holds.
-            if self.enable_sack and self._sb.is_sacked(seq):
-                self.highest_sent = seq + 1
-                return True
-            self._transmit(seq, self._dsn_map.get(seq), is_retransmit=True)
-        else:
-            acquired, dsn = self._acquire_payload(seq)
-            if not acquired:
-                return False
-            if dsn is not None:
-                # Single-path flows never carry a DSN, so they skip the
-                # mapping dict entirely (and _release_mappings early-outs).
-                self._dsn_map[seq] = dsn
-            self._transmit(seq, dsn, is_retransmit=False)
-            self.max_seq_sent = seq + 1
-        self.highest_sent = seq + 1
-        return True
-
-    def _acquire_payload(self, seq: int) -> Tuple[bool, Optional[int]]:
-        """Decide whether new data is available for sequence ``seq``.
-
-        Plain TCP consults its application source; multipath subflows
-        override this to pull the next data sequence number from the
-        connection (respecting connection-level flow control).
-        """
-        limit = self.source.limit
-        if limit is not None and seq >= limit:
-            return False, None
-        return True, None
 
     def _transmit(self, seq: int, dsn: Optional[int], is_retransmit: bool) -> None:
         route = self._data_route
@@ -347,43 +332,61 @@ class TcpSender:
     def receive(self, ack: AckPacket) -> None:
         if not isinstance(ack, AckPacket):
             raise TypeError(f"sender got non-ACK packet {ack!r}")
-        self._process_ack_extras(ack)
-        self._update_scoreboard(ack)
-        ackno = ack.ack_seq
-        if ackno > self.last_acked:
-            self._on_new_ack(ackno, ack)
-        elif ackno == self.last_acked and self.highest_sent > ackno:
-            self._on_dup_ack()
-        if self.in_recovery and self.enable_sack:
-            self._sb.detect_losses(DUP_THRESH)
-        self.maybe_send()
-
-    def _process_ack_extras(self, ack: AckPacket) -> None:
-        """Hook for multipath subflows: data ACK and receive window."""
-
-    def _update_scoreboard(self, ack: AckPacket) -> None:
-        blocks = ack.sack_blocks
-        if not blocks or not self.enable_sack:
+        if self.retired:
+            # A retired subflow no longer belongs to its connection or
+            # controller; a late ACK still in flight at retirement time
+            # must not feed data ACKs or window updates into state it
+            # left behind.
             return
-        sb = self._sb
-        for start, end in blocks:
-            # mark_sacked clamps to the scoreboard base (== last_acked)
-            # and drops covered sequences from the lost/rtx marks — the
-            # old IntervalSet add plus in-place difference updates (see
-            # the property test in tests/test_properties.py).
-            sb.mark_sacked(start, end)
+        if self.on_ack_extension is not None:
+            self.on_ack_extension(ack.data_ack, ack.rwnd)
+        if not ack.window_update:
+            # A pure window update repeats the last ACK for its fresh
+            # (data_ack, rwnd) alone: it reports no arrival, so it is
+            # neither a duplicate ACK nor an RTT sample.
+            blocks = ack.sack_blocks
+            if blocks and self.enable_sack:
+                # mark_sacked clamps to the scoreboard base (== last_acked)
+                # and drops covered sequences from the lost/rtx marks — the
+                # old IntervalSet add plus in-place difference updates (see
+                # the property test in tests/test_properties.py).
+                mark_sacked = self._sb.mark_sacked
+                for start, end in blocks:
+                    mark_sacked(start, end)
+            ackno = ack.ack_seq
+            if ackno > self.last_acked:
+                self._on_new_ack(ackno, ack)
+            elif ackno == self.last_acked and self.highest_sent > ackno:
+                self._on_dup_ack()
+            if self.in_recovery and self.enable_sack:
+                self._sb.detect_losses(DUP_THRESH)
+        self.maybe_send()
 
     def _on_new_ack(self, ackno: int, ack: AckPacket) -> None:
         newly_acked = ackno - self.last_acked
-        self._sample_rtt(ackno, ack)
-        self._release_mappings(self.last_acked, ackno)
+        sb = self._sb
+        # Take an RTT sample unless Karn's algorithm forbids it.  A sample
+        # is ambiguous when the ACK echoes a retransmitted segment's
+        # timestamp, or when the cumulative ACK advance covers any sequence
+        # number that was ever retransmitted: the acknowledgment could
+        # belong to the original transmission or to the copy, and folding
+        # the wrong round trip into SRTT corrupts the RTO (RFC 6298 §5 /
+        # Karn & Partridge).  Suppressing the sample also leaves the timer
+        # backoff in force until an unambiguous segment round-trips.  (The
+        # pending marks themselves are consumed by the advance below.)
+        if not ack.for_retransmit and not (sb.n_retx and sb.retx_below(ackno)):
+            self.rtt.sample(max(1e-9, self._sched.now - ack.echo_timestamp))
+        dsn_map = self._dsn_map
+        if dsn_map:  # never populated on a single-path flow
+            pop = dsn_map.pop
+            for seq in range(self.last_acked, ackno):
+                pop(seq, None)
         self.last_acked = ackno
         if ackno > self.highest_sent:
             # Can happen after a go-back-N rewind when in-flight copies of
             # old segments arrive: fast-forward the send cursor.
             self.highest_sent = ackno
         self.dup_acks = 0
-        sb = self._sb
         # One pass drops everything below the new cumulative ACK: SACKed
         # ranges, lost/rtx marks and consumed Karn ambiguity marks.
         sb.advance(ackno)
@@ -405,7 +408,16 @@ class TcpSender:
                 else:
                     self._fast_retransmit(ackno)
         else:
-            self._grow_window(newly_acked)
+            for _ in range(newly_acked):
+                if self.cwnd < self.ssthresh:
+                    self.cwnd += 1.0  # slow start
+                else:
+                    self.controller.on_ack(self)
+                if self.cwnd >= self.max_cwnd:
+                    self.cwnd = self.max_cwnd
+                    break
+            if self.trace.enabled:
+                self._trace_cwnd("ack")
 
         # Re-arm the RTO from the new forward-progress point.
         if self.highest_sent > ackno and self.running:
@@ -417,35 +429,16 @@ class TcpSender:
                 )
         else:
             self._timer_deadline = None
-        self._check_complete()
-
-    def _sample_rtt(self, ackno: int, ack: AckPacket) -> None:
-        """Take an RTT sample unless Karn's algorithm forbids it.
-
-        A sample is ambiguous when the ACK echoes a retransmitted
-        segment's timestamp, or when the cumulative ACK advance covers any
-        sequence number that was ever retransmitted: the acknowledgment
-        could belong to the original transmission or to the copy, and
-        folding the wrong round trip into SRTT corrupts the RTO (RFC 6298
-        §5 / Karn & Partridge).  Suppressing the sample also leaves the
-        timer backoff in force until an unambiguous segment round-trips.
-        (The pending marks themselves are consumed by the scoreboard
-        advance in ``_on_new_ack``.)
-        """
-        if not ack.for_retransmit and not self._sb.retx_below(ackno):
-            self.rtt.sample(max(1e-9, self._sched.now - ack.echo_timestamp))
-
-    def _grow_window(self, newly_acked: int) -> None:
-        for _ in range(newly_acked):
-            if self.cwnd < self.ssthresh:
-                self.cwnd += 1.0  # slow start
-            else:
-                self.controller.on_ack(self)
-            if self.cwnd >= self.max_cwnd:
-                self.cwnd = self.max_cwnd
-                break
-        if self.trace.enabled:
-            self._trace_cwnd("ack")
+        # Completion.  A subflow's source has no limit: completing is the
+        # connection's business (its data cumulative ACK reaching the
+        # transfer size), and the connection stops its subflows.
+        limit = self.source.limit
+        if limit is not None and ackno >= limit and not self.completed:
+            self.completed = True
+            self.running = False
+            self._cancel_timer()
+            if self.on_complete is not None:
+                self.on_complete(self)
 
     def _on_dup_ack(self) -> None:
         self.dup_acks += 1
@@ -472,23 +465,6 @@ class TcpSender:
         sb.clear_episode()
         sb.mark_rtx(self.last_acked)
         self._fast_retransmit(self.last_acked)
-
-    def _release_mappings(self, lo: int, hi: int) -> None:
-        dsn_map = self._dsn_map
-        if not dsn_map:
-            return  # single-path flow: the map is never populated
-        pop = dsn_map.pop
-        for seq in range(lo, hi):
-            pop(seq, None)
-
-    def _check_complete(self) -> None:
-        limit = self.source.limit
-        if limit is not None and self.last_acked >= limit and not self.completed:
-            self.completed = True
-            self.running = False
-            self._cancel_timer()
-            if self.on_complete is not None:
-                self.on_complete(self)
 
     # ------------------------------------------------------------------
     # Retransmission timer

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.check import InvariantMonitor
 from repro.net.pipe import LossyPipe
@@ -10,6 +11,23 @@ from repro.net.queue import DropTailQueue
 from repro.net.route import Route
 from repro.obs import TraceBus
 from repro.sim.simulation import Simulation
+
+# Tier-1 is deterministic: every property test replays the same examples
+# on every run (derandomize also switches the example database off), so
+# "no worse than the seed" is decidable.  Searching for new
+# counter-examples is a separate act — ``--hypothesis-profile=explore``,
+# which CI runs as a non-blocking job that uploads what it finds.
+settings.register_profile(
+    "tier1", derandomize=True, deadline=None, print_blob=True
+)
+settings.register_profile("explore", deadline=None, print_blob=True)
+
+
+def pytest_configure(config):
+    # The Hypothesis plugin loads a profile named on the command line
+    # itself; tier1 is only the default.
+    if not config.getoption("--hypothesis-profile", default=None):
+        settings.load_profile("tier1")
 
 
 @pytest.fixture

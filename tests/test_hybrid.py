@@ -4,7 +4,7 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.check import InvariantMonitor
@@ -295,6 +295,9 @@ class TestScale:
     ),
     horizon=st.floats(min_value=2.0, max_value=25.0),
 )
+# Found by the random search: post-step rates against the previous step's
+# served fractions read 0.1012 % over capacity.
+@example(caps=[51.0, 2511.0], counts=[6], algo="coupled", horizon=7.0)
 def test_fluid_throughput_never_exceeds_capacity(caps, counts, algo, horizon):
     sim = HybridSimulation(seed=17, dt=0.01)
     routes = [clean_route(sim, cap, f"l{i}") for i, cap in enumerate(caps)]
@@ -315,9 +318,9 @@ def test_fluid_throughput_never_exceeds_capacity(caps, counts, algo, horizon):
     # same rates the links' served fractions were computed from.
     assert sum(fc.packets_delivered for fc in classes) \
         <= sum(caps) * horizon * (1.0 + 1e-9)
-    # The instantaneous estimator reads post-step windows against the
-    # last step's served fractions, so it gets one dt of slack.
+    # So is the rate estimator: it reads the rates the last step deposited
+    # against the served fractions they produced.
     assert sum(fc.throughput_pps() for fc in classes) \
-        <= sum(caps) * 1.001
+        <= sum(caps) * (1.0 + 1e-9)
     for fc in classes:
         assert all(math.isfinite(w) and w >= fc.floor for w in fc.windows)

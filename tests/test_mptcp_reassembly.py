@@ -40,6 +40,32 @@ class TestDataReassembler:
             r.receive(dsn)
         assert seen == [0, 1, 2, 3, 4]
 
+    def test_listener_sees_the_stream_already_advanced(self):
+        """``on_data`` is per DSN and in order even when one arrival
+        releases a held run, and each call finds ``data_cum_ack`` and
+        ``delivered`` already past its DSN, with the payload it held."""
+        r = DataReassembler()
+        seen = []
+        r.on_data = lambda dsn, payload: seen.append(
+            (dsn, payload, r.data_cum_ack, r.delivered))
+        for dsn in (3, 1, 2):
+            r.receive(dsn, f"p{dsn}")
+        assert seen == []
+        r.receive(0, "p0")
+        assert seen == [(d, f"p{d}", d + 1, d + 1) for d in range(4)]
+
+    def test_held_run_released_in_one_call_without_a_listener(self):
+        r = DataReassembler()
+        for dsn in (4, 2, 1, 6, 0, 3, 5):
+            assert r.receive(dsn)
+            assert r.delivered == r.data_cum_ack
+        assert r.data_cum_ack == 7
+        assert r.buffered == 0
+        assert not r.receive(3)           # below the cumulative ACK
+        r.receive(9)
+        assert not r.receive(9)           # already held
+        assert r.duplicates == 2 and r.delivered == 7
+
     def test_interleaving_two_subflow_streams(self):
         """DSNs striped across two subflows arrive interleaved; the stream
         reassembles regardless of per-subflow ordering."""

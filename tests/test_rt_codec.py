@@ -49,6 +49,7 @@ ack_packets = st.builds(
     st.one_of(st.none(), i64),        # rwnd
     st.booleans(),                    # for_retransmit
     st.lists(st.tuples(u64, u64), max_size=16).map(tuple),  # sack_blocks
+    st.booleans(),                    # window_update
 )
 
 options = st.one_of(
@@ -65,7 +66,7 @@ def _data_fields(p: DataPacket):
 
 def _ack_fields(p: AckPacket):
     return (p.ack_seq, p.echo_timestamp, p.data_ack, p.rwnd,
-            p.for_retransmit, tuple(p.sack_blocks))
+            p.for_retransmit, tuple(p.sack_blocks), p.window_update)
 
 
 @given(channel=u32, packet=data_packets, pad=st.booleans())

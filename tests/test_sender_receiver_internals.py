@@ -125,6 +125,58 @@ class TestDelayedAcks:
         assert len(trap.acks) == count
 
 
+class TestWindowUpdate:
+    """A pure window update advertises ``ack_extension`` afresh without a
+    data arrival (repro.mptcp: an application read reopened the window)."""
+
+    def test_repeats_the_last_ack_marked(self, sim):
+        receiver, trap = make_receiver(sim, delayed_ack=1)
+        window = [(7, 0)]
+        receiver.ack_extension = lambda: window[-1]
+        feed(receiver, 0)
+        window.append((7, 4))
+        receiver.send_window_update()
+        first, update = trap.acks
+        assert not first.window_update and update.window_update
+        assert (update.ack_seq, update.echo_timestamp) \
+            == (first.ack_seq, first.echo_timestamp)
+        assert (first.rwnd, update.rwnd) == (0, 4)
+
+    def test_releases_a_pending_delayed_ack_instead(self, sim):
+        receiver, trap = make_receiver(sim, delayed_ack=2)
+        feed(receiver, 0)              # held (delayed)
+        receiver.send_window_update()
+        assert [(a.ack_seq, a.window_update) for a in trap.acks] \
+            == [(1, False)]
+        sim.run_until(1.0)             # and the timer finds nothing left
+        assert len(trap.acks) == 1
+
+    def test_nothing_to_repeat_before_the_first_ack(self, sim):
+        receiver, trap = make_receiver(sim)
+        receiver.send_window_update()
+        assert trap.acks == []
+
+    def test_sender_takes_it_for_neither_dupack_nor_rtt_sample(self, sim):
+        sender = TcpSender(sim, RenoController(), name="tx")
+        sender.attach(lossy_route(sim, 0.0), TcpReceiver(sim, name="rx"))
+        seen = []
+        sender.on_ack_extension = lambda data_ack, rwnd: seen.append(rwnd)
+        sender.running = True
+        sender.highest_sent = sender.max_seq_sent = 5
+        for rwnd in (1, 2, 3):
+            sender.receive(AckPacket(
+                (sender,), flow=sender, ack_seq=0, echo_timestamp=0.0,
+                rwnd=rwnd, window_update=True))
+        assert seen == [1, 2, 3]
+        assert sender.dup_acks == 0 and sender.loss_events == 0
+        # Not even when it is the first to report a cumulative advance
+        # (the ACK it repeats was lost): its echo is stale.
+        sender.receive(AckPacket(
+            (sender,), flow=sender, ack_seq=2, echo_timestamp=0.0,
+            window_update=True))
+        assert sender.rtt.srtt is None and sender.last_acked == 0
+
+
 class TestSenderRecoveryInternals:
     def _sender(self, sim, **kwargs):
         sender = TcpSender(sim, RenoController(), name="tx", **kwargs)

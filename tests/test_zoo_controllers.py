@@ -230,7 +230,7 @@ class TestBaseRtt:
         """base_rtt is a running minimum of exactly the admitted samples:
         monotonically non-increasing, equal to min(delivered so far), and
         indifferent to any Karn-suppressed subsequence (suppressed
-        samples never reach ``sample()``, as in TcpSender._sample_rtt)."""
+        samples never reach ``sample()``, as in TcpSender._on_new_ack)."""
         est = RttEstimator()
         assert est.base_rtt is None
         delivered = []
