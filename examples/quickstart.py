@@ -22,7 +22,7 @@ from repro import (
     measure,
     pps_to_mbps,
 )
-from repro.obs import EVENT_TYPES
+from repro.obs import DEFAULT_EVENTS
 
 
 def main(trace_path: str = None) -> None:
@@ -32,7 +32,7 @@ def main(trace_path: str = None) -> None:
         # scheduler dispatch and would dwarf everything else.
         bus = TraceBus(
             sinks=[JsonlSink(trace_path)],
-            events=set(EVENT_TYPES) - {"engine.event_fired"},
+            events=DEFAULT_EVENTS,
         )
     sim = Simulation(seed=1, trace=bus)
     net = Network(sim)

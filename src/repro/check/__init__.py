@@ -3,7 +3,7 @@
 See ``docs/CHECKING.md``.  The package has two halves:
 
 * :mod:`repro.check.invariants` — the :class:`InvariantMonitor` trace sink
-  and the :class:`InvariantViolation` it raises, carrying the offending
+  and the :class:`InvariantViolation` it raises, carrying the reporting
   event and a replayable trace-tail.
 * :mod:`repro.check.hooks` — :class:`CheckContext`, which composes
   monitoring (and :mod:`repro.fault` schedules) with

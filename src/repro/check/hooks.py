@@ -42,6 +42,7 @@ from typing import List, Optional
 from ..exp.spec import ScenarioSpec
 from ..fault.faults import Fault, arm_faults
 from ..fault.spec import FaultSpec, resolve_faults
+from ..obs.schema import DEFAULT_EVENTS
 from ..obs.trace import TraceBus
 from ..sim.simulation import Simulation
 from .invariants import InvariantMonitor
@@ -56,12 +57,14 @@ _BUS_OVERRIDE: List[Optional[TraceBus]] = [None]
 def trace_override(bus: Optional[TraceBus]):
     """Make monitored point functions run on ``bus`` (instead of a
     private, sinkless one) for the duration of the block; ``None`` is a
-    no-op, so callers with an optional bus need no branch."""
-    _BUS_OVERRIDE[0] = bus
+    no-op, so callers with an optional bus need no branch.  Blocks nest:
+    leaving one puts back what was in force when it was entered."""
+    outer = _BUS_OVERRIDE[0]
+    _BUS_OVERRIDE[0] = outer if bus is None else bus
     try:
         yield bus
     finally:
-        _BUS_OVERRIDE[0] = None
+        _BUS_OVERRIDE[0] = outer
 
 
 class CheckContext:
@@ -99,7 +102,7 @@ class CheckContext:
         if not self.active:
             self.sim = cls(seed=self.seed, **sim_kwargs)
             return self.sim
-        bus = _BUS_OVERRIDE[0] if _BUS_OVERRIDE[0] is not None else TraceBus()
+        bus = _BUS_OVERRIDE[0] or TraceBus(events=DEFAULT_EVENTS)
         self.sim = cls(seed=self.seed, trace=bus, **sim_kwargs)
         self.monitor = InvariantMonitor()
         self.monitor.attach(self.sim)

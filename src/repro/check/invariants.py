@@ -5,10 +5,10 @@ never loses or duplicates stream bytes, the single shared receive buffer
 never overcommits, the MPTCP/LIA increase never exceeds regular TCP's.
 The test suite historically asserted them at end-of-run; the
 :class:`InvariantMonitor` instead subscribes to the
-:class:`~repro.obs.trace.TraceBus` and re-checks them at **every trace
-event**, so the first inconsistent state stops the run with a
-:class:`InvariantViolation` carrying the offending event and a trace-tail
-for replay.
+:class:`~repro.obs.trace.TraceBus` and checks each record against its own
+fields and against the live state of **the one component it names**, so
+an inconsistent state stops the run with a :class:`InvariantViolation`
+carrying the reporting event and a trace-tail for replay.
 
 Checked invariants
 ------------------
@@ -21,8 +21,8 @@ Checked invariants
     queue's monotonic ``total_*`` counters, which a reset does not touch,
     tell that shift from a leak.
 ``queue_bounds``
-    ``0 <= occupancy <= capacity`` for every queue, also re-checked from
-    each ``pkt.enqueue`` event's ``occ`` field.
+    ``0 <= occupancy <= capacity`` for the queue a record names, also
+    re-checked from each ``pkt.enqueue`` event's ``occ`` field.
 ``window_sanity``
     On every ``cc.cwnd_update``: cwnd positive, within
     ``[min_cwnd, max_cwnd]``, ssthresh positive when set.
@@ -44,22 +44,27 @@ Checked invariants
     (0, 1, 2, ...).  Connection level: the reassembler has delivered
     exactly ``data_cum_ack`` packets — each DSN exactly once.
 
-Cost model
-----------
+Detection points and cost model
+-------------------------------
 
-Every record the monitor sees — ``engine.event_fired`` included, about
-half of a packet run's records — gets its event-driven check (one
-memoised dict lookup finds it) and then one *sweep* over every watched
-queue and receiver.  A sweep's common case is a few attribute reads and
-one comparison per component; only a component that fails the comparison
-reaches the slow path that tells a counter reset from a leak and words
-the violation.  ``docs/CHECKING.md`` ("What a checked run costs") has the
-measured slowdown.  The dense-delivery and DSN checks need *every*
-record, so a monitored bus must not be ``pause()``d mid-run.
+``pkt.enqueue`` / ``pkt.drop`` check the watched queues of the name they
+carry (one, unless names are empty or shared), ``pkt.deliver`` /
+``mptcp.dsn_ack`` the receiver that flow or connection delivers to; a name
+that resolves to nothing checks *every* queue, or receiver, and
+:meth:`InvariantMonitor.finish` checks everything.  A breach is thus
+reported at the next record naming the broken component
+(``docs/CHECKING.md``: why that loses no violation, the blind spots it
+widens, the measured slowdown).  A record costs one memoised dict lookup
+for its check, the check of its own fields, and a few attribute reads and
+one comparison per named component; only a failed comparison reaches the
+slow path that tells a counter reset from a leak and words the violation.
+The dense-delivery and DSN checks need *every* record, so a monitored bus
+must not be ``pause()``d mid-run.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -94,7 +99,7 @@ class InvariantViolation(AssertionError):
         Human-readable description with the offending values.
     ``event``
         The trace record being processed when the violation was detected
-        (None for state-sweep violations with no single trigger event).
+        (None when ``finish()``'s sweep or a controller's ``on_ack`` found it).
     ``tail``
         The last trace records up to the violation, in emission order,
         ending with ``event`` itself when there is one (a record enters
@@ -149,11 +154,11 @@ _BOOKKEEPING = object()
 
 
 class InvariantMonitor(TraceSink):
-    """A trace sink that checks protocol invariants at every event.
+    """A trace sink that checks each record, and the component it names.
 
     Usage::
 
-        bus = TraceBus()
+        bus = TraceBus(events=DEFAULT_EVENTS)
         sim = Simulation(seed=1, trace=bus)
         monitor = InvariantMonitor()
         monitor.attach(sim)          # watches everything built on sim
@@ -184,12 +189,15 @@ class InvariantMonitor(TraceSink):
         self.senders: List[TcpSender] = []
         self.conns: List[MptcpConnection] = []
         self.receivers: List[MptcpReceiver] = []
-        self._queues_by_name: Dict[str, DropTailQueue] = {}
         self._senders_by_name: Dict[str, TcpSender] = {}
         self._wrapped_controllers: Dict[int, Any] = {}
 
         # Per-entity check state.
         self._queue_watch: List[_QueueWatch] = []  # one per entry of queues
+        # The same watches by queue name: lists, so that queues sharing a
+        # name (or unnamed) are checked together rather than not at all.
+        self._watches_named: Dict[str, List[_QueueWatch]] = {}
+        self._receivers_of = functools.cache(self._find_receivers)  # by name
         self._next_deliver: Dict[str, int] = {}   # flow name -> next seq
         self._last_data_ack: Dict[str, int] = {}  # conn name -> data_ack
 
@@ -199,11 +207,12 @@ class InvariantMonitor(TraceSink):
         self.violations = 0
         self._finished = False
 
-        # Event type -> its event-driven check, None for a type that only
-        # triggers the sweep, _BOOKKEEPING for one the monitor ignores;
+        # Event type -> its check, None for a type that names nothing the
+        # monitor watches, _BOOKKEEPING for one it does not even count;
         # write() memoises every type it meets here.
         self._route: Dict[str, Any] = {
             "pkt.enqueue": self._check_enqueue,
+            "pkt.drop": self._check_drop,
             "pkt.deliver": self._check_deliver,
             "cc.cwnd_update": self._check_cwnd_update,
             "mptcp.dsn_ack": self._check_dsn_ack,
@@ -231,9 +240,9 @@ class InvariantMonitor(TraceSink):
     def _watch(self, component: Any) -> None:
         if isinstance(component, DropTailQueue):
             self.queues.append(component)
-            if component.name:
-                self._queues_by_name[component.name] = component
-            self._queue_watch.append(_QueueWatch(component))
+            watch = _QueueWatch(component)
+            self._queue_watch.append(watch)
+            self._watches_named.setdefault(component.name, []).append(watch)
         elif isinstance(component, TcpSender):
             self.senders.append(component)
             if component.name:
@@ -288,28 +297,25 @@ class InvariantMonitor(TraceSink):
         self.events_seen += 1
         if check is not None:
             check(record)
-        self._sweep(record)
-
-    def flush(self) -> None:
-        pass
-
-    def close(self) -> None:
-        pass
 
     # ------------------------------------------------------------------
-    # Event-driven checks
+    # Per-record checks: the record's fields, then the component it names
     # ------------------------------------------------------------------
     def _check_enqueue(self, record: dict) -> None:
         self.checks_run += 1
-        queue = self._queues_by_name.get(record["queue"])
-        capacity = queue.capacity if queue is not None else None
-        if capacity is not None and record["occ"] > capacity:
+        watches = self._watches_named.get(record["queue"], ())
+        if len(watches) == 1 and record["occ"] > watches[0].queue.capacity:
             self._violate(
                 "queue_bounds",
                 f"queue {record['queue']!r} enqueued to occupancy "
-                f"{record['occ']} > capacity {capacity}",
+                f"{record['occ']} > capacity {watches[0].queue.capacity}",
                 record,
             )
+        self._sweep(watches or self._queue_watch, (), record)
+
+    def _check_drop(self, record: dict) -> None:
+        watches = self._watches_named.get(record["elem"])
+        self._sweep(watches or self._queue_watch, (), record)
 
     def _check_deliver(self, record: dict) -> None:
         self.checks_run += 1
@@ -325,6 +331,7 @@ class InvariantMonitor(TraceSink):
                 record,
             )
         self._next_deliver[flow] = seq + 1
+        self._sweep((), self._receivers_of(flow), record)
 
     def _check_cwnd_update(self, record: dict) -> None:
         self.checks_run += 1
@@ -381,22 +388,34 @@ class InvariantMonitor(TraceSink):
                 f"{rwnd}",
                 record,
             )
+        self._sweep((), self._receivers_of(conn), record)
 
     # ------------------------------------------------------------------
-    # State sweeps
+    # Live state of the named components
     # ------------------------------------------------------------------
-    def _sweep(self, record: Optional[dict]) -> None:
-        """Re-check every watched queue and receiver against live state.
+    def _find_receivers(self, name: str) -> List[MptcpReceiver]:
+        """The receivers behind ``name`` (a subflow's in ``pkt.deliver``, its
+        connection's in ``mptcp.dsn_ack``): where the senders so named
+        deliver, else every receiver — that list itself, as it may grow."""
+        ends = {
+            s._data_route[-1] for s in self.senders if s._data_route and name
+            in (s.name, getattr(getattr(s, "connection", None), "name", None))
+        }
+        found = [
+            r for r in self.receivers if not ends.isdisjoint(r.subflow_receivers)
+        ]
+        return found or self.receivers
 
-        The loops below are the fast path: slot reads and one comparison
-        per component, nothing allocated or stored.  A component whose
+    def _sweep(self, watches, receivers, record: Optional[dict]) -> None:
+        """Re-check these queue watches and receivers against live state.
+
+        The loops below are the fast path: slot reads, the count and one
+        comparison per component, nothing allocated.  A component whose
         comparison fails is handed to a ``_recheck_*`` method, which works
         out what (if anything) is wrong and builds the violation.
         """
-        watches = self._queue_watch
-        receivers = self.receivers
-        self.checks_run += len(watches) + len(receivers)
         for watch in watches:
+            self.checks_run += 1
             queue = watch.queue
             occ = len(queue._buffer)  # queue.occupancy, minus the call
             if (
@@ -407,6 +426,7 @@ class InvariantMonitor(TraceSink):
                 continue
             self._recheck_queue(watch, record)
         for receiver in receivers:
+            self.checks_run += 1
             reassembler = receiver.reassembler
             buffer = receiver.buffer
             if (
@@ -526,7 +546,7 @@ class InvariantMonitor(TraceSink):
         if self._finished:
             return
         self._finished = True
-        self._sweep(None)
+        self._sweep(self._queue_watch, self.receivers, None)
         if self.bus is not None and self.bus.enabled:
             self.bus.emit(
                 "check.stats",

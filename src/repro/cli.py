@@ -66,6 +66,7 @@ from .harness.table import Table
 from .metrics import jain_index
 from .net.network import pps_to_mbps
 from .obs import (
+    DEFAULT_EVENTS,
     EVENT_TYPES,
     FilterSink,
     JsonlSink,
@@ -358,9 +359,9 @@ def _cmd_check(args) -> int:
     to_stdout = args.out == "-"
     # The FilterSink narrows the JSONL output to check.*/fault.* records
     # while the invariant monitor (attached to the same bus inside the
-    # point function) still sees the full event stream.
+    # point function) still sees everything the bus records.
     sink = JsonlSink(sys.stdout if to_stdout else args.out)
-    bus = TraceBus(sinks=[FilterSink(sink, CHECK_EVENTS)])
+    bus = TraceBus(sinks=[FilterSink(sink, CHECK_EVENTS)], events=DEFAULT_EVENTS)
     log = sys.stderr if to_stdout else sys.stdout
     try:
         with trace_override(bus):
@@ -418,7 +419,8 @@ def _cmd_handover(args) -> int:
     sink = bus = None
     if args.trace:
         sink = JsonlSink(args.trace)
-        bus = TraceBus(sinks=[FilterSink(sink, PATHMGR_EVENTS | CHECK_EVENTS)])
+        kept = FilterSink(sink, PATHMGR_EVENTS | CHECK_EVENTS)
+        bus = TraceBus(sinks=[kept], events=DEFAULT_EVENTS)
     try:
         with trace_override(bus):
             row = SCENARIOS["wifi_3g_handover"](spec)
@@ -462,7 +464,7 @@ def _cmd_rt(args) -> int:
     sink = bus = None
     if args.trace:
         sink = JsonlSink(args.trace)
-        bus = TraceBus(sinks=[sink])
+        bus = TraceBus(sinks=[sink], events=DEFAULT_EVENTS)
     try:
         if args.divergence:
             report = divergence_report(spec, trace=bus)
@@ -550,6 +552,7 @@ def _build_obs_scenario(sim: Simulation, scenario: str, algo: str):
 
 
 def _cmd_trace(args) -> int:
+    events = DEFAULT_EVENTS  # engine.event_fired is opt-in
     if args.events:
         events = {e.strip() for e in args.events.split(",") if e.strip()}
         unknown = events - set(EVENT_TYPES)
@@ -557,10 +560,6 @@ def _cmd_trace(args) -> int:
             print(f"unknown event types: {', '.join(sorted(unknown))}",
                   file=sys.stderr)
             return 2
-    else:
-        # engine.event_fired is one record per scheduler dispatch — orders
-        # of magnitude more volume than the rest; opt in explicitly.
-        events = set(EVENT_TYPES) - {"engine.event_fired"}
     to_stdout = args.out == "-"
     sink = JsonlSink(sys.stdout if to_stdout else args.out)
     bus = TraceBus(sinks=[sink], events=events)

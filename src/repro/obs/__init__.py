@@ -16,6 +16,7 @@ schema and worked examples):
 
 from .schema import (
     COMMON_FIELDS,
+    DEFAULT_EVENTS,
     EVENT_TYPES,
     TraceSchemaError,
     validate_event,
@@ -29,6 +30,7 @@ __all__ = [
     "COMMON_FIELDS",
     "EVENT_TYPES",
     "ColumnarSink",
+    "DEFAULT_EVENTS",
     "FilterSink",
     "JsonlSink",
     "MemorySink",

@@ -19,6 +19,7 @@ __all__ = [
     "FieldSpec",
     "COMMON_FIELDS",
     "EVENT_TYPES",
+    "DEFAULT_EVENTS",
     "TraceSchemaError",
     "validate_event",
     "validate_jsonl",
@@ -521,6 +522,10 @@ EVENT_TYPES: Dict[str, Dict[str, FieldSpec]] = {
                           "drop-tail fluid loss probability"),
     },
 }
+
+#: Every type but the one-per-dispatch ``engine.event_fired``: what the CLI,
+#: the examples and every monitored run record unless asked otherwise.
+DEFAULT_EVENTS = frozenset(EVENT_TYPES) - {"engine.event_fired"}
 
 #: Valid values for the ``reason`` field of ``cc.cwnd_update``.
 CWND_UPDATE_REASONS = ("ack", "loss", "timeout", "recovery_exit")

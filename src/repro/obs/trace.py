@@ -74,9 +74,10 @@ class TraceBus:
     events:
         Optional iterable of event-type names to record; ``None`` records
         every type.  Filtering happens inside :meth:`emit`, so even a
-        filtered-out type costs only a set lookup.  ``engine.event_fired``
-        is by far the highest-volume type — enable it only when debugging
-        the scheduler itself.
+        filtered-out type costs only a set lookup (:meth:`records` reads
+        the filter, which is fixed here).  ``engine.event_fired`` is by far
+        the highest-volume type — enable it only when debugging the
+        scheduler itself, which emits it onto no bus that filters it out.
 
     Usage::
 
@@ -109,6 +110,10 @@ class TraceBus:
     @property
     def sinks(self) -> list:
         return list(self._sinks)
+
+    def records(self, ev: str) -> bool:
+        """Whether the filter lets type ``ev`` through (paused or not)."""
+        return self._filter is None or ev in self._filter
 
     def pause(self) -> None:
         """Temporarily stop recording (e.g. during warm-up)."""

@@ -67,8 +67,11 @@ class Simulation:
         self._cleanups: List[Callable[[], None]] = []
 
     def _make_timers(self):
-        """The backend's :class:`~repro.sim.clock.Timers` (subclass hook)."""
-        return EventScheduler(trace=self.trace)
+        """The backend's :class:`~repro.sim.clock.Timers` (subclass hook);
+        the scheduler is traced only by a bus that records its events."""
+        trace = self.trace
+        fires = trace is not NULL_TRACE and trace.records("engine.event_fired")
+        return EventScheduler(trace=trace if fires else None)
 
     # -- time ----------------------------------------------------------
     @property

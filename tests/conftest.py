@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import os
+import sys
+
 import pytest
 from hypothesis import settings
 
@@ -9,7 +14,7 @@ from repro.check import InvariantMonitor
 from repro.net.pipe import LossyPipe
 from repro.net.queue import DropTailQueue
 from repro.net.route import Route
-from repro.obs import TraceBus
+from repro.obs import DEFAULT_EVENTS, TraceBus
 from repro.sim.simulation import Simulation
 
 # Tier-1 is deterministic: every property test replays the same examples
@@ -37,13 +42,13 @@ def sim(request) -> Simulation:
     Tests marked ``@pytest.mark.invariants`` get a traced simulation with
     an :class:`~repro.check.InvariantMonitor` attached (reachable as
     ``sim.check_monitor``): every component the test builds is watched,
-    any invariant violation fails the test at the offending event, and a
-    final sweep runs at teardown.
+    any invariant violation fails the test at the next record naming the
+    broken component, and a final sweep of everything runs at teardown.
     """
     if request.node.get_closest_marker("invariants") is None:
         yield Simulation(seed=42)
         return
-    simulation = Simulation(seed=42, trace=TraceBus())
+    simulation = Simulation(seed=42, trace=TraceBus(events=DEFAULT_EVENTS))
     monitor = InvariantMonitor()
     monitor.attach(simulation)
     simulation.check_monitor = monitor
@@ -83,3 +88,29 @@ def bottleneck_route(
     queue = DropTailQueue(sim, rate_pps, buffer_pkts, name=f"{name}.q")
     pipe = LossyPipe(sim, delay=rtt / 2.0, loss_prob=0.0, name=f"{name}.p")
     return Route(sim, [queue, pipe], reverse_delay=rtt / 2.0, name=name), queue
+
+
+@contextlib.contextmanager
+def python_calls(also=None):
+    """Count Python ``call`` events inside the block with ``sys.setprofile``
+    — exact and repeatable, unlike a clock.  Yields a Counter keyed by the
+    ``repro/<layer>/`` directory of the called code; ``also(code)`` may
+    return one more key to count a call under."""
+    calls = collections.Counter()
+    marker = os.sep + "repro" + os.sep
+
+    def count(frame, event, arg):
+        if event == "call":
+            filename = frame.f_code.co_filename
+            cut = filename.rfind(marker)
+            if cut >= 0:
+                calls[filename[cut + len(marker):].split(os.sep)[0]] += 1
+                if also is not None:
+                    calls[also(frame.f_code)] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        yield calls
+    finally:
+        sys.setprofile(previous)

@@ -21,7 +21,9 @@ from repro.fault import (
 )
 from repro.harness.experiment import make_flow, measure
 from repro.mptcp.connection import MptcpFlow
-from repro.obs import FilterSink, JsonlSink, MemorySink, TraceBus
+from repro.obs import (
+    DEFAULT_EVENTS, FilterSink, JsonlSink, MemorySink, TraceBus,
+)
 from repro.rt.divergence import tolerance_scale
 from repro.sim.simulation import Simulation
 from repro.topology import build_two_links
@@ -271,7 +273,10 @@ class TestGoldenLinkFlapTrace:
     """
 
     def _emit(self, path):
-        bus = TraceBus(sinks=[FilterSink(JsonlSink(str(path)), CHECK_EVENTS)])
+        bus = TraceBus(
+            sinks=[FilterSink(JsonlSink(str(path)), CHECK_EVENTS)],
+            events=DEFAULT_EVENTS,  # a monitored bus, as `repro check` builds
+        )
         sim = Simulation(seed=7, trace=bus)
         monitor = InvariantMonitor().attach(sim)
         sc = build_two_links(sim, 1000.0, 1000.0)

@@ -1,9 +1,5 @@
 """Behavioural tests for the multipath connection layer."""
 
-import collections
-import os
-import sys
-
 import pytest
 
 from repro.check import InvariantMonitor
@@ -18,6 +14,8 @@ from repro.obs import TraceBus
 from repro.pathmgr import ManagedMptcpFlow
 from repro.sim.simulation import Simulation
 from repro.topology.scenarios import SWEEP_GRIDS
+
+from conftest import python_calls
 
 
 def two_path_routes(sim, rates=(500.0, 500.0), rtts=(0.1, 0.1),
@@ -390,22 +388,8 @@ class TestCallBudget:
         flow.start()
         sim.run_until(2.0)
         base = flow.packets_delivered
-        calls = collections.Counter()
-        marker = os.sep + "repro" + os.sep
-
-        def count(frame, event, arg):
-            if event == "call":
-                filename = frame.f_code.co_filename
-                cut = filename.rfind(marker)
-                if cut >= 0:
-                    calls[filename[cut + len(marker):].split(os.sep)[0]] += 1
-
-        previous = sys.getprofile()
-        sys.setprofile(count)
-        try:
+        with python_calls() as calls:
             sim.run_until(12.0)
-        finally:
-            sys.setprofile(previous)
         delivered = flow.packets_delivered - base
         assert delivered == 10134
         assert (calls["tcp"] + calls["mptcp"]) / delivered <= 15.0

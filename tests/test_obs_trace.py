@@ -16,6 +16,7 @@ import pytest
 
 from repro.harness.experiment import make_flow
 from repro.obs import (
+    DEFAULT_EVENTS,
     EVENT_TYPES,
     JsonlSink,
     MemorySink,
@@ -97,6 +98,17 @@ class TestDefaultWiring:
         sim = Simulation(seed=1)
         assert sim.trace is NULL_TRACE
         assert sim.scheduler.trace is NULL_TRACE
+
+    def test_scheduler_is_traced_only_by_a_bus_that_records_its_events(self):
+        full = TraceBus(sinks=[MemorySink()])
+        assert Simulation(seed=1, trace=full).scheduler.trace is full
+        assert DEFAULT_EVENTS == set(EVENT_TYPES) - {"engine.event_fired"}
+        quiet = TraceBus(sinks=[MemorySink()], events=DEFAULT_EVENTS)
+        assert quiet.records("pkt.enqueue")
+        assert not quiet.records("engine.event_fired")
+        quiet.pause()  # the filter, not the switch, decides
+        sim = Simulation(seed=1, trace=quiet)
+        assert sim.trace is quiet and sim.scheduler.trace is NULL_TRACE
 
     def test_components_inherit_sim_trace(self):
         bus = TraceBus(sinks=[MemorySink()])
@@ -317,9 +329,7 @@ class TestGoldenTrace:
         sink = MemorySink()
         # Deterministic: seeded RNG, no wall-clock inputs; engine events
         # excluded to keep the golden focused on protocol behaviour.
-        bus = TraceBus(
-            sinks=[sink], events=set(EVENT_TYPES) - {"engine.event_fired"}
-        )
+        bus = TraceBus(sinks=[sink], events=DEFAULT_EVENTS)
         sim = Simulation(seed=11, trace=bus)
         sc = build_two_links(
             sim, 100.0, 100.0, buffer1_pkts=5, buffer2_pkts=5
@@ -345,7 +355,7 @@ class TestColumnarSink:
     same emission order."""
 
     def _run_traced(self, sinks):
-        bus = TraceBus(sinks=sinks, events=set(EVENT_TYPES) - {"engine.event_fired"})
+        bus = TraceBus(sinks=sinks, events=DEFAULT_EVENTS)
         sim = Simulation(seed=11, trace=bus)
         sc = build_two_links(sim, 100.0, 100.0, buffer1_pkts=5, buffer2_pkts=5)
         flow = make_flow(sim, sc.routes("multi"), "mptcp", name="m")

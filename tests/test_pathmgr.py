@@ -18,7 +18,9 @@ from repro.exp.spec import ScenarioSpec
 from repro.fault import FaultSpec, arm_faults
 from repro.harness.experiment import make_flow
 from repro.mptcp.handshake import MpJoinOption, OptionStrippingMiddlebox
-from repro.obs import FilterSink, JsonlSink, MemorySink, TraceBus
+from repro.obs import (
+    DEFAULT_EVENTS, FilterSink, JsonlSink, MemorySink, TraceBus,
+)
 from repro.pathmgr import (
     PATHMGR_EVENTS,
     ManagedMptcpFlow,
@@ -349,9 +351,10 @@ class TestGoldenHandoverTrace:
     """
 
     def _emit(self, path):
+        # A monitored bus, as `repro handover --trace` builds it.
         bus = TraceBus(sinks=[
             FilterSink(JsonlSink(str(path)), PATHMGR_EVENTS | CHECK_EVENTS)
-        ])
+        ], events=DEFAULT_EVENTS)
         sim = Simulation(seed=17, trace=bus)
         monitor = InvariantMonitor().attach(sim)
         wifi = build_wifi_path(sim, name="wifi")

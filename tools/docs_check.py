@@ -21,7 +21,9 @@ Two checks keep ``docs/*.md`` from silently rotting:
 
 2. **Schema/doc sync** — every event name in
    :data:`repro.obs.schema.EVENT_TYPES` must appear in
-   docs/OBSERVABILITY.md's tables, and every registry algorithm in
+   docs/OBSERVABILITY.md's tables (and its "excluding ... by default"
+   sentence must name what :data:`repro.obs.DEFAULT_EVENTS` leaves
+   out), and every registry algorithm in
    :data:`repro.core.registry.ALGORITHMS` must appear in both
    docs/CONTROLLERS.md and the README controller table; the
    CONTROLLERS.md fluid-mapping table must name exactly
@@ -106,15 +108,27 @@ def run_file_snippets(path: pathlib.Path, workdir: str) -> List[str]:
 
 
 def check_event_table(repo: pathlib.Path) -> List[str]:
-    """Every EVENT_TYPES name must appear in docs/OBSERVABILITY.md."""
-    from repro.obs.schema import EVENT_TYPES
+    """Every EVENT_TYPES name must appear in docs/OBSERVABILITY.md, and
+    its "excluding ... by default" sentence must name exactly the types
+    that :data:`repro.obs.DEFAULT_EVENTS` leaves out."""
+    from repro.obs.schema import DEFAULT_EVENTS, EVENT_TYPES
 
-    text = (repo / "docs" / "OBSERVABILITY.md").read_text(encoding="utf-8")
+    rel = "docs/OBSERVABILITY.md"
+    text = (repo / rel).read_text(encoding="utf-8")
     missing = sorted(ev for ev in EVENT_TYPES if ev not in text)
-    return [
-        f"docs/OBSERVABILITY.md: event {ev!r} (repro.obs.schema.EVENT_TYPES)"
+    errors = [
+        f"{rel}: event {ev!r} (repro.obs.schema.EVENT_TYPES)"
         f" is not documented" for ev in missing
     ]
+    sentence = re.search(r"excluding\s+(.{,200}?)\s+by\s+default", text, re.S)
+    named = sentence and set(re.findall(r"`([\w.]+)`", sentence.group(1)))
+    excluded = set(EVENT_TYPES) - DEFAULT_EVENTS
+    if named != excluded:
+        errors.append(
+            f"{rel}: the 'excluding ... by default' sentence names "
+            f"{sorted(named) if sentence else 'nothing (sentence not found)'}"
+            f", repro.obs.DEFAULT_EVENTS leaves out {sorted(excluded)}")
+    return errors
 
 
 def check_fluid_mapping(text: str) -> List[str]:
