@@ -443,7 +443,7 @@ EVENT_TYPES: Dict[str, Dict[str, FieldSpec]] = {
     # (and all state-machine events) carry raw monotonic-clock ``t``.
     "rt.run": {
         "backend": FieldSpec((str,), True, False,
-                             "'rt' (asyncio UDP loopback runtime)"),
+                             "'rt' (UDP loopback runtime)"),
         "origin_mono": FieldSpec((int, float), True, False,
                                  "monotonic-clock value at the run origin, "
                                  "seconds (subtract from ``t`` for a "

@@ -1,11 +1,11 @@
 """Real-network transport backend: the state machines on real sockets.
 
 ``repro.rt`` runs the *unmodified* TCP/MPTCP state machines over
-loopback UDP sockets on a real asyncio event loop, with an in-process
+non-blocking loopback UDP sockets in wall-clock time, with an in-process
 impairment layer standing in for ``tc netem``:
 
-* :mod:`~repro.rt.loop` — :class:`RtSimulation` / :class:`AsyncioTimers`,
-  the ``Simulation``-shaped runtime on monotonic-clock timers;
+* :mod:`~repro.rt.loop` — :class:`RtSimulation` / :class:`MonotonicTimers`,
+  the ``Simulation``-shaped runtime: the sim's event heap on the OS clock;
 * :mod:`~repro.rt.codec` — packets and MPTCP options ⇄ datagrams;
 * :mod:`~repro.rt.wire` — :class:`RtPath` / :class:`RtRoute`, UDP socket
   pairs behind the sim's route API;
@@ -20,14 +20,14 @@ See docs/REALNET.md for the quickstart and the sim-vs-real caveats.
 
 from .codec import CodecError, decode, encode
 from .divergence import DivergenceReport, divergence_report
-from .loop import AsyncioTimers, RtSimulation
+from .loop import MonotonicTimers, RtSimulation
 from .netem import PROFILES, NetemChannel, NetemProfile, profile_replace
 from .wire import RtPath, RtRoute
 
 __all__ = [
-    "AsyncioTimers",
     "CodecError",
     "DivergenceReport",
+    "MonotonicTimers",
     "NetemChannel",
     "NetemProfile",
     "PROFILES",

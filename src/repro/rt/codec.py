@@ -158,8 +158,9 @@ def decode(datagram: bytes) -> Tuple[int, WirePayload]:
     """
     if len(datagram) < _HEADER.size + _CRC.size:
         raise CodecError(f"truncated ({len(datagram)} bytes)")
-    (crc,) = _CRC.unpack_from(datagram, len(datagram) - _CRC.size)
-    frame = datagram[: len(datagram) - _CRC.size]
+    end = len(datagram) - _CRC.size
+    (crc,) = _CRC.unpack_from(datagram, end)
+    frame = memoryview(datagram)[:end]  # bounds the body reads; no copy
     if zlib.crc32(frame) != crc:
         raise CodecError("checksum mismatch")
     magic, version, ptype, channel = _HEADER.unpack_from(frame)
@@ -189,7 +190,9 @@ def decode(datagram: bytes) -> Tuple[int, WirePayload]:
             if flags & 4:
                 (rwnd,) = _I64.unpack_from(frame, off)
                 off += _I64.size
-            n_sack = frame[off]
+            if off >= end:  # datagram[off] would read the CRC
+                raise IndexError("index out of range")
+            n_sack = datagram[off]
             off += 1
             blocks = []
             for _ in range(n_sack):
@@ -216,7 +219,7 @@ def decode(datagram: bytes) -> Tuple[int, WirePayload]:
             raise CodecError(f"unknown frame type {ptype}")
     except (struct.error, IndexError) as exc:
         raise CodecError(f"truncated body: {exc}") from None
-    if frame[off:].strip(b"\x00"):
+    if datagram.count(0, off, end) != end - off:
         raise CodecError("non-zero padding")
     return channel, payload
 

@@ -1,95 +1,109 @@
-"""The real-network runtime: asyncio timers behind the simulation API.
+"""The real-network runtime: the simulator's event heap on the OS clock.
 
-:class:`AsyncioTimers` implements the :class:`~repro.sim.clock.Timers`
-protocol on a real event loop — ``now`` is ``loop.time()`` (the OS
-monotonic clock) and ``schedule_at``/``schedule_in`` wrap
-``loop.call_at``/``loop.call_later``, whose handles already expose the
-``.cancel()`` the protocol requires.  :class:`RtSimulation` is the
-:class:`~repro.sim.simulation.Simulation` subclass that runs on them, so
-the TCP/MPTCP state machines, the path manager, the invariant monitor,
-the fault layer and ``repro.exp`` point functions run on real sockets
-*unchanged*: the registry, ``at_end``/``finish``, teardown and the
-scenario-time vocabulary are the base class's.
+:class:`MonotonicTimers` is the :class:`~repro.sim.clock.Timers` of this
+backend: the heap the simulator schedules on
+(:class:`~repro.sim.engine.EventHeap` — tuple entries, ``EventHandle``
+cancellation, tombstone compaction) read against ``time.monotonic()``.
+:class:`RtSimulation` is the :class:`~repro.sim.simulation.Simulation`
+subclass that runs on them, so the TCP/MPTCP state machines, the path
+manager, the invariant monitor, the fault layer and ``repro.exp`` point
+functions run on real sockets *unchanged*: the registry, ``at_end`` /
+``finish``, teardown and the scenario-time vocabulary are the base's.
 
 Two deliberate differences from the simulator:
 
-* **The clock is raw monotonic.**  ``now`` does not start at 0; it is
-  whatever ``loop.time()`` returns, and every trace event carries that
-  epoch (the run's ``rt.run`` record declares ``time_origin`` so tools
-  can rebase).  Scenario code converts scenario-relative times with
-  ``sim.at`` and runs phases with ``sim.run_until_elapsed``, as on
-  every backend.
+* **The clock is raw monotonic.**  ``now`` does not start at 0, and
+  every trace event carries that epoch (the run's ``rt.run`` record
+  declares ``time_origin`` so tools can rebase).  Scenario code converts
+  scenario-relative times with ``sim.at`` and runs phases with
+  ``sim.run_until_elapsed``, as on every backend.
 * **Runs are wall-clock.**  ``run_until`` blocks the calling thread for
-  real seconds while the private event loop services sockets and timers.
-  Nothing here is deterministic; determinism claims stay with the sim
-  backend, divergence between the two is measured by
-  :mod:`repro.rt.divergence`.
+  real seconds, firing due timers and reading ready sockets.  The
+  scheduler's virtual-time ``run``/``step``/``run_until`` do not exist
+  on these timers — a wall-clock heap cannot be drained to exhaustion —
+  and ``engine.event_fired`` is not emitted.  Nothing here is
+  deterministic; determinism claims stay with the sim backend,
+  divergence between the two is measured by :mod:`repro.rt.divergence`.
 """
 
 from __future__ import annotations
 
-import asyncio
-import time
-from typing import Any, Callable
+import itertools
+import selectors
+from heapq import heappop, heappush
+from time import monotonic, time
+from typing import Any, Callable, Optional
 
+from ..sim.engine import EventHandle, EventHeap
 from ..sim.simulation import Simulation
 
-__all__ = ["AsyncioTimers", "RtSimulation"]
+__all__ = ["MonotonicTimers", "RtSimulation"]
 
 
-class AsyncioTimers:
-    """:class:`~repro.sim.clock.Timers` over an asyncio event loop."""
+class MonotonicTimers(EventHeap):
+    """:class:`~repro.sim.clock.Timers` on ``time.monotonic()``."""
 
-    __slots__ = ("_loop",)
+    __slots__ = ()
 
-    def __init__(self, loop: asyncio.AbstractEventLoop):
-        self._loop = loop
+    def __init__(self) -> None:
+        self._heap: list = []
+        self._seq = itertools.count()
+        self._tombstones = 0
 
     @property
     def now(self) -> float:
-        """Monotonic-clock seconds (``loop.time()``; arbitrary origin)."""
-        return self._loop.time()
+        """Monotonic-clock seconds, read afresh (arbitrary origin)."""
+        return monotonic()
 
     def schedule_at(self, when: float, callback: Callable, arg: Any = None):
-        """Run ``callback(arg?)`` at absolute loop time ``when``; a time
-        in the past fires as soon as the loop runs (never raises, unlike
-        the simulator's scheduler — real clocks cannot rewind)."""
-        if arg is None:
-            return self._loop.call_at(when, callback)
-        return self._loop.call_at(when, callback, arg)
+        """Run ``callback(arg?)`` at absolute clock time ``when``; a time
+        in the past fires on the run loop's next pass (never raises,
+        unlike the simulator's scheduler — real clocks cannot rewind)."""
+        seq = next(self._seq)
+        handle = EventHandle(seq, when, self)
+        heappush(self._heap, (when, seq, handle, callback, arg))
+        return handle
 
     def schedule_in(self, delay: float, callback: Callable, arg: Any = None):
-        if arg is None:
-            return self._loop.call_later(delay, callback)
-        return self._loop.call_later(delay, callback, arg)
+        return self.schedule_at(monotonic() + delay, callback, arg)
 
-    # The simulator's handle-free fast paths; on asyncio the handle is
-    # free anyway, so these are pure aliases kept for interface parity.
-    post_at = schedule_at
-    post_in = schedule_in
+    def fire_due(self) -> Optional[float]:
+        """Fire what is due at one clock reading; return the next deadline."""
+        heap = self._heap
+        now = monotonic()
+        while heap and heap[0][0] <= now:
+            _, _, handle, callback, arg = heappop(heap)
+            handle._sched = None
+            if handle._cancelled:
+                self._tombstones -= 1
+            elif arg is None:
+                callback()
+            else:
+                callback(arg)
+        return heap[0][0] if heap else None
 
 
 class RtSimulation(Simulation):
-    """``Simulation`` on real sockets: asyncio timers, wall-clock runs.
+    """``Simulation`` on real sockets: monotonic timers, wall-clock runs.
 
-    Owns a private event loop (never installed as the thread's global
-    loop) so multiple runs — and the sim backend — can coexist in one
-    process.  Supplies only what differs from the base: the loop and its
-    :class:`AsyncioTimers`, a blocking :meth:`run_until`, ``origin_unix``
-    and the ``rt.run`` trace record.  :meth:`close` (or ``with``) must
-    be reached: it closes the paths' sockets, then the loop.
+    Supplies only what differs from the base: the timers, the
+    :attr:`selector` paths register their sockets with, a blocking
+    :meth:`run_until`, ``origin_unix`` and the ``rt.run`` trace record.
+    Nothing is process-global, so multiple runs — and the sim backend —
+    coexist in one process.  :meth:`close` (or ``with``) must be
+    reached: it closes the paths' sockets, then the selector.
     """
 
     def __init__(self, seed: int = 1, trace=None):
-        #: The private event loop.  Created before super(): the base
-        #: constructor calls _make_timers().
-        self.loop = asyncio.new_event_loop()
         super().__init__(seed=seed, trace=trace)
+        #: Readiness multiplexer; a registered socket's ``data`` is the
+        #: zero-argument reader :meth:`run_until` calls when it is ready.
+        self.selector = selectors.DefaultSelector()
         # First cleanup registered, so the last to run: after the paths
-        # have closed their transports.
-        self.add_cleanup(self._close_loop)
+        # have closed their sockets.
+        self.add_cleanup(self.selector.close)
         #: Wall-clock (Unix epoch) time at the run origin.
-        self.origin_unix = time.time()
+        self.origin_unix = time()
         if self.trace.enabled:
             self.trace.emit(
                 "rt.run",
@@ -100,17 +114,19 @@ class RtSimulation(Simulation):
                 seed=seed,
             )
 
-    def _make_timers(self) -> AsyncioTimers:
-        return AsyncioTimers(self.loop)
+    def _make_timers(self) -> MonotonicTimers:
+        return MonotonicTimers()
 
     def run_until(self, end_time: float) -> None:
-        """Service sockets and timers until absolute loop time
-        ``end_time`` (already-past times return immediately)."""
-        remaining = end_time - self.loop.time()
-        if remaining > 0:
-            self.loop.run_until_complete(asyncio.sleep(remaining))
-
-    def _close_loop(self) -> None:
-        # One last spin so transport.close() teardown callbacks run.
-        self.loop.run_until_complete(asyncio.sleep(0))
-        self.loop.close()
+        """Fire timers and read sockets until absolute clock time
+        ``end_time`` (already-past times return without blocking)."""
+        fire_due, select = self.timers.fire_due, self.selector.select
+        while True:
+            deadline = fire_due()
+            now = monotonic()
+            if now >= end_time:
+                return
+            if deadline is None or deadline > end_time:
+                deadline = end_time
+            for key, _ in select(deadline - now):
+                key.data()

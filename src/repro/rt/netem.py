@@ -33,6 +33,7 @@ delay-only ``clean``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Optional
 
@@ -81,7 +82,7 @@ class NetemChannel:
     __slots__ = (
         "name", "direction", "path_name", "trace", "_timers", "_rng",
         "delay", "jitter", "loss", "rate_pps", "buffer_pkts",
-        "_busy_until", "_queued", "sent", "dropped",
+        "_busy_until", "_departs", "sent", "dropped",
     )
 
     def __init__(self, sim, path_name: str, direction: str,
@@ -101,7 +102,8 @@ class NetemChannel:
         )
         self.buffer_pkts = profile.buffer_pkts
         self._busy_until = 0.0
-        self._queued = 0
+        #: Departure times of the packets on the emulated line (monotone).
+        self._departs: deque = deque()
         self.sent = 0
         self.dropped = 0
 
@@ -134,13 +136,15 @@ class NetemChannel:
             # Coverage outage: the emulated medium carries nothing.
             return self._drop(flow, seq)
         else:
-            if self._queued >= self.buffer_pkts:
+            departs = self._departs
+            while departs and departs[0] <= now:
+                departs.popleft()
+            if len(departs) >= self.buffer_pkts:
                 return self._drop(flow, seq)
             start = self._busy_until if self._busy_until > now else now
             depart = start + size / rate
             self._busy_until = depart
-            self._queued += 1
-            self._timers.schedule_at(depart, self._served)
+            departs.append(depart)
         delay = self.delay
         if self.jitter:
             delay += self._rng.uniform(-self.jitter, self.jitter)
@@ -153,9 +157,6 @@ class NetemChannel:
         else:
             self._timers.schedule_at(when, send, datagram)
         return True
-
-    def _served(self) -> None:
-        self._queued -= 1
 
     def _drop(self, flow, seq) -> bool:
         self.dropped += 1
@@ -173,8 +174,11 @@ class NetemChannel:
     # ------------------------------------------------------------------
     @property
     def occupancy(self) -> int:
-        """Packets waiting on the emulated line (rate-limited only)."""
-        return self._queued
+        """Packets waiting on the emulated line now (rate-limited only)."""
+        departs, now = self._departs, self._timers.now
+        while departs and departs[0] <= now:
+            departs.popleft()
+        return len(departs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

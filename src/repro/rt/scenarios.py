@@ -89,6 +89,11 @@ def _ctrl_frames(rt_paths) -> int:
     return sum(len(path.options_received) for path in rt_paths)
 
 
+def _wire_errors(rt_paths) -> int:
+    return sum(p.codec_errors + p.unknown_channels + p.socket_errors
+               for p in rt_paths)
+
+
 def _safe_mean(rec: SeriesRecorder, name: str, fallback: float) -> float:
     try:
         return rec.mean(name)
@@ -158,6 +163,7 @@ def _loopback_run(
             "subflows_opened": flow.manager.subflows_opened,
             "join_failures": flow.manager.join_failures,
             "ctrl_frames": _ctrl_frames(rt_paths),
+            "wire_errors": _wire_errors(rt_paths),
         }
         return ctx.finish(row), rec
 
@@ -252,6 +258,7 @@ def _handover_run(spec: ScenarioSpec, backend: str) -> dict:
         }
         if real:
             row["ctrl_frames"] = _ctrl_frames([wifi, g3])
+            row["wire_errors"] = _wire_errors([wifi, g3])
         return ctx.finish(row)
 
 

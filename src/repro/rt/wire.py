@@ -29,7 +29,8 @@ Like the sim's :class:`~repro.topology.wireless.WirelessPath`, an
 
 from __future__ import annotations
 
-import asyncio
+import selectors
+import socket
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..net.packet import MSS_BYTES, AckPacket, DataPacket
@@ -87,22 +88,47 @@ class _Channel:
         self.ack_wire = _Wire(path, channel_id, ack=True)
 
 
-class _HostProtocol(asyncio.DatagramProtocol):
-    """One UDP socket: decode arriving datagrams, dispatch by channel."""
+#: Datagrams one readiness callback reads at most before returning to
+#: the run loop, so a busy socket cannot starve due timers.
+_RECV_BATCH = 32
 
-    def __init__(self, path: "RtPath", side: str):
+
+class _Host:
+    """One UDP socket: send directly, read arriving datagrams."""
+
+    def __init__(self, path: "RtPath", side: str, host: str):
         self._path = path
         self._side = side
-        self.transport: Optional[asyncio.DatagramTransport] = None
+        #: The largest possible UDP payload: nothing is ever truncated.
+        self._buf = memoryview(bytearray(65535))
+        self.sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self.sock.setblocking(False)
+        self.sock.bind((host, 0))
+        path.sim.selector.register(self.sock, selectors.EVENT_READ, self.read)
 
-    def connection_made(self, transport) -> None:
-        self.transport = transport
+    def read(self) -> None:
+        buf, recv_into = self._buf, self.sock.recv_into
+        for _ in range(_RECV_BATCH):
+            try:
+                size = recv_into(buf)
+            except BlockingIOError:
+                return
+            except OSError:  # pragma: no cover - OS-dependent
+                self._path.socket_errors += 1
+                return
+            self._path._dispatch(self._side, bytes(buf[:size]))
 
-    def datagram_received(self, data: bytes, addr) -> None:
-        self._path._dispatch(self._side, data)
-
-    def error_received(self, exc) -> None:  # pragma: no cover - OS-dependent
-        self._path.socket_errors += 1
+    def send(self, datagram: bytes) -> None:
+        # Emulated in-flight datagrams landing on a torn-down path just
+        # vanish, like packets on an unplugged wire.
+        if self._path._teardown:
+            return
+        try:
+            self.sock.send(datagram)
+        except OSError:
+            # A send the kernel refuses (BlockingIOError on a full socket
+            # buffer, ENOBUFS) is a counted drop, like a full NIC ring.
+            self._path.socket_errors += 1
 
 
 class RtPath:
@@ -140,23 +166,14 @@ class RtPath:
         #: Handshake options decoded at the server side, in arrival order.
         self.options_received: List[Any] = []
 
-        loop = sim.loop
-        self._client, self._server = loop.run_until_complete(
-            self._open_sockets(loop, host)
-        )
-        self._server_addr = self._server.transport.get_extra_info("sockname")
-        self._client_addr = self._client.transport.get_extra_info("sockname")
+        self._client = _Host(self, "client", host)
+        self._server = _Host(self, "server", host)
         sim.add_cleanup(self.close)
+        # Connected to each other: the kernel filters datagrams from any
+        # other address before they can reach the codec.
+        self._client.sock.connect(self._server.sock.getsockname())
+        self._server.sock.connect(self._client.sock.getsockname())
         sim.register(self)
-
-    async def _open_sockets(self, loop, host):
-        _, client = await loop.create_datagram_endpoint(
-            lambda: _HostProtocol(self, "client"), local_addr=(host, 0)
-        )
-        _, server = await loop.create_datagram_endpoint(
-            lambda: _HostProtocol(self, "server"), local_addr=(host, 0)
-        )
-        return client, server
 
     # ------------------------------------------------------------------
     # Route factory and WirelessPath duck-typing
@@ -196,19 +213,19 @@ class RtPath:
             )
 
     # ------------------------------------------------------------------
-    # Transmit side (called by _Wire.receive)
+    # Transmit side (called by _Wire.receive; netem calls _Host.send)
     # ------------------------------------------------------------------
     def _send_data(self, channel_id: int, packet: DataPacket) -> None:
         datagram = encode(channel_id, packet, pad_to=self._pad)
         self.fwd.admit(
-            datagram, packet.size, self._to_server,
+            datagram, packet.size, self._client.send,
             flow=getattr(packet.flow, "name", None), seq=packet.seq,
         )
 
     def _send_ack(self, channel_id: int, ack: AckPacket) -> None:
         datagram = encode(channel_id, ack)
         self.rev.admit(
-            datagram, ack.size, self._to_client,
+            datagram, ack.size, self._server.send,
             flow=getattr(ack.flow, "name", None), seq=ack.ack_seq,
         )
 
@@ -216,25 +233,10 @@ class RtPath:
         """Carry one MPTCP handshake option to the server as a CTRL
         frame (through the forward impairments, like a SYN would)."""
         datagram = encode(channel_id, option)
-        self.fwd.admit(datagram, 0.04, self._to_server)
-
-    def _to_server(self, datagram: bytes) -> None:
-        self._sendto(self._client, datagram, self._server_addr)
-
-    def _to_client(self, datagram: bytes) -> None:
-        self._sendto(self._server, datagram, self._client_addr)
-
-    def _sendto(self, proto: _HostProtocol, datagram: bytes, addr) -> None:
-        # Netem-delayed sends can fire after close() (the final loop spin
-        # drains due timers); emulated in-flight datagrams landing on a
-        # torn-down path just vanish, like packets on an unplugged wire.
-        transport = proto.transport
-        if self._teardown or transport is None or transport.is_closing():
-            return
-        transport.sendto(datagram, addr)
+        self.fwd.admit(datagram, 0.04, self._client.send)
 
     # ------------------------------------------------------------------
-    # Receive side (called by _HostProtocol)
+    # Receive side (called by _Host.read)
     # ------------------------------------------------------------------
     def _dispatch(self, side: str, datagram: bytes) -> None:
         try:
@@ -279,10 +281,12 @@ class RtPath:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
+        if self._teardown:
+            return
         self._teardown = True
-        for proto in (self._client, self._server):
-            if proto.transport is not None:
-                proto.transport.close()
+        for end in (self._client, self._server):
+            self.sim.selector.unregister(end.sock)
+            end.sock.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -7,8 +7,8 @@ narrow capabilities, named here as structural protocols:
 ``Clock``
     ``.now`` — the current time in seconds, monotonically non-decreasing.
     In simulation this is virtual sim-epoch time (starts at 0); on the
-    real-network backend it is the asyncio event loop's monotonic clock
-    (an arbitrary large origin — see :mod:`repro.rt.loop`).
+    real-network backend it is the OS monotonic clock (an arbitrary
+    large origin — see :mod:`repro.rt.loop`).
 
 ``Timers``
     A ``Clock`` plus ``schedule_at(time, callback, arg=None)`` /
@@ -17,8 +17,8 @@ narrow capabilities, named here as structural protocols:
 
     * :class:`repro.sim.engine.EventScheduler` — the simulator's event
       heap (virtual time; deterministic FIFO tie-breaking).
-    * :class:`repro.rt.loop.AsyncioTimers` — ``loop.call_at`` /
-      ``loop.call_later`` on a real asyncio event loop (wall-clock).
+    * :class:`repro.rt.loop.MonotonicTimers` — the same heap read
+      against ``time.monotonic()`` (wall-clock; nothing deterministic).
 
 ``Wire``
     Anything with ``.receive(packet)`` — the forwarding contract every
@@ -28,8 +28,8 @@ narrow capabilities, named here as structural protocols:
     is a simulated queue or a socket.
 
 Senders and receivers reach their ``Timers`` through ``sim.timers``:
-the scheduler itself on :class:`repro.sim.simulation.Simulation`, an
-``AsyncioTimers`` on its subclass :class:`repro.rt.loop.RtSimulation`.
+the scheduler itself on :class:`repro.sim.simulation.Simulation`, a
+``MonotonicTimers`` on its subclass :class:`repro.rt.loop.RtSimulation`.
 The seam is the *only* thing a backend swaps; the container around it
 (registry, ``finish``, teardown) and the conversion between a clock's
 epoch and scenario time (``sim.time_origin`` / ``at`` / ``elapsed``)

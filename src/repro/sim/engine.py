@@ -32,7 +32,7 @@ from typing import Any, Callable, Optional
 
 from ..obs.trace import NULL_TRACE
 
-__all__ = ["EventScheduler", "EventHandle", "SimulationError"]
+__all__ = ["EventHeap", "EventScheduler", "EventHandle", "SimulationError"]
 
 #: Compaction never triggers below this many tombstones (small heaps are
 #: cheap to carry; rebuilding them would cost more than it saves).
@@ -77,7 +77,46 @@ class EventHandle:
         return f"EventHandle(seq={self.seq}, time={self.time:.6f}, {state})"
 
 
-class EventScheduler:
+class EventHeap:
+    """Heap bookkeeping shared by every :class:`~repro.sim.clock.Timers`
+    backend: the entries, the FIFO counter and exact tombstone accounting.
+    A subclass owns the clock — virtual time below, the OS's in
+    :class:`repro.rt.loop.MonotonicTimers` — and sets the three slots."""
+
+    __slots__ = ("_heap", "_seq", "_tombstones")
+
+    def _note_cancel(self) -> None:
+        """One live heap entry became a tombstone; compact when they
+        outnumber live events (amortized O(1) per cancellation)."""
+        tombstones = self._tombstones + 1
+        heap = self._heap
+        if (
+            tombstones > _COMPACT_MIN_TOMBSTONES
+            and tombstones * 2 >= len(heap)
+        ):
+            # In place: the dispatch loops hold a local alias to the heap
+            # list, so the list object must survive compaction.
+            heap[:] = [
+                entry for entry in heap
+                if entry[2] is None or not entry[2]._cancelled
+            ]
+            heapq.heapify(heap)
+            self._tombstones = 0
+        else:
+            self._tombstones = tombstones
+
+    @property
+    def pending(self) -> int:
+        """Number of live events still queued (tombstones excluded)."""
+        return len(self._heap) - self._tombstones
+
+    @property
+    def tombstones(self) -> int:
+        """Cancelled entries awaiting compaction (for leak diagnostics)."""
+        return self._tombstones
+
+
+class EventScheduler(EventHeap):
     """A deterministic discrete-event scheduler.
 
     Typical use::
@@ -87,7 +126,7 @@ class EventScheduler:
         sched.run_until(10.0)
     """
 
-    __slots__ = ("now", "_heap", "_seq", "_events_run", "_tombstones", "trace")
+    __slots__ = ("now", "_events_run", "trace")
 
     def __init__(self, trace=None) -> None:
         self.now: float = 0.0
@@ -168,29 +207,6 @@ class EventScheduler:
         heapq.heappush(
             self._heap, (self.now + delay, next(self._seq), None, callback, arg)
         )
-
-    # ------------------------------------------------------------------
-    # Tombstone accounting
-    # ------------------------------------------------------------------
-    def _note_cancel(self) -> None:
-        """One live heap entry became a tombstone; compact when they
-        outnumber live events (amortized O(1) per cancellation)."""
-        tombstones = self._tombstones + 1
-        heap = self._heap
-        if (
-            tombstones > _COMPACT_MIN_TOMBSTONES
-            and tombstones * 2 >= len(heap)
-        ):
-            # In place: the dispatch loops hold a local alias to the heap
-            # list, so the list object must survive compaction.
-            heap[:] = [
-                entry for entry in heap
-                if entry[2] is None or not entry[2]._cancelled
-            ]
-            heapq.heapify(heap)
-            self._tombstones = 0
-        else:
-            self._tombstones = tombstones
 
     # ------------------------------------------------------------------
     # Execution
@@ -314,16 +330,6 @@ class EventScheduler:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def pending(self) -> int:
-        """Number of live events still queued (tombstones excluded)."""
-        return len(self._heap) - self._tombstones
-
-    @property
-    def tombstones(self) -> int:
-        """Cancelled entries awaiting compaction (for leak diagnostics)."""
-        return self._tombstones
-
     @property
     def events_run(self) -> int:
         """Total number of events executed so far."""

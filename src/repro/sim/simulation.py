@@ -6,7 +6,7 @@ registry of components.  On the default backend the timers are the
 discrete-event scheduler, so an experiment is fully reproducible from
 ``(scenario, seed)``; :class:`~repro.hybrid.HybridSimulation` adds a
 fluid tier on the same scheduler and
-:class:`~repro.rt.loop.RtSimulation` swaps in asyncio timers on the OS
+:class:`~repro.rt.loop.RtSimulation` runs the same event heap on the OS
 monotonic clock.  Both are subclasses: everything else — registry,
 ``at_end``/``finish``, teardown and the scenario-time vocabulary below —
 exists only here.
@@ -49,9 +49,9 @@ class Simulation:
         #: The :class:`~repro.sim.clock.Timers` implementation components
         #: use for time and timer access, under both of its names: here
         #: the event scheduler itself (one object, cached by the packet
-        #: hot path), on the real-network backend an
-        #: :class:`~repro.rt.loop.AsyncioTimers` — anything touching heap
-        #: internals through ``scheduler`` fails loudly there.
+        #: hot path), on the real-network backend a
+        #: :class:`~repro.rt.loop.MonotonicTimers` — no virtual-time
+        #: ``run``/``step``/``run_until``: :meth:`run` fails loudly there.
         self.timers = self.scheduler = self._make_timers()
         #: ``now`` at the run origin: 0.0 on virtual time, the monotonic
         #: clock's reading when the run was built on real sockets.

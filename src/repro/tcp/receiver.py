@@ -73,7 +73,7 @@ class TcpReceiver:
         self.enable_sack = enable_sack
         self.trace = sim.trace if trace is None else trace
         # Timers seam (repro.sim.clock): the sim scheduler or the real
-        # backend's asyncio timer wrapper, whichever this sim carries.
+        # backend's monotonic-clock heap, whichever this sim carries.
         self._sched = sim.timers
         if delayed_ack < 1:
             raise ValueError(f"delayed_ack must be >= 1, got {delayed_ack!r}")

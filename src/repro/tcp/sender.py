@@ -92,7 +92,7 @@ class TcpSender:
         # transmit/ACK/timer operation; going through the Simulation.now
         # property costs a call per access, so cache the implementation.
         # On the sim backend this is the event scheduler itself; on the
-        # real-network backend it wraps the asyncio loop's monotonic clock.
+        # real-network backend the same heap on the OS monotonic clock.
         self._sched = sim.timers
 
         # Window state (packets).

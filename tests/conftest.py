@@ -94,8 +94,9 @@ def bottleneck_route(
 def python_calls(also=None):
     """Count Python ``call`` events inside the block with ``sys.setprofile``
     — exact and repeatable, unlike a clock.  Yields a Counter keyed by the
-    ``repro/<layer>/`` directory of the called code; ``also(code)`` may
-    return one more key to count a call under."""
+    ``repro/<layer>/`` directory of the called code, with every call into
+    code outside ``repro/`` (stdlib, tests) under ``"outside"``;
+    ``also(code)`` may return one more key to count a repro call under."""
     calls = collections.Counter()
     marker = os.sep + "repro" + os.sep
 
@@ -107,6 +108,8 @@ def python_calls(also=None):
                 calls[filename[cut + len(marker):].split(os.sep)[0]] += 1
                 if also is not None:
                     calls[also(frame.f_code)] += 1
+            else:
+                calls["outside"] += 1
 
     previous = sys.getprofile()
     sys.setprofile(count)

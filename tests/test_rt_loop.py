@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import json
 import pathlib
+import socket
+import time
+import tracemalloc
 
 import pytest
 
@@ -22,14 +25,19 @@ from repro.obs import JsonlSink, MemorySink, TraceBus, validate_jsonl
 from repro.obs.series import SeriesRecorder
 from repro.check import InvariantMonitor, trace_override
 from repro.hybrid import HybridSimulation
-from repro.rt import PROFILES, NetemChannel, RtPath, RtSimulation
-from repro.rt.loop import AsyncioTimers
+from repro.mptcp.handshake import MpJoinOption
+from repro.net.packet import MSS_BYTES, DataPacket
+from repro.rt import PROFILES, NetemChannel, RtPath, RtSimulation, encode
+from repro.rt.loop import MonotonicTimers
 from repro.rt.netem import NetemProfile, profile_replace
 from repro.sim import Clock, EventScheduler, Simulation, Timers
+from repro.sim.engine import EventHeap
 from repro.pathmgr import ManagedMptcpFlow
 from repro.tcp.receiver import TcpReceiver
 from repro.tcp.sender import TcpSender
 from repro.tcp.source import FiniteSource
+
+from conftest import python_calls
 
 
 # ---------------------------------------------------------------------------
@@ -43,11 +51,51 @@ def test_event_scheduler_satisfies_timers_protocol():
     assert sim.timers is sim.scheduler
 
 
-def test_asyncio_timers_satisfies_timers_protocol():
+def test_monotonic_timers_satisfies_timers_protocol():
     with RtSimulation(seed=1) as sim:
-        assert isinstance(sim.timers, AsyncioTimers)
+        assert isinstance(sim.timers, MonotonicTimers)
         assert isinstance(sim.timers, Clock)
         assert isinstance(sim.timers, Timers)
+
+
+def test_rt_clock_is_fresh_and_past_deadlines_fire():
+    """``now`` reads the OS clock on every access (``run_for``,
+    ``elapsed`` and RTT samples read it between runs), and a deadline
+    already past fires on the next pass instead of raising."""
+    fired = []
+    with RtSimulation(seed=1) as sim:
+        first = sim.timers.now
+        time.sleep(0.002)
+        assert sim.timers.now > first           # no run_until in between
+        sim.timers.schedule_at(sim.now - 1.0, fired.append, "late")
+        assert fired == []
+        sim.run_for(0.01)
+    assert fired == ["late"]
+
+
+def test_rt_timers_inherit_the_engine_heap():
+    """Cancellation and tombstone compaction are the engine's own
+    (``EventHeap``), and its virtual-time entry points are not reachable:
+    nothing can drain a wall-clock heap to exhaustion."""
+    fired = []
+    with RtSimulation(seed=1) as sim:
+        timers = sim.timers
+        assert isinstance(timers, EventHeap)
+        assert not isinstance(timers, EventScheduler)
+        handles = [timers.schedule_in(3600.0, fired.append, i)
+                   for i in range(1000)]
+        for handle in handles:
+            handle.cancel()
+        assert timers.pending == 0
+        assert len(timers._heap) <= 130         # compacted, not 1000
+        timers.schedule_in(3600.0, fired.append, "far")
+        for entry_point in ("run", "step", "run_until"):
+            assert not hasattr(timers, entry_point)
+        with pytest.raises(AttributeError):
+            sim.run()
+        sim.run_for(0.01)
+        assert timers.pending == 1
+    assert fired == []
 
 
 def test_sender_and_receiver_bind_through_the_seam():
@@ -231,6 +279,26 @@ def test_netem_total_loss_drops_everything():
     assert chan.dropped == 1
 
 
+def test_netem_occupancy_follows_the_clock_not_the_event_loop():
+    """Drop-tail decides on the emulated line's occupancy *now*: a
+    departure whose time has passed frees its slot even though no event
+    has run since (on real sockets callbacks lag the clock by up to a
+    selector round)."""
+    sim = Simulation(seed=1)
+    chan = NetemChannel(sim, "p", "fwd",
+                        NetemProfile(rate_mbps=12.0, buffer_pkts=3))
+    out = []
+    assert [chan.admit(b"x", 1.0, out.append) for _ in range(4)] == [
+        True, True, True, False]                    # departs at 1, 2, 3 ms
+    assert chan.occupancy == 3
+    sim.scheduler.now = 0.0015                      # no event has run
+    assert chan.occupancy == 2
+    assert chan.admit(b"x", 1.0, out.append) is True
+    assert chan.occupancy == 3
+    assert chan.admit(b"x", 1.0, out.append) is False
+    assert sim.scheduler.events_run == 0
+
+
 def test_netem_profiles_mirror_sim_wireless_parameters():
     assert PROFILES["wifi"].rate_mbps == 14.4
     assert PROFILES["wifi"].loss == 0.01
@@ -297,6 +365,7 @@ def test_rt_loopback_scenario_row():
     assert row["goodput_pps"] > 100        # 2 × 2 Mb/s paths ≈ 333 pkt/s
     assert row["subflows_opened"] == 2
     assert row["ctrl_frames"] >= 3         # MP_CAPABLE + ADD_ADDRs + MP_JOIN
+    assert row["wire_errors"] == 0
 
 
 @pytest.mark.realnet
@@ -313,6 +382,7 @@ def test_rt_handover_zero_delivery_gap():
     assert row["delivery_gap"] == 0
     assert row["violations"] == 0
     assert row["outage_pps"] > 20          # 3G carried traffic through it
+    assert row["wire_errors"] == 0
 
 
 @pytest.mark.realnet
@@ -368,6 +438,105 @@ def test_reopened_subflow_gets_fresh_wire_channel():
         # Channel isolation: each receiver saw only its own 5 packets.
         assert r1.packets_delivered == 5
         assert r2.packets_delivered == 5
+
+
+@pytest.mark.realnet
+def test_stray_datagram_never_reaches_the_codec():
+    """Each socket is connected to its peer, so a third party that knows
+    the server's port — even one replaying a perfectly valid frame —
+    is filtered by the kernel."""
+    with RtSimulation(seed=4) as sim:
+        path = RtPath(sim, "p0", profile="clean")
+        rcv = TcpReceiver(sim, name="f.rx")
+        snd = TcpSender(sim, make_controller("reno"), FiniteSource(5),
+                        name="f")
+        snd.attach(path.route("f"), rcv)
+        frame = encode(1, DataPacket((), None, seq=0, timestamp=sim.now),
+                       pad_to=MSS_BYTES)
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as stray:
+            stray.sendto(frame, path._server.sock.getsockname())
+            stray.sendto(b"noise", path._server.sock.getsockname())
+        sim.run_for(0.05)
+        assert rcv.packets_delivered == 0
+        assert (path.codec_errors, path.unknown_channels) == (0, 0)
+        snd.start()                         # the real peer still gets in
+        sim.run_until_elapsed(1.0)
+        assert rcv.packets_delivered == 5
+        assert (path.codec_errors, path.unknown_channels) == (0, 0)
+
+
+def test_refused_send_is_a_counted_drop(monkeypatch):
+    """Sends are direct: one the kernel refuses (full socket buffer) is
+    dropped and counted, never queued or raised into a state machine."""
+
+    class FullSocket:
+        def send(self, datagram):
+            raise BlockingIOError
+
+    with RtSimulation(seed=1) as sim:
+        path = RtPath(sim, "p0", profile="clean")
+        with monkeypatch.context() as patch:
+            patch.setattr(path._client, "sock", FullSocket())
+            path.send_option(MpJoinOption(token=7))     # 2 ms of netem
+            sim.run_for(0.02)
+        assert path.socket_errors == 1
+        assert path.options_received == []
+
+
+def _paced_lia_transfer(sim):
+    """Two-subflow LIA at 10 Mb/s per path, warmed up for 1.5 s."""
+    profile = NetemProfile(delay=0.005, rate_mbps=10.0, buffer_pkts=100)
+    flow = ManagedMptcpFlow(sim, make_controller("lia"), name="m")
+    for i in range(2):
+        path = RtPath(sim, f"p{i}", profile=profile)
+        flow.add_path(path.route(f"m.p{i}"), name=f"p{i}")
+    flow.start()
+    sim.run_for(1.5)
+    return flow
+
+
+@pytest.mark.realnet
+class TestRtBudget:
+    """The rt backend's cost in counts, not clocks (the twins of
+    ``TestCallBudget`` / ``TestCheckBudget``): both fail on an event loop
+    that wraps every timer and datagram in its own Python objects."""
+
+    def test_calls_per_delivered_packet(self):
+        with RtSimulation(seed=3) as sim:
+            flow = _paced_lia_transfer(sim)
+            base = flow.packets_delivered
+            with python_calls() as calls:
+                sim.run_for(1.5)
+            delivered = flow.packets_delivered - base
+        assert delivered > 1000             # 2 × 833 pkt/s line rate
+        assert sum(calls.values()) / delivered <= 55
+        assert calls["outside"] / delivered <= 5
+
+    def test_no_large_allocation_per_datagram(self):
+        """No allocation of 64 KiB or more on the per-datagram path: in
+        nine of ten 5 ms slices (a dozen packets each) traced memory
+        peaks less than that above where the slice began.  A receive
+        buffer allocated per datagram — 256 KiB sits on glibc's mmap
+        threshold, which made the backend's CPU cost bistable — puts
+        *every* slice far above it.  (Not the worst slice: a burst of
+        new 1.5 KB datagrams in flight, or a dict resize, is allowed.)"""
+        with RtSimulation(seed=3) as sim:
+            flow = _paced_lia_transfer(sim)
+            base = flow.packets_delivered
+            peaks = []
+            tracemalloc.start()
+            try:
+                end = sim.now + 1.5
+                while sim.now < end:
+                    tracemalloc.reset_peak()
+                    before, _ = tracemalloc.get_traced_memory()
+                    sim.run_for(0.005)
+                    _, peak = tracemalloc.get_traced_memory()
+                    peaks.append(peak - before)
+            finally:
+                tracemalloc.stop()
+            assert flow.packets_delivered - base > 1000
+        assert sorted(peaks)[len(peaks) * 9 // 10] < 64 * 1024
 
 
 def test_committed_rt_golden_trace_validates():
