@@ -6,8 +6,10 @@
 #                    (pytest -m "sweep or farm" — one execution core,
 #                    one target), then the kill-resume gate (farm-demo)
 #   make check-test  invariant-monitor + fault-injection tests only
-#   make bench       the paper's tables and figures (benchmarks/, one
-#                    file per table/figure — see EXPERIMENTS.md)
+#   make paper       the paper's tables and figures: every claims-bearing
+#                    grid (repro sweep paper) through one runner and the
+#                    .sweep-cache result cache, claims checked — see
+#                    EXPERIMENTS.md
 #   make perf WORKLOAD=<name>  one perfbench workload (BENCHMARK.json)
 #                    exactly as the PR gate runs it: seed 1, 15 s, timed
 #                    (tracing off) — see perfbench/README.md
@@ -42,6 +44,7 @@
 
 PYTHON    ?= python
 PP        := PYTHONPATH=src
+NCPU      := $(shell $(PYTHON) -c "import os; print(os.cpu_count() or 1)")
 TRACE_OUT ?= quickstart-trace.jsonl
 HANDOVER_OUT ?= handover-trace.jsonl
 RT_OUT    ?= rt-trace.jsonl
@@ -51,7 +54,7 @@ PERF_OUT  := .perfbench-record
 
 .PHONY: test obs-test exec-test check-test pathmgr-test hybrid-test \
 	farm-demo \
-	bench perf perf-selftest perf-record \
+	paper perf perf-selftest perf-record \
 	trace-demo sweep-demo \
 	handover-demo docs-check rt-test rt-demo
 
@@ -78,8 +81,8 @@ farm-demo:
 	$(PP) $(PYTHON) -m pytest -m farm -q \
 		"tests/test_farm.py::TestCrashResume::test_worker_sigkill_mid_lease_then_resume_bit_identical[demo_rtt]"
 
-bench:
-	$(PP) $(PYTHON) -m pytest benchmarks/ --benchmark-only
+paper:
+	$(PP) $(PYTHON) -m repro sweep paper --parallel $(NCPU) --cache-dir .sweep-cache
 
 perf:
 	python3 -m perfbench --workload $(WORKLOAD) --seed 1 --seconds 15 --trace 0

@@ -1,14 +1,17 @@
 """Command-line experiment runner: ``python -m repro <command>``.
 
 Gives downstream users one-line access to the paper's scenarios without
-writing harness code:
+writing harness code — any registered point function, one row:
 
     python -m repro algorithms
-    python -m repro bottleneck --algo mptcp --competitors 6
-    python -m repro twolinks --algo coupled --rate1 500 --rate2 1000
-    python -m repro wireless --algo mptcp --duration 60
-    python -m repro torus --capacity-c 250 --algo mptcp
-    python -m repro fattree --k 4 --algo mptcp --paths 4
+    python -m repro point shared_bottleneck --param algo=mptcp
+    python -m repro point datacenter --param k=4 --param paths=4 --duration 3
+
+The paper's figures and tables, as cached grids whose claims are checked
+(see EXPERIMENTS.md):
+
+    python -m repro sweep paper --parallel 4
+    python -m repro sweep paper_fig1
 
 Observability (see docs/OBSERVABILITY.md for the event schema):
 
@@ -56,14 +59,13 @@ from typing import List, Optional
 
 from .check import CHECK_EVENTS, InvariantViolation, trace_override
 from .core.registry import ALGORITHMS
-from .exp import ResultCache, Runner, specs_for_grid
+from .exp import CLAIMS, ResultCache, Runner, specs_for_grid
 from .exp.grids import SCENARIOS
-from .exp.spec import ScenarioSpec
+from .exp.paper import failed_claim
+from .exp.spec import ScenarioSpec, TaskSpec, grid_points
 from .fault import FAULT_PRESETS
-from .harness.datacenter import run_matrix
-from .harness.experiment import make_flow, measure, standard_series
+from .harness.experiment import make_flow, standard_series
 from .harness.table import Table
-from .metrics import jain_index
 from .net.network import pps_to_mbps
 from .obs import (
     DEFAULT_EVENTS,
@@ -81,14 +83,10 @@ from .rt.netem import PROFILES as RT_PROFILES
 from .sim.simulation import Simulation
 from .topology import (
     SWEEP_GRIDS,
-    FatTree,
-    build_shared_bottleneck,
-    build_torus,
     build_two_links,
     build_3g_path,
     build_wifi_path,
 )
-from .traffic import permutation_matrix
 
 __all__ = ["main"]
 
@@ -101,133 +99,27 @@ def _cmd_algorithms(_args) -> int:
     return 0
 
 
-def _cmd_bottleneck(args) -> int:
-    sim = Simulation(seed=args.seed)
-    sc = build_shared_bottleneck(
-        sim, rate_pps=args.rate, delay=args.delay, buffer_pkts=args.buffer
-    )
-    flows = {}
-    for i in range(args.competitors):
-        f = make_flow(sim, [sc.net.route(["src", "dst"], name=f"s{i}")],
-                      "reno", name=f"s{i}")
-        f.start(at=0.05 * i)
-        flows[f"s{i}"] = f
-    multi = make_flow(sim, sc.routes("multi"), args.algo, name="multi")
-    multi.start(at=0.4)
-    flows["multi"] = multi
-    m = measure(sim, flows, warmup=args.warmup, duration=args.duration)
-    singles = sum(m[f"s{i}"] for i in range(args.competitors)) / args.competitors
-    table = Table(["flow", "rate pkt/s"])
-    table.add_row(["single-path mean", singles])
-    table.add_row([f"{args.algo} (2 subflows)", m["multi"]])
-    table.add_row(["ratio", m["multi"] / singles])
-    print(table.render(f"Shared bottleneck ({args.rate:.0f} pkt/s, "
-                       f"{args.competitors} competing TCPs)"))
-    return 0
-
-
-def _cmd_twolinks(args) -> int:
-    sim = Simulation(seed=args.seed)
-    sc = build_two_links(
-        sim, args.rate1, args.rate2,
-        delay1=args.delay, delay2=args.delay,
-        buffer1_pkts=args.buffer, buffer2_pkts=args.buffer,
-    )
-    multi = make_flow(sim, sc.routes("multi"), args.algo, name="m")
-    multi.start()
-    m = measure(sim, {"m": multi}, warmup=args.warmup, duration=args.duration)
-    r1, r2 = m.subflow_rates["m"]
-    table = Table(["quantity", "pkt/s"])
-    table.add_row(["total", m["m"]])
-    table.add_row(["path 1", r1])
-    table.add_row(["path 2", r2])
-    print(table.render(f"{args.algo} over two links "
-                       f"({args.rate1:.0f} + {args.rate2:.0f} pkt/s)"))
-    return 0
-
-
-def _cmd_wireless(args) -> int:
-    sim = Simulation(seed=args.seed)
-    wifi = build_wifi_path(sim)
-    threeg = build_3g_path(sim)
-    flow = make_flow(
-        sim, [wifi.route("m.wifi"), threeg.route("m.3g")], args.algo, name="m"
-    )
-    flow.start()
-    m = measure(sim, {"m": flow}, warmup=args.warmup, duration=args.duration)
-    wifi_rate, threeg_rate = m.subflow_rates["m"]
-    table = Table(["quantity", "Mb/s"])
-    table.add_row(["total", pps_to_mbps(m["m"])])
-    table.add_row(["WiFi path (14.4 Mb/s)", pps_to_mbps(wifi_rate)])
-    table.add_row(["3G path (2.1 Mb/s)", pps_to_mbps(threeg_rate)])
-    print(table.render(f"{args.algo} wireless client (§5 static scenario)"))
-    return 0
-
-
-def _cmd_torus(args) -> int:
-    sim = Simulation(seed=args.seed)
-    rates = [args.rate] * 5
-    rates[2] = args.capacity_c
-    sc = build_torus(sim, rates, delay=args.delay)
-    flows = {}
-    for i in range(5):
-        f = make_flow(sim, sc.routes(f"f{i}"), args.algo, name=f"f{i}")
-        f.start(at=0.1 * i)
-        flows[f"f{i}"] = f
-    sim.run_until(args.warmup)
-    queues = [sc.net.link(f"in{i}", f"out{i}").queue for i in range(5)]
-    for q in queues:
-        q.reset_counters()
-    m = measure(sim, flows, warmup=args.warmup, duration=args.duration)
-    table = Table(["link", "capacity", "loss rate", "flow", "total pkt/s"],
-                  precision=4)
-    for i in range(5):
-        table.add_row([
-            "ABCDE"[i], rates[i], queues[i].loss_rate, f"f{i}", m[f"f{i}"]
-        ])
-    totals = [m[f"f{i}"] for i in range(5)]
-    print(table.render(f"Torus (Fig 7) with {args.algo}; "
-                       f"Jain index {jain_index(totals):.3f}"))
-    return 0
-
-
-def _cmd_fattree(args) -> int:
-    sim = Simulation(seed=args.seed)
-    ft = FatTree.build(sim, k=args.k, rate_pps=args.rate, buffer_pkts=args.buffer)
-    pairs = permutation_matrix(ft.hosts, sim.rng)
-    run = run_matrix(
-        sim, ft.net, pairs, args.algo,
-        path_count=args.paths, warmup=args.warmup, duration=args.duration,
-        host_link_rate=args.rate,
-    )
-    rates = run.sorted_rates()
-    table = Table(["quantity", "value"])
-    table.add_row(["hosts", ft.num_hosts])
-    table.add_row(["mean throughput (% NIC)", 100 * run.mean_utilisation()])
-    table.add_row(["worst flow (% NIC)", 100 * rates[0] / args.rate])
-    table.add_row(["Jain index", jain_index(rates)])
-    print(table.render(f"FatTree k={args.k}, TP1, {args.algo} "
-                       f"({args.paths} paths)"))
-    return 0
-
-
 def _cmd_sweep(args) -> int:
     if args.list:
         table = Table(["grid", "points", "scenario", "description"])
         for name in sorted(SWEEP_GRIDS):
             grid = SWEEP_GRIDS[name]
-            points = 1
-            for values in grid["parameters"].values():
-                points *= len(values)
+            points = len(grid_points(grid["parameters"]))
             table.add_row([name, points, grid["scenario"], grid["title"]])
         print(table.render("Named sweep grids (python -m repro sweep <grid>)"))
         return 0
     if args.grid is None:
         print("error: name a grid to run, or pass --list", file=sys.stderr)
         return 2
-    specs = specs_for_grid(
-        args.grid, seed=args.seed, warmup=args.warmup, duration=args.duration
-    )
+    names = [args.grid]
+    if args.grid == "paper":  # the family: every grid that carries claims
+        names = [name for name in SWEEP_GRIDS if name in CLAIMS]
+    specs = {
+        name: specs_for_grid(
+            name, seed=args.seed, warmup=args.warmup, duration=args.duration
+        )
+        for name in names
+    }
     # The Runner validates its counts; build it before the trace file is
     # opened so a bad count leaves nothing behind.
     try:
@@ -244,14 +136,31 @@ def _cmd_sweep(args) -> int:
     if args.trace:
         bus = runner.trace = TraceBus(sinks=[JsonlSink(args.trace)])
     try:
-        rows = runner.run(specs)
+        rows = runner.run([s for name in names for s in specs[name]])
     finally:
         if bus is not None:
             bus.close()
-    table = Table(list(rows[0]), precision=4)
-    for row in rows:
-        table.add_row(list(row.values()))
-    print(table.render(SWEEP_GRIDS[args.grid]["title"]))
+    # A claim is a statement about the registered seed and windows.
+    registered = (args.seed is None and args.warmup is None
+                  and args.duration is None)
+    by_grid, failed, start = {}, [], 0
+    for name in names:
+        grid_rows = by_grid[name] = rows[start:start + len(specs[name])]
+        start += len(grid_rows)
+        table = Table(list(grid_rows[0]), precision=4)
+        for row in grid_rows:
+            table.add_row(list(row.values()))
+        print(table.render(SWEEP_GRIDS[name]["title"]))
+        if name not in CLAIMS:
+            continue
+        failure = failed_claim(name, grid_rows) if registered else None
+        if failure:
+            failed.append(name)
+        print(f"{name}: " + (
+            "claims skipped (seed/warmup/duration overridden)"
+            if not registered
+            else f"CLAIM FAILED at {failure}" if failure else "claims hold"
+        ))
     print(
         f"{len(rows)} points in {runner.wall:.1f}s wall "
         f"(workers={args.parallel}): {runner.executed} executed, "
@@ -259,8 +168,11 @@ def _cmd_sweep(args) -> int:
     )
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2)
+            json.dump(by_grid if args.grid == "paper" else rows, fh, indent=2)
         print(f"wrote {len(rows)} rows to {args.out}")
+    if failed:
+        print(f"FAIL: claims failed on {', '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -270,8 +182,6 @@ def _cmd_farm_serve(args) -> int:
     specs = specs_for_grid(
         args.grid, seed=args.seed, warmup=args.warmup, duration=args.duration
     )
-    from .exp.spec import TaskSpec
-
     tasks = [TaskSpec(index=i, spec=s) for i, s in enumerate(specs)]
     bus = None
     if args.trace:
@@ -322,8 +232,9 @@ def _cmd_farm_status(args) -> int:
     return 0 if status["state"] != "failed" else 1
 
 
-#: Required-parameter defaults so ``repro check --scenario X`` runs without
-#: spelling out a full grid point (override any of them with ``--param``).
+#: Required-parameter defaults so ``repro point X`` / ``repro check
+#: --scenario X`` run without spelling out a full grid point (override
+#: any of them with ``--param``).
 CHECK_SCENARIO_DEFAULTS = {
     "torus_balance": {"capacity_c": 250.0},
     "rtt_ratio": {"c2": 800.0, "rtt2": 0.05},
@@ -343,43 +254,59 @@ def _parse_param(text: str):
         return key, value
 
 
-def _cmd_check(args) -> int:
-    params = dict(CHECK_SCENARIO_DEFAULTS.get(args.scenario, {}))
-    params.update(args.param or ())
-    params["check"] = 1
-    if args.fault:
-        params["faults"] = list(args.fault)
-    spec = ScenarioSpec(
-        scenario=args.scenario,
-        params=params,
-        seed=args.seed,
-        warmup=args.warmup,
-        duration=args.duration,
-    )
-    to_stdout = args.out == "-"
-    # The FilterSink narrows the JSONL output to check.*/fault.* records
-    # while the invariant monitor (attached to the same bus inside the
-    # point function) still sees everything the bus records.
-    sink = JsonlSink(sys.stdout if to_stdout else args.out)
-    bus = TraceBus(sinks=[FilterSink(sink, CHECK_EVENTS)], events=DEFAULT_EVENTS)
-    log = sys.stderr if to_stdout else sys.stdout
+def _run_point(spec: ScenarioSpec, bus: Optional[TraceBus]):
+    """Run ``spec``'s point function, its monitored bus being ``bus`` if
+    given (closed afterwards); returns the row, or ``None`` after
+    reporting an invariant violation."""
     try:
         with trace_override(bus):
-            row = SCENARIOS[args.scenario](spec)
+            return SCENARIOS[spec.scenario](spec)
     except InvariantViolation as exc:
         print(f"VIOLATION: {exc}", file=sys.stderr)
-        return 1
+        return None
     finally:
-        bus.close()
+        if bus is not None:
+            bus.close()
+
+
+def _cmd_point(args) -> int:
+    """``point`` runs one registered point function and prints its row;
+    ``check`` is the same run under the invariant monitor, optionally
+    fault-injected, streaming ``check.*``/``fault.*`` records as JSONL."""
+    checked = args.command == "check"
+    params = dict(CHECK_SCENARIO_DEFAULTS.get(args.scenario, {}))
+    params.update(args.param or ())
+    title = f"{args.scenario} (seed {args.seed})"
+    sink = bus = None
+    log = sys.stdout
+    if checked:
+        params["check"] = 1
+        if args.fault:
+            params["faults"] = list(args.fault)
+        faults = ", ".join(args.fault) if args.fault else "none"
+        title = f"checked {args.scenario} (seed {args.seed}, faults: {faults})"
+        # The FilterSink narrows the JSONL output to check.*/fault.*
+        # records while the invariant monitor (attached to the same bus
+        # inside the point function) still sees everything the bus records.
+        sink = JsonlSink(sys.stdout if args.out == "-" else args.out)
+        bus = TraceBus(
+            sinks=[FilterSink(sink, CHECK_EVENTS)], events=DEFAULT_EVENTS
+        )
+        if args.out == "-":
+            log = sys.stderr
+    row = _run_point(ScenarioSpec(
+        scenario=args.scenario, params=params, seed=args.seed,
+        warmup=args.warmup, duration=args.duration,
+    ), bus)
+    if row is None:
+        return 1
     table = Table(["quantity", "value"], precision=4)
     for key, value in row.items():
         table.add_row([key, value])
-    faults = ", ".join(args.fault) if args.fault else "none"
-    print(table.render(
-        f"checked {args.scenario} (seed {args.seed}, faults: {faults})"
-    ), file=log)
-    print(f"wrote {sink.records_written} check/fault events"
-          + ("" if to_stdout else f" to {args.out}"), file=log)
+    print(table.render(title), file=log)
+    if checked:
+        print(f"wrote {sink.records_written} check/fault events"
+              + ("" if args.out == "-" else f" to {args.out}"), file=log)
     return 0
 
 
@@ -421,15 +348,9 @@ def _cmd_handover(args) -> int:
         sink = JsonlSink(args.trace)
         kept = FilterSink(sink, PATHMGR_EVENTS | CHECK_EVENTS)
         bus = TraceBus(sinks=[kept], events=DEFAULT_EVENTS)
-    try:
-        with trace_override(bus):
-            row = SCENARIOS["wifi_3g_handover"](spec)
-    except InvariantViolation as exc:
-        print(f"VIOLATION: {exc}", file=sys.stderr)
+    row = _run_point(spec, bus)
+    if row is None:
         return 1
-    finally:
-        if bus is not None:
-            bus.close()
     _print_handover(
         row,
         f"WiFi→3G handover: {args.algo}, {args.policy} policy, "
@@ -616,58 +537,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, algo_default="mptcp"):
-        p.add_argument("--algo", default=algo_default, choices=sorted(ALGORITHMS))
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--warmup", type=float, default=20.0)
-        p.add_argument("--duration", type=float, default=60.0)
-
     sub.add_parser("algorithms", help="list available algorithms").set_defaults(
         func=_cmd_algorithms
     )
-
-    p = sub.add_parser("bottleneck", help="Fig 1 shared-bottleneck fairness")
-    common(p)
-    p.add_argument("--rate", type=float, default=2000.0)
-    p.add_argument("--delay", type=float, default=0.05)
-    p.add_argument("--buffer", type=int, default=200)
-    p.add_argument("--competitors", type=int, default=6)
-    p.set_defaults(func=_cmd_bottleneck)
-
-    p = sub.add_parser("twolinks", help="two-path flow over two links")
-    common(p)
-    p.add_argument("--rate1", type=float, default=500.0)
-    p.add_argument("--rate2", type=float, default=500.0)
-    p.add_argument("--delay", type=float, default=0.05)
-    p.add_argument("--buffer", type=int, default=50)
-    p.set_defaults(func=_cmd_twolinks)
-
-    p = sub.add_parser("wireless", help="§5 WiFi+3G client")
-    common(p)
-    p.set_defaults(func=_cmd_wireless)
-
-    p = sub.add_parser("torus", help="Fig 7/8 congestion balancing")
-    common(p)
-    p.add_argument("--rate", type=float, default=1000.0)
-    p.add_argument("--capacity-c", type=float, default=250.0)
-    p.add_argument("--delay", type=float, default=0.05)
-    p.set_defaults(func=_cmd_torus)
-
-    p = sub.add_parser("fattree", help="§4 FatTree TP1")
-    common(p)
-    p.add_argument("--k", type=int, default=4)
-    p.add_argument("--rate", type=float, default=1042.0)
-    p.add_argument("--buffer", type=int, default=100)
-    p.add_argument("--paths", type=int, default=4)
-    p.set_defaults(func=_cmd_fattree)
 
     p = sub.add_parser(
         "sweep",
         help="run a named parameter grid, cached, in-process or over "
              "worker processes",
     )
-    p.add_argument("grid", nargs="?", choices=sorted(SWEEP_GRIDS),
-                   help="named grid (see --list)")
+    p.add_argument("grid", nargs="?",
+                   choices=sorted(SWEEP_GRIDS) + ["paper"],
+                   help="named grid (see --list), or 'paper' for every "
+                        "grid with claims: the paper's figures and tables")
     p.add_argument("--list", action="store_true",
                    help="list the named grids and exit")
     p.add_argument("--parallel", type=int, default=1,
@@ -754,29 +636,40 @@ def _build_parser() -> argparse.ArgumentParser:
     fp.add_argument("root", help="farm directory")
     fp.set_defaults(func=_cmd_farm_status)
 
+    def point_args(p):
+        p.add_argument("--param", action="append", type=_parse_param,
+                       metavar="KEY=VALUE",
+                       help="scenario parameter (repeatable; values parsed "
+                            "as JSON when possible)")
+        p.add_argument("--seed", type=int, default=1)
+        p.add_argument("--warmup", type=float, default=5.0,
+                       help="simulated warm-up seconds (default 5)")
+        p.add_argument("--duration", type=float, default=10.0,
+                       help="simulated measurement seconds (default 10)")
+        p.set_defaults(func=_cmd_point)
+
+    p = sub.add_parser(
+        "point",
+        help="run one registered point function (any scenario of "
+             "'sweep --list') and print its result row",
+    )
+    p.add_argument("scenario", choices=sorted(SCENARIOS))
+    point_args(p)
+
     p = sub.add_parser(
         "check",
-        help="run a scenario under the invariant monitor, optionally "
-             "with injected faults; emit check/fault events as JSONL",
+        help="'point' under the invariant monitor, optionally with "
+             "injected faults; emit check/fault events as JSONL",
     )
     p.add_argument("--scenario", choices=sorted(SCENARIOS),
                    default="torus_balance")
     p.add_argument("--fault", action="append", default=None,
                    choices=sorted(FAULT_PRESETS),
                    help="inject a preset fault schedule (repeatable)")
-    p.add_argument("--param", action="append", type=_parse_param,
-                   metavar="KEY=VALUE",
-                   help="scenario parameter override (repeatable; values "
-                        "parsed as JSON when possible)")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--warmup", type=float, default=5.0,
-                   help="simulated warm-up seconds (default 5)")
-    p.add_argument("--duration", type=float, default=10.0,
-                   help="simulated measurement seconds (default 10)")
     p.add_argument("--out", default="-",
                    help="JSONL path for check.*/fault.* events "
                         "('-' for stdout)")
-    p.set_defaults(func=_cmd_check)
+    point_args(p)
 
     p = sub.add_parser(
         "handover",
@@ -855,7 +748,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "series", help="record per-flow/per-queue time series (CSV/JSONL)"
     )
     p.add_argument("--scenario", choices=OBS_SCENARIOS, default="quickstart")
-    common(p)
+    p.add_argument("--algo", default="mptcp", choices=sorted(ALGORITHMS))
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--warmup", type=float, default=20.0)
+    p.add_argument("--duration", type=float, default=60.0)
     p.add_argument("--interval", type=float, default=1.0,
                    help="sampling period, simulated seconds")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
@@ -866,8 +762,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -106,7 +106,10 @@ class MptcpController(CongestionController):
             increases = mptcp_increases(*self._windows_and_rtts())
             self._cached = dict(zip(map(id, self.subflows), increases))
             self._acks_since_recompute = 0
-        subflow.cwnd += self._cached[key]
+        # The cached value may be a window (or a slow start) stale; eq.
+        # (1)'s S = {r} term, 1/w_r, caps it at the *current* window, as
+        # RFC 6356 caps its cached alpha.
+        subflow.cwnd += min(self._cached[key], 1.0 / subflow.cwnd)
 
     def on_loss(self, subflow: WindowedSubflow) -> None:
         self._halve(subflow)

@@ -1,6 +1,6 @@
 """Name-based construction of congestion controllers.
 
-The experiment harness and benchmarks refer to algorithms by the names the
+The experiment harness and the grids refer to algorithms by the names the
 paper uses; :func:`make_controller` maps those names to fresh controller
 instances.
 """

@@ -18,6 +18,8 @@ reproduces them at full-machine speed:
   changed points.
 * :mod:`repro.exp.grids` — the registered point functions and named grids
   behind ``python -m repro sweep``.
+* :mod:`repro.exp.paper` — the paper's figures and tables as point
+  functions, with the claims ``python -m repro sweep paper`` checks.
 
 Progress streams through the PR-1 trace bus as ``exp.*`` events; see
 ``docs/RUNNER.md`` for the full contract.
@@ -25,10 +27,12 @@ Progress streams through the PR-1 trace bus as ``exp.*`` events; see
 
 from .cache import ResultCache, code_version
 from .grids import SCENARIOS, rtt_ratio, scenario, specs_for_grid, torus_balance
+from .paper import CLAIMS
 from .runner import Runner, TaskError
 from .spec import ScenarioSpec, TaskSpec, execute_task, target_id
 
 __all__ = [
+    "CLAIMS",
     "Runner",
     "ResultCache",
     "SCENARIOS",

@@ -46,6 +46,7 @@ import hashlib
 import json
 from typing import Dict, List, Optional, Tuple
 
+from ..obs.schema import DEFAULT_EVENTS
 from ..obs.sinks import TraceSink
 from ..obs.trace import TraceBus
 from ..check.hooks import trace_override
@@ -61,6 +62,8 @@ __all__ = [
     "compute_golden",
     "golden_grid_names",
 ]
+
+_SMALL_FATTREE = {"k": 4, "rate": 300, "buffer": 10}
 
 #: Per-grid golden run settings: short windows so the full suite replays
 #: in seconds, plus parameter overrides for points whose registered size
@@ -82,6 +85,33 @@ GOLDEN_SETTINGS: Dict[str, dict] = {
     },
     "wifi_3g_handover": {"warmup": 3.0, "duration": 6.0},
     "subflow_churn": {"warmup": 2.0, "duration": 6.0},
+    # The paper's figures and tables.  Windows are the shortest at which
+    # the points of a grid have diverged from one another (so the digest
+    # tells the algorithms apart); the fabrics shrink to FatTree k=4 (16
+    # hosts, flows of up to 8 subflows) and BCube(3,2) (27 hosts, still 3
+    # interfaces each) on slow, shallow links — the only golden runs
+    # whose flows have more than two subflows.
+    "paper_fig1": {"warmup": 0.75, "duration": 1.0},
+    "paper_fig2": {"warmup": 0.75, "duration": 1.25},
+    "paper_fig3": {"warmup": 0.5, "duration": 1.0},
+    "paper_fig4": {"warmup": 0.2, "duration": 0.3},
+    "paper_semicoupled": {"warmup": 0.4, "duration": 0.8},
+    "paper_dynamic_cbr": {"warmup": 0.2, "duration": 0.3},
+    "paper_fig10": {"warmup": 0.1, "duration": 0.2},
+    "paper_poisson": {"warmup": 0.2, "duration": 0.4},
+    "paper_fattree": {"warmup": 0.4, "duration": 0.6, "params": _SMALL_FATTREE},
+    "paper_fig12_paths": {"warmup": 0.4, "duration": 0.6,
+                          "params": _SMALL_FATTREE},
+    "paper_fig13": {"warmup": 0.4, "duration": 0.6, "params": _SMALL_FATTREE},
+    "paper_bcube": {"warmup": 0.3, "duration": 0.4,
+                    "params": {"n": 3, "rate": 300, "buffer": 10}},
+    "paper_wireless_static": {"warmup": 0.5, "duration": 1.0},
+    "paper_fig15": {"warmup": 0.5, "duration": 1.0},
+    "paper_rtt_sim": {"warmup": 2.0, "duration": 3.0},
+    "paper_fig17": {"warmup": 1.0, "duration": 2.0},
+    "paper_ablation_sack": {"warmup": 0.5, "duration": 1.0},
+    "paper_ablation_recompute": {"warmup": 1.0, "duration": 1.5},
+    "paper_ablation_ewtcp_weight": {"warmup": 0.75, "duration": 1.0},
     # Explicit opt-OUT: half the rt_loopback points run on the real
     # backend, whose rows are wall-clock (same spec, different run →
     # slightly different goodput; see docs/REALNET.md), so the grid
@@ -164,7 +194,7 @@ def run_golden_point(spec: ScenarioSpec) -> Tuple[dict, str, int]:
     exact stream the invariant monitor sees.
     """
     digest = TraceDigest()
-    bus = TraceBus(sinks=[digest])
+    bus = TraceBus(sinks=[digest], events=DEFAULT_EVENTS)
     with trace_override(bus):
         row = execute_task(TaskSpec(index=0, spec=spec))
     row = json.loads(json.dumps(row, sort_keys=True, default=str))

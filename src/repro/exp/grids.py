@@ -24,12 +24,11 @@ from typing import Callable, Dict, List, Optional
 from ..check.hooks import CheckContext
 from ..core.registry import make_controller
 from ..harness.experiment import make_flow, measure
-from ..harness.sweep import grid_points
 from ..hybrid import HybridSimulation
 from ..metrics import jain_index
 from ..pathmgr import ManagedMptcpFlow
 from ..topology.scenarios import SWEEP_GRIDS, build_torus, build_two_links
-from .spec import ScenarioSpec
+from .spec import ScenarioSpec, grid_points
 
 __all__ = ["SCENARIOS", "scenario", "specs_for_grid", "torus_balance",
            "rtt_ratio", "wifi_3g_handover", "subflow_churn", "torus_hybrid"]
@@ -293,7 +292,7 @@ def specs_for_grid(
     """Expand a named grid from :data:`SWEEP_GRIDS` into ordered specs.
 
     The grid index (and hence the runner's row order) is the cartesian
-    enumeration order of :func:`~repro.harness.sweep.grid_points` over
+    enumeration order of :func:`~repro.exp.spec.grid_points` over
     the grid's ``parameters``.  ``seed``/``warmup``/``duration`` override
     the grid's defaults — handy for scaled-down smoke runs.
     """

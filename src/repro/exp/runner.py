@@ -42,10 +42,9 @@ import time
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..farm import WorkerStartError, run_farm
-from ..harness.sweep import merge_row
 from ..obs.trace import NULL_TRACE
 from .cache import ResultCache, publish_row
-from .spec import ScenarioSpec, TaskSpec, execute_task
+from .spec import ScenarioSpec, TaskSpec, execute_task, merge_row
 
 __all__ = ["Runner", "TaskError"]
 

@@ -10,17 +10,55 @@ on-disk result cache on content rather than identity.
 
 :class:`TaskSpec` wraps a spec with its grid index (the runner aggregates
 results in grid order, never completion order) and optionally an explicit
-callable target — the bridge that lets ``harness.sweep.sweep`` delegate
-arbitrary module-level point functions to the runner.
+callable target, so an arbitrary module-level point function can go
+through the runner without being registered.  :func:`grid_points` expands
+a grid's parameter lists into points and :func:`merge_row` joins a point
+with its result into one output row.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional
+from itertools import product
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-__all__ = ["ScenarioSpec", "TaskSpec", "execute_task", "target_id"]
+__all__ = ["ScenarioSpec", "TaskSpec", "execute_task", "grid_points",
+           "merge_row", "target_id"]
+
+
+def grid_points(parameters: Dict[str, Sequence]) -> List[Dict]:
+    """All combinations of the named parameter values, as dicts.
+
+    >>> grid_points({"a": [1, 2], "b": ["x"]})
+    [{'a': 1, 'b': 'x'}, {'a': 2, 'b': 'x'}]
+    """
+    if not parameters:
+        return [{}]
+    names = list(parameters)
+    return [
+        dict(zip(names, values))
+        for values in product(*(parameters[n] for n in names))
+    ]
+
+
+def merge_row(point: Dict, result: Dict) -> Dict:
+    """One output row: grid-point parameters plus the point's results.
+
+    A result key that collides with a parameter name would silently
+    overwrite the parameter value, corrupting the row; that is always a
+    bug in the point function, so it raises instead.
+    """
+    collisions = sorted(set(point) & set(result))
+    if collisions:
+        raise ValueError(
+            "sweep result keys collide with parameter names: "
+            + ", ".join(map(repr, collisions))
+            + " — rename the result keys or the swept parameters"
+        )
+    row = dict(point)
+    row.update(result)
+    return row
 
 
 @dataclass(frozen=True)

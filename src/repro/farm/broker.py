@@ -58,8 +58,7 @@ import time
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..exp.cache import ResultCache
-from ..exp.spec import TaskSpec
-from ..harness.sweep import merge_row
+from ..exp.spec import TaskSpec, merge_row
 from ..obs.trace import NULL_TRACE
 from .layout import DEFAULT_LEASE_TTL, DEFAULT_POLL, FarmLayout
 

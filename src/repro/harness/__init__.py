@@ -1,9 +1,8 @@
-"""Experiment harness: flow construction, measurement, sweeps and tables."""
+"""Experiment harness: flow construction, measurement and tables."""
 
 from .datacenter import DataCenterRun, run_matrix
 from .experiment import Measurement, make_flow, measure, standard_series
 from .plotting import ascii_bars, ascii_timeseries
-from .sweep import grid_points, sweep
 from .table import Table, format_value
 
 __all__ = [
@@ -13,10 +12,8 @@ __all__ = [
     "ascii_bars",
     "ascii_timeseries",
     "format_value",
-    "grid_points",
     "make_flow",
     "run_matrix",
     "measure",
     "standard_series",
-    "sweep",
 ]

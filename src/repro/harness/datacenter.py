@@ -18,7 +18,7 @@ from ..sim.simulation import Simulation
 from ..tcp.sender import TcpFlow
 from .experiment import Flow
 
-__all__ = ["DataCenterRun", "run_matrix"]
+__all__ = ["DataCenterRun", "measure_matrix", "run_matrix", "start_matrix"]
 
 
 @dataclass
@@ -29,9 +29,7 @@ class DataCenterRun:
     flow_sources: Dict[str, str]           # flow name -> sending host
     link_loss: Dict[str, float]            # drop fraction per busy link
     host_link_rate: float                  # pkt/s of one host interface
-
-    def mean_rate(self) -> float:
-        return sum(self.flow_rates.values()) / len(self.flow_rates)
+    max_subflows: int                      # most subflows any flow runs
 
     def per_host_rates(self) -> Dict[str, float]:
         """Aggregate goodput per sending host — the unit of the paper's
@@ -72,19 +70,17 @@ def _paths_for(
     return net.random_paths(src, dst, count=path_count)
 
 
-def run_matrix(
+def start_matrix(
     sim: Simulation,
     net: Network,
     pairs: Sequence[Tuple[str, str]],
     algorithm: str,
     path_count: int = 8,
-    warmup: float = 2.0,
-    duration: float = 5.0,
-    host_link_rate: float = 8333.0,
     bcube=None,
     stagger: float = 0.2,
-) -> DataCenterRun:
-    """Run one traffic matrix and measure goodput + link loss.
+) -> Tuple[Dict[str, Flow], Dict[str, str]]:
+    """Attach and start one flow per (src, dst) pair; returns the flows
+    and each flow's sending host, both keyed by flow name.
 
     ``algorithm`` is a registry name; "single" uses one random shortest
     path per pair (the paper's ECMP mimic).  For BCube pass the built
@@ -114,7 +110,20 @@ def run_matrix(
         flow.start(at=start_at)
         flows[name] = flow
         flow_sources[name] = src
+    return flows, flow_sources
 
+
+def measure_matrix(
+    sim: Simulation,
+    net: Network,
+    flows: Dict[str, Flow],
+    flow_sources: Dict[str, str],
+    warmup: float,
+    duration: float,
+    host_link_rate: float,
+) -> DataCenterRun:
+    """Run started flows through warm-up, then measure goodput and link
+    loss over ``duration`` seconds."""
     sim.run_until(warmup)
     base = {name: f.packets_delivered for name, f in flows.items()}
     net.reset_counters()
@@ -134,4 +143,30 @@ def run_matrix(
         flow_sources=flow_sources,
         link_loss=link_loss,
         host_link_rate=host_link_rate,
+        max_subflows=max(
+            len(f.subflows) if isinstance(f, MptcpFlow) else 1
+            for f in flows.values()
+        ),
+    )
+
+
+def run_matrix(
+    sim: Simulation,
+    net: Network,
+    pairs: Sequence[Tuple[str, str]],
+    algorithm: str,
+    path_count: int = 8,
+    warmup: float = 2.0,
+    duration: float = 5.0,
+    host_link_rate: float = 8333.0,
+    bcube=None,
+    stagger: float = 0.2,
+) -> DataCenterRun:
+    """Run one traffic matrix and measure goodput + link loss:
+    :func:`start_matrix` then :func:`measure_matrix`."""
+    flows, flow_sources = start_matrix(
+        sim, net, pairs, algorithm, path_count, bcube, stagger
+    )
+    return measure_matrix(
+        sim, net, flows, flow_sources, warmup, duration, host_link_rate
     )

@@ -1,4 +1,4 @@
-"""Experiment plumbing shared by the tests, examples and benchmarks.
+"""Experiment plumbing shared by the point functions, tests and examples.
 
 The evaluation methodology is the same everywhere: build a scenario, attach
 flows (single- or multipath), run a warm-up period, then measure goodput

@@ -1,7 +1,5 @@
-"""Plain-text result tables for the benchmark harness.
-
-Each benchmark prints the rows the paper reports next to the measured
-values, in a fixed-width table that survives pytest's captured output.
+"""Plain-text result tables: the CLI prints result rows in a fixed-width
+table that survives captured output.
 """
 
 from __future__ import annotations

@@ -16,7 +16,8 @@ Loss recovery follows a simplified RFC 6675 SACK scheme (matching the Linux
 SACKed sequence numbers, marks a hole lost once three SACKed packets lie
 above it, and during recovery keeps the pipe full with retransmissions
 first, then new data.  With ``enable_sack=False`` it degrades to classic
-NewReno (one hole recovered per RTT), which the ablation benchmarks compare.
+NewReno (one hole recovered per RTT); the ``paper_ablation_sack`` grid
+compares the two.
 
 The scoreboard lives in :class:`~repro.tcp.scoreboard.SackScoreboard` — a
 flat array of per-sequence flag bits rebased at the cumulative ACK, with

@@ -1,7 +1,7 @@
 """The small illustrative scenarios of §2–§3 (Figs 1, 2, 3, 5, 7, 9, 14).
 
 Each builder returns a :class:`Scenario` holding the network and the routes
-each flow may use; benchmark and test code attaches flows to the routes.
+each flow may use; point functions and tests attach flows to the routes.
 Link rates are in packets/second (use :func:`repro.net.mbps_to_pps` for
 Mb/s figures).
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from ..net.network import Network
+from ..net.network import Network, mbps_to_pps
 from ..net.route import Route
 from ..sim.simulation import Simulation
 
@@ -45,7 +45,7 @@ class Scenario:
 #: Named parameter grids for the paper's sweep-shaped figures, declared as
 #: pure data next to the topologies they exercise.  ``scenario`` names a
 #: point function in :data:`repro.exp.grids.SCENARIOS`; ``parameters`` is
-#: expanded by :func:`repro.harness.sweep.grid_points` (cartesian product,
+#: expanded by :func:`repro.exp.spec.grid_points` (cartesian product,
 #: enumeration order = grid order).  Run one with
 #: ``python -m repro sweep --grid <name>`` or
 #: :func:`repro.exp.grids.specs_for_grid`.
@@ -187,6 +187,227 @@ SWEEP_GRIDS = {
         "title": "Real-network backend: loopback-UDP two-subflow transfer "
                  "vs its sim twin (wall-clock seconds per rt point; "
                  "backend/netem key the result cache — docs/REALNET.md)",
+    },
+    # The paper's figures and tables (with fig8_torus and fig16_rtt
+    # above): point functions and the claims checked on these rows are
+    # in repro.exp.paper; `repro sweep paper` runs the family.
+    "paper_fig1": {
+        "scenario": "shared_bottleneck",
+        "parameters": {"algo": ["uncoupled", "ewtcp", "mptcp", "coupled"]},
+        "seed": 11,
+        "warmup": 25.0,
+        "duration": 90.0,
+        "title": "Fig 1: multipath vs single-path share at one bottleneck",
+    },
+    "paper_fig2": {
+        "scenario": "triangle",
+        "parameters": {"algo": ["ewtcp", "coupled", "mptcp"]},
+        "seed": 21,
+        "warmup": 25.0,
+        "duration": 80.0,
+        "title": "Fig 2: triangle, per-flow throughput (optimal = 12 Mb/s)",
+    },
+    "paper_fig3": {
+        "scenario": "chain",
+        "parameters": {"algo": ["ewtcp", "coupled", "mptcp"]},
+        "seed": 31,
+        "warmup": 25.0,
+        "duration": 80.0,
+        "title": "Fig 3: chain (links 5/12/10/3 Mb/s), per-flow totals",
+    },
+    "paper_fig4": {
+        "scenario": "fixed_loss_paths",
+        "parameters": {
+            "flow": ["tcp0", "tcp1", "ewtcp", "coupled", "mptcp"],
+            # The paper's 4 % / 1 % at 25x smaller loss (same ratio), out
+            # of the timeout regime the balance formulas ignore.
+            "losses": [[0.0016, 0.0004]],
+            "rtts": [[0.010, 0.100]],
+        },
+        "seed": 41,
+        "warmup": 30.0,
+        "duration": 120.0,
+        "title": "Fig 4: WiFi (10 ms, path 0) + 3G (100 ms, path 1) at "
+                 "fixed loss, 4:1",
+    },
+    "paper_semicoupled": {
+        "scenario": "fixed_loss_paths",
+        "parameters": {
+            "flow": ["semicoupled", "ewtcp", "coupled"],
+            # The paper's 1 % / 1 % / 5 % at 10x smaller loss.
+            "losses": [[0.001, 0.001, 0.005]],
+            "rtts": [[0.1, 0.1, 0.1]],
+        },
+        "seed": 51,
+        "warmup": 30.0,
+        "duration": 240.0,
+        "title": "§2.4: SEMICOUPLED's traffic split at losses 1:1:5",
+    },
+    "paper_dynamic_cbr": {
+        "scenario": "two_links",
+        "parameters": {
+            "algo": ["ewtcp", "mptcp", "coupled"],
+            "rates": [[mbps_to_pps(100), mbps_to_pps(100)]],
+            "delays": [[0.005, 0.005]],
+            "cross": ["cbr"],
+        },
+        "seed": 5,
+        "warmup": 10.0,
+        "duration": 60.0,
+        "title": "§3 dynamic load: throughput per link under bursty CBR "
+                 "on link 1",
+    },
+    "paper_fig10": {
+        "scenario": "server_lb",
+        "parameters": {"algo": ["mptcp"]},
+        "seed": 61,
+        "warmup": 20.0,
+        "duration": 40.0,
+        "title": "Fig 10: dual-homed server, 10 multipath flows join "
+                 "5 + 15 TCPs",
+    },
+    "paper_poisson": {
+        "scenario": "poisson_churn",
+        "parameters": {},
+        "seed": 71,
+        "warmup": 20.0,
+        "duration": 80.0,
+        "title": "§3 Poisson churn: MPTCP, COUPLED and EWTCP side by side",
+    },
+    "paper_fattree": {
+        "scenario": "datacenter",
+        "parameters": {
+            "algo": ["single", "ewtcp", "mptcp"],
+            "pattern": ["TP1", "TP2", "TP3"],
+        },
+        "seed": 81,
+        "warmup": 2.0,
+        "duration": 2.5,
+        "title": "§4 FatTree (k=8, scaled links): per-host throughput, "
+                 "% of NIC rate",
+    },
+    "paper_fig12_paths": {
+        "scenario": "datacenter",
+        "parameters": {"algo": ["mptcp"], "paths": [1, 2, 4, 8]},
+        "seed": 91,
+        "warmup": 2.0,
+        "duration": 2.5,
+        "title": "Fig 12: FatTree TP1 throughput vs paths per flow",
+    },
+    "paper_fig13": {
+        "scenario": "datacenter",
+        "parameters": {"algo": ["single", "ewtcp", "mptcp"]},
+        "seed": 95,
+        "warmup": 2.0,
+        "duration": 2.5,
+        "title": "Fig 13: FatTree TP1 distributions of flow throughput "
+                 "and link loss",
+    },
+    "paper_bcube": {
+        "scenario": "datacenter",
+        "parameters": {
+            "topology": ["bcube"],
+            "algo": ["single", "ewtcp", "mptcp"],
+            "pattern": ["TP1", "TP2", "TP3"],
+            "paths": [3],
+        },
+        "seed": 101,
+        "warmup": 2.0,
+        "duration": 2.5,
+        "title": "§4 BCube(5,2) (scaled links): per-host throughput, "
+                 "% of one NIC",
+    },
+    "paper_wireless_static": {
+        "scenario": "wireless_client",
+        "parameters": {
+            "flow": ["tcp_wifi", "tcp_3g", "mptcp"],
+            "wifi_loss": [0.003],
+        },
+        "seed": 111,
+        "warmup": 20.0,
+        "duration": 60.0,
+        "title": "§5 static: idle WiFi (14.4 Mb/s) + 3G (2.1 Mb/s)",
+    },
+    "paper_fig15": {
+        "scenario": "wireless_client",
+        "parameters": {
+            "flow": ["ewtcp", "coupled", "mptcp"],
+            # The paper's five-minute averages have WiFi delivering
+            # ~4-5 Mb/s in total (interference-limited).
+            "wifi_mbps": [5.0],
+            "wifi_loss": [0.015],
+            "competing": [1],
+        },
+        "seed": 121,
+        "warmup": 40.0,
+        "duration": 150.0,
+        "title": "Fig 15: multipath vs one competing TCP per wireless path",
+    },
+    "paper_rtt_sim": {
+        "scenario": "two_links",
+        "parameters": {
+            "algo": ["mptcp"],
+            "rates": [[250.0, 500.0]],
+            "delays": [[0.250, 0.025]],   # RTT floors 500 / 50 ms
+            "buffers": [[125, 25]],       # one BDP each
+            "cross": ["tcp"],
+        },
+        "seed": 131,
+        "warmup": 40.0,
+        "duration": 180.0,
+        "title": "§5 wired simulation: C = 250/500 pkt/s, RTT = 500/50 ms",
+    },
+    "paper_fig17": {
+        "scenario": "mobile_walk",
+        "parameters": {"algo": ["mptcp"]},
+        "seed": 151,
+        "warmup": 10.0,
+        "duration": 50.0,
+        "title": "Fig 17: multipath throughput across coverage changes",
+    },
+    "paper_ablation_sack": {
+        "scenario": "two_links",
+        "parameters": {
+            "algo": ["mptcp"],
+            "rates": [[1000.0, 1000.0]],
+            "buffers": [[100, 100]],
+            "enable_sack": [True, False],
+        },
+        "seed": 161,
+        "warmup": 15.0,
+        "duration": 45.0,
+        "title": "Ablation: SACK vs NewReno recovery (2 x 1000 pkt/s links)",
+    },
+    "paper_ablation_recompute": {
+        "scenario": "two_links",
+        "parameters": {
+            "algo": ["mptcp", "lia"],
+            "controller_kwargs": [
+                {"recompute": "per_ack"}, {"recompute": "per_window"},
+            ],
+            "rates": [[1000.0, 500.0]],
+            "delays": [[0.02, 0.1]],
+            "buffers": [[40, 100]],
+        },
+        "seed": 162,
+        "warmup": 15.0,
+        "duration": 45.0,
+        "title": "Ablation: eq. (1) per ACK vs per window vs RFC 6356's "
+                 "cached alpha (lia, per_window)",
+    },
+    "paper_ablation_ewtcp_weight": {
+        "scenario": "shared_bottleneck",
+        "parameters": {
+            "algo": ["ewtcp"],
+            "controller_kwargs": [
+                {"a_literal_paper": False}, {"a_literal_paper": True},
+            ],
+        },
+        "seed": 163,
+        "warmup": 25.0,
+        "duration": 80.0,
+        "title": "Ablation: EWTCP weight a = 1/n^2 vs the paper text's "
+                 "1/sqrt(n) at a shared bottleneck",
     },
 }
 

@@ -11,6 +11,8 @@ import pytest
 from hypothesis import settings
 
 from repro.check import InvariantMonitor
+from repro.exp import Runner, ScenarioSpec, TaskSpec, target_id
+from repro.exp.spec import grid_points
 from repro.net.pipe import LossyPipe
 from repro.net.queue import DropTailQueue
 from repro.net.route import Route
@@ -54,6 +56,21 @@ def sim(request) -> Simulation:
     simulation.check_monitor = monitor
     yield simulation
     monitor.finish()
+
+
+def sweep(parameters, fn, **runner_kwargs):
+    """Run the module-level (or, in-process only, any) point function
+    ``fn(**point)`` over the cartesian grid of ``parameters`` through a
+    ``Runner(**runner_kwargs)``; returns the merged rows in grid order."""
+    tasks = [
+        TaskSpec(
+            index=i,
+            spec=ScenarioSpec(scenario=target_id(fn), params=point),
+            fn=fn,
+        )
+        for i, point in enumerate(grid_points(parameters))
+    ]
+    return Runner(**runner_kwargs).run_tasks(tasks)
 
 
 def lossy_route(

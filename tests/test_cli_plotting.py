@@ -15,41 +15,51 @@ class TestCli:
 
     def test_twolinks_runs_and_reports(self, capsys):
         code = main([
-            "twolinks", "--algo", "mptcp", "--rate1", "300", "--rate2", "300",
+            "point", "two_links", "--param", "algo=mptcp",
+            "--param", "rates=[300, 300]",
             "--warmup", "5", "--duration", "10",
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "total" in out and "path 1" in out
+        assert "total_pps" in out and "path1_pps" in out
 
     def test_bottleneck_reports_ratio(self, capsys):
         code = main([
-            "bottleneck", "--algo", "uncoupled", "--competitors", "2",
-            "--rate", "800", "--warmup", "5", "--duration", "15",
+            "point", "shared_bottleneck", "--param", "algo=uncoupled",
+            "--param", "competitors=2", "--param", "rate=800",
+            "--warmup", "5", "--duration", "15",
         ])
         assert code == 0
         assert "ratio" in capsys.readouterr().out
 
     def test_torus_reports_losses(self, capsys):
         code = main([
-            "torus", "--algo", "ewtcp", "--capacity-c", "500",
-            "--warmup", "5", "--duration", "10",
+            "point", "torus_balance", "--param", "algo=ewtcp",
+            "--param", "capacity_c=500", "--warmup", "5", "--duration", "10",
         ])
         assert code == 0
         out = capsys.readouterr().out
-        assert "Jain" in out and "loss rate" in out
+        assert "jain" in out and "pa_pc_ratio" in out
 
     def test_fattree_small(self, capsys):
         code = main([
-            "fattree", "--k", "4", "--paths", "2",
-            "--warmup", "1.5", "--duration", "1.5", "--rate", "500",
+            "point", "datacenter", "--param", "k=4", "--param", "paths=2",
+            "--param", "rate=500", "--warmup", "1.5", "--duration", "1.5",
         ])
         assert code == 0
-        assert "% NIC" in capsys.readouterr().out
+        assert "util_pct" in capsys.readouterr().out
 
     def test_bad_algorithm_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["twolinks", "--algo", "warp-drive"])
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            main(["point", "two_links", "--param", "algo=warp-drive"])
+
+    def test_deleted_commands_are_invalid_choices(self, capsys):
+        for command in ("bottleneck", "twolinks", "wireless", "torus",
+                        "fattree"):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command])
+            assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_command_required(self):
         with pytest.raises(SystemExit):

@@ -160,6 +160,17 @@ class TestMptcp:
         c2.on_ack(s2)
         assert s1.cwnd == pytest.approx(s2.cwnd)
 
+    def test_per_window_cache_never_exceeds_uncoupled_increase(self):
+        """A cached increase outlives the window it was computed at (slow
+        start grows cwnd without consulting the controller); constraint
+        (4)'s 1/w cap must hold at the window the ACK arrives at."""
+        s1 = FakeSubflow(10.0)
+        c = attach(MptcpController(recompute="per_window"), s1)
+        c.on_ack(s1)          # caches 1/10, s1's increase at cwnd 10
+        s1.cwnd = 40.0        # grown since, cache not yet refreshed
+        c.on_ack(s1)
+        assert s1.cwnd - 40.0 <= 1.0 / 40.0 + 1e-12
+
     def test_subflow_without_rtt_sample_uses_default(self):
         s1 = FakeSubflow(10.0, srtt=None)
         s2 = FakeSubflow(10.0, srtt=0.1)

@@ -1,7 +1,8 @@
 """Smoke tests that the runnable examples stay runnable.
 
 Only the quickstart is executed end-to-end (the others simulate minutes of
-traffic and are exercised by the benchmarks); for the rest we check they
+traffic, and their scenarios are the paper grids' point functions); for
+the rest we check they
 compile and expose a main().
 """
 

@@ -12,8 +12,9 @@ import json
 import pytest
 
 from repro.exp import ResultCache, Runner, ScenarioSpec, TaskSpec, code_version
-from repro.harness.sweep import sweep
 from repro.obs import MemorySink, TraceBus
+
+from conftest import sweep
 
 #: In-process execution counter; meaningful because these tests run the
 #: runner with parallel=1 (everything in this process).

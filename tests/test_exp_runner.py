@@ -23,8 +23,9 @@ import pytest
 from repro.cli import main
 from repro.exp import Runner, ScenarioSpec, TaskError, specs_for_grid
 from repro.exp.spec import target_id
-from repro.harness.sweep import sweep
 from repro.obs import JsonlSink, MemorySink, TraceBus, validate_event
+
+from conftest import sweep
 
 pytestmark = pytest.mark.sweep
 
@@ -158,10 +159,9 @@ class TestAggregation:
         assert rows == [{"i": i, "v": i * 10} for i in range(4)]
 
     def test_parallel_rows_bit_identical_to_serial(self):
-        legacy = sweep({"x": [1, 2, 3, 4]}, square_point)
         serial = sweep({"x": [1, 2, 3, 4]}, square_point, parallel=1)
         parallel = sweep({"x": [1, 2, 3, 4]}, square_point, parallel=4)
-        assert legacy == serial == parallel
+        assert serial == parallel
         assert json.dumps(serial) == json.dumps(parallel)
 
     def test_sim_grid_bit_identical_serial_vs_parallel(self):

@@ -30,8 +30,9 @@ from repro.exp.spec import ScenarioSpec, TaskSpec, target_id
 from repro.farm import Broker, FarmError, FarmLayout, farm_status, run_farm
 from repro.farm.broker import spawn_worker
 from repro.farm.worker import work
-from repro.harness.sweep import sweep
 from repro.obs import MemorySink, TraceBus, validate_event
+
+from conftest import sweep
 
 pytestmark = pytest.mark.farm
 

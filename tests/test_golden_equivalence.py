@@ -53,6 +53,24 @@ def test_every_grid_has_golden_settings():
     )
 
 
+@pytest.mark.parametrize("name, enough", [
+    ("paper_fattree", lambda n: n >= 4),
+    ("paper_fig12_paths", lambda n: n >= 4),
+    ("paper_bcube", lambda n: n == 3),
+])
+def test_fabric_goldens_run_more_than_two_subflows(name, enough):
+    """eq. (1)'s min-set search differs from the two-subflow unroll only
+    at n >= 3 paths, and these grids are the only monitored end-to-end
+    runs that get there: shrinking one to a two-path fabric must fail
+    here, not silently lose the coverage."""
+    rows = [point["row"] for point in load_golden(name)["points"]]
+    assert any(enough(row["max_subflows"]) for row in rows), (
+        f"{name}: no golden point with enough subflows "
+        f"({[row['max_subflows'] for row in rows]})"
+    )
+    assert all(row["violations"] == 0 for row in rows)
+
+
 @pytest.mark.parametrize("name", golden_grid_names())
 def test_grid_replays_bit_identical(name):
     golden = load_golden(name)

@@ -1,44 +1,30 @@
 """Integration tests of the paper's headline claims (scaled-down runs).
 
-Full-scale reproductions live in benchmarks/; these are fast versions with
-loose tolerances that pin down the *direction and rough factor* of each §2
-design argument, so a regression in the congestion-control machinery fails
-the suite.
+Each test reads a row off a registered point function
+(``repro.exp.paper`` / ``repro.exp.grids`` — the full-scale grids are
+``python -m repro sweep paper``); these are fast versions with loose
+tolerances that pin down the *direction and rough factor* of each §2
+design argument, so a regression in the congestion-control machinery
+fails the suite.
 """
 
-import pytest
+import functools
 
-from repro import Simulation, jain_index, make_flow, measure
-from repro.core.registry import make_controller
-from repro.mptcp.connection import MptcpFlow
+from repro.exp import SCENARIOS, ScenarioSpec
 from repro.net.network import mbps_to_pps
-from repro.tcp.sender import TcpFlow
-from repro.topology import (
-    build_shared_bottleneck,
-    build_torus,
-    build_two_links,
-    build_3g_path,
-    build_wifi_path,
-)
-from repro.traffic import OnOffCbrSource
 
 
-def shared_bottleneck_ratio(algo, seed=11, duration=120.0):
-    sim = Simulation(seed=seed)
-    sc = build_shared_bottleneck(sim, rate_pps=2000, delay=0.05, buffer_pkts=200)
-    flows = {}
-    for i in range(6):
-        f = make_flow(
-            sim, [sc.net.route(["src", "dst"], name=f"s{i}")], "reno", name=f"s{i}"
-        )
-        f.start(at=0.05 * i)
-        flows[f"s{i}"] = f
-    multi = make_flow(sim, sc.routes("multi"), algo, name="multi")
-    multi.start(at=0.4)
-    flows["multi"] = multi
-    m = measure(sim, flows, warmup=30, duration=duration)
-    singles = sum(m[f"s{i}"] for i in range(6)) / 6
-    return m["multi"] / singles
+@functools.lru_cache(maxsize=None)
+def point(scenario, seed, warmup, duration, **params):
+    """One row of a registered point function; a point several tests read
+    is simulated once."""
+    return SCENARIOS[scenario](ScenarioSpec(
+        scenario, params, seed=seed, warmup=warmup, duration=duration
+    ))
+
+
+def shared_bottleneck_ratio(algo):
+    return point("shared_bottleneck", 11, 30.0, 120.0, algo=algo)["ratio"]
 
 
 class TestSection21Fairness:
@@ -70,27 +56,15 @@ class TestTwoPathEfficiency:
     def test_mptcp_fills_two_independent_links(self):
         """A two-path MPTCP flow over two idle 500 pkt/s links should get
         ~1000 pkt/s (the §5 'sum of access links' claim, wired version)."""
-        sim = Simulation(seed=3)
-        sc = build_two_links(
-            sim, 500.0, 500.0, delay1=0.05, delay2=0.05,
-            buffer1_pkts=50, buffer2_pkts=50,
-        )
-        flow = make_flow(sim, sc.routes("multi"), "mptcp", name="m")
-        flow.start()
-        m = measure(sim, {"m": flow}, warmup=20.0, duration=60.0)
-        assert m["m"] > 930.0
+        row = point("two_links", 3, 20.0, 60.0, algo="mptcp")
+        assert row["total_pps"] > 930.0
 
     def test_split_follows_capacity(self):
-        sim = Simulation(seed=4)
-        sc = build_two_links(
-            sim, 300.0, 900.0, delay1=0.05, delay2=0.05,
-            buffer1_pkts=30, buffer2_pkts=90,
+        row = point(
+            "two_links", 4, 20.0, 60.0, algo="mptcp",
+            rates=(300.0, 900.0), buffers=(30, 90),
         )
-        flow = make_flow(sim, sc.routes("multi"), "mptcp", name="m")
-        flow.start()
-        m = measure(sim, {"m": flow}, warmup=20.0, duration=60.0)
-        r1, r2 = m.subflow_rates["m"]
-        assert r2 > 2 * r1
+        assert row["path2_pps"] > 2 * row["path1_pps"]
 
 
 class TestSection24Trapping:
@@ -98,58 +72,37 @@ class TestSection24Trapping:
     EWTCP keep probing and recover."""
 
     @staticmethod
-    def top_link_rate(algo, seed=5):
-        sim = Simulation(seed=seed)
+    def bursty(algo, seed, duration):
         rate = mbps_to_pps(100)
-        sc = build_two_links(
-            sim, rate, rate, buffer1_pkts=50, buffer2_pkts=50,
-            delay1=0.005, delay2=0.005,
+        return point(
+            "two_links", seed, 10.0, duration, algo=algo, cross="cbr",
+            rates=(rate, rate), delays=(0.005, 0.005),
         )
-        cbr = OnOffCbrSource(
-            sim, sc.net.route(["s1", "d1"], name="cbr"), rate,
-            mean_on=0.010, mean_off=0.100,
-        )
-        multi = make_flow(sim, sc.routes("multi"), algo, name="m")
-        cbr.start()
-        multi.start()
-        m = measure(sim, {"m": multi}, warmup=10.0, duration=40.0)
-        return m.subflow_rates["m"][0]
 
     def test_mptcp_recovers_much_better_than_coupled(self):
-        assert self.top_link_rate("mptcp") > 2.0 * self.top_link_rate("coupled")
+        def top_link_rate(algo):
+            return self.bursty(algo, 5, 40.0)["path1_pps"]
+
+        assert top_link_rate("mptcp") > 2.0 * top_link_rate("coupled")
 
     def test_bottom_link_stays_full(self):
-        sim = Simulation(seed=6)
-        rate = mbps_to_pps(100)
-        sc = build_two_links(sim, rate, rate, buffer1_pkts=50, buffer2_pkts=50)
-        cbr = OnOffCbrSource(sim, sc.net.route(["s1", "d1"], name="cbr"), rate)
-        multi = make_flow(sim, sc.routes("multi"), "mptcp", name="m")
-        cbr.start()
-        multi.start()
-        m = measure(sim, {"m": multi}, warmup=10.0, duration=30.0)
-        assert m.subflow_rates["m"][1] > 0.9 * rate
+        row = self.bursty("mptcp", 6, 30.0)
+        assert row["path2_pps"] > 0.9 * mbps_to_pps(100)
+
+
+def torus(algo):
+    """Link C squeezed to a quarter; both torus tests read these rows."""
+    return point("torus_balance", 9, 30.0, 90.0, algo=algo, capacity_c=250.0)
 
 
 class TestSection3Torus:
     def test_balance_ordering_coupled_best_ewtcp_worst(self):
         """Fig 8: when link C shrinks, COUPLED balances congestion best,
         EWTCP worst, MPTCP in between (ratio pA/pC closest to 1 wins)."""
-        ratios = {}
-        for algo in ("ewtcp", "mptcp", "coupled"):
-            sim = Simulation(seed=9)
-            sc = build_torus(sim, [1000, 1000, 250, 1000, 1000], delay=0.05)
-            flows = {}
-            for i in range(5):
-                f = make_flow(sim, sc.routes(f"f{i}"), algo, name=f"f{i}")
-                f.start(at=0.1 * i)
-                flows[f"f{i}"] = f
-            sim.run_until(30.0)
-            queues = [sc.net.link(f"in{i}", f"out{i}").queue for i in range(5)]
-            for q in queues:
-                q.reset_counters()
-            measure(sim, flows, warmup=30.0, duration=90.0)
-            losses = [q.loss_rate for q in queues]
-            ratios[algo] = losses[0] / max(losses[2], 1e-9)
+        ratios = {
+            algo: torus(algo)["pa_pc_ratio"]
+            for algo in ("ewtcp", "mptcp", "coupled")
+        }
         assert ratios["coupled"] > ratios["mptcp"] > ratios["ewtcp"]
 
 
@@ -157,55 +110,27 @@ class TestSection5RttCompensation:
     def test_mptcp_total_at_least_sum_of_wireless_links_when_idle(self):
         """§5 static single-flow test: MPTCP over idle WiFi+3G gets about
         the sum of the two access rates (paper: 14.4 + 2.1 -> 17.3)."""
-        sim = Simulation(seed=10)
-        wifi = build_wifi_path(sim, loss_prob=0.003)
-        threeg = build_3g_path(sim)
-        flow = MptcpFlow(
-            sim,
-            [wifi.route("m.wifi"), threeg.route("m.3g")],
-            make_controller("mptcp"),
-            name="m",
+        row = point(
+            "wireless_client", 10, 30.0, 60.0, flow="mptcp", wifi_loss=0.003
         )
-        flow.start()
-        m = measure(sim, {"m": flow}, warmup=30.0, duration=60.0)
         total_capacity = mbps_to_pps(14.4) + mbps_to_pps(2.1)
-        assert m["m"] > 0.8 * total_capacity
+        assert row["total_pps"] > 0.8 * total_capacity
 
     def test_coupled_underuses_wifi_when_competing(self):
         """§2.3/§5: with competing TCPs, COUPLED retreats to the
         less-congested overbuffered 3G path and wastes WiFi capacity;
         MPTCP's RTT compensation gets clearly more total throughput."""
         def run(algo):
-            sim = Simulation(seed=11)
-            wifi = build_wifi_path(sim, loss_prob=0.01)
-            threeg = build_3g_path(sim)
-            tcp_wifi = TcpFlow(
-                sim, wifi.route("s1"), make_controller("reno"), name="s1"
+            return point(
+                "wireless_client", 11, 40.0, 120.0, flow=algo, competing=1
             )
-            tcp_3g = TcpFlow(
-                sim, threeg.route("s2"), make_controller("reno"), name="s2"
-            )
-            multi = MptcpFlow(
-                sim,
-                [wifi.route("m.wifi"), threeg.route("m.3g")],
-                make_controller(algo),
-                name="m",
-            )
-            tcp_wifi.start()
-            tcp_3g.start(at=0.3)
-            multi.start(at=0.6)
-            m = measure(
-                sim, {"s1": tcp_wifi, "s2": tcp_3g, "m": multi},
-                warmup=40.0, duration=120.0,
-            )
-            return m
 
         mptcp = run("mptcp")
         coupled = run("coupled")
-        assert mptcp["m"] > 1.3 * coupled["m"]
+        assert mptcp["total_pps"] > 1.3 * coupled["total_pps"]
         # COUPLED leaves the WiFi path nearly idle (its wifi subflow rate
         # is a trickle compared to MPTCP's).
-        assert coupled.subflow_rates["m"][0] < 0.5 * mptcp.subflow_rates["m"][0]
+        assert coupled["wifi_pps"] < 0.5 * mptcp["wifi_pps"]
 
 
 class TestEquilibriumAgainstFluidModel:
@@ -216,15 +141,5 @@ class TestEquilibriumAgainstFluidModel:
     def test_jain_index_improves_with_coupling_on_torus(self):
         """§3: COUPLED/MPTCP yield better flow-rate fairness than EWTCP
         when capacities are unequal."""
-        results = {}
-        for algo in ("ewtcp", "mptcp"):
-            sim = Simulation(seed=13)
-            sc = build_torus(sim, [1000, 1000, 100, 1000, 1000], delay=0.05)
-            flows = {}
-            for i in range(5):
-                f = make_flow(sim, sc.routes(f"f{i}"), algo, name=f"f{i}")
-                f.start(at=0.1 * i)
-                flows[f"f{i}"] = f
-            m = measure(sim, flows, warmup=30.0, duration=90.0)
-            results[algo] = jain_index([m[f"f{i}"] for i in range(5)])
+        results = {algo: torus(algo)["jain"] for algo in ("ewtcp", "mptcp")}
         assert results["mptcp"] > results["ewtcp"]

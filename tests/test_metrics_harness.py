@@ -3,14 +3,8 @@
 import pytest
 
 from repro.core.registry import make_controller
-from repro.harness import (
-    Table,
-    format_value,
-    grid_points,
-    make_flow,
-    measure,
-    sweep,
-)
+from repro.exp.spec import grid_points, merge_row
+from repro.harness import Table, format_value, make_flow, measure
 from repro.metrics import jain_index, windowed_rate
 from repro.mptcp.connection import MptcpFlow
 from repro.net.queue import DropTailQueue
@@ -18,6 +12,8 @@ from repro.net.pipe import Pipe
 from repro.net.route import Route
 from repro.sim.simulation import Simulation
 from repro.tcp.sender import TcpFlow
+
+from conftest import sweep
 
 
 class TestJainIndex:
@@ -108,11 +104,11 @@ class TestSweep:
         # Regression: a result key equal to a parameter name used to
         # silently overwrite the parameter value in the output row.
         with pytest.raises(ValueError, match="collide.*'x'"):
-            sweep({"x": [1, 2]}, lambda x: {"x": 99, "y": 0})
+            merge_row({"x": 1}, {"x": 99, "y": 0})
 
     def test_sweep_collision_raises_on_runner_path_too(self):
         with pytest.raises(ValueError, match="collide"):
-            sweep({"x": [1]}, lambda x: {"x": 99}, parallel=1)
+            sweep({"x": [1]}, lambda x: {"x": 99})
 
 
 class TestMakeFlowAndMeasure:

@@ -34,7 +34,9 @@ Two checks keep ``docs/*.md`` from silently rotting:
    ``repro sweep <grid>`` a doc (or the README) spells must exist in
    :data:`repro.exp.grids.SCENARIOS` /
    :data:`repro.topology.scenarios.SWEEP_GRIDS`, so merging or renaming
-   point functions cannot leave a doc pointing at a name that is gone.
+   point functions cannot leave a doc pointing at a name that is gone;
+   DESIGN.md's reproduction table must name only registered grids and
+   every grid that carries claims (:data:`repro.exp.paper.CLAIMS`).
    Likewise every ``make <target>`` and ``python -m repro <sub>`` (or
    backquoted ``repro <sub>``) named in the docs, README.md, EXPERIMENTS.md,
    DESIGN.md or the Makefile's header must be a Makefile rule / a
@@ -200,11 +202,34 @@ def check_scenario_names(paths: List[pathlib.Path]) -> List[str]:
         for pattern, known, what in (
             (r"""SCENARIOS\[["'](\w+)["']\]""", SCENARIOS,
              "repro.exp.grids.SCENARIOS"),
-            (r"repro sweep (\w+)", SWEEP_GRIDS,
+            (r"repro sweep (\w+)", set(SWEEP_GRIDS) | {"paper"},
              "repro.topology.scenarios.SWEEP_GRIDS"),
         ):
             for name in sorted(set(re.findall(pattern, text)) - set(known)):
                 errors.append(f"{path.name}: `{name}` is not in {what}")
+    return errors
+
+
+def check_reproduction_table(repo: pathlib.Path) -> List[str]:
+    """DESIGN.md's per-experiment index and the claims-bearing grids name
+    each other: every grid in the table's last column is a key of
+    ``SWEEP_GRIDS``, and every grid with claims appears there."""
+    from repro.exp.paper import CLAIMS
+    from repro.topology.scenarios import SWEEP_GRIDS
+
+    text = (repo / "DESIGN.md").read_text(encoding="utf-8")
+    table = text[text.index("| Exp id |"):text.index("Scaling note:")]
+    named = set()
+    for line in table.splitlines()[2:]:
+        cells = line.strip().strip("|").split("|")
+        if len(cells) > 1 and "perfbench" not in cells[-1]:
+            named.update(re.findall(r"`(\w+)`", cells[-1]))
+    errors = [f"DESIGN.md: reproduction table names `{name}`, which is not "
+              f"in repro.topology.scenarios.SWEEP_GRIDS"
+              for name in sorted(named - set(SWEEP_GRIDS))]
+    errors += [f"DESIGN.md: grid `{name}` carries claims but is missing "
+               f"from the reproduction table"
+               for name in sorted(set(CLAIMS) - named)]
     return errors
 
 
@@ -265,6 +290,7 @@ def main() -> int:
     errors.extend(check_event_table(repo))
     errors.extend(check_controller_docs(repo))
     errors.extend(check_scenario_names(docs + [repo / "README.md"]))
+    errors.extend(check_reproduction_table(repo))
     errors.extend(check_commands(repo, docs + [
         repo / name for name in ("README.md", "EXPERIMENTS.md", "DESIGN.md")]))
 
