@@ -7,8 +7,10 @@ queue, which is what makes links into bottlenecks.
 
 Paths are described as node lists; :meth:`Network.route` assembles the
 corresponding :class:`~repro.net.route.Route`.  Topology queries (shortest
-paths, ECMP path sets) are answered from a ``networkx`` graph kept in sync
-with the links.
+paths, ECMP path sets) are answered by a breadth-first and a depth-first
+search over :attr:`Network.adjacency`, the successor lists in link-insertion
+order; both return paths in the order ``networkx``'s ``all_shortest_paths``
+and ``all_simple_paths`` would, which the seeded path sampling depends on.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from ..sim.simulation import Simulation
 from .packet import MSS_BYTES
@@ -70,13 +70,14 @@ class Network:
     def __init__(self, sim: Simulation):
         self.sim = sim
         self.links: Dict[Tuple[str, str], Link] = {}
-        self.graph = nx.DiGraph()
+        # Each node's successors, in link-insertion order.
+        self.adjacency: Dict[str, List[str]] = {}
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def add_node(self, name: str) -> None:
-        self.graph.add_node(name)
+        self.adjacency.setdefault(name, [])
 
     def add_link(
         self,
@@ -111,7 +112,8 @@ class Network:
         pipe = Pipe(self.sim, delay, name=f"{src}->{dst}.pipe")
         link = Link(src, dst, queue, pipe)
         self.links[key] = link
-        self.graph.add_edge(src, dst)
+        self.adjacency.setdefault(src, []).append(dst)
+        self.adjacency.setdefault(dst, [])
         return link
 
     def link(self, src: str, dst: str) -> Link:
@@ -146,8 +148,61 @@ class Network:
     # Topology queries
     # ------------------------------------------------------------------
     def shortest_paths(self, src: str, dst: str) -> List[List[str]]:
-        """All shortest-hop paths from src to dst (the ECMP path set)."""
-        return [list(p) for p in nx.all_shortest_paths(self.graph, src, dst)]
+        """All shortest-hop paths from src to dst (the ECMP path set).
+
+        A level-by-level BFS records each node's predecessors one level
+        up, in visiting order; the paths are then walked back from ``dst``
+        depth-first, first predecessor first.  Raises ``ValueError`` when
+        ``src`` is not a node or ``dst`` is unreachable from it.
+        """
+        adj = self.adjacency
+        if src not in adj:
+            raise ValueError(f"no path {src}->{dst}: {src} is not a node")
+        preds: Dict[str, List[str]] = {src: []}
+        level: Iterable[str] = [src]
+        while level and dst not in preds:
+            below: Dict[str, List[str]] = {}  # next level, in discovery order
+            for v in level:
+                for w in adj[v]:
+                    if w in below:
+                        below[w].append(v)
+                    elif w not in preds:
+                        below[w] = [v]
+            preds.update(below)
+            level = below
+        if dst not in preds:
+            raise ValueError(f"no path {src}->{dst}")
+        paths = []
+        stack = [[dst]]
+        while stack:
+            back = stack.pop()  # dst ... back to the node being expanded
+            if back[-1] == src:
+                paths.append(back[::-1])
+            stack.extend(back + [p] for p in reversed(preds[back[-1]]))
+        return paths
+
+    def _simple_paths(self, src: str, dst: str, cutoff: int) -> List[List[str]]:
+        """Every loop-free src->dst path of at most ``cutoff`` hops, in
+        depth-first order over the successor lists (``cutoff`` >= 1)."""
+        if src == dst:
+            return [[src]]
+        adj = self.adjacency
+        paths = []
+        path = [src]
+        stack = [iter(adj[src])]
+        while stack:
+            nxt = next(stack[-1], None)
+            if nxt is None:
+                stack.pop()
+                path.pop()
+            elif nxt in path:
+                continue
+            elif nxt == dst:
+                paths.append(path + [dst])
+            elif len(path) < cutoff:
+                path.append(nxt)
+                stack.append(iter(adj[nxt]))
+        return paths
 
     def random_shortest_path(
         self, src: str, dst: str, rng: Optional[random.Random] = None
@@ -177,10 +232,7 @@ class Network:
             rng.shuffle(shortest)
             return shortest[:count]
         cutoff = len(shortest[0]) - 1 + cutoff_extra_hops
-        pool = [
-            list(p)
-            for p in nx.all_simple_paths(self.graph, src, dst, cutoff=cutoff)
-        ]
+        pool = self._simple_paths(src, dst, cutoff)
         rng.shuffle(pool)
         # Keep shortest paths preferentially, then fill with longer ones.
         chosen = [p for p in pool if len(p) == len(shortest[0])]
@@ -197,6 +249,6 @@ class Network:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Network(nodes={self.graph.number_of_nodes()}, "
+            f"Network(nodes={len(self.adjacency)}, "
             f"links={len(self.links)})"
         )

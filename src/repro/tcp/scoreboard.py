@@ -22,10 +22,10 @@ Semantics are pinned to the old containers bit-for-bit:
   retransmission, consumed only by the cumulative-ACK advance, and —
   unlike LOST/RTX — *not* cleared on episode boundaries.
 
-:class:`ReferenceScoreboard` keeps the original container-based
-implementation alive behind the same API; it exists so the hypothesis
-property test (``tests/test_properties.py``) can drive both through
-random ACK/SACK/retransmit sequences and assert state equality — the
+The original container-based implementation lives on, behind the same
+API, as the oracle of the hypothesis property test
+(``tests/test_properties.py``), which drives both through random
+ACK/SACK/retransmit sequences and asserts state equality — the
 executable form of the "observably identical" claim.
 """
 
@@ -33,9 +33,7 @@ from __future__ import annotations
 
 from typing import Set
 
-from ..utils.intervals import IntervalSet
-
-__all__ = ["SackScoreboard", "ReferenceScoreboard", "SACKED", "LOST", "RTX", "RETX"]
+__all__ = ["SackScoreboard", "SACKED", "LOST", "RTX", "RETX"]
 
 #: Per-sequence flag bits.
 SACKED = 0x01  # receiver holds it (reported in a SACK block)
@@ -309,144 +307,3 @@ class SackScoreboard:
             f"lost={self.n_lost}, rtx={self.n_rtx}, retx={self.n_retx})"
         )
 
-
-class ReferenceScoreboard:
-    """The original container-based scoreboard, kept as the semantic
-    reference for the equivalence property test.
-
-    Implements the same API as :class:`SackScoreboard` with the exact
-    pre-rewrite data structures and update rules from
-    ``repro.tcp.sender`` (an IntervalSet plus three sets).
-    """
-
-    __slots__ = ("base", "_sacked", "_lost", "_rtx", "_retx_pending")
-
-    def __init__(self) -> None:
-        self.base = 0
-        self._sacked = IntervalSet()
-        self._lost: Set[int] = set()
-        self._rtx: Set[int] = set()
-        self._retx_pending: Set[int] = set()
-
-    # -- counts -------------------------------------------------------
-    @property
-    def n_sacked(self) -> int:
-        return len(self._sacked)
-
-    @property
-    def n_lost(self) -> int:
-        return len(self._lost)
-
-    @property
-    def n_rtx(self) -> int:
-        return len(self._rtx)
-
-    @property
-    def n_retx(self) -> int:
-        return len(self._retx_pending)
-
-    # -- membership ---------------------------------------------------
-    def is_sacked(self, seq: int) -> bool:
-        return seq in self._sacked
-
-    def is_rtx(self, seq: int) -> bool:
-        return seq in self._rtx
-
-    def is_retx(self, seq: int) -> bool:
-        return seq in self._retx_pending
-
-    # -- SACK ---------------------------------------------------------
-    def mark_sacked(self, start: int, end: int) -> None:
-        if end <= self.base:
-            return
-        self._sacked.add(max(start, self.base), end)
-        sacked = self._sacked
-        lost = self._lost
-        if lost:
-            dead = [s for s in lost if s in sacked]
-            if dead:
-                lost.difference_update(dead)
-        rtx = self._rtx
-        if rtx:
-            dead = [s for s in rtx if s in sacked]
-            if dead:
-                rtx.difference_update(dead)
-
-    # -- episode ------------------------------------------------------
-    def mark_lost(self, seq: int) -> None:
-        self._lost.add(seq)
-
-    def mark_rtx(self, seq: int) -> None:
-        self._rtx.add(seq)
-
-    def pop_min_lost(self) -> int:
-        seq = min(self._lost)
-        self._lost.discard(seq)
-        self._rtx.add(seq)
-        return seq
-
-    def clear_episode(self) -> None:
-        self._lost.clear()
-        self._rtx.clear()
-
-    # -- Karn ---------------------------------------------------------
-    def mark_retx(self, seq: int) -> None:
-        self._retx_pending.add(seq)
-
-    def retx_below(self, ackno: int) -> bool:
-        return any(s < ackno for s in self._retx_pending)
-
-    # -- advance ------------------------------------------------------
-    def advance(self, ackno: int) -> None:
-        if ackno <= self.base:
-            return
-        self.base = ackno
-        self._sacked.discard_below(ackno)
-        for member in (self._lost, self._rtx, self._retx_pending):
-            dead = [s for s in member if s < ackno]
-            if dead:
-                member.difference_update(dead)
-
-    # -- IsLost -------------------------------------------------------
-    def detect_losses(self, dup_thresh: int) -> None:
-        """Verbatim pre-rewrite ``TcpSender._detect_losses``."""
-        if not self._sacked:
-            return
-        need = dup_thresh
-        cutoff = self.base
-        for start, end in reversed(list(self._sacked.intervals())):
-            size = end - start
-            if size >= need:
-                cutoff = end - need
-                break
-            need -= size
-        if cutoff <= self.base:
-            return
-        pos = self.base
-        for start, end in self._sacked.intervals():
-            if end <= pos:
-                continue
-            if start >= cutoff:
-                break
-            for seq in range(pos, min(start, cutoff)):
-                if seq not in self._rtx:
-                    self._lost.add(seq)
-            pos = max(pos, end)
-            if pos >= cutoff:
-                break
-        for seq in range(pos, cutoff):
-            if seq not in self._rtx:
-                self._lost.add(seq)
-
-    # -- views --------------------------------------------------------
-    def sacked_set(self) -> Set[int]:
-        return {s for a, b in self._sacked.intervals() for s in range(a, b)}
-
-    def lost_set(self) -> Set[int]:
-        return set(self._lost)
-
-    def rtx_set(self) -> Set[int]:
-        return set(self._rtx)
-
-    def retx_set(self) -> Set[int]:
-        return set(self._retx_pending)

@@ -175,7 +175,7 @@ class BCube:
 
     @property
     def num_switches(self) -> int:
-        return self.net.graph.number_of_nodes() - self.num_hosts
+        return len(self.net.adjacency) - self.num_hosts
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -79,7 +79,7 @@ class FatTree:
 
     @property
     def num_switches(self) -> int:
-        return self.net.graph.number_of_nodes() - self.num_hosts
+        return len(self.net.adjacency) - self.num_hosts
 
     def host_pod(self, host: str) -> int:
         return int(host[1:]) // ((self.k // 2) ** 2)

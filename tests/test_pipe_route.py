@@ -169,6 +169,32 @@ class TestNetwork:
         paths = net.shortest_paths("a", "z")
         assert sorted(p[1] for p in paths) == ["m1", "m2"]
 
+    def test_unreachable_destination_is_a_value_error(self):
+        sim = Simulation()
+        net = Network(sim)
+        net.add_link("a", "b", 100.0, 0.01, 10, bidirectional=False)
+        net.add_node("z")
+        for query in (
+            lambda: net.shortest_paths("a", "z"),
+            lambda: net.shortest_paths("b", "a"),
+            lambda: net.random_shortest_path("a", "z"),
+            lambda: net.random_paths("a", "z", count=3),
+        ):
+            with pytest.raises(ValueError, match="no path"):
+                query()
+
+    def test_unknown_source_is_a_value_error(self):
+        sim = Simulation()
+        net = Network(sim)
+        net.add_link("a", "b", 100.0, 0.01, 10)
+        for query in (
+            lambda: net.shortest_paths("x", "b"),
+            lambda: net.random_shortest_path("x", "b"),
+            lambda: net.random_paths("x", "b", count=3),
+        ):
+            with pytest.raises(ValueError, match="no path x->b: x is not a node"):
+                query()
+
     def test_random_shortest_path_is_shortest(self):
         sim = Simulation(seed=4)
         net = Network(sim)
