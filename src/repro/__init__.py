@@ -19,68 +19,46 @@ Public API highlights
   deterministic aggregation; guide in ``docs/RUNNER.md``.
 """
 
-from .core import (
-    CongestionController,
-    CoupledController,
-    EwtcpController,
-    LinkedIncreasesController,
-    MptcpController,
-    RenoController,
-    SemicoupledController,
-    UncoupledController,
-    make_controller,
-)
-from .exp import ResultCache, Runner, ScenarioSpec, specs_for_grid
-from .harness import Table, make_flow, measure, standard_series
-from .metrics import jain_index
-from .mptcp import MptcpFlow
-from .net import Network, Route, mbps_to_pps, pps_to_mbps
-from .obs import (
-    NULL_TRACE,
-    JsonlSink,
-    MemorySink,
-    SeriesRecorder,
-    TraceBus,
-    validate_event,
-)
-from .sim import Simulation
-from .tcp import TcpFlow, TcpReceiver, TcpSender
+from ._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CongestionController",
-    "CoupledController",
-    "EwtcpController",
-    "JsonlSink",
-    "LinkedIncreasesController",
-    "MemorySink",
-    "MptcpController",
-    "MptcpFlow",
-    "NULL_TRACE",
-    "Network",
-    "RenoController",
-    "ResultCache",
-    "Route",
-    "Runner",
-    "ScenarioSpec",
-    "SemicoupledController",
-    "SeriesRecorder",
-    "Simulation",
-    "Table",
-    "TcpFlow",
-    "TcpReceiver",
-    "TcpSender",
-    "TraceBus",
-    "UncoupledController",
-    "jain_index",
-    "make_controller",
-    "make_flow",
-    "mbps_to_pps",
-    "measure",
-    "pps_to_mbps",
-    "specs_for_grid",
-    "standard_series",
-    "validate_event",
-    "__version__",
-]
+#: Public name -> the subpackage that exports it (loaded on first use).
+_EXPORTS = {
+    "CongestionController": ".core",
+    "CoupledController": ".core",
+    "EwtcpController": ".core",
+    "JsonlSink": ".obs",
+    "LinkedIncreasesController": ".core",
+    "MemorySink": ".obs",
+    "MptcpController": ".core",
+    "MptcpFlow": ".mptcp",
+    "NULL_TRACE": ".obs",
+    "Network": ".net",
+    "RenoController": ".core",
+    "ResultCache": ".exp",
+    "Route": ".net",
+    "Runner": ".exp",
+    "ScenarioSpec": ".exp",
+    "SemicoupledController": ".core",
+    "SeriesRecorder": ".obs",
+    "Simulation": ".sim",
+    "Table": ".harness",
+    "TcpFlow": ".tcp",
+    "TcpReceiver": ".tcp",
+    "TcpSender": ".tcp",
+    "TraceBus": ".obs",
+    "UncoupledController": ".core",
+    "jain_index": ".harness",
+    "make_controller": ".core",
+    "make_flow": ".harness",
+    "mbps_to_pps": ".net",
+    "measure": ".harness",
+    "pps_to_mbps": ".net",
+    "specs_for_grid": ".exp",
+    "standard_series": ".harness",
+    "validate_event": ".obs",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -11,13 +11,16 @@ See ``docs/CHECKING.md``.  The package has two halves:
   reserved ``check`` / ``faults`` parameter keys.
 """
 
-from .hooks import CheckContext, trace_override
-from .invariants import CHECK_EVENTS, InvariantMonitor, InvariantViolation
+from .._exports import lazy_exports
 
-__all__ = [
-    "CHECK_EVENTS",
-    "CheckContext",
-    "InvariantMonitor",
-    "InvariantViolation",
-    "trace_override",
-]
+#: Public name -> the submodule defining it (loaded on first use).
+_EXPORTS = {
+    "CHECK_EVENTS": ".invariants",
+    "CheckContext": ".hooks",
+    "InvariantMonitor": ".invariants",
+    "InvariantViolation": ".invariants",
+    "trace_override": ".hooks",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

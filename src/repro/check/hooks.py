@@ -28,6 +28,8 @@ A point function composes in four lines::
 When inactive (the default for every existing spec) this is a strict
 no-op: the same untraced ``Simulation`` as before, and ``finish`` returns
 the row unchanged — cached results and golden numbers are unaffected.
+An inactive context does not even import the monitor, the fault
+injectors or the event schema.
 
 :func:`trace_override` routes the monitored bus somewhere visible (the
 ``repro check`` CLI uses it to stream ``check.*``/``fault.*`` records to
@@ -37,15 +39,16 @@ a JSONL file through a :class:`~repro.obs.sinks.FilterSink`).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from ..exp.spec import ScenarioSpec
-from ..fault.faults import Fault, arm_faults
 from ..fault.spec import FaultSpec, resolve_faults
-from ..obs.schema import DEFAULT_EVENTS
 from ..obs.trace import TraceBus
 from ..sim.simulation import Simulation
-from .invariants import InvariantMonitor
+
+if TYPE_CHECKING:
+    from ..fault.faults import Fault
+    from .invariants import InvariantMonitor
 
 __all__ = ["CheckContext", "trace_override"]
 
@@ -102,6 +105,9 @@ class CheckContext:
         if not self.active:
             self.sim = cls(seed=self.seed, **sim_kwargs)
             return self.sim
+        from ..obs.schema import DEFAULT_EVENTS
+        from .invariants import InvariantMonitor
+
         bus = _BUS_OVERRIDE[0] or TraceBus(events=DEFAULT_EVENTS)
         self.sim = cls(seed=self.seed, trace=bus, **sim_kwargs)
         self.monitor = InvariantMonitor()
@@ -115,6 +121,8 @@ class CheckContext:
             return []
         assert self.sim is not None, "call simulation() before arm()"
         if self.fault_specs:
+            from ..fault.faults import arm_faults
+
             self.faults = arm_faults(self.sim, self.fault_specs)
         self.monitor.emit_attach(len(self.faults))
         return self.faults

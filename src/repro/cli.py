@@ -60,7 +60,7 @@ from typing import List, Optional
 from .check import CHECK_EVENTS, InvariantViolation, trace_override
 from .core.registry import ALGORITHMS
 from .exp import CLAIMS, ResultCache, Runner, specs_for_grid
-from .exp.grids import SCENARIOS
+from .exp.grids import SCENARIOS, point_function
 from .exp.paper import failed_claim
 from .exp.spec import ScenarioSpec, TaskSpec, grid_points
 from .fault import FAULT_PRESETS
@@ -260,7 +260,7 @@ def _run_point(spec: ScenarioSpec, bus: Optional[TraceBus]):
     reporting an invariant violation."""
     try:
         with trace_override(bus):
-            return SCENARIOS[spec.scenario](spec)
+            return point_function(spec.scenario)(spec)
     except InvariantViolation as exc:
         print(f"VIOLATION: {exc}", file=sys.stderr)
         return None
@@ -399,7 +399,7 @@ def _cmd_rt(args) -> int:
                   f"(scale={rt_tolerance_scale():g})")
             return 0
         with trace_override(bus):
-            row = SCENARIOS[scenario](spec)
+            row = point_function(scenario)(spec)
     except InvariantViolation as exc:
         print(f"VIOLATION: {exc}", file=sys.stderr)
         return 1

@@ -1,41 +1,29 @@
 """Coupled congestion control algorithms — the paper's core contribution."""
 
-from .alpha import (
-    mptcp_increase,
-    mptcp_increase_bruteforce,
-    rfc6356_alpha,
-    rfc6356_increase,
-)
-from .balia import BaliaController
-from .base import CongestionController, WindowedSubflow
-from .coupled import CoupledController
-from .cubic import CubicController
-from .ewtcp import EwtcpController
-from .mptcp_lia import LinkedIncreasesController, MptcpController
-from .olia import OliaController
-from .registry import ALGORITHMS, make_controller
-from .semicoupled import SemicoupledController
-from .uncoupled import RenoController, UncoupledController
-from .wvegas import WVegasController
+from .._exports import lazy_exports
 
-__all__ = [
-    "ALGORITHMS",
-    "BaliaController",
-    "CongestionController",
-    "CoupledController",
-    "CubicController",
-    "EwtcpController",
-    "LinkedIncreasesController",
-    "MptcpController",
-    "OliaController",
-    "RenoController",
-    "SemicoupledController",
-    "UncoupledController",
-    "WVegasController",
-    "WindowedSubflow",
-    "make_controller",
-    "mptcp_increase",
-    "mptcp_increase_bruteforce",
-    "rfc6356_alpha",
-    "rfc6356_increase",
-]
+#: Public name -> the submodule defining it (loaded on first use).
+_EXPORTS = {
+    "ALGORITHMS": ".registry",
+    "BaliaController": ".balia",
+    "CongestionController": ".base",
+    "CoupledController": ".coupled",
+    "CubicController": ".cubic",
+    "EwtcpController": ".ewtcp",
+    "LinkedIncreasesController": ".mptcp_lia",
+    "MptcpController": ".mptcp_lia",
+    "OliaController": ".olia",
+    "RenoController": ".uncoupled",
+    "SemicoupledController": ".semicoupled",
+    "UncoupledController": ".uncoupled",
+    "WVegasController": ".wvegas",
+    "WindowedSubflow": ".base",
+    "make_controller": ".registry",
+    "mptcp_increase": ".alpha",
+    "mptcp_increase_bruteforce": ".alpha",
+    "rfc6356_alpha": ".alpha",
+    "rfc6356_increase": ".alpha",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

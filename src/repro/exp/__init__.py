@@ -16,8 +16,9 @@ reproduces them at full-machine speed:
 * :class:`~repro.exp.cache.ResultCache` — content-addressed on-disk rows
   (``sha256(spec + code version)``), so re-running a sweep only computes
   changed points.
-* :mod:`repro.exp.grids` — the registered point functions and named grids
-  behind ``python -m repro sweep``.
+* :mod:`repro.exp.grids` — the point-function table (name → defining
+  module, resolved by :func:`~repro.exp.grids.point_function`) and the
+  named grids behind ``python -m repro sweep``.
 * :mod:`repro.exp.paper` — the paper's figures and tables as point
   functions, with the claims ``python -m repro sweep paper`` checks.
 
@@ -25,25 +26,31 @@ Progress streams through the PR-1 trace bus as ``exp.*`` events; see
 ``docs/RUNNER.md`` for the full contract.
 """
 
-from .cache import ResultCache, code_version
-from .grids import SCENARIOS, rtt_ratio, scenario, specs_for_grid, torus_balance
-from .paper import CLAIMS
-from .runner import Runner, TaskError
-from .spec import ScenarioSpec, TaskSpec, execute_task, target_id
+from .._exports import lazy_exports
 
-__all__ = [
-    "CLAIMS",
-    "Runner",
-    "ResultCache",
-    "SCENARIOS",
-    "ScenarioSpec",
-    "TaskError",
-    "TaskSpec",
-    "code_version",
-    "execute_task",
-    "rtt_ratio",
-    "scenario",
-    "specs_for_grid",
-    "target_id",
-    "torus_balance",
-]
+# The execution core (spec, cache, runner: stdlib and the trace bus only)
+# is what every caller of this package runs its specs through, so it
+# loads with the package; the point functions and grids wait for first
+# use.
+from . import runner  # noqa: F401
+
+#: Public name -> the submodule defining it (loaded on first use).
+_EXPORTS = {
+    "CLAIMS": ".paper",
+    "Runner": ".runner",
+    "ResultCache": ".cache",
+    "SCENARIOS": ".grids",
+    "ScenarioSpec": ".spec",
+    "TaskError": ".runner",
+    "TaskSpec": ".spec",
+    "code_version": ".cache",
+    "execute_task": ".spec",
+    "point_function": ".grids",
+    "rtt_ratio": ".grids",
+    "specs_for_grid": ".grids",
+    "target_id": ".spec",
+    "torus_balance": ".grids",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -1,9 +1,13 @@
-"""Registered sweep point functions and the named scenario grids.
+"""The point-function table, the torus/RTT point functions and the
+named scenario grids.
 
 A *point function* runs one simulation described by a
-:class:`~repro.exp.spec.ScenarioSpec` and returns a flat result dict; the
-registry :data:`SCENARIOS` is how worker processes resolve a spec back to
-code (specs ship between processes as plain data, never as callables).
+:class:`~repro.exp.spec.ScenarioSpec` and returns a flat result dict.
+:data:`SCENARIOS` maps each point function's name to the module that
+defines a function of that name, and :func:`point_function` imports that
+module and returns it: that is how worker processes resolve a spec back
+to code (specs ship between processes as plain data, never as
+callables), and why running one point loads only its own module.
 
 The named grids themselves — which parameters sweep over which values —
 are declared as data in :data:`repro.topology.scenarios.SWEEP_GRIDS`
@@ -19,33 +23,53 @@ including a retry replacing a crashed worker — are bit-identical.
 
 from __future__ import annotations
 
+import importlib
 from typing import Callable, Dict, List, Optional
 
 from ..check.hooks import CheckContext
 from ..core.registry import make_controller
-from ..harness.experiment import make_flow, measure
-from ..hybrid import HybridSimulation
-from ..metrics import jain_index
-from ..pathmgr import ManagedMptcpFlow
+from ..harness.experiment import jain_index, make_flow, measure
 from ..topology.scenarios import SWEEP_GRIDS, build_torus, build_two_links
 from .spec import ScenarioSpec, grid_points
 
-__all__ = ["SCENARIOS", "scenario", "specs_for_grid", "torus_balance",
+__all__ = ["SCENARIOS", "point_function", "specs_for_grid", "torus_balance",
            "rtt_ratio", "wifi_3g_handover", "subflow_churn", "torus_hybrid"]
 
-#: Registry of named point functions, resolvable in any worker process.
-SCENARIOS: Dict[str, Callable[[ScenarioSpec], dict]] = {}
+#: Point function name -> the module (relative to this package) that
+#: defines a function of that name.
+SCENARIOS: Dict[str, str] = {
+    "torus_balance": ".grids",
+    "rtt_ratio": ".grids",
+    "wifi_3g_handover": ".grids",
+    "subflow_churn": ".grids",
+    "torus_hybrid": ".grids",
+    "shared_bottleneck": ".paper",
+    "two_links": ".paper",
+    "triangle": ".paper",
+    "chain": ".paper",
+    "fixed_loss_paths": ".paper",
+    "server_lb": ".paper",
+    "poisson_churn": ".paper",
+    "wireless_client": ".paper",
+    "mobile_walk": ".paper",
+    "datacenter": ".paper",
+    "rt_loopback": "..rt.scenarios",
+    "rt_handover": "..rt.scenarios",
+}
 
 
-def scenario(name: str):
-    """Register a point function under ``name``."""
-    def register(fn):
-        SCENARIOS[name] = fn
-        return fn
-    return register
+def point_function(name: str) -> Callable[[ScenarioSpec], dict]:
+    """The point function named ``name``, importing its module."""
+    try:
+        module = SCENARIOS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown scenario {name!r}; registered: "
+            f"{', '.join(sorted(SCENARIOS))}"
+        ) from None
+    return getattr(importlib.import_module(module, __package__), name)
 
 
-@scenario("torus_balance")
 def torus_balance(spec: ScenarioSpec) -> dict:
     """Fig 8 point: five-link torus, link C's capacity squeezed.
 
@@ -86,7 +110,6 @@ def torus_balance(spec: ScenarioSpec) -> dict:
     })
 
 
-@scenario("rtt_ratio")
 def rtt_ratio(spec: ScenarioSpec) -> dict:
     """Fig 16 point: RTT compensation on a two-link capacity/RTT grid.
 
@@ -124,7 +147,6 @@ def rtt_ratio(spec: ScenarioSpec) -> dict:
     })
 
 
-@scenario("wifi_3g_handover")
 def wifi_3g_handover(spec: ScenarioSpec) -> dict:
     """§5 mobility point: a WiFi+3G client under a scripted WiFi outage.
 
@@ -145,10 +167,11 @@ def wifi_3g_handover(spec: ScenarioSpec) -> dict:
     The body is shared with the real backend's ``rt_handover``
     (:func:`repro.rt.scenarios._handover_run`, ``backend='sim'`` here).
     """
-    return _rt_scenarios._handover_run(spec, "sim")
+    from ..rt.scenarios import _handover_run
+
+    return _handover_run(spec, "sim")
 
 
-@scenario("subflow_churn")
 def subflow_churn(spec: ScenarioSpec) -> dict:
     """Churn point: one path of a two-link client dies and recovers on a
     fixed period while the connection keeps transferring.
@@ -163,6 +186,8 @@ def subflow_churn(spec: ScenarioSpec) -> dict:
     Returns goodput over the measurement window, lifecycle counters and
     the ``delivery_gap`` (must be 0: retirement reinjects stranded data).
     """
+    from ..pathmgr.manager import ManagedMptcpFlow
+
     p = spec.params
     algo = p.get("algo", spec.algorithm or "lia")
     policy = p.get("policy", "full_mesh")
@@ -205,7 +230,6 @@ def subflow_churn(spec: ScenarioSpec) -> dict:
     })
 
 
-@scenario("torus_hybrid")
 def torus_hybrid(spec: ScenarioSpec) -> dict:
     """Fig 8 torus at flow-class scale: the hybrid tier carries the bulk.
 
@@ -225,6 +249,8 @@ def torus_hybrid(spec: ScenarioSpec) -> dict:
     ``check``/``faults``.  Returns the aggregate flow count, fluid and
     tracer goodput, and Jain's index over per-class rates.
     """
+    from ..hybrid.simulation import HybridSimulation
+
     p = spec.params
     algo = p.get("algo", spec.algorithm or "lia")
     classes = int(p.get("classes", 5))
@@ -313,10 +339,3 @@ def specs_for_grid(
         )
         for point in grid_points(grid["parameters"])
     ]
-
-
-# Real-backend point functions (and the handover body both backends
-# share) register themselves through the same decorator; imported last
-# so `scenario`/`SCENARIOS` exist when the partially-initialised module
-# cycle (rt.scenarios -> exp.grids) closes.
-from ..rt import scenarios as _rt_scenarios  # noqa: E402  isort:skip

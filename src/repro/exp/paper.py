@@ -1,4 +1,4 @@
-"""The paper's evaluation as registered point functions with claims.
+"""The paper's evaluation as point functions with claims.
 
 Every figure and table of the paper is a ``paper_*`` entry of
 :data:`repro.topology.scenarios.SWEEP_GRIDS` (Fig 8 and Fig 16 keep
@@ -25,8 +25,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..check.hooks import CheckContext
 from ..harness.datacenter import measure_matrix, start_matrix
-from ..harness.experiment import make_flow, measure
-from ..metrics import jain_index
+from ..harness.experiment import jain_index, make_flow, measure
 from ..net.network import mbps_to_pps, pps_to_mbps
 from ..net.pipe import LossyPipe
 from ..net.queue import DropTailQueue
@@ -49,7 +48,6 @@ from ..traffic import (
     permutation_matrix,
     sparse_matrix,
 )
-from .grids import scenario
 from .spec import ScenarioSpec
 
 __all__ = ["CLAIMS", "claims", "failed_claim"]
@@ -94,7 +92,6 @@ def _close(got, want, rel: float) -> bool:
 # §2.1 Fig 1 and the EWTCP-weight ablation: one shared bottleneck
 # ---------------------------------------------------------------------
 
-@scenario("shared_bottleneck")
 def shared_bottleneck(spec: ScenarioSpec) -> dict:
     """Fig 1 point: a two-subflow multipath flow against single-path TCPs
     at one bottleneck.
@@ -162,7 +159,6 @@ def ewtcp_weight_claims(rows: List[dict]) -> None:
 # Two parallel links: ablations, §3 bursty CBR, §5 wired RTT experiment
 # ---------------------------------------------------------------------
 
-@scenario("two_links")
 def two_links(spec: ScenarioSpec) -> dict:
     """A two-path flow over two parallel links, optionally with cross
     traffic.
@@ -287,7 +283,6 @@ def _three_flows(spec: ScenarioSpec, ctx: CheckContext, sc) -> dict:
     return ctx.finish({f"f{i}_pps": m[f"f{i}"] for i in range(3)})
 
 
-@scenario("triangle")
 def triangle(spec: ScenarioSpec) -> dict:
     """Fig 2 point: three 12 Mb/s links in a ring, each flow with a
     one-hop and a two-hop path.  Params: ``algo``.  Returns each flow's
@@ -297,7 +292,6 @@ def triangle(spec: ScenarioSpec) -> dict:
     return _three_flows(spec, ctx, sc)
 
 
-@scenario("chain")
 def chain(spec: ScenarioSpec) -> dict:
     """Fig 3 point: links of 5/12/10/3 Mb/s in a chain, consecutive flows
     sharing one.  Params: ``algo``.  Returns each flow's goodput."""
@@ -353,7 +347,6 @@ def _lossy_route(sim, loss_prob: float, rtt: float, name: str) -> Route:
     return Route(sim, [queue, pipe], reverse_delay=rtt / 2.0, name=name)
 
 
-@scenario("fixed_loss_paths")
 def fixed_loss_paths(spec: ScenarioSpec) -> dict:
     """One flow over paths of fixed loss rate and RTT, no congestion.
 
@@ -427,7 +420,6 @@ def _dual_homed_server(sim):
     )
 
 
-@scenario("server_lb")
 def server_lb(spec: ScenarioSpec) -> dict:
     """Fig 10 point: 5 TCPs on link 1 and 15 on link 2 of a dual-homed
     server; ten multipath flows join after the first measurement.
@@ -500,7 +492,6 @@ def fig10_claims(rows: List[dict]) -> None:
     assert gap_after < 0.7 * gap_before
 
 
-@scenario("poisson_churn")
 def poisson_churn(spec: ScenarioSpec) -> dict:
     """§3's second server experiment: link 1 carries Poisson arrivals of
     Pareto-sized TCP transfers (10/s light, 60/s heavy, alternating every
@@ -559,7 +550,6 @@ def poisson_claims(rows: List[dict]) -> None:
 # §5: the WiFi + 3G client (static, competing, and the Fig 17 walk)
 # ---------------------------------------------------------------------
 
-@scenario("wireless_client")
 def wireless_client(spec: ScenarioSpec) -> dict:
     """§5 / Fig 15 point: a client with a WiFi and a 3G path.
 
@@ -635,7 +625,6 @@ def fig15_claims(rows: List[dict]) -> None:
     assert results["mptcp"][0] > 0.6 * results["mptcp"][1]
 
 
-@scenario("mobile_walk")
 def mobile_walk(spec: ScenarioSpec) -> dict:
     """Fig 17 point: a walk through changing coverage, as a link schedule.
 
@@ -723,7 +712,6 @@ def _quartiles(values: List[float]) -> List[float]:
             for q in (0.0, 0.25, 0.5, 0.75, 1.0)]
 
 
-@scenario("datacenter")
 def datacenter(spec: ScenarioSpec) -> dict:
     """§4 point: one traffic matrix over a FatTree or BCube fabric.
 

@@ -41,7 +41,6 @@ import tempfile
 import time
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..farm import WorkerStartError, run_farm
 from ..obs.trace import NULL_TRACE
 from .cache import ResultCache, publish_row
 from .spec import ScenarioSpec, TaskSpec, execute_task, merge_row
@@ -192,6 +191,8 @@ class Runner:
         """
         if not tasks:
             return
+        from ..farm.broker import WorkerStartError, run_farm
+
         root = self.farm
         if root is None:
             root = tempfile.mkdtemp(prefix="repro-farm-")

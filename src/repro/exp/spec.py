@@ -11,9 +11,9 @@ on-disk result cache on content rather than identity.
 :class:`TaskSpec` wraps a spec with its grid index (the runner aggregates
 results in grid order, never completion order) and optionally an explicit
 callable target, so an arbitrary module-level point function can go
-through the runner without being registered.  :func:`grid_points` expands
-a grid's parameter lists into points and :func:`merge_row` joins a point
-with its result into one output row.
+through the runner without a :data:`~repro.exp.grids.SCENARIOS` entry.
+:func:`grid_points` expands a grid's parameter lists into points and
+:func:`merge_row` joins a point with its result into one output row.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def merge_row(point: Dict, result: Dict) -> Dict:
 class ScenarioSpec:
     """One simulation point, fully determined by its fields.
 
-    ``scenario`` names a registered point function in
+    ``scenario`` names a point function in
     :data:`repro.exp.grids.SCENARIOS` (ignored when the owning
     :class:`TaskSpec` carries an explicit callable).  ``params`` holds the
     grid-point parameters — the keys that vary across a sweep — and is what
@@ -137,16 +137,9 @@ def execute_task(task: TaskSpec) -> Dict[str, Any]:
     if task.fn is not None:
         result = task.fn(**dict(task.spec.params))
     else:
-        from .grids import SCENARIOS  # deferred: grids pulls in the harness
+        from .grids import point_function  # deferred: grids needs harness
 
-        try:
-            fn = SCENARIOS[task.spec.scenario]
-        except KeyError:
-            raise ValueError(
-                f"unknown scenario {task.spec.scenario!r}; registered: "
-                f"{', '.join(sorted(SCENARIOS))}"
-            ) from None
-        result = fn(task.spec)
+        result = point_function(task.spec.scenario)(task.spec)
     if not isinstance(result, Mapping):
         raise TypeError(
             f"scenario {task.target()!r} returned {type(result).__name__}, "

@@ -29,20 +29,20 @@ same directory produces rows bit-identical to an uninterrupted
 in-process :class:`~repro.exp.runner.Runner` run.  See ``docs/RUNNER.md``.
 """
 
-from .broker import (Broker, FarmError, WorkerStartError, farm_status,
-                     run_farm)
-from .layout import FarmLayout
+from .._exports import lazy_exports
 
-__all__ = ["Broker", "FarmError", "FarmLayout", "WorkerStartError",
-           "farm_status", "run_farm", "work"]
+#: Public name -> the submodule defining it (loaded on first use, which
+#: also keeps ``python -m repro.farm.worker`` clear of runpy's
+#: double-import warning).
+_EXPORTS = {
+    "Broker": ".broker",
+    "FarmError": ".broker",
+    "FarmLayout": ".layout",
+    "WorkerStartError": ".broker",
+    "farm_status": ".broker",
+    "run_farm": ".broker",
+    "work": ".worker",
+}
 
-
-def __getattr__(name):
-    # Lazy: ``python -m repro.farm.worker`` (the worker entry point)
-    # imports this package first, and an eager ``from .worker import
-    # work`` here would trip runpy's double-import warning.
-    if name == "work":
-        from .worker import work
-
-        return work
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -8,27 +8,22 @@ See ``docs/CHECKING.md``.  Fault schedules are declared as
 across repeats and the simulation's main random stream is untouched.
 """
 
-from .faults import (
-    AckDropFault,
-    Fault,
-    LinkFlapFault,
-    LossBurstFault,
-    ReorderFault,
-    SubflowKillFault,
-    arm_faults,
-)
-from .spec import FAULT_KINDS, FAULT_PRESETS, FaultSpec, resolve_faults
+from .._exports import lazy_exports
 
-__all__ = [
-    "AckDropFault",
-    "FAULT_KINDS",
-    "FAULT_PRESETS",
-    "Fault",
-    "FaultSpec",
-    "LinkFlapFault",
-    "LossBurstFault",
-    "ReorderFault",
-    "SubflowKillFault",
-    "arm_faults",
-    "resolve_faults",
-]
+#: Public name -> the submodule defining it (loaded on first use).
+_EXPORTS = {
+    "AckDropFault": ".faults",
+    "FAULT_KINDS": ".spec",
+    "FAULT_PRESETS": ".spec",
+    "Fault": ".faults",
+    "FaultSpec": ".spec",
+    "LinkFlapFault": ".faults",
+    "LossBurstFault": ".faults",
+    "ReorderFault": ".faults",
+    "SubflowKillFault": ".faults",
+    "arm_faults": ".faults",
+    "resolve_faults": ".spec",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

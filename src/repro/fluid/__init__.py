@@ -1,54 +1,33 @@
 """Fluid/equilibrium models: the paper's balance-equation analysis, made
 executable for cross-checking the packet simulator."""
 
-from .fairness import (
-    fairness_report,
-    satisfies_goal_3,
-    satisfies_goal_4,
-    tcp_reference_windows,
-)
-from .dynamics import (
-    FluidTrajectory,
-    integrate_rates_coupled,
-    integrate_windows,
-    window_derivative,
-)
-from .network_equilibrium import FluidFlow, FluidNetwork, solve_equilibrium
-from .throughput import (
-    balia_windows,
-    coupled_windows,
-    coupled_windows_smoothed,
-    ewtcp_windows,
-    mptcp_equilibrium_windows,
-    olia_windows,
-    semicoupled_weights,
-    semicoupled_windows,
-    tcp_rate,
-    tcp_window,
-    wvegas_windows,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "FluidFlow",
-    "FluidNetwork",
-    "FluidTrajectory",
-    "balia_windows",
-    "coupled_windows",
-    "coupled_windows_smoothed",
-    "ewtcp_windows",
-    "fairness_report",
-    "integrate_rates_coupled",
-    "integrate_windows",
-    "mptcp_equilibrium_windows",
-    "olia_windows",
-    "satisfies_goal_3",
-    "satisfies_goal_4",
-    "semicoupled_weights",
-    "semicoupled_windows",
-    "solve_equilibrium",
-    "tcp_rate",
-    "tcp_reference_windows",
-    "tcp_window",
-    "window_derivative",
-    "wvegas_windows",
-]
+#: Public name -> the submodule defining it (loaded on first use).
+_EXPORTS = {
+    "FluidFlow": ".network_equilibrium",
+    "FluidNetwork": ".network_equilibrium",
+    "FluidTrajectory": ".dynamics",
+    "balia_windows": ".throughput",
+    "coupled_windows": ".throughput",
+    "coupled_windows_smoothed": ".throughput",
+    "ewtcp_windows": ".throughput",
+    "fairness_report": ".fairness",
+    "integrate_rates_coupled": ".dynamics",
+    "integrate_windows": ".dynamics",
+    "mptcp_equilibrium_windows": ".throughput",
+    "olia_windows": ".throughput",
+    "satisfies_goal_3": ".fairness",
+    "satisfies_goal_4": ".fairness",
+    "semicoupled_weights": ".throughput",
+    "semicoupled_windows": ".throughput",
+    "solve_equilibrium": ".network_equilibrium",
+    "tcp_rate": ".throughput",
+    "tcp_reference_windows": ".fairness",
+    "tcp_window": ".throughput",
+    "window_derivative": ".dynamics",
+    "wvegas_windows": ".throughput",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

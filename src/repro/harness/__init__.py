@@ -1,19 +1,22 @@
-"""Experiment harness: flow construction, measurement and tables."""
+"""Experiment harness: flow construction, measurement, fairness and
+tables."""
 
-from .datacenter import DataCenterRun, run_matrix
-from .experiment import Measurement, make_flow, measure, standard_series
-from .plotting import ascii_bars, ascii_timeseries
-from .table import Table, format_value
+from .._exports import lazy_exports
 
-__all__ = [
-    "DataCenterRun",
-    "Measurement",
-    "Table",
-    "ascii_bars",
-    "ascii_timeseries",
-    "format_value",
-    "make_flow",
-    "run_matrix",
-    "measure",
-    "standard_series",
-]
+#: Public name -> the submodule defining it (loaded on first use).
+_EXPORTS = {
+    "DataCenterRun": ".datacenter",
+    "Measurement": ".experiment",
+    "Table": ".table",
+    "ascii_bars": ".plotting",
+    "ascii_timeseries": ".plotting",
+    "format_value": ".table",
+    "jain_index": ".experiment",
+    "make_flow": ".experiment",
+    "run_matrix": ".datacenter",
+    "measure": ".experiment",
+    "standard_series": ".experiment",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

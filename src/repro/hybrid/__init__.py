@@ -18,8 +18,15 @@ trace bus work unchanged.  See ``docs/HYBRID.md`` for the model and
 when to use which tier.
 """
 
-from .flowclass import ClassPath, FlowClass
-from .links import HybridLink
-from .simulation import HybridSimulation
+from .._exports import lazy_exports
 
-__all__ = ["ClassPath", "FlowClass", "HybridLink", "HybridSimulation"]
+#: Public name -> the submodule defining it (loaded on first use).
+_EXPORTS = {
+    "ClassPath": ".flowclass",
+    "FlowClass": ".flowclass",
+    "HybridLink": ".links",
+    "HybridSimulation": ".simulation",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -1,41 +1,28 @@
 """Multipath TCP connection layer: subflows, data sequencing, reassembly,
 explicit data ACKs and shared-buffer flow control (§6 of the paper)."""
 
-from .connection import MptcpConnection, MptcpFlow, MptcpReceiver
-from .handshake import (
-    HandshakeResult,
-    MpCapableOption,
-    MpJoinOption,
-    MptcpEndpoint,
-    OptionStrippingMiddlebox,
-    connect,
-    join_subflow,
-)
-from .flow_control import (
-    ReceiveWindowTrace,
-    data_ack_deadlock_possible,
-    run_inferred_ack_scenario,
-)
-from .reassembly import DataReassembler, SharedReceiveBuffer
-from .scheduler import DsnScheduler
-from .subflow import MptcpSubflow
+from .._exports import lazy_exports
 
-__all__ = [
-    "DataReassembler",
-    "DsnScheduler",
-    "HandshakeResult",
-    "MpCapableOption",
-    "MpJoinOption",
-    "MptcpEndpoint",
-    "MptcpConnection",
-    "MptcpFlow",
-    "MptcpReceiver",
-    "MptcpSubflow",
-    "OptionStrippingMiddlebox",
-    "ReceiveWindowTrace",
-    "SharedReceiveBuffer",
-    "connect",
-    "data_ack_deadlock_possible",
-    "join_subflow",
-    "run_inferred_ack_scenario",
-]
+#: Public name -> the submodule defining it (loaded on first use).
+_EXPORTS = {
+    "DataReassembler": ".reassembly",
+    "DsnScheduler": ".scheduler",
+    "HandshakeResult": ".handshake",
+    "MpCapableOption": ".handshake",
+    "MpJoinOption": ".handshake",
+    "MptcpEndpoint": ".handshake",
+    "MptcpConnection": ".connection",
+    "MptcpFlow": ".connection",
+    "MptcpReceiver": ".connection",
+    "MptcpSubflow": ".subflow",
+    "OptionStrippingMiddlebox": ".handshake",
+    "ReceiveWindowTrace": ".flow_control",
+    "SharedReceiveBuffer": ".reassembly",
+    "connect": ".handshake",
+    "data_ack_deadlock_possible": ".flow_control",
+    "join_subflow": ".handshake",
+    "run_inferred_ack_scenario": ".flow_control",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -1,26 +1,25 @@
 """Network elements: packets, queues, pipes, routes and topologies."""
 
-from .middlebox import SequenceRandomizingFirewall
-from .network import Link, Network, mbps_to_pps, pps_to_mbps
-from .packet import ACK_SIZE, MSS_BYTES, AckPacket, DataPacket, Packet
-from .pipe import LossyPipe, Pipe
-from .queue import DropTailQueue, VariableRateQueue
-from .route import Route
+from .._exports import lazy_exports
 
-__all__ = [
-    "ACK_SIZE",
-    "MSS_BYTES",
-    "AckPacket",
-    "DataPacket",
-    "DropTailQueue",
-    "Link",
-    "LossyPipe",
-    "Network",
-    "Packet",
-    "Pipe",
-    "Route",
-    "SequenceRandomizingFirewall",
-    "VariableRateQueue",
-    "mbps_to_pps",
-    "pps_to_mbps",
-]
+#: Public name -> the submodule defining it (loaded on first use).
+_EXPORTS = {
+    "ACK_SIZE": ".packet",
+    "MSS_BYTES": ".packet",
+    "AckPacket": ".packet",
+    "DataPacket": ".packet",
+    "DropTailQueue": ".queue",
+    "Link": ".network",
+    "LossyPipe": ".pipe",
+    "Network": ".network",
+    "Packet": ".packet",
+    "Pipe": ".pipe",
+    "Route": ".route",
+    "SequenceRandomizingFirewall": ".middlebox",
+    "VariableRateQueue": ".queue",
+    "mbps_to_pps": ".network",
+    "pps_to_mbps": ".network",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

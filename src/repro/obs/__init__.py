@@ -14,35 +14,29 @@ schema and worked examples):
   export.
 """
 
-from .schema import (
-    COMMON_FIELDS,
-    DEFAULT_EVENTS,
-    EVENT_TYPES,
-    TraceSchemaError,
-    validate_event,
-    validate_jsonl,
-)
-from .series import SeriesRecorder, cwnd_probe, queue_depth_probe, rtt_probe
-from .sinks import ColumnarSink, FilterSink, JsonlSink, MemorySink, TraceSink
-from .trace import NULL_TRACE, NullTrace, TraceBus
+from .._exports import lazy_exports
 
-__all__ = [
-    "COMMON_FIELDS",
-    "EVENT_TYPES",
-    "ColumnarSink",
-    "DEFAULT_EVENTS",
-    "FilterSink",
-    "JsonlSink",
-    "MemorySink",
-    "NULL_TRACE",
-    "NullTrace",
-    "SeriesRecorder",
-    "TraceBus",
-    "TraceSchemaError",
-    "TraceSink",
-    "cwnd_probe",
-    "queue_depth_probe",
-    "rtt_probe",
-    "validate_event",
-    "validate_jsonl",
-]
+#: Public name -> the submodule defining it (loaded on first use).
+_EXPORTS = {
+    "COMMON_FIELDS": ".schema",
+    "EVENT_TYPES": ".schema",
+    "ColumnarSink": ".sinks",
+    "DEFAULT_EVENTS": ".schema",
+    "FilterSink": ".sinks",
+    "JsonlSink": ".sinks",
+    "MemorySink": ".sinks",
+    "NULL_TRACE": ".trace",
+    "NullTrace": ".trace",
+    "SeriesRecorder": ".series",
+    "TraceBus": ".trace",
+    "TraceSchemaError": ".schema",
+    "TraceSink": ".sinks",
+    "cwnd_probe": ".series",
+    "queue_depth_probe": ".series",
+    "rtt_probe": ".series",
+    "validate_event": ".schema",
+    "validate_jsonl": ".schema",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

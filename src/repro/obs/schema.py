@@ -20,6 +20,7 @@ __all__ = [
     "COMMON_FIELDS",
     "EVENT_TYPES",
     "DEFAULT_EVENTS",
+    "PATHMGR_EVENTS",
     "TraceSchemaError",
     "validate_event",
     "validate_jsonl",
@@ -526,6 +527,12 @@ EVENT_TYPES: Dict[str, Dict[str, FieldSpec]] = {
 #: Every type but the one-per-dispatch ``engine.event_fired``: what the CLI,
 #: the examples and every monitored run record unless asked otherwise.
 DEFAULT_EVENTS = frozenset(EVENT_TYPES) - {"engine.event_fired"}
+
+#: All pathmgr trace event types (for FilterSink selections); exported
+#: as ``repro.pathmgr.PATHMGR_EVENTS``.
+PATHMGR_EVENTS = frozenset(
+    ev for ev in EVENT_TYPES if ev.startswith("pathmgr.")
+)
 
 #: Valid values for the ``reason`` field of ``cc.cwnd_update``.
 CWND_UPDATE_REASONS = ("ack", "loss", "timeout", "recovery_exit")

@@ -15,34 +15,23 @@ transitions for the §5 WiFi→3G mobility experiments.
 See ``docs/PATH_MANAGEMENT.md``.
 """
 
-from ..obs.schema import EVENT_TYPES
-from .handover import HANDOVER_MODES, WirelessHandover
-from .manager import ManagedMptcpFlow, ManagedPath, PathManager
-from .policy import (
-    POLICIES,
-    BackupPolicy,
-    FullMeshPolicy,
-    NDiffPortsPolicy,
-    PathPolicy,
-    make_policy,
-)
+from .._exports import lazy_exports
 
-#: All pathmgr trace event types (for FilterSink selections).
-PATHMGR_EVENTS = frozenset(
-    ev for ev in EVENT_TYPES if ev.startswith("pathmgr.")
-)
+#: Public name -> the module defining it (loaded on first use).
+_EXPORTS = {
+    "BackupPolicy": ".policy",
+    "FullMeshPolicy": ".policy",
+    "HANDOVER_MODES": ".handover",
+    "ManagedMptcpFlow": ".manager",
+    "ManagedPath": ".manager",
+    "NDiffPortsPolicy": ".policy",
+    "PATHMGR_EVENTS": "..obs.schema",
+    "POLICIES": ".policy",
+    "PathManager": ".manager",
+    "PathPolicy": ".policy",
+    "WirelessHandover": ".handover",
+    "make_policy": ".policy",
+}
 
-__all__ = [
-    "BackupPolicy",
-    "FullMeshPolicy",
-    "HANDOVER_MODES",
-    "ManagedMptcpFlow",
-    "ManagedPath",
-    "NDiffPortsPolicy",
-    "PATHMGR_EVENTS",
-    "POLICIES",
-    "PathManager",
-    "PathPolicy",
-    "WirelessHandover",
-    "make_policy",
-]
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -18,24 +18,24 @@ impairment layer standing in for ``tc netem``:
 See docs/REALNET.md for the quickstart and the sim-vs-real caveats.
 """
 
-from .codec import CodecError, decode, encode
-from .divergence import DivergenceReport, divergence_report
-from .loop import MonotonicTimers, RtSimulation
-from .netem import PROFILES, NetemChannel, NetemProfile, profile_replace
-from .wire import RtPath, RtRoute
+from .._exports import lazy_exports
 
-__all__ = [
-    "CodecError",
-    "DivergenceReport",
-    "MonotonicTimers",
-    "NetemChannel",
-    "NetemProfile",
-    "PROFILES",
-    "RtPath",
-    "RtRoute",
-    "RtSimulation",
-    "decode",
-    "divergence_report",
-    "encode",
-    "profile_replace",
-]
+#: Public name -> the submodule defining it (loaded on first use).
+_EXPORTS = {
+    "CodecError": ".codec",
+    "DivergenceReport": ".divergence",
+    "MonotonicTimers": ".loop",
+    "NetemChannel": ".netem",
+    "NetemProfile": ".netem",
+    "PROFILES": ".netem",
+    "RtPath": ".wire",
+    "RtRoute": ".wire",
+    "RtSimulation": ".loop",
+    "decode": ".codec",
+    "divergence_report": ".divergence",
+    "encode": ".codec",
+    "profile_replace": ".netem",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

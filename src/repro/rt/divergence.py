@@ -39,6 +39,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from ..exp.spec import ScenarioSpec
+from .scenarios import _loopback_run
 
 __all__ = [
     "DEFAULT_TOLERANCES",
@@ -174,8 +175,6 @@ def divergence_report(
     receives one ``rt.divergence`` event per metric; event timestamps are
     ``time.monotonic()`` (the harness itself runs outside either
     backend's clock)."""
-    from .scenarios import _loopback_run  # deferred: grids import cycle
-
     base = dict(spec.params)
     base.pop("backend", None)
     sim_row, sim_rec = _loopback_run(

@@ -1,8 +1,8 @@
 """Real-backend ``repro.exp`` point functions.
 
-Registering these through the same :func:`~repro.exp.grids.scenario`
-decorator the sim scenarios use makes real-socket runs sweepable and
-cacheable: the ``backend`` / ``netem`` params live in ``spec.params``,
+Naming these in the same :data:`~repro.exp.grids.SCENARIOS` table the
+sim scenarios use makes real-socket runs sweepable and cacheable: the
+``backend`` / ``netem`` params live in ``spec.params``,
 so :meth:`ScenarioSpec.canonical` folds them into result-cache keys
 automatically — a cached sim row can never be served for an rt point
 (see docs/RUNNER.md for the caveat that rt rows, being wall-clock
@@ -19,9 +19,9 @@ values).
     The §5 WiFi→3G handover on the real backend: real sockets, a
     :class:`~repro.topology.wireless.LinkSchedule` driving netem rate
     changes, and the *unchanged* :class:`~repro.pathmgr.WirelessHandover`
-    + path-manager machinery.  It is the second registration of the one
-    handover body (:func:`_handover_run`); the sim's
-    ``wifi_3g_handover`` in :mod:`repro.exp.grids` is the first.
+    + path-manager machinery.  It is one of the two point functions over
+    the one handover body (:func:`_handover_run`); the sim's
+    ``wifi_3g_handover`` in :mod:`repro.exp.grids` is the other.
 
 ``spec.warmup`` / ``spec.duration`` are wall-clock seconds on the rt
 backend — keep them small (a grid point runs in real time).
@@ -33,7 +33,6 @@ from typing import Tuple
 
 from ..check.hooks import CheckContext
 from ..core.registry import make_controller
-from ..exp.grids import scenario
 from ..exp.spec import ScenarioSpec
 from ..mptcp.handshake import AddAddrOption, MpCapableOption, MpJoinOption
 from ..net.packet import MSS_BYTES
@@ -168,7 +167,6 @@ def _loopback_run(
         return ctx.finish(row), rec
 
 
-@scenario("rt_loopback")
 def rt_loopback(spec: ScenarioSpec) -> dict:
     """Two-subflow MPTCP transfer, on real UDP sockets or the sim twin.
 
@@ -262,7 +260,6 @@ def _handover_run(spec: ScenarioSpec, backend: str) -> dict:
         return ctx.finish(row)
 
 
-@scenario("rt_handover")
 def rt_handover(spec: ScenarioSpec) -> dict:
     """§5 WiFi→3G handover on the real backend, via ``repro.pathmgr``.
 

@@ -1,16 +1,18 @@
 """Discrete-event simulation engine."""
 
-from .clock import Clock, TimerHandle, Timers, Wire
-from .engine import EventHandle, EventScheduler, SimulationError
-from .simulation import Simulation
+from .._exports import lazy_exports
 
-__all__ = [
-    "Clock",
-    "EventHandle",
-    "EventScheduler",
-    "SimulationError",
-    "Simulation",
-    "TimerHandle",
-    "Timers",
-    "Wire",
-]
+#: Public name -> the submodule defining it (loaded on first use).
+_EXPORTS = {
+    "Clock": ".clock",
+    "EventHandle": ".engine",
+    "EventScheduler": ".engine",
+    "SimulationError": ".engine",
+    "Simulation": ".simulation",
+    "TimerHandle": ".clock",
+    "Timers": ".clock",
+    "Wire": ".clock",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

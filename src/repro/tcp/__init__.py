@@ -1,16 +1,17 @@
 """Single-path TCP endpoints (NewReno-style loss recovery)."""
 
-from .receiver import TcpReceiver
-from .rtt import RttEstimator
-from .sender import TcpFlow, TcpSender
-from .source import FiniteSource, InfiniteSource, bytes_to_packets
+from .._exports import lazy_exports
 
-__all__ = [
-    "FiniteSource",
-    "InfiniteSource",
-    "RttEstimator",
-    "TcpFlow",
-    "TcpReceiver",
-    "TcpSender",
-    "bytes_to_packets",
-]
+#: Public name -> the submodule defining it (loaded on first use).
+_EXPORTS = {
+    "FiniteSource": ".source",
+    "InfiniteSource": ".source",
+    "RttEstimator": ".rtt",
+    "TcpFlow": ".sender",
+    "TcpReceiver": ".receiver",
+    "TcpSender": ".sender",
+    "bytes_to_packets": ".source",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -1,35 +1,23 @@
 """Topology builders for every scenario in the paper's evaluation."""
 
-from .bcube import BCube
-from .fattree import FatTree
-from .scenarios import (
-    SWEEP_GRIDS,
-    Scenario,
-    build_chain,
-    build_shared_bottleneck,
-    build_torus,
-    build_triangle,
-    build_two_links,
-)
-from .wireless import (
-    LinkSchedule,
-    WirelessPath,
-    build_3g_path,
-    build_wifi_path,
-)
+from .._exports import lazy_exports
 
-__all__ = [
-    "BCube",
-    "FatTree",
-    "SWEEP_GRIDS",
-    "LinkSchedule",
-    "Scenario",
-    "WirelessPath",
-    "build_3g_path",
-    "build_chain",
-    "build_shared_bottleneck",
-    "build_torus",
-    "build_triangle",
-    "build_two_links",
-    "build_wifi_path",
-]
+#: Public name -> the submodule defining it (loaded on first use).
+_EXPORTS = {
+    "BCube": ".bcube",
+    "FatTree": ".fattree",
+    "SWEEP_GRIDS": ".scenarios",
+    "LinkSchedule": ".wireless",
+    "Scenario": ".scenarios",
+    "WirelessPath": ".wireless",
+    "build_3g_path": ".wireless",
+    "build_chain": ".scenarios",
+    "build_shared_bottleneck": ".scenarios",
+    "build_torus": ".scenarios",
+    "build_triangle": ".scenarios",
+    "build_two_links": ".scenarios",
+    "build_wifi_path": ".wireless",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

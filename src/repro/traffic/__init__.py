@@ -1,23 +1,20 @@
 """Workload generators: long-lived flows, bursty CBR, Poisson file
 transfers and the §4 data-center traffic matrices."""
 
-from .cbr import CbrSource, OnOffCbrSource, PacketSink
-from .matrix import (
-    one_digit_neighbors,
-    one_to_many_matrix,
-    permutation_matrix,
-    sparse_matrix,
-)
-from .poisson import ParetoSizes, PoissonFlowGenerator
+from .._exports import lazy_exports
 
-__all__ = [
-    "CbrSource",
-    "OnOffCbrSource",
-    "PacketSink",
-    "ParetoSizes",
-    "PoissonFlowGenerator",
-    "one_digit_neighbors",
-    "one_to_many_matrix",
-    "permutation_matrix",
-    "sparse_matrix",
-]
+#: Public name -> the submodule defining it (loaded on first use).
+_EXPORTS = {
+    "CbrSource": ".cbr",
+    "OnOffCbrSource": ".cbr",
+    "PacketSink": ".cbr",
+    "ParetoSizes": ".poisson",
+    "PoissonFlowGenerator": ".poisson",
+    "one_digit_neighbors": ".matrix",
+    "one_to_many_matrix": ".matrix",
+    "permutation_matrix": ".matrix",
+    "sparse_matrix": ".matrix",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

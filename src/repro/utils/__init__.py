@@ -1,5 +1,11 @@
 """Small shared utilities."""
 
-from .intervals import IntervalSet
+from .._exports import lazy_exports
 
-__all__ = ["IntervalSet"]
+#: Public name -> the submodule defining it (loaded on first use).
+_EXPORTS = {
+    "IntervalSet": ".intervals",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -50,7 +50,7 @@ def point_monitors(monkeypatch):
     """Every monitor a point function's CheckContext builds, in order."""
     monitors = []
     monkeypatch.setattr(
-        hooks, "InvariantMonitor",
+        "repro.check.invariants.InvariantMonitor",
         lambda: monitors.append(InvariantMonitor()) or monitors[-1],
     )
     return monitors

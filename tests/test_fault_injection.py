@@ -11,7 +11,7 @@ import pytest
 from repro.check import CHECK_EVENTS, InvariantMonitor, trace_override
 from repro.cli import main
 from repro.core.registry import make_controller
-from repro.exp.grids import SCENARIOS
+from repro.exp.grids import point_function
 from repro.exp.spec import ScenarioSpec
 from repro.fault import (
     FAULT_PRESETS,
@@ -192,7 +192,7 @@ class TestExperimentComposition:
             scenario="rtt_ratio", params={"c2": 400.0, "rtt2": 0.05},
             seed=3, warmup=2.0, duration=2.0,
         )
-        row = SCENARIOS["rtt_ratio"](plain)
+        row = point_function("rtt_ratio")(plain)
         assert "violations" not in row and "fault_fires" not in row
 
         checked = ScenarioSpec(
@@ -203,7 +203,7 @@ class TestExperimentComposition:
                                 "params": {"duration": 1.0, "prob": 0.3}}]},
             seed=3, warmup=2.0, duration=2.0,
         )
-        row = SCENARIOS["rtt_ratio"](checked)
+        row = point_function("rtt_ratio")(checked)
         assert row["violations"] == 0
         assert row["fault_fires"] > 0
 
@@ -228,7 +228,7 @@ class TestExperimentComposition:
             seed=5, warmup=0.2, duration=1.6,
         )
         with trace_override(TraceBus(sinks=[sink])):
-            row = SCENARIOS["rt_loopback"](spec)
+            row = point_function("rt_loopback")(spec)
         assert row["violations"] == 0 and row["delivery_gap"] == 0
         runs = sink.of_type("rt.run")
         origin = runs[0]["origin_mono"] if runs else 0.0

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.check import InvariantMonitor
-from repro.exp.grids import SCENARIOS
+from repro.exp.grids import point_function
 from repro.exp.spec import ScenarioSpec
 from repro.harness.experiment import make_flow, measure
 from repro.hybrid import ClassPath, FlowClass, HybridLink, HybridSimulation
@@ -267,7 +267,7 @@ class TestScale:
             )
             tracemalloc.start()
             try:
-                row = SCENARIOS["torus_hybrid"](spec)
+                row = point_function("torus_hybrid")(spec)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

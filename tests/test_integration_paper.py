@@ -10,7 +10,7 @@ fails the suite.
 
 import functools
 
-from repro.exp import SCENARIOS, ScenarioSpec
+from repro.exp import ScenarioSpec, point_function
 from repro.net.network import mbps_to_pps
 
 
@@ -18,7 +18,7 @@ from repro.net.network import mbps_to_pps
 def point(scenario, seed, warmup, duration, **params):
     """One row of a registered point function; a point several tests read
     is simulated once."""
-    return SCENARIOS[scenario](ScenarioSpec(
+    return point_function(scenario)(ScenarioSpec(
         scenario, params, seed=seed, warmup=warmup, duration=duration
     ))
 

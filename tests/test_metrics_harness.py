@@ -1,11 +1,10 @@
-"""Tests for metrics and the experiment harness."""
+"""Tests for the experiment harness: fairness, tables, sweeps, flows."""
 
 import pytest
 
 from repro.core.registry import make_controller
 from repro.exp.spec import grid_points, merge_row
-from repro.harness import Table, format_value, make_flow, measure
-from repro.metrics import jain_index, windowed_rate
+from repro.harness import Table, format_value, jain_index, make_flow, measure
 from repro.mptcp.connection import MptcpFlow
 from repro.net.queue import DropTailQueue
 from repro.net.pipe import Pipe
@@ -44,25 +43,6 @@ class TestJainIndex:
             jain_index([])
         with pytest.raises(ValueError):
             jain_index([-1.0])
-
-
-class TestMeters:
-    def test_windowed_rate(self):
-        assert windowed_rate(100, 400, 10.0) == 30.0
-        with pytest.raises(ValueError):
-            windowed_rate(0, 1, 0.0)
-
-    def test_windowed_rate_rejects_nonpositive_window(self):
-        # Regression: the raise on window <= 0 is documented behaviour
-        # (module docstring + docs/API.md), not an accident — both zero
-        # and negative windows must raise, with the offending value named.
-        with pytest.raises(ValueError, match="window must be positive"):
-            windowed_rate(0, 10, 0.0)
-        with pytest.raises(ValueError, match="-2.5"):
-            windowed_rate(0, 10, -2.5)
-        # ... and a positive window keeps working, including negative
-        # deltas (callers may pass re-baselined counters).
-        assert windowed_rate(10, 5, 5.0) == -1.0
 
 
 class TestTable:

@@ -13,7 +13,7 @@ from repro.cli import main
 from repro.core.alpha import AlphaCache
 from repro.core.registry import make_controller
 from repro.exp import ResultCache, Runner, specs_for_grid
-from repro.exp.grids import SCENARIOS
+from repro.exp.grids import point_function
 from repro.exp.spec import ScenarioSpec
 from repro.fault import FaultSpec, arm_faults
 from repro.harness.experiment import make_flow
@@ -296,7 +296,7 @@ class TestHandoverScenarios:
     @pytest.mark.parametrize("mode", ["break_before_make",
                                       "make_before_break"])
     def test_handover_completes_with_zero_delivery_gap(self, mode):
-        row = SCENARIOS["wifi_3g_handover"](self._spec(
+        row = point_function("wifi_3g_handover")(self._spec(
             "wifi_3g_handover", mode=mode, check=1,
         ))
         assert row["handovers"] == 1
@@ -306,7 +306,7 @@ class TestHandoverScenarios:
         assert row["post_pps"] > row["outage_pps"]
 
     def test_subflow_churn_keeps_delivering(self):
-        row = SCENARIOS["subflow_churn"](self._spec(
+        row = point_function("subflow_churn")(self._spec(
             "subflow_churn", seed=23, policy="full_mesh",
             churn_period=2.0, check=1,
         ))
@@ -317,8 +317,8 @@ class TestHandoverScenarios:
 
     def test_points_are_bit_identical_per_seed(self):
         spec = self._spec("wifi_3g_handover", mode="break_before_make")
-        assert (SCENARIOS["wifi_3g_handover"](spec)
-                == SCENARIOS["wifi_3g_handover"](spec))
+        assert (point_function("wifi_3g_handover")(spec)
+                == point_function("wifi_3g_handover")(spec))
 
     def test_handover_grid_runs_through_runner_with_cache(self, tmp_path):
         specs = specs_for_grid("wifi_3g_handover", warmup=1.0,

@@ -13,7 +13,7 @@ from repro.fluid import (
     semicoupled_windows,
     tcp_window,
 )
-from repro.metrics import jain_index
+from repro.harness import jain_index
 from repro.mptcp.reassembly import DataReassembler, SharedReceiveBuffer
 from repro.mptcp.scheduler import DsnScheduler
 from repro.sim.engine import EventScheduler

@@ -19,7 +19,7 @@ import tracemalloc
 import pytest
 
 from repro.core.registry import make_controller
-from repro.exp.grids import SCENARIOS
+from repro.exp.grids import point_function
 from repro.exp.spec import ScenarioSpec
 from repro.obs import JsonlSink, MemorySink, TraceBus, validate_jsonl
 from repro.obs.series import SeriesRecorder
@@ -219,8 +219,8 @@ def test_handover_names_share_one_body(monkeypatch):
         lambda spec, backend: calls.append((spec, backend)) or {},
     )
     spec = ScenarioSpec(scenario="wifi_3g_handover", params={}, seed=1)
-    assert SCENARIOS["wifi_3g_handover"](spec) == {}
-    assert SCENARIOS["rt_handover"](spec) == {}
+    assert point_function("wifi_3g_handover")(spec) == {}
+    assert point_function("rt_handover")(spec) == {}
     assert calls == [(spec, "sim"), (spec, "rt")]
 
 
@@ -359,7 +359,7 @@ def test_rt_loopback_scenario_row():
     spec = ScenarioSpec(scenario="rt_loopback",
                         params={"algo": "lia", "check": 1},
                         seed=5, warmup=0.3, duration=1.2)
-    row = SCENARIOS["rt_loopback"](spec)
+    row = point_function("rt_loopback")(spec)
     assert row["delivery_gap"] == 0
     assert row["violations"] == 0
     assert row["goodput_pps"] > 100        # 2 × 2 Mb/s paths ≈ 333 pkt/s
@@ -376,7 +376,7 @@ def test_rt_handover_zero_delivery_gap():
     spec = ScenarioSpec(scenario="rt_handover",
                         params={"algo": "lia", "check": 1},
                         seed=7, warmup=0.8, duration=3.6)
-    row = SCENARIOS["rt_handover"](spec)
+    row = point_function("rt_handover")(spec)
     assert row["handovers"] >= 1
     assert row["subflows_opened"] >= 3     # wifi, 3g standby, wifi rejoin
     assert row["delivery_gap"] == 0
@@ -395,7 +395,7 @@ def test_rt_trace_validates_and_is_monotonic(tmp_path):
                         params={"algo": "lia", "check": 1},
                         seed=5, warmup=0.2, duration=0.8)
     with trace_override(bus):
-        SCENARIOS["rt_loopback"](spec)
+        point_function("rt_loopback")(spec)
     bus.close()
     count = validate_jsonl(out)
     assert count > 50

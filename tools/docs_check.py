@@ -30,9 +30,9 @@ Two checks keep ``docs/*.md`` from silently rotting:
    :data:`repro.fluid.dynamics.FLUID_ALGORITHMS` plus the exempt
    controllers, each row naming the law its keys resolve to.  Adding an
    event, a controller or a fluid law without documenting it fails CI.
-   In the other direction, every ``SCENARIOS["<name>"]`` and
-   ``repro sweep <grid>`` a doc (or the README) spells must exist in
-   :data:`repro.exp.grids.SCENARIOS` /
+   In the other direction, every ``point_function("<name>")`` and
+   ``repro sweep <grid>`` a doc (or the README) spells must resolve
+   through :func:`repro.exp.grids.point_function` / exist in
    :data:`repro.topology.scenarios.SWEEP_GRIDS`, so merging or renaming
    point functions cannot leave a doc pointing at a name that is gone;
    DESIGN.md's reproduction table must name only registered grids and
@@ -191,22 +191,24 @@ def check_controller_docs(repo: pathlib.Path) -> List[str]:
 
 
 def check_scenario_names(paths: List[pathlib.Path]) -> List[str]:
-    """Every ``SCENARIOS["<name>"]`` / ``repro sweep <grid>`` spelled in
-    the docs must name a registered point function / sweep grid."""
-    from repro.exp.grids import SCENARIOS
+    """Every ``point_function("<name>")`` spelled in the docs must
+    resolve, and every ``repro sweep <grid>`` must name a sweep grid."""
+    from repro.exp.grids import point_function
     from repro.topology.scenarios import SWEEP_GRIDS
 
     errors: List[str] = []
     for path in paths:
         text = path.read_text(encoding="utf-8")
-        for pattern, known, what in (
-            (r"""SCENARIOS\[["'](\w+)["']\]""", SCENARIOS,
-             "repro.exp.grids.SCENARIOS"),
-            (r"repro sweep (\w+)", set(SWEEP_GRIDS) | {"paper"},
-             "repro.topology.scenarios.SWEEP_GRIDS"),
-        ):
-            for name in sorted(set(re.findall(pattern, text)) - set(known)):
-                errors.append(f"{path.name}: `{name}` is not in {what}")
+        named = re.findall(r"""point_function\(["'](\w+)["']\)""", text)
+        for name in sorted(set(named)):
+            try:
+                point_function(name)
+            except ValueError as exc:
+                errors.append(f"{path.name}: {exc}")
+        grids = set(re.findall(r"repro sweep (\w+)", text))
+        for name in sorted(grids - set(SWEEP_GRIDS) - {"paper"}):
+            errors.append(f"{path.name}: `{name}` is not in "
+                          f"repro.topology.scenarios.SWEEP_GRIDS")
     return errors
 
 
