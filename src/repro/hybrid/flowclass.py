@@ -19,12 +19,15 @@ the links' fluid queueing delay to the propagation floor.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import List, Optional, Sequence
 
 from ..fluid.dynamics import fluid_law, step_windows
 from .links import HybridLink
 
 __all__ = ["ClassPath", "FlowClass"]
+
+_queue_delay = attrgetter("queue_delay")
 
 
 class ClassPath:
@@ -51,15 +54,7 @@ class ClassPath:
     @property
     def rtt(self) -> float:
         """Effective RTT: propagation floor plus fluid queueing delay."""
-        return self.base_rtt + sum(l.queue_delay for l in self.links)
-
-    @property
-    def loss(self) -> float:
-        """Combined loss probability: intrinsic plus per-link congestion."""
-        survive = 1.0 - self.extra_loss
-        for link in self.links:
-            survive *= 1.0 - link.loss
-        return 1.0 - survive
+        return self.base_rtt + sum(map(_queue_delay, self.links))
 
     @property
     def served_fraction(self) -> float:
@@ -121,12 +116,6 @@ class FlowClass:
         sim.register(self)
 
     # ------------------------------------------------------------------
-    def rtts(self) -> List[float]:
-        return [p.rtt for p in self.paths]
-
-    def losses(self) -> List[float]:
-        return [p.loss for p in self.paths]
-
     def rates(self) -> List[float]:
         """Aggregate *offered* rate per path, pkt/s (count · w/RTT)."""
         return [
@@ -143,9 +132,9 @@ class FlowClass:
         Congestion drops ARE the served-fraction shortfall — a link that
         forwards ``min(1, C/total)`` of its offered fluid has thereby
         dropped the rest — so delivery discounts by the served fraction
-        and by the path's *intrinsic* random loss only.  (``p.loss``,
-        which combines both, is what the window dynamics react to;
-        using it here too would double-count every congestion drop.)"""
+        and by the path's *intrinsic* random loss only.  (The combined
+        loss :meth:`advance` computes is what the window dynamics react
+        to; using it here too would double-count every congestion drop.)"""
         return sum(
             offered * (1.0 - p.extra_loss) * p.served_fraction
             for offered, p in zip(self._offered, self.paths)
@@ -166,18 +155,27 @@ class FlowClass:
         """One fluid step: integrate the delivered counters from the
         deposited rates against the fresh served fractions, then let the
         windows react to the current link prices."""
+        losses, rtts = [], []
         for r, p in enumerate(self.paths):
+            # Served fraction (as ClassPath.served_fraction), combined
+            # loss (intrinsic plus per-link congestion) and effective RTT
+            # (as ClassPath.rtt) in one pass, with no property or
+            # generator calls: this runs once per class-step.
+            served = 1.0
+            survive = 1.0 - p.extra_loss
+            for link in p.links:
+                served *= link.served_fraction
+                survive *= 1.0 - link.loss
             # Intrinsic loss and served fraction only — congestion drops
             # are already the served-fraction shortfall (see
             # throughput_pps).
-            delivered = (
-                self._offered[r]
-                * (1.0 - p.extra_loss) * p.served_fraction * dt
-            )
+            delivered = self._offered[r] * (1.0 - p.extra_loss) * served * dt
             self.path_delivered[r] += delivered
             self.packets_delivered += delivered
+            losses.append(1.0 - survive)
+            rtts.append(p.base_rtt + sum(map(_queue_delay, p.links)))
         self.windows = step_windows(
-            self.algorithm, self.windows, self.losses(), self.rtts(), dt,
+            self.algorithm, self.windows, losses, rtts, dt,
             floor=self.floor, a=self.a,
         )
 

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import alpha
 from repro.fluid import (
@@ -16,6 +18,7 @@ from repro.fluid.dynamics import (
     FLUID_ALGORITHMS,
     FluidInstabilityError,
     integrate_rates_coupled,
+    fluid_law,
     integrate_windows,
     step_windows,
     window_derivative,
@@ -245,6 +248,111 @@ class TestStiffnessGuard:
         # must still surface as a plain ValueError, not instability.
         with pytest.raises(ValueError, match="unknown fluid algorithm"):
             step_windows("psychic", [2.0], [0.01], [0.1], dt=0.01)
+
+    @pytest.mark.parametrize("algorithm", ["reno", "lia"])
+    def test_path_count_mismatch_is_an_input_error(self, algorithm):
+        # zip() used to truncate to one window (Reno), and LIA's
+        # per-stage length check read as a blow-up after 20 halvings.
+        with pytest.raises(ValueError, match="windows has 1 entries"):
+            step_windows(algorithm, [5.0], [0.01, 0.02], [0.1, 0.1], 0.02)
+        with pytest.raises(ValueError, match="windows has 1 entries"):
+            integrate_windows(algorithm, [0.01, 0.02], [0.1, 0.1],
+                              initial=[5.0], duration=0.1)
+        with pytest.raises(ValueError, match="losses has 1 entries"):
+            step_windows(algorithm, [5.0, 5.0], [0.01], [0.1, 0.1], 0.02)
+
+    @pytest.mark.parametrize("algorithm", ["reno", "lia"])
+    @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan])
+    def test_non_positive_rtt_is_an_input_error(self, algorithm, bad):
+        with pytest.raises(ValueError, match="rtts must be positive"):
+            step_windows(algorithm, [5.0, 5.0], [0.01, 0.02], [0.1, bad],
+                         0.02)
+        with pytest.raises(ValueError, match="rtts must be positive"):
+            integrate_windows(algorithm, [0.01, 0.02], [bad, 0.1],
+                              duration=0.1)
+
+
+def vector_step(algorithm, windows, losses, rtts, dt, floor=1.0, a=None):
+    """One guarded step through the vector law, whatever the path count:
+    the reference the two-path form must reproduce."""
+    deriv = dynamics._vector_derivative(fluid_law(algorithm), losses, rtts, a)
+    return dynamics._guarded_step(deriv, list(windows), dt, floor,
+                                  dynamics._MAX_HALVINGS, dynamics._rk4)
+
+
+def outcome(step, *args):
+    """A step's result, or how it failed (the deepest dt and the state)."""
+    try:
+        return step(*args)
+    except FluidInstabilityError as exc:
+        return "unstable", exc.dt, exc.state
+
+
+class TestTwoPathForm:
+    """Two-path states step through each law's two-path form on scalars;
+    it must equal the vector law bit for bit, blow-ups included."""
+
+    def test_every_law_has_a_two_path_form(self):
+        assert set(dynamics._PAIR_FORMS) == set(dynamics._LAWS.values())
+
+    @pytest.mark.parametrize("state", ["two_paths", "tied_windows_with_a"])
+    def test_frozen_derivatives(self, state):
+        s = STATES[state]
+        for algorithm, expected in DERIVATIVES[state].items():
+            deriv = dynamics._PAIR_FORMS[fluid_law(algorithm)](
+                s["rtts"], s["losses"], s["a"])
+            assert deriv(*s["windows"]) == tuple(expected), algorithm
+
+    @settings(max_examples=300)
+    @given(
+        windows=st.lists(st.floats(min_value=1.0, max_value=1e4),
+                         min_size=2, max_size=2),
+        losses=st.lists(st.one_of(st.just(0.0),
+                                  st.floats(min_value=1e-6, max_value=0.3)),
+                        min_size=2, max_size=2),
+        rtts=st.lists(st.floats(min_value=1e-3, max_value=1.0),
+                      min_size=2, max_size=2),
+        dt=st.sampled_from([0.001, 0.01, 0.02, 0.1]),
+        floor=st.sampled_from([1.0, 0.01]),
+        a=st.one_of(st.none(), st.floats(min_value=0.1, max_value=2.0)),
+    )
+    # Tied w/RTT² (4/0.05² == 16/0.1²): the stable sort keeps path 0 first.
+    @example(windows=[4.0, 16.0], losses=[0.01, 0.002], rtts=[0.05, 0.1],
+             dt=0.02, floor=1.0, a=None)
+    # A loss-free path: OLIA's quality is +inf.
+    @example(windows=[12.0, 30.0], losses=[0.0, 0.01], rtts=[0.05, 0.2],
+             dt=0.02, floor=1.0, a=None)
+    # Tied windows with ``a`` given (OLIA's tie sets, EWTCP/SEMICOUPLED).
+    @example(windows=[15.0, 15.0], losses=[0.003, 0.01], rtts=[0.08, 0.02],
+             dt=0.02, floor=1.0, a=0.5)
+    # Both windows at the floor.
+    @example(windows=[1.0, 1.0], losses=[0.2, 0.3], rtts=[0.01, 0.5],
+             dt=0.1, floor=1.0, a=None)
+    # TestStiffnessGuard.STIFF: LIA halves.
+    @example(windows=[200.0, 200.0], losses=[0.01, 0.01],
+             rtts=[0.1, 0.1 / 32], dt=0.01, floor=1.0, a=None)
+    def test_one_step_equals_the_vector_law(self, windows, losses, rtts,
+                                            dt, floor, a):
+        for algorithm in sorted(FLUID_ALGORITHMS):
+            args = (algorithm, windows, losses, rtts, dt, floor, a)
+            assert outcome(step_windows, *args) == \
+                outcome(vector_step, *args), algorithm
+
+    def test_stiff_state_still_halves_on_the_two_path_form(
+            self, monkeypatch):
+        stiff = TestStiffnessGuard.STIFF
+        steps = []
+        real = dynamics._guarded_step
+        monkeypatch.setattr(
+            dynamics, "_guarded_step",
+            lambda *args: steps.append(args[5]) or real(*args))
+        nxt = step_windows("lia", stiff["initial"], stiff["losses"],
+                           stiff["rtts"], dt=stiff["dt"])
+        assert len(steps) > 1
+        assert set(steps) == {dynamics._rk4_pair}
+        monkeypatch.undo()
+        assert nxt == vector_step("lia", stiff["initial"], stiff["losses"],
+                                  stiff["rtts"], stiff["dt"])
 
 
 class TestWindowRttBias:

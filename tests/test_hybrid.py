@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import python_calls
 from repro.check import InvariantMonitor
 from repro.exp.grids import point_function
 from repro.exp.spec import ScenarioSpec
@@ -277,6 +278,29 @@ class TestScale:
         small, large = peak_heap(2_000), peak_heap(200_000)
         assert large / small < 1.25
         assert max(small, large) < 8 * 1024 * 1024
+
+
+class TestFluidBudget:
+    def test_calls_per_class_step(self):
+        """Python calls per class-step, by layer, over simulated seconds
+        1-3 of ten two-path LIA classes on the torus.  A count, not a
+        clock: it repeats exactly, so re-growing the per-stage plumbing
+        of the fluid step (83.0 fluid + core calls when every RK4 stage
+        went through window_derivative and mptcp_increases, 27.1 hybrid
+        when advance read each path through properties and generators)
+        fails here rather than in a benchmark."""
+        sim = HybridSimulation(seed=1, dt=0.02)
+        sc = build_torus(sim, [2000.0] * 5)
+        for c in range(10):
+            sim.add_class(sc.routes(f"f{c % 5}"), "lia", count=100,
+                          name=f"c{c}")
+        sim.run_until(1.01)
+        with python_calls(also=lambda code: code.co_name) as calls:
+            sim.run_until(3.01)
+        class_steps = calls["step_windows"]
+        assert class_steps == 1000
+        assert (calls["fluid"] + calls["core"]) / class_steps <= 12.0
+        assert calls["hybrid"] / class_steps <= 10.0
 
 
 #: Capacity-conservation property (the hypothesis satellite): however the
