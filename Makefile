@@ -28,19 +28,19 @@
 #                    worker SIGKILL mid-lease, resumed and gated on the
 #                    resumed rows being bit-identical to a serial run
 #                    — see docs/RUNNER.md
-#   make handover-demo scripted WiFi→3G handover (§5 mobility) under the
-#                    invariant monitor, pathmgr trace validated against
-#                    the schema — see docs/PATH_MANAGEMENT.md
 #   make docs-check  executable-documentation gate: run every fenced
 #                    python block in docs/*.md and assert the event
 #                    table / controller registry stay in sync with the
 #                    code (tools/docs_check.py)
 #   make rt-test     real-network backend tests only (pytest -m realnet):
 #                    loopback-UDP transfers, handover on real sockets,
-#                    the sim/real divergence gate — see docs/REALNET.md
-#   make rt-demo     two-subflow LIA transfer + WiFi→3G handover over
-#                    real loopback UDP sockets, rt trace validated, then
-#                    the sim-vs-real divergence report
+#                    the sim-vs-real claim — see docs/REALNET.md
+#   make point-demo  `repro point` end to end: the scripted WiFi→3G
+#                    handover (§5 mobility) and the loopback-UDP transfer,
+#                    each traced under the invariant monitor and
+#                    validated against the schema; the handover on real
+#                    sockets; then the rt_loopback grid's sim-vs-real
+#                    claim — see docs/PATH_MANAGEMENT.md, docs/REALNET.md
 
 PYTHON    ?= python
 PP        := PYTHONPATH=src
@@ -56,7 +56,7 @@ PERF_OUT  := .perfbench-record
 	farm-demo \
 	paper perf perf-selftest perf-record \
 	trace-demo sweep-demo \
-	handover-demo docs-check rt-test rt-demo
+	point-demo docs-check rt-test
 
 test:
 	$(PP) $(PYTHON) -m pytest -x -q
@@ -111,16 +111,13 @@ sweep-demo:
 docs-check:
 	$(PP) $(PYTHON) tools/docs_check.py
 
-handover-demo:
-	$(PP) $(PYTHON) -m repro handover --trace $(HANDOVER_OUT)
-	$(PP) $(PYTHON) -m repro handover --mode make_before_break
-	$(PP) $(PYTHON) -m repro trace-validate $(HANDOVER_OUT)
-
 rt-test:
 	$(PP) $(PYTHON) -m pytest -m realnet -q
 
-rt-demo:
-	$(PP) $(PYTHON) -m repro rt --trace $(RT_OUT)
+point-demo:
+	$(PP) $(PYTHON) -m repro point wifi_3g_handover --trace $(HANDOVER_OUT)
+	$(PP) $(PYTHON) -m repro trace-validate $(HANDOVER_OUT)
+	$(PP) $(PYTHON) -m repro point rt_loopback --trace $(RT_OUT)
 	$(PP) $(PYTHON) -m repro trace-validate $(RT_OUT)
-	$(PP) $(PYTHON) -m repro rt --handover
-	$(PP) $(PYTHON) -m repro rt --divergence
+	$(PP) $(PYTHON) -m repro point rt_handover --warmup 0.5 --duration 4.5
+	$(PP) $(PYTHON) -m repro sweep rt_loopback --no-cache

@@ -32,8 +32,8 @@ An inactive context does not even import the monitor, the fault
 injectors or the event schema.
 
 :func:`trace_override` routes the monitored bus somewhere visible (the
-``repro check`` CLI uses it to stream ``check.*``/``fault.*`` records to
-a JSONL file through a :class:`~repro.obs.sinks.FilterSink`).
+``repro point --trace`` CLI uses it to stream the monitored bus's
+records to a JSONL file).
 """
 
 from __future__ import annotations

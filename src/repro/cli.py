@@ -7,6 +7,10 @@ writing harness code — any registered point function, one row:
     python -m repro point shared_bottleneck --param algo=mptcp
     python -m repro point datacenter --param k=4 --param paths=4 --duration 3
 
+What a flag or ``--param`` leaves unset comes from the first point of the
+scenario's first registered grid (``sweep --list``), seed and windows
+included.
+
 The paper's figures and tables, as cached grids whose claims are checked
 (see EXPERIMENTS.md):
 
@@ -31,23 +35,23 @@ Distributed, crash-resumable farm execution (see docs/RUNNER.md):
     python -m repro farm work /shared/farm          # on any other host
     python -m repro farm status /shared/farm
 
-Invariant-checked (optionally fault-injected) runs (see docs/CHECKING.md):
+Invariant-checked, optionally fault-injected points, their monitored
+trace streamed as JSONL (see docs/CHECKING.md):
 
-    python -m repro check --scenario torus_balance --fault link_flap --seed 1
-    python -m repro check --scenario rtt_ratio --param c2=1600 --out check.jsonl
+    python -m repro point torus_balance --param faults=link_flap --trace -
+    python -m repro point rtt_ratio --param c2=1600 --trace check.jsonl
 
 Path management and mobility (see docs/PATH_MANAGEMENT.md):
 
-    python -m repro handover --mode make_before_break
-    python -m repro handover --policy full_mesh --trace handover.jsonl
+    python -m repro point wifi_3g_handover --param mode=make_before_break
     python -m repro sweep wifi_3g_handover --parallel 2
 
-Real-network backend: the same state machines over loopback UDP sockets
-(see docs/REALNET.md):
+Real-network backend: the same state machines over loopback UDP sockets,
+and the claim that they agree with the simulation (see docs/REALNET.md):
 
-    python -m repro rt --algo lia --netem lan --trace rt.jsonl
-    python -m repro rt --handover --mode make_before_break
-    python -m repro rt --divergence
+    python -m repro point rt_loopback --trace rt.jsonl
+    python -m repro point rt_handover --warmup 0.5 --duration 4.5
+    python -m repro sweep rt_loopback --no-cache
 """
 
 from __future__ import annotations
@@ -55,31 +59,25 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
-from .check import CHECK_EVENTS, InvariantViolation, trace_override
+from .check import InvariantViolation, trace_override
 from .core.registry import ALGORITHMS
 from .exp import CLAIMS, ResultCache, Runner, specs_for_grid
 from .exp.grids import SCENARIOS, point_function
 from .exp.paper import failed_claim
 from .exp.spec import ScenarioSpec, TaskSpec, grid_points
-from .fault import FAULT_PRESETS
 from .harness.experiment import make_flow, standard_series
 from .harness.table import Table
-from .net.network import pps_to_mbps
 from .obs import (
     DEFAULT_EVENTS,
     EVENT_TYPES,
-    FilterSink,
     JsonlSink,
     TraceBus,
     TraceSchemaError,
     validate_jsonl,
 )
-from .pathmgr import HANDOVER_MODES, PATHMGR_EVENTS, POLICIES
-from .rt import divergence_report
-from .rt.divergence import tolerance_scale as rt_tolerance_scale
-from .rt.netem import PROFILES as RT_PROFILES
 from .sim.simulation import Simulation
 from .topology import (
     SWEEP_GRIDS,
@@ -232,15 +230,6 @@ def _cmd_farm_status(args) -> int:
     return 0 if status["state"] != "failed" else 1
 
 
-#: Required-parameter defaults so ``repro point X`` / ``repro check
-#: --scenario X`` run without spelling out a full grid point (override
-#: any of them with ``--param``).
-CHECK_SCENARIO_DEFAULTS = {
-    "torus_balance": {"capacity_c": 250.0},
-    "rtt_ratio": {"c2": 800.0, "rtt2": 0.05},
-}
-
-
 def _parse_param(text: str):
     """``key=value`` with JSON-typed values (bare words stay strings)."""
     key, sep, value = text.partition("=")
@@ -254,184 +243,59 @@ def _parse_param(text: str):
         return key, value
 
 
-def _run_point(spec: ScenarioSpec, bus: Optional[TraceBus]):
-    """Run ``spec``'s point function, its monitored bus being ``bus`` if
-    given (closed afterwards); returns the row, or ``None`` after
-    reporting an invariant violation."""
-    try:
-        with trace_override(bus):
-            return point_function(spec.scenario)(spec)
-    except InvariantViolation as exc:
-        print(f"VIOLATION: {exc}", file=sys.stderr)
-        return None
-    finally:
-        if bus is not None:
-            bus.close()
+def _point_spec(args) -> ScenarioSpec:
+    """Each field from its flag, else ``--param``, else the first point
+    of the scenario's first registered grid; a point function's own
+    defaults cover what none of them sets.  A scenario no grid runs
+    takes seed 1, warm-up 5 and duration 10."""
+    grid = next((name for name, g in SWEEP_GRIDS.items()
+                 if g["scenario"] == args.scenario), None)
+    base = (specs_for_grid(grid)[0] if grid is not None else
+            ScenarioSpec(args.scenario, seed=1, warmup=5.0, duration=10.0))
+    params = {**base.params, **dict(args.param or ())}
+    if args.trace:
+        params["check"] = 1
+    return replace(
+        base, params=params,
+        seed=base.seed if args.seed is None else args.seed,
+        warmup=base.warmup if args.warmup is None else args.warmup,
+        duration=base.duration if args.duration is None else args.duration,
+    )
 
 
 def _cmd_point(args) -> int:
-    """``point`` runs one registered point function and prints its row;
-    ``check`` is the same run under the invariant monitor, optionally
-    fault-injected, streaming ``check.*``/``fault.*`` records as JSONL."""
-    checked = args.command == "check"
-    params = dict(CHECK_SCENARIO_DEFAULTS.get(args.scenario, {}))
-    params.update(args.param or ())
-    title = f"{args.scenario} (seed {args.seed})"
-    sink = bus = None
-    log = sys.stdout
-    if checked:
-        params["check"] = 1
-        if args.fault:
-            params["faults"] = list(args.fault)
-        faults = ", ".join(args.fault) if args.fault else "none"
-        title = f"checked {args.scenario} (seed {args.seed}, faults: {faults})"
-        # The FilterSink narrows the JSONL output to check.*/fault.*
-        # records while the invariant monitor (attached to the same bus
-        # inside the point function) still sees everything the bus records.
-        sink = JsonlSink(sys.stdout if args.out == "-" else args.out)
-        bus = TraceBus(
-            sinks=[FilterSink(sink, CHECK_EVENTS)], events=DEFAULT_EVENTS
-        )
-        if args.out == "-":
-            log = sys.stderr
-    row = _run_point(ScenarioSpec(
-        scenario=args.scenario, params=params, seed=args.seed,
-        warmup=args.warmup, duration=args.duration,
-    ), bus)
-    if row is None:
-        return 1
-    table = Table(["quantity", "value"], precision=4)
-    for key, value in row.items():
-        table.add_row([key, value])
-    print(table.render(title), file=log)
-    if checked:
-        print(f"wrote {sink.records_written} check/fault events"
-              + ("" if args.out == "-" else f" to {args.out}"), file=log)
-    return 0
-
-
-def _print_handover(row: dict, title: str) -> None:
-    """The phase table and counter line of a handover row (either
-    backend: ``repro handover`` and ``repro rt --handover``)."""
-    table = Table(["phase", "pkt/s", "Mb/s"], precision=1)
-    for phase, key in (("before outage", "pre_pps"),
-                       ("during outage", "outage_pps"),
-                       ("after recovery", "post_pps")):
-        table.add_row([phase, row[key], pps_to_mbps(row[key])])
-    print(table.render(title))
-    print(
-        f"handovers={row['handovers']}  "
-        f"subflows opened={row['subflows_opened']} "
-        f"closed={row['subflows_closed']}  "
-        f"join failures={row['join_failures']}  "
-        f"delivery gap={row['delivery_gap']}  "
-        f"violations={row['violations']}"
-    )
-
-
-def _cmd_handover(args) -> int:
-    spec = ScenarioSpec(
-        scenario="wifi_3g_handover",
-        params={
-            "algo": args.algo,
-            "policy": args.policy,
-            "mode": args.mode,
-            "degraded_mbps": args.degraded_mbps,
-            "check": 1,
-        },
-        seed=args.seed,
-        warmup=args.warmup,
-        duration=args.duration,
-    )
+    """Run one registered point function and print its row.  ``--trace``
+    runs it under the invariant monitor and streams every record of the
+    monitored bus as JSONL (``-``: to stdout, the table to stderr)."""
+    spec = _point_spec(args)
+    to_stdout = args.trace == "-"
+    log = sys.stderr if to_stdout else sys.stdout
     sink = bus = None
     if args.trace:
-        sink = JsonlSink(args.trace)
-        kept = FilterSink(sink, PATHMGR_EVENTS | CHECK_EVENTS)
-        bus = TraceBus(sinks=[kept], events=DEFAULT_EVENTS)
-    row = _run_point(spec, bus)
-    if row is None:
-        return 1
-    _print_handover(
-        row,
-        f"WiFi→3G handover: {args.algo}, {args.policy} policy, "
-        f"{args.mode} (seed {args.seed})",
-    )
-    if args.trace:
-        print(f"wrote {sink.records_written} pathmgr/check events "
-              f"to {args.trace}")
-    if row["delivery_gap"]:
-        print("FAIL: nonzero delivery gap — data acknowledged at "
-              "connection level but never delivered in order",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_rt(args) -> int:
-    """Real-backend demos: loopback transfer, handover, divergence."""
-    scenario = "rt_handover" if args.handover else "rt_loopback"
-    duration = args.duration
-    if duration is None:
-        duration = 4.5 if args.handover else 2.0
-    params = {"algo": args.algo, "check": 1}
-    if args.handover:
-        params["mode"] = args.mode
-    else:
-        params["netem"] = args.netem
-    spec = ScenarioSpec(
-        scenario=scenario, params=params, seed=args.seed,
-        warmup=args.warmup, duration=duration,
-    )
-    sink = bus = None
-    if args.trace:
-        sink = JsonlSink(args.trace)
+        sink = JsonlSink(sys.stdout if to_stdout else args.trace)
         bus = TraceBus(sinks=[sink], events=DEFAULT_EVENTS)
     try:
-        if args.divergence:
-            report = divergence_report(spec, trace=bus)
-            print(report)
-            try:
-                report.assert_within()
-            except AssertionError as exc:
-                print(f"FAIL: {exc}", file=sys.stderr)
-                return 1
-            print("divergence within tolerance "
-                  f"(scale={rt_tolerance_scale():g})")
-            return 0
         with trace_override(bus):
-            row = point_function(scenario)(spec)
+            row = point_function(spec.scenario)(spec)
     except InvariantViolation as exc:
         print(f"VIOLATION: {exc}", file=sys.stderr)
         return 1
     finally:
         if bus is not None:
             bus.close()
-    if args.handover:
-        _print_handover(
-            row,
-            f"WiFi→3G handover on real UDP sockets: {args.algo} "
-            f"(seed {args.seed})",
-        )
-    else:
-        table = Table(["metric", "value"], precision=1)
-        table.add_row(["goodput (pkt/s)", row["goodput_pps"]])
-        table.add_row(["goodput (Mb/s)", pps_to_mbps(row["goodput_pps"])])
-        table.add_row(["delivered packets", row["delivered"]])
-        table.add_row(["mean total cwnd", row["cwnd_mean"]])
-        print(table.render(
-            f"two-subflow {args.algo} over loopback UDP "
-            f"(netem={args.netem}, seed {args.seed})"
-        ))
-        print(
-            f"subflows={row['subflows_opened']}  "
-            f"ctrl frames={row['ctrl_frames']}  "
-            f"delivery gap={row['delivery_gap']}  "
-            f"violations={row['violations']}"
-        )
-    if args.trace:
-        print(f"wrote {sink.records_written} events to {args.trace}")
-    if row["delivery_gap"]:
-        print("FAIL: nonzero delivery gap on the real backend",
+    table = Table(["quantity", "value"], precision=4)
+    for key, value in row.items():
+        table.add_row([key, value])
+    print(table.render(
+        f"{spec.scenario} {json.dumps(spec.params)} (seed {spec.seed}, "
+        f"warm-up {spec.warmup:g} s, {spec.duration:g} s)"
+    ), file=log)
+    if sink is not None:
+        print(f"wrote {sink.records_written} events"
+              + ("" if to_stdout else f" to {args.trace}"), file=log)
+    if row.get("delivery_gap"):
+        print("FAIL: nonzero delivery gap — data acknowledged at "
+              "connection level but never delivered in order",
               file=sys.stderr)
         return 1
     return 0
@@ -636,91 +500,27 @@ def _build_parser() -> argparse.ArgumentParser:
     fp.add_argument("root", help="farm directory")
     fp.set_defaults(func=_cmd_farm_status)
 
-    def point_args(p):
-        p.add_argument("--param", action="append", type=_parse_param,
-                       metavar="KEY=VALUE",
-                       help="scenario parameter (repeatable; values parsed "
-                            "as JSON when possible)")
-        p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--warmup", type=float, default=5.0,
-                       help="simulated warm-up seconds (default 5)")
-        p.add_argument("--duration", type=float, default=10.0,
-                       help="simulated measurement seconds (default 10)")
-        p.set_defaults(func=_cmd_point)
-
     p = sub.add_parser(
         "point",
         help="run one registered point function (any scenario of "
              "'sweep --list') and print its result row",
     )
     p.add_argument("scenario", choices=sorted(SCENARIOS))
-    point_args(p)
-
-    p = sub.add_parser(
-        "check",
-        help="'point' under the invariant monitor, optionally with "
-             "injected faults; emit check/fault events as JSONL",
-    )
-    p.add_argument("--scenario", choices=sorted(SCENARIOS),
-                   default="torus_balance")
-    p.add_argument("--fault", action="append", default=None,
-                   choices=sorted(FAULT_PRESETS),
-                   help="inject a preset fault schedule (repeatable)")
-    p.add_argument("--out", default="-",
-                   help="JSONL path for check.*/fault.* events "
-                        "('-' for stdout)")
-    point_args(p)
-
-    p = sub.add_parser(
-        "handover",
-        help="§5 mobility: scripted WiFi outage with path-manager "
-             "failover to 3G (see docs/PATH_MANAGEMENT.md)",
-    )
-    p.add_argument("--algo", default="lia", choices=sorted(ALGORITHMS))
-    p.add_argument("--policy", default="backup", choices=sorted(POLICIES),
-                   help="path-manager policy (default backup: 3G hot "
-                        "standby)")
-    p.add_argument("--mode", default="break_before_make",
-                   choices=HANDOVER_MODES)
-    p.add_argument("--degraded-mbps", type=float, default=5.0,
-                   help="make-before-break pre-warm threshold, Mb/s "
-                        "(default 5)")
-    p.add_argument("--seed", type=int, default=17)
-    p.add_argument("--warmup", type=float, default=6.0)
-    p.add_argument("--duration", type=float, default=18.0,
-                   help="measurement window; the WiFi outage spans its "
-                        "middle third")
-    p.add_argument("--trace", default=None,
-                   help="write pathmgr.*/check.* events to this JSONL file")
-    p.set_defaults(func=_cmd_handover)
-
-    p = sub.add_parser(
-        "rt",
-        help="real-network backend: the same state machines over "
-             "loopback UDP sockets (see docs/REALNET.md)",
-    )
-    p.add_argument("--algo", default="lia", choices=sorted(ALGORITHMS))
-    p.add_argument("--netem", default="lan", choices=sorted(RT_PROFILES),
-                   help="impairment profile for the loopback transfer "
-                        "(default lan)")
-    p.add_argument("--handover", action="store_true",
-                   help="run the WiFi→3G handover on real sockets "
-                        "instead of the plain two-subflow transfer")
-    p.add_argument("--mode", default="break_before_make",
-                   choices=HANDOVER_MODES,
-                   help="handover mode (with --handover)")
-    p.add_argument("--divergence", action="store_true",
-                   help="run the spec on both backends and report "
-                        "per-metric sim-vs-real relative error")
-    p.add_argument("--seed", type=int, default=5)
-    p.add_argument("--warmup", type=float, default=0.5,
-                   help="wall-clock warmup seconds (default 0.5)")
+    p.add_argument("--param", action="append", type=_parse_param,
+                   metavar="KEY=VALUE",
+                   help="scenario parameter (repeatable; values parsed as "
+                        "JSON when possible), e.g. faults=link_flap")
+    p.add_argument("--seed", type=int, default=None,
+                   help="override the seed (default: the scenario's "
+                        "first grid)")
+    p.add_argument("--warmup", type=float, default=None,
+                   help="override the warm-up, seconds")
     p.add_argument("--duration", type=float, default=None,
-                   help="wall-clock measurement seconds (default 2; "
-                        "4.5 with --handover)")
-    p.add_argument("--trace", default=None,
-                   help="write all trace events to this JSONL file")
-    p.set_defaults(func=_cmd_rt)
+                   help="override the measurement window, seconds")
+    p.add_argument("--trace", default=None, metavar="PATH|-",
+                   help="run under the invariant monitor and write its "
+                        "trace records as JSONL ('-' for stdout)")
+    p.set_defaults(func=_cmd_point)
 
     p = sub.add_parser(
         "trace", help="run a scenario with event tracing, emit JSONL"

@@ -115,9 +115,9 @@ GOLDEN_SETTINGS: Dict[str, dict] = {
     # Explicit opt-OUT: half the rt_loopback points run on the real
     # backend, whose rows are wall-clock (same spec, different run →
     # slightly different goodput; see docs/REALNET.md), so the grid
-    # cannot be pinned bit-for-bit.  Its sim twin IS covered — the
-    # scenario path runs under tests/test_rt_divergence.py and the
-    # divergence gate bounds sim-vs-real disagreement instead.
+    # cannot be pinned bit-for-bit.  Its claim (repro.exp.paper) bounds
+    # sim-vs-real disagreement instead, and the realnet test in
+    # tests/test_paper_claims.py runs it on the grid's lan pair.
     "rt_loopback": None,
 }
 

@@ -270,6 +270,13 @@ class Broker:
                     multiprocessing.connection.wait(
                         [proc.sentinel for proc in self._local.values()],
                         timeout=self.poll)
+            # A worker journals "done" before it releases its lease, so
+            # reap the workers first; a lease still held on a task whose
+            # row is in the store is then stale by definition.
+            self._stop_workers()
+            for index, _ in self.layout.leases():
+                if index in self._done:
+                    self.layout.release_lease(index)
             self.layout.journal("complete", rows=total,
                                 executed=self.executed,
                                 store_hits=self.store_hits)

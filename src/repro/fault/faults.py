@@ -11,7 +11,7 @@ Reproducibility: every fault draws from its **own** RNG, seeded from
 perturbs the simulation's main random stream — a faulted run differs from
 the clean run only through the fault's actual effects, and two runs with
 identical seeds produce bit-identical fault schedules (the property the
-``repro check`` determinism test pins down).
+``repro point --trace`` determinism test pins down).
 
 Tracing: state transitions emit ``fault.fire`` (armed schedules emit
 ``fault.armed``); per-packet kills are ordinary ``pkt.drop`` records with

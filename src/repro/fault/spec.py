@@ -9,7 +9,8 @@ parameter grids: putting ``{"faults": [spec.to_dict()]}`` in a scenario's
 (result-cache keys change when the faults do).
 
 :data:`FAULT_PRESETS` provides one ready-made schedule per kind, used by
-``repro check --fault <name>`` and handy as a starting point in tests:
+``repro point <scenario> --param faults=<name>`` and handy as a starting
+point in tests:
 
 ========== =============================================================
 link_flap   take a link down/up repeatedly (§5's wireless handover story)
@@ -79,8 +80,8 @@ class FaultSpec:
         return cls(kind=kind, target=target, start=start, params=params)
 
 
-#: One representative schedule per kind (timings suit the short monitored
-#: runs of ``repro check``; override per-field via ``--param`` / dicts).
+#: One representative schedule per kind (timings suit short monitored
+#: runs of ``repro point``; override per-field with dicts).
 FAULT_PRESETS: Dict[str, FaultSpec] = {
     "link_flap": FaultSpec(
         "link_flap", target="*", start=5.0,

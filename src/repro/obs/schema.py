@@ -493,24 +493,6 @@ EVENT_TYPES: Dict[str, Dict[str, FieldSpec]] = {
                                "new emulated line rate, Mb/s (null = "
                                "unlimited; 0 = outage)"),
     },
-    # Divergence harness (repro.rt.divergence): one record per compared
-    # metric after running the same spec on both backends.
-    "rt.divergence": {
-        "scenario": FieldSpec((str,), True, False,
-                              "scenario name the spec ran under"),
-        "metric": FieldSpec((str,), True, False,
-                            "compared metric (e.g. 'goodput_pps', "
-                            "'delivered')"),
-        "sim": FieldSpec((int, float), True, False,
-                         "value measured on the sim backend"),
-        "rt": FieldSpec((int, float), True, False,
-                        "value measured on the real backend"),
-        "rel_err": FieldSpec((int, float), True, False,
-                             "|rt - sim| / max(|sim|, eps)"),
-        "tolerance": FieldSpec((int, float), True, True,
-                               "gate tolerance applied (null = report "
-                               "only)"),
-    },
     "hybrid.link_state": {
         "link": FieldSpec((str,), True, False, "fluid link name"),
         "fluid_pps": FieldSpec((int, float), True, False,

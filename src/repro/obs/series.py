@@ -79,8 +79,8 @@ class SeriesRecorder:
     ``sim.time_origin`` — and ``warmup`` is compared on that axis, so a
     run on the real-network backend (whose clock is raw ``loop.time()``
     monotonic seconds, an arbitrary large origin) produces the same
-    0-based time axis as a sim run and the two align sample-for-sample in
-    the divergence harness.  On virtual time the origin is 0.0 and
+    0-based time axis as a sim run and the two series align
+    sample-for-sample.  On virtual time the origin is 0.0 and
     ``elapsed`` is ``now`` bit-for-bit.
     """
 

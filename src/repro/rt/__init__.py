@@ -12,9 +12,10 @@ impairment layer standing in for ``tc netem``:
 * :mod:`~repro.rt.netem` — delay/jitter/loss/rate impairments,
   schedule-driven like ``LinkSchedule``;
 * :mod:`~repro.rt.scenarios` — ``rt_loopback`` / ``rt_handover``
-  ``repro.exp`` point functions;
-* :mod:`~repro.rt.divergence` — the sim-vs-real divergence harness.
+  ``repro.exp`` point functions.
 
+The ``rt_loopback`` grid runs each transfer on both backends, and its
+claim (:mod:`repro.exp.paper`) holds the real run to the simulated one.
 See docs/REALNET.md for the quickstart and the sim-vs-real caveats.
 """
 
@@ -23,7 +24,6 @@ from .._exports import lazy_exports
 #: Public name -> the submodule defining it (loaded on first use).
 _EXPORTS = {
     "CodecError": ".codec",
-    "DivergenceReport": ".divergence",
     "MonotonicTimers": ".loop",
     "NetemChannel": ".netem",
     "NetemProfile": ".netem",
@@ -32,7 +32,6 @@ _EXPORTS = {
     "RtRoute": ".wire",
     "RtSimulation": ".loop",
     "decode": ".codec",
-    "divergence_report": ".divergence",
     "encode": ".codec",
     "profile_replace": ".netem",
 }

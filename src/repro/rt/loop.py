@@ -22,8 +22,9 @@ Two deliberate differences from the simulator:
   scheduler's virtual-time ``run``/``step``/``run_until`` do not exist
   on these timers — a wall-clock heap cannot be drained to exhaustion —
   and ``engine.event_fired`` is not emitted.  Nothing here is
-  deterministic; determinism claims stay with the sim backend,
-  divergence between the two is measured by :mod:`repro.rt.divergence`.
+  deterministic; determinism claims stay with the sim backend, and the
+  ``rt_loopback`` claim (:mod:`repro.exp.paper`) bounds how far the two
+  may disagree.
 """
 
 from __future__ import annotations

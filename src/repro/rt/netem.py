@@ -27,8 +27,8 @@ as ``rt.netem``.
 
 The :data:`PROFILES` registry names the standard impairment sets: the
 sim-twin ``wifi``/``3g`` parameters (matching ``build_wifi_path`` /
-``build_3g_path``), a mild ``lan`` default for divergence runs, and a
-delay-only ``clean``.
+``build_3g_path``), a mild ``lan`` default (the profile the
+``rt_loopback`` claim gates), and a delay-only ``clean``.
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ values).
 ``rt_loopback``
     A two-path MPTCP transfer, runnable on either backend
     (``backend='rt'`` over loopback UDP + netem, ``backend='sim'`` over
-    the equivalent queue+pipe paths).  The shared implementation is what
-    the divergence harness (:mod:`repro.rt.divergence`) runs twice.
+    the equivalent queue+pipe paths).  Its grid runs both, and the
+    ``rt_loopback`` claim in :mod:`repro.exp.paper` holds the real run
+    to its sim twin.
 
 ``rt_handover``
     The §5 WiFi→3G handover on the real backend: real sockets, a
@@ -28,8 +29,6 @@ backend — keep them small (a grid point runs in real time).
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 from ..check.hooks import CheckContext
 from ..core.registry import make_controller
@@ -100,15 +99,23 @@ def _safe_mean(rec: SeriesRecorder, name: str, fallback: float) -> float:
         return fallback
 
 
-def _loopback_run(
-    spec: ScenarioSpec, backend: str
-) -> Tuple[dict, SeriesRecorder]:
-    """Shared implementation of ``rt_loopback`` on either backend;
-    returns ``(row, recorder)`` so the divergence harness can align the
-    throughput/cwnd series, not just compare row scalars."""
+def rt_loopback(spec: ScenarioSpec) -> dict:
+    """Two-subflow MPTCP transfer, on real UDP sockets or the sim twin.
+
+    Params: ``algo`` (default lia), ``backend`` ('rt' | 'sim', default
+    rt), ``netem`` (profile name from :data:`repro.rt.netem.PROFILES`,
+    default 'lan'), ``paths`` (default 2), ``interval`` (series sampling
+    period, default 0.25 s).  The reserved ``check``/``faults`` params
+    attach the invariant monitor exactly as on sim points.
+
+    Returns goodput over the measurement window, delivered packets and
+    bytes, series means, ``delivery_gap`` (must be 0) and lifecycle
+    counters.
+    """
+    p = spec.params
+    backend = p.get("backend", "rt")
     if backend not in ("rt", "sim"):
         raise ValueError(f"unknown backend {backend!r} (rt | sim)")
-    p = spec.params
     algo = p.get("algo", spec.algorithm or "lia")
     profile = _resolve_profile(p)
     n_paths = int(p.get("paths", 2))
@@ -164,24 +171,7 @@ def _loopback_run(
             "ctrl_frames": _ctrl_frames(rt_paths),
             "wire_errors": _wire_errors(rt_paths),
         }
-        return ctx.finish(row), rec
-
-
-def rt_loopback(spec: ScenarioSpec) -> dict:
-    """Two-subflow MPTCP transfer, on real UDP sockets or the sim twin.
-
-    Params: ``algo`` (default lia), ``backend`` ('rt' | 'sim', default
-    rt), ``netem`` (profile name from :data:`repro.rt.netem.PROFILES`,
-    default 'lan'), ``paths`` (default 2), ``interval`` (series sampling
-    period, default 0.25 s).  The reserved ``check``/``faults`` params
-    attach the invariant monitor exactly as on sim points.
-
-    Returns goodput over the measurement window, delivered packets and
-    bytes, series means, ``delivery_gap`` (must be 0) and lifecycle
-    counters.
-    """
-    row, _ = _loopback_run(spec, spec.params.get("backend", "rt"))
-    return row
+        return ctx.finish(row)
 
 
 def _handover_run(spec: ScenarioSpec, backend: str) -> dict:

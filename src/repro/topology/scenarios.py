@@ -47,8 +47,10 @@ class Scenario:
 #: point function in :data:`repro.exp.grids.SCENARIOS`; ``parameters`` is
 #: expanded by :func:`repro.exp.spec.grid_points` (cartesian product,
 #: enumeration order = grid order).  Run one with
-#: ``python -m repro sweep --grid <name>`` or
-#: :func:`repro.exp.grids.specs_for_grid`.
+#: ``python -m repro sweep <name>`` or
+#: :func:`repro.exp.grids.specs_for_grid`.  The first grid naming a
+#: scenario also supplies ``python -m repro point <scenario>``'s defaults
+#: (its seed, windows and first point).
 SWEEP_GRIDS = {
     "fig8_torus": {
         "scenario": "torus_balance",
@@ -177,7 +179,7 @@ SWEEP_GRIDS = {
         "scenario": "rt_loopback",
         "parameters": {
             "algo": ["lia"],
-            "backend": ["sim", "rt"],
+            "backend": ["rt", "sim"],
             "netem": ["lan", "lossy_lan"],
             "check": [1],
         },

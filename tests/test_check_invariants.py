@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from repro.check import InvariantMonitor, InvariantViolation, trace_override
 from repro.check import hooks
-from repro.cli import CHECK_SCENARIO_DEFAULTS, main
+from repro.cli import main
 from repro.core.mptcp_lia import LinkedIncreasesController
 from repro.core.registry import make_controller
-from repro.exp import ScenarioSpec, TaskSpec, execute_task
+from repro.exp import ScenarioSpec, TaskSpec, execute_task, specs_for_grid
 from repro.harness.experiment import make_flow
 from repro.mptcp.connection import MptcpFlow
 from repro.net.packet import Packet
@@ -208,19 +208,20 @@ class TestPinnedCounters:
     def test_cli_and_runner_monitor_the_same_records(
         self, tmp_path, point_monitors
     ):
-        # `repro check` hands the point its own bus, execute_task lets the
-        # point build a private one; both are DEFAULT_EVENTS buses, so the
-        # monitor counts the same records and checks either way.
+        # `repro point --trace` hands the point its own bus, execute_task
+        # lets the point build a private one; both are DEFAULT_EVENTS
+        # buses, so the monitor counts the same records and checks either
+        # way.  With no --param the CLI runs the Fig 8 grid's first point.
         out = tmp_path / "check.jsonl"
-        assert main(["check", "--scenario", "torus_balance", "--seed", "1",
+        assert main(["point", "torus_balance", "--seed", "1",
                      "--warmup", "0.5", "--duration", "1",
-                     "--out", str(out)]) == 0
+                     "--trace", str(out)]) == 0
         sink = MemorySink()
         with open(out) as fh:
             for line in fh:
                 sink.write(json.loads(line))
         (cli_stats,) = sink.of_type("check.stats")
-        params = dict(CHECK_SCENARIO_DEFAULTS["torus_balance"], check=1)
+        params = dict(specs_for_grid("fig8_torus")[0].params, check=1)
         execute_task(TaskSpec(0, ScenarioSpec(
             "torus_balance", seed=1, warmup=0.5, duration=1.0, params=params,
         )))

@@ -1,8 +1,11 @@
 """Tests for the CLI and the ASCII plotting helpers."""
 
+import json
+
 import pytest
 
 from repro.cli import main
+from repro.exp import specs_for_grid
 from repro.harness.plotting import ascii_bars, ascii_timeseries
 
 
@@ -55,11 +58,27 @@ class TestCli:
 
     def test_deleted_commands_are_invalid_choices(self, capsys):
         for command in ("bottleneck", "twolinks", "wireless", "torus",
-                        "fattree"):
+                        "fattree", "check", "handover", "rt"):
             with pytest.raises(SystemExit) as excinfo:
                 main([command])
             assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_point_defaults_to_the_first_grid_point(self, capsys):
+        # No --param: rtt_ratio runs fig16_rtt's first point (its params
+        # and seed), with only the windows overridden.
+        assert main(["point", "rtt_ratio", "--warmup", "0.5",
+                     "--duration", "1"]) == 0
+        (first,) = specs_for_grid("fig16_rtt")[:1]
+        out = capsys.readouterr().out
+        assert json.dumps(first.params) in out
+        assert f"(seed {first.seed}, warm-up 0.5 s, 1 s)" in out
+
+    def test_a_delivery_gap_fails_the_point(self, monkeypatch, capsys):
+        monkeypatch.setattr("repro.cli.point_function",
+                            lambda name: lambda spec: {"delivery_gap": 1})
+        assert main(["point", "rt_handover"]) == 1
+        assert "FAIL: nonzero delivery gap" in capsys.readouterr().err
 
     def test_command_required(self):
         with pytest.raises(SystemExit):

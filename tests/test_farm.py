@@ -357,6 +357,23 @@ class TestCrashResume:
         assert not FarmLayout(root).leases()
         assert FarmLayout(root).finished() == "done"
 
+    def test_finished_farm_releases_a_lease_on_a_done_task(self, tmp_path):
+        # A worker journals "done" before its lease is released; a broker
+        # that finishes in between must not leave that lease behind.
+        # Every row is published and one lease written by hand, so the
+        # broker sees the whole grid done before its loop starts.
+        root = str(tmp_path / "farm")
+        cache = ResultCache(str(tmp_path / "store"))
+        tasks = _fn_tasks(square_point, [{"x": x} for x in (1, 2)])
+        for task in tasks:
+            cache.store(cache.key(task), task, square_point(**task.spec.params))
+        broker = Broker(root, tasks=tasks, cache=cache, **FAST)
+        layout = FarmLayout(root)
+        layout.write_lease(1, "gone", attempt=1, deadline=time.time() + 60.0)
+        assert [row["sq"] for row in broker.run(workers=0)] == [1, 4]
+        assert layout.leases() == []
+        assert layout.finished() == "done"
+
 
 # -- farm.* events ------------------------------------------------------
 

@@ -3,6 +3,7 @@ components, fire reproducibly, and the protocol invariants hold under
 every fault kind.  Includes the golden check/fault trace for the
 link-flap-on-two-subflow-LIA scenario and the CLI determinism check."""
 
+import json
 import os
 import pathlib
 
@@ -11,7 +12,9 @@ import pytest
 from repro.check import CHECK_EVENTS, InvariantMonitor, trace_override
 from repro.cli import main
 from repro.core.registry import make_controller
+from repro.exp import specs_for_grid
 from repro.exp.grids import point_function
+from repro.exp.paper import tolerance_scale
 from repro.exp.spec import ScenarioSpec
 from repro.fault import (
     FAULT_PRESETS,
@@ -24,7 +27,6 @@ from repro.mptcp.connection import MptcpFlow
 from repro.obs import (
     DEFAULT_EVENTS, FilterSink, JsonlSink, MemorySink, TraceBus,
 )
-from repro.rt.divergence import tolerance_scale
 from repro.sim.simulation import Simulation
 from repro.topology import build_two_links
 
@@ -246,19 +248,21 @@ class TestExperimentComposition:
 
 
 class TestCliCheck:
-    ARGS = ["check", "--scenario", "torus_balance", "--fault", "link_flap",
-            "--seed", "1", "--warmup", "2", "--duration", "4",
-            "--param", "rate=400", "--param", "capacity_c=100"]
+    # No other --param: the CLI runs the Fig 8 grid's first point.
+    ARGS = ["point", "torus_balance", "--param", "faults=link_flap",
+            "--seed", "1", "--warmup", "2", "--duration", "4"]
 
     def test_monitored_faulted_run_is_bit_identical_across_repeats(
         self, tmp_path, capsys
     ):
         out1 = tmp_path / "run1.jsonl"
         out2 = tmp_path / "run2.jsonl"
-        assert main(self.ARGS + ["--out", str(out1)]) == 0
-        assert main(self.ARGS + ["--out", str(out2)]) == 0
+        assert main(self.ARGS + ["--trace", str(out1)]) == 0
+        assert main(self.ARGS + ["--trace", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
-        assert out1.stat().st_size > 0
+        assert b'"fault.fire"' in out1.read_bytes()
+        grid_point = json.dumps(specs_for_grid("fig8_torus")[0].params)
+        assert grid_point[1:-1] in capsys.readouterr().out
         capsys.readouterr()
         assert main(["trace-validate", str(out1)]) == 0
         assert "OK" in capsys.readouterr().out
@@ -275,7 +279,7 @@ class TestGoldenLinkFlapTrace:
     def _emit(self, path):
         bus = TraceBus(
             sinks=[FilterSink(JsonlSink(str(path)), CHECK_EVENTS)],
-            events=DEFAULT_EVENTS,  # a monitored bus, as `repro check` builds
+            events=DEFAULT_EVENTS,  # a monitored bus, as `repro point` builds
         )
         sim = Simulation(seed=7, trace=bus)
         monitor = InvariantMonitor().attach(sim)

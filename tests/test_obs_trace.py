@@ -265,7 +265,7 @@ class TestSchemaValidation:
         # in tests/test_pathmgr.py; the hybrid.* flow-class events in
         # tests/test_hybrid.py; the farm.* broker events in
         # tests/test_farm.py; the rt.* real-backend events in
-        # tests/test_rt_loop.py and tests/test_rt_divergence.py).
+        # tests/test_rt_loop.py).
         assert set(EVENT_TYPES) == {
             "pkt.enqueue", "pkt.drop", "pkt.deliver", "cc.cwnd_update",
             "tcp.timeout", "tcp.fast_retransmit", "mptcp.dsn_ack",
@@ -284,7 +284,7 @@ class TestSchemaValidation:
             "pathmgr.handover",
             "hybrid.attach", "hybrid.class_state", "hybrid.link_state",
             "rt.run", "rt.channel_open", "rt.ctrl", "rt.codec_error",
-            "rt.netem", "rt.divergence",
+            "rt.netem",
         }
 
     def test_validate_jsonl_roundtrip_and_errors(self, tmp_path):

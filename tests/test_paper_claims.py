@@ -1,19 +1,21 @@
 """The paper's claims are executable and can fail.
 
-Every ``paper_*`` grid (plus ``fig8_torus`` / ``fig16_rtt``) carries a
+Every ``paper_*`` grid (plus ``fig8_torus`` / ``fig16_rtt``, and
+``rt_loopback``, the implementation against its simulation) carries a
 claims function in :data:`repro.exp.paper.CLAIMS`.  Here each one is fed a
 hand-built row set shaped like the registered-scale rows — it must hold —
 and then the same rows with one value changed — it must raise: a claim
 that cannot fail is not a claim.  (That the claims hold on the *real*
-rows is what ``python -m repro sweep paper`` checks.)
+rows is what ``python -m repro sweep paper`` checks; the ``realnet`` test
+below runs the one claim whose points take seconds on real sockets.)
 """
 
 import copy
 
 import pytest
 
-from repro.exp import CLAIMS
-from repro.exp.paper import failed_claim
+from repro.exp import CLAIMS, Runner, specs_for_grid
+from repro.exp.paper import failed_claim, tolerance_scale
 from repro.topology import SWEEP_GRIDS
 
 MBPS = 1e6 / 12000.0  # pkt/s per Mb/s
@@ -23,6 +25,21 @@ def fabric_rows(util):
     return [
         {"algo": algo, "pattern": pattern, "util_pct": value}
         for (algo, pattern), value in util.items()
+    ]
+
+
+def loopback_rows():
+    # As measured: lossy_lan's rt row is far below its twin and cwnd_mean
+    # differs on both profiles; neither is gated.
+    cells = {("rt", "lan"): (310.0, 620, 113.0),
+             ("rt", "lossy_lan"): (200.0, 400, 12.0),
+             ("sim", "lan"): (312.0, 624, 50.0),
+             ("sim", "lossy_lan"): (331.0, 662, 49.0)}
+    return [
+        {"backend": backend, "netem": netem, "goodput_mean": goodput,
+         "delivered_bytes": delivered * 1500, "cwnd_mean": cwnd,
+         "delivery_gap": 0}
+        for (backend, netem), (goodput, delivered, cwnd) in cells.items()
     ]
 
 
@@ -162,6 +179,7 @@ CASES = {
          {"c2": 3200.0, "rtt2": 0.8, "ratio": 1.1}],
         (1, "ratio", 0.5),
     ),
+    "rt_loopback": (loopback_rows(), (0, "goodput_mean", 3100.0)),
 }
 
 
@@ -182,3 +200,24 @@ def test_claims_hold_and_can_fail(grid):
     with pytest.raises(AssertionError):
         CLAIMS[grid](broken)
     assert failed_claim(grid, broken) is not None
+
+
+def test_tolerance_scale_relaxes_the_rt_loopback_claim(monkeypatch):
+    rows = loopback_rows()
+    rows[0]["goodput_mean"] = 1.5 * rows[2]["goodput_mean"]  # rel err 0.5
+    monkeypatch.setenv("REPRO_RT_TOLERANCE_SCALE", "2.0")
+    assert tolerance_scale() == 2.0
+    assert failed_claim("rt_loopback", rows) is None        # 0.5 < 0.35 * 2
+    monkeypatch.setenv("REPRO_RT_TOLERANCE_SCALE", "1.0")
+    assert failed_claim("rt_loopback", rows) is not None
+
+
+@pytest.mark.realnet
+def test_rt_loopback_claim_holds_on_real_sockets():
+    """The sim-vs-real gate: the grid's lan pair, one transfer on
+    loopback UDP and one on its sim twin, must satisfy the claim
+    (``REPRO_RT_TOLERANCE_SCALE`` relaxes it on noisy runners)."""
+    specs = [spec for spec in specs_for_grid("rt_loopback")
+             if spec.params["netem"] == "lan"]
+    rows = Runner(parallel=1).run(specs)
+    assert failed_claim("rt_loopback", rows) is None

@@ -351,7 +351,7 @@ class TestGoldenHandoverTrace:
     """
 
     def _emit(self, path):
-        # A monitored bus, as `repro handover --trace` builds it.
+        # A monitored bus, as `repro point --trace` builds it.
         bus = TraceBus(sinks=[
             FilterSink(JsonlSink(str(path)), PATHMGR_EVENTS | CHECK_EVENTS)
         ], events=DEFAULT_EVENTS)

@@ -1,96 +1,47 @@
-"""Sim-vs-real divergence harness: report mechanics and the CI gate.
+"""Sim-vs-real divergence: the ``rt_loopback`` claim's tolerance.
 
-The report/violation logic is tested without sockets (hand-built
-reports); the end-to-end gate — run the same spec on both backends and
-require agreement within the documented tolerance — is ``realnet``-marked
-and is the test CI's realnet job runs with ``REPRO_RT_TOLERANCE_SCALE``
-relaxed for shared runners.
+The claim compares the lan pair of the ``rt_loopback`` grid, one
+transfer on loopback UDP and one on its sim twin.  Here it is fed
+hand-built pairs whose real row is off by a given relative error per
+metric, without sockets; the end-to-end run is the ``realnet`` test in
+``test_paper_claims.py``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.exp.spec import ScenarioSpec
-from repro.obs import MemorySink, TraceBus
-from repro.rt.divergence import (
-    DEFAULT_TOLERANCES,
-    DivergenceReport,
-    MetricDivergence,
-    divergence_report,
-    tolerance_scale,
-)
+from repro.exp.paper import failed_claim
+
+SIM = {"goodput_mean": 100.0, "delivered_bytes": 150000.0, "cwnd_mean": 50.0}
 
 
-def _report(**rel_errs) -> DivergenceReport:
-    metrics = {
-        name: MetricDivergence(name, 100.0, 100.0 * (1 + err), err)
-        for name, err in rel_errs.items()
-    }
-    return DivergenceReport(
-        scenario="rt_loopback", metrics=metrics, aligned_samples=4,
-        sim_row={}, rt_row={},
-    )
+def _rows(**rel_errs):
+    """The lan pair, the rt row off its twin by ``rel_errs``."""
+    sim = {"backend": "sim", "netem": "lan", "delivery_gap": 0, **SIM}
+    real = dict(sim, backend="rt")
+    for key, err in rel_errs.items():
+        real[key] = SIM[key] * (1 + err)
+    return [real, sim]
+
+
+@pytest.fixture(autouse=True)
+def unit_scale(monkeypatch):
+    monkeypatch.delenv("REPRO_RT_TOLERANCE_SCALE", raising=False)
 
 
 def test_violations_empty_within_tolerance():
-    rep = _report(goodput_pps=0.10, delivered_bytes=0.05, cwnd_mean=2.0)
-    assert rep.violations(scale=1.0) == {}
-    rep.assert_within(scale=1.0)            # cwnd_mean is not gated
+    rows = _rows(goodput_mean=0.10, delivered_bytes=0.05, cwnd_mean=2.0)
+    assert failed_claim("rt_loopback", rows) is None   # cwnd_mean is not gated
+    assert failed_claim("rt_loopback", _rows(goodput_mean=-0.34)) is None
 
 
 def test_violations_flag_out_of_tolerance_metrics():
-    rep = _report(goodput_pps=0.50, delivered_bytes=0.05)
-    bad = rep.violations(scale=1.0)
-    assert set(bad) == {"goodput_pps"}
-    err, limit = bad["goodput_pps"]
-    assert err == 0.50
-    assert limit == DEFAULT_TOLERANCES["goodput_pps"]
-    with pytest.raises(AssertionError, match="goodput_pps"):
-        rep.assert_within(scale=1.0)
-
-
-def test_tolerance_scale_env_relaxes_the_gate(monkeypatch):
-    rep = _report(goodput_pps=0.50)
-    monkeypatch.setenv("REPRO_RT_TOLERANCE_SCALE", "2.0")
-    assert tolerance_scale() == 2.0
-    rep.assert_within()                     # 0.50 < 0.35 * 2
-    monkeypatch.setenv("REPRO_RT_TOLERANCE_SCALE", "1.0")
-    with pytest.raises(AssertionError):
-        rep.assert_within()
-
-
-def test_explicit_tolerances_override_defaults():
-    rep = _report(goodput_pps=0.02)
-    with pytest.raises(AssertionError):
-        rep.assert_within(tolerances={"goodput_pps": 0.01}, scale=1.0)
-    rep.assert_within(tolerances={"goodput_pps": 0.05}, scale=1.0)
-
-
-def test_report_is_printable():
-    text = str(_report(goodput_pps=0.1, delivered_bytes=0.2))
-    assert "rt_loopback" in text
-    assert "goodput_pps" in text
-
-
-@pytest.mark.realnet
-def test_divergence_gate_loopback_lia():
-    """The acceptance gate: mean throughput and final delivered bytes on
-    the real backend within the documented tolerance of the simulation
-    (see docs/REALNET.md).  ``rt.divergence`` events document each
-    comparison in the trace."""
-    sink = MemorySink()
-    bus = TraceBus(sinks=[sink])
-    spec = ScenarioSpec(
-        scenario="rt_loopback",
-        params={"algo": "lia", "netem": "lan"},
-        seed=5, warmup=0.5, duration=2.0,
-    )
-    report = divergence_report(spec, trace=bus)
-    assert report.rt_row["delivery_gap"] == 0
-    assert report.sim_row["delivery_gap"] == 0
-    events = sink.of_type("rt.divergence")
-    assert {e["metric"] for e in events} == set(report.metrics)
-    gated = {e["metric"]: e for e in events if e["tolerance"] is not None}
-    assert set(gated) == set(DEFAULT_TOLERANCES)
-    report.assert_within()
+    assert failed_claim("rt_loopback", _rows(goodput_mean=0.50,
+                                             delivered_bytes=0.05)) is not None
+    for key in ("goodput_mean", "delivered_bytes"):
+        assert failed_claim("rt_loopback", _rows(**{key: 0.36})) is not None
+        assert failed_claim("rt_loopback", _rows(**{key: -0.36})) is not None
+    gap = _rows()
+    gap[0]["delivery_gap"] = 1
+    assert failed_claim("rt_loopback", gap) is not None
