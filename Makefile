@@ -38,8 +38,9 @@
 #   make point-demo  `repro point` end to end: the scripted WiFi→3G
 #                    handover (§5 mobility) and the loopback-UDP transfer,
 #                    each traced under the invariant monitor and
-#                    validated against the schema; the handover on real
-#                    sockets; then the rt_loopback grid's sim-vs-real
+#                    validated against the schema; the same handover
+#                    point on the rt tier (--param tier=rt, real
+#                    sockets); then the rt_loopback grid's sim-vs-real
 #                    claim — see docs/PATH_MANAGEMENT.md, docs/REALNET.md
 
 PYTHON    ?= python
@@ -119,5 +120,5 @@ point-demo:
 	$(PP) $(PYTHON) -m repro trace-validate $(HANDOVER_OUT)
 	$(PP) $(PYTHON) -m repro point rt_loopback --trace $(RT_OUT)
 	$(PP) $(PYTHON) -m repro trace-validate $(RT_OUT)
-	$(PP) $(PYTHON) -m repro point rt_handover --warmup 0.5 --duration 4.5
+	$(PP) $(PYTHON) -m repro point wifi_3g_handover --param tier=rt --warmup 0.5 --duration 4.5
 	$(PP) $(PYTHON) -m repro sweep rt_loopback --no-cache

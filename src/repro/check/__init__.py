@@ -8,7 +8,7 @@ See ``docs/CHECKING.md``.  The package has two halves:
 * :mod:`repro.check.hooks` — :class:`CheckContext`, which composes
   monitoring (and :mod:`repro.fault` schedules) with
   :class:`~repro.exp.spec.ScenarioSpec`-driven experiments via the
-  reserved ``check`` / ``faults`` parameter keys.
+  reserved ``check`` / ``faults`` / ``tier`` parameter keys.
 """
 
 from .._exports import lazy_exports

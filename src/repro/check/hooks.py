@@ -1,8 +1,14 @@
-"""Composing invariant checks and fault injection with experiment specs.
+"""Composing tiers, invariant checks and fault injection with specs.
 
 :class:`CheckContext` lets a scenario point function opt into monitoring
-without changing its shape.  Two reserved keys in
-:attr:`~repro.exp.spec.ScenarioSpec.params` drive it:
+and run on another tier without changing its shape.  Three reserved
+keys in :attr:`~repro.exp.spec.ScenarioSpec.params` drive it:
+
+``"tier"``
+    Where the point runs: ``"packet"`` (the default; unset, so it never
+    enters a spec's canonical form) or ``"rt"`` (real loopback sockets).
+    :data:`TIERS` maps each to its Simulation class and path factory; a
+    point declares the tiers it supports with ``simulation(tiers=…)``.
 
 ``"check"``
     Truthy → run under an attached :class:`InvariantMonitor`.
@@ -20,7 +26,7 @@ A point function composes in four lines::
 
     ctx = CheckContext.from_spec(spec)
     sim = ctx.simulation()          # plain Simulation when inactive
-    ... build scenario ...
+    ... build scenario (ctx.path(profile, name) for a profiled path) ...
     ctx.arm()                       # bind faults to built components
     ... run / measure ...
     return ctx.finish(row)          # adds violations/fault_fires keys
@@ -38,8 +44,9 @@ records to a JSONL file).
 
 from __future__ import annotations
 
+import importlib
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..exp.spec import ScenarioSpec
 from ..fault.spec import FaultSpec, resolve_faults
@@ -50,7 +57,20 @@ if TYPE_CHECKING:
     from ..fault.faults import Fault
     from .invariants import InvariantMonitor
 
-__all__ = ["CheckContext", "trace_override"]
+__all__ = ["CheckContext", "TIERS", "trace_override"]
+
+#: Tier -> its Simulation class and its path factory ``(sim, name,
+#: profile)``, as ``module:name`` references imported on first use.
+TIERS: Dict[str, Tuple[str, str]] = {
+    "packet": ("repro.sim.simulation:Simulation",
+               "repro.topology.wireless:profile_path"),
+    "rt": ("repro.rt.loop:RtSimulation", "repro.rt.wire:RtPath"),
+}
+
+
+def _load(ref: str):
+    module, _, name = ref.partition(":")
+    return getattr(importlib.import_module(module), name)
 
 #: Bus to use for the next monitored CheckContext (set by trace_override).
 _BUS_OVERRIDE: List[Optional[TraceBus]] = [None]
@@ -78,8 +98,12 @@ class CheckContext:
         seed: int,
         fault_specs: Optional[List[FaultSpec]] = None,
         check: bool = False,
+        scenario: str = "",
+        tier: str = "packet",
     ):
         self.seed = seed
+        self.scenario = scenario
+        self.tier = tier
         self.fault_specs = list(fault_specs or ())
         self.active = bool(check) or bool(self.fault_specs)
         self.sim: Optional[Simulation] = None
@@ -92,16 +116,32 @@ class CheckContext:
             seed=spec.seed,
             fault_specs=resolve_faults(spec.params.get("faults")),
             check=bool(spec.params.get("check")),
+            scenario=spec.scenario,
+            tier=spec.params.get("tier", "packet"),
         )
 
-    def simulation(self, cls: type = Simulation, **sim_kwargs) -> Simulation:
+    def simulation(
+        self,
+        cls: Optional[type] = None,
+        tiers: Sequence[str] = ("packet",),
+        **sim_kwargs,
+    ) -> Simulation:
         """Build the run's Simulation — monitored only when active.
 
-        ``cls`` lets a point function substitute a Simulation subclass
-        with the same ``(seed, trace)`` constructor shape — e.g.
+        ``tiers`` are the tiers the point runs on; the spec's tier must
+        be one of them, and picks the class from :data:`TIERS`.  ``cls``
+        lets a point function substitute a Simulation subclass with the
+        same ``(seed, trace)`` constructor shape — e.g.
         :class:`~repro.hybrid.HybridSimulation` with its ``dt`` passed
         through ``sim_kwargs`` — without losing the monitor wiring.
         """
+        if self.tier not in tiers:
+            raise ValueError(
+                f"scenario {self.scenario!r} runs on tier "
+                f"{' | '.join(tiers)}, not {self.tier!r}"
+            )
+        if cls is None:
+            cls = _load(TIERS[self.tier][0])
         if not self.active:
             self.sim = cls(seed=self.seed, **sim_kwargs)
             return self.sim
@@ -113,6 +153,12 @@ class CheckContext:
         self.monitor = InvariantMonitor()
         self.monitor.attach(self.sim)
         return self.sim
+
+    def path(self, profile, name: str):
+        """One path declared by ``profile`` (a
+        :class:`~repro.topology.wireless.NetemProfile`), built for this
+        run's tier: queue + lossy pipe on packet, an ``RtPath`` on rt."""
+        return _load(TIERS[self.tier][1])(self.sim, name, profile)
 
     def arm(self) -> List[Fault]:
         """Bind fault specs to the (now built) scenario's components and
@@ -130,9 +176,12 @@ class CheckContext:
     def finish(self, row: dict) -> dict:
         """Final invariant sweep; annotate the result row when active.
 
-        Inactive contexts return ``row`` unchanged (identical dict), so
-        unmonitored sweeps produce byte-identical cached rows.
+        Inactive packet-tier contexts return ``row`` unchanged (identical
+        dict), so unmonitored sweeps produce byte-identical cached rows;
+        rt-tier rows gain the wire's ``ctrl_frames`` / ``wire_errors``.
         """
+        if self.tier == "rt":
+            row = {**row, **self.sim.wire_counts()}
         if not self.active:
             return row
         self.monitor.finish()

@@ -46,11 +46,12 @@ Path management and mobility (see docs/PATH_MANAGEMENT.md):
     python -m repro point wifi_3g_handover --param mode=make_before_break
     python -m repro sweep wifi_3g_handover --parallel 2
 
-Real-network backend: the same state machines over loopback UDP sockets,
-and the claim that they agree with the simulation (see docs/REALNET.md):
+The rt tier: the same point functions and state machines over loopback
+UDP sockets (``--param tier=rt``), and the claim that they agree with
+the simulation (see docs/REALNET.md):
 
     python -m repro point rt_loopback --trace rt.jsonl
-    python -m repro point rt_handover --warmup 0.5 --duration 4.5
+    python -m repro point wifi_3g_handover --param tier=rt --warmup 0.5 --duration 4.5
     python -m repro sweep rt_loopback --no-cache
 """
 
@@ -145,9 +146,12 @@ def _cmd_sweep(args) -> int:
     for name in names:
         grid_rows = by_grid[name] = rows[start:start + len(specs[name])]
         start += len(grid_rows)
-        table = Table(list(grid_rows[0]), precision=4)
+        # Rows of one grid may differ in keys (rt-tier rows add the
+        # wire's counters); a cell a row lacks prints as "-".
+        columns = list(dict.fromkeys(k for row in grid_rows for k in row))
+        table = Table(columns, precision=4)
         for row in grid_rows:
-            table.add_row(list(row.values()))
+            table.add_row([row.get(k) for k in columns])
         print(table.render(SWEEP_GRIDS[name]["title"]))
         if name not in CLAIMS:
             continue
@@ -246,12 +250,10 @@ def _parse_param(text: str):
 def _point_spec(args) -> ScenarioSpec:
     """Each field from its flag, else ``--param``, else the first point
     of the scenario's first registered grid; a point function's own
-    defaults cover what none of them sets.  A scenario no grid runs
-    takes seed 1, warm-up 5 and duration 10."""
-    grid = next((name for name, g in SWEEP_GRIDS.items()
-                 if g["scenario"] == args.scenario), None)
-    base = (specs_for_grid(grid)[0] if grid is not None else
-            ScenarioSpec(args.scenario, seed=1, warmup=5.0, duration=10.0))
+    defaults cover what none of them sets."""
+    grid = next(name for name, g in SWEEP_GRIDS.items()
+                if g["scenario"] == args.scenario)
+    base = specs_for_grid(grid)[0]
     params = {**base.params, **dict(args.param or ())}
     if args.trace:
         params["check"] = 1

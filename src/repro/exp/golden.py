@@ -112,11 +112,11 @@ GOLDEN_SETTINGS: Dict[str, dict] = {
     "paper_ablation_sack": {"warmup": 0.5, "duration": 1.0},
     "paper_ablation_recompute": {"warmup": 1.0, "duration": 1.5},
     "paper_ablation_ewtcp_weight": {"warmup": 0.75, "duration": 1.0},
-    # Explicit opt-OUT: half the rt_loopback points run on the real
-    # backend, whose rows are wall-clock (same spec, different run →
-    # slightly different goodput; see docs/REALNET.md), so the grid
-    # cannot be pinned bit-for-bit.  Its claim (repro.exp.paper) bounds
-    # sim-vs-real disagreement instead, and the realnet test in
+    # Explicit opt-OUT: half the rt_loopback points run on the rt tier,
+    # whose rows are wall-clock (same spec, different run → slightly
+    # different goodput; see docs/REALNET.md), so the grid cannot be
+    # pinned bit-for-bit.  Its claim (repro.exp.paper) bounds packet-
+    # vs-rt disagreement instead, and the realnet test in
     # tests/test_paper_claims.py runs it on the grid's lan pair.
     "rt_loopback": None,
 }

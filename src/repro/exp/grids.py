@@ -18,7 +18,8 @@ wrapper).
 
 Every point function seeds its :class:`~repro.sim.simulation.Simulation`
 from ``spec.seed`` and takes warm-up/duration from the spec, so reruns —
-including a retry replacing a crashed worker — are bit-identical.
+including a retry replacing a crashed worker — are bit-identical on the
+packet tier.
 """
 
 from __future__ import annotations
@@ -33,14 +34,13 @@ from ..topology.scenarios import SWEEP_GRIDS, build_torus, build_two_links
 from .spec import ScenarioSpec, grid_points
 
 __all__ = ["SCENARIOS", "point_function", "specs_for_grid", "torus_balance",
-           "rtt_ratio", "wifi_3g_handover", "subflow_churn", "torus_hybrid"]
+           "rtt_ratio", "subflow_churn", "torus_hybrid"]
 
 #: Point function name -> the module (relative to this package) that
 #: defines a function of that name.
 SCENARIOS: Dict[str, str] = {
     "torus_balance": ".grids",
     "rtt_ratio": ".grids",
-    "wifi_3g_handover": ".grids",
     "subflow_churn": ".grids",
     "torus_hybrid": ".grids",
     "shared_bottleneck": ".paper",
@@ -53,8 +53,8 @@ SCENARIOS: Dict[str, str] = {
     "wireless_client": ".paper",
     "mobile_walk": ".paper",
     "datacenter": ".paper",
-    "rt_loopback": "..rt.scenarios",
-    "rt_handover": "..rt.scenarios",
+    "wifi_3g_handover": ".paper",
+    "rt_loopback": ".paper",
 }
 
 
@@ -145,31 +145,6 @@ def rtt_ratio(spec: ScenarioSpec) -> dict:
         "m_pps": result["M"],
         "best_single_pps": best_single,
     })
-
-
-def wifi_3g_handover(spec: ScenarioSpec) -> dict:
-    """§5 mobility point: a WiFi+3G client under a scripted WiFi outage.
-
-    The WiFi path degrades up to one second (at most half a phase)
-    before losing coverage entirely (the user walking away from the
-    basestation), stays dark for the middle third of the measurement
-    window, then recovers.  Params: ``algo`` (default lia), ``policy``
-    (default backup — §5.2's 3G hot standby), ``mode``
-    (break_before_make | make_before_break), ``degraded_mbps``
-    (make-before-break pre-warm threshold, default 5).
-
-    Returns per-phase goodput (packets/s before, during and after the
-    outage), handover/lifecycle counters and ``delivery_gap`` — the
-    number of data packets acknowledged at connection level but never
-    delivered in order, which must be 0 (exactly-once across the
-    migration).
-
-    The body is shared with the real backend's ``rt_handover``
-    (:func:`repro.rt.scenarios._handover_run`, ``backend='sim'`` here).
-    """
-    from ..rt.scenarios import _handover_run
-
-    return _handover_run(spec, "sim")
 
 
 def subflow_churn(spec: ScenarioSpec) -> dict:

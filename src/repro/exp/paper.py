@@ -10,12 +10,13 @@ the whole family through one :class:`~repro.exp.runner.Runner` and cache
 and checks every claim; ``tests/golden/equivalence/`` pins each grid at a
 reduced scale.  One claims function judges the implementation rather
 than a figure: ``rt_loopback`` holds the real-socket backend
-(:mod:`repro.rt`) to its simulated twin.
+(:mod:`repro.rt`) to the simulation of the same point.
 
 Point functions have the :class:`~repro.check.hooks.CheckContext` shape
 of :func:`repro.exp.grids.torus_balance`, so the reserved ``check`` /
-``faults`` params work on every one; seed, warm-up and duration come
-from the spec.  Rates in rows are packets per second (``pps_to_mbps``
+``faults`` params work on every one; ``wifi_3g_handover`` and
+``rt_loopback`` also run on ``tier=rt``.  Seed, warm-up and duration
+come from the spec.  Rates in rows are packets per second (``pps_to_mbps``
 converts to the paper's Mb/s); claims are evaluated only on rows run at
 the grid's registered seed and windows.
 """
@@ -27,9 +28,11 @@ import traceback
 from typing import Callable, Dict, List, Optional
 
 from ..check.hooks import CheckContext
+from ..core.registry import make_controller
 from ..harness.datacenter import measure_matrix, start_matrix
 from ..harness.experiment import jain_index, make_flow, measure
 from ..net.network import mbps_to_pps, pps_to_mbps
+from ..net.packet import MSS_BYTES
 from ..net.pipe import LossyPipe
 from ..net.queue import DropTailQueue
 from ..net.route import Route
@@ -41,7 +44,12 @@ from ..topology.scenarios import (
     build_triangle,
     build_two_links,
 )
-from ..topology.wireless import LinkSchedule, build_3g_path, build_wifi_path
+from ..topology.wireless import (
+    PROFILES,
+    LinkSchedule,
+    build_3g_path,
+    build_wifi_path,
+)
 from ..traffic import (
     OnOffCbrSource,
     ParetoSizes,
@@ -703,6 +711,79 @@ def fig17_claims(rows: List[dict]) -> None:
     assert wifi_good > 175.0
 
 
+def wifi_3g_handover(spec: ScenarioSpec) -> dict:
+    """§5.2 mobility point: a WiFi+3G client under a scripted WiFi
+    outage, through :mod:`repro.pathmgr`, on the packet or rt tier.
+
+    The WiFi path fades (for up to a second, at most half a phase)
+    before losing coverage entirely (the user walking away from the
+    basestation), stays dark for the middle third of the measurement
+    window, then recovers — all on the scenario-time axis.  Params:
+    ``algo`` (default lia), ``policy`` (default backup — §5.2's 3G hot
+    standby), ``mode`` (break_before_make | make_before_break),
+    ``degraded_mbps`` (make-before-break pre-warm threshold, default 5).
+
+    Returns per-phase goodput (packets/s before, during and after the
+    outage), handover/lifecycle counters and ``delivery_gap`` — the
+    number of data packets acknowledged at connection level but never
+    delivered in order, which must be 0 (exactly-once across the
+    migration).
+    """
+    from ..pathmgr import ManagedMptcpFlow, WirelessHandover
+
+    p = spec.params
+    algo = p.get("algo", spec.algorithm or "lia")
+    policy = p.get("policy", "backup")
+    mode = p.get("mode", "break_before_make")
+    degraded = float(p.get("degraded_mbps", 5.0))
+    ctx = CheckContext.from_spec(spec)
+    with ctx.simulation(tiers=("packet", "rt")) as sim:
+        wifi = ctx.path(PROFILES["wifi"], "wifi")
+        g3 = ctx.path(PROFILES["3g"], "3g")
+        flow = ManagedMptcpFlow(sim, make_controller(algo), policy=policy,
+                                name="m")
+        flow.add_path(wifi.route("m.wifi"), name="wifi", wireless=wifi)
+        flow.add_path(
+            g3.route("m.3g"), name="3g",
+            backup=(policy == "backup"), wireless=g3,
+        )
+        manager = flow.manager
+        phase = spec.duration / 3.0
+        t_down = spec.warmup + phase
+        t_up = spec.warmup + 2.0 * phase
+        fade = min(1.0, phase / 2.0)
+        schedule = LinkSchedule(sim, [
+            (sim.at(t_down - fade), wifi, 2.0),   # fading signal
+            (sim.at(t_down), wifi, 0.0),          # coverage lost
+            (sim.at(t_up), wifi, 14.4),           # coverage back
+        ])
+        handover = WirelessHandover(manager, schedule, mode=mode,
+                                    degraded_mbps=degraded)
+        ctx.arm()
+        schedule.start()
+        flow.start()
+        sim.run_until_elapsed(spec.warmup)
+        d0 = flow.packets_delivered
+        sim.run_until_elapsed(t_down)
+        d1 = flow.packets_delivered
+        sim.run_until_elapsed(t_up)
+        d2 = flow.packets_delivered
+        sim.run_until_elapsed(spec.warmup + spec.duration)
+        d3 = flow.packets_delivered
+        sim.finish()
+        reasm = flow.receiver.reassembler
+        return ctx.finish({
+            "pre_pps": (d1 - d0) / phase,
+            "outage_pps": (d2 - d1) / phase,
+            "post_pps": (d3 - d2) / phase,
+            "handovers": handover.handovers,
+            "subflows_opened": manager.subflows_opened,
+            "subflows_closed": manager.subflows_closed,
+            "join_failures": manager.join_failures,
+            "delivery_gap": reasm.data_cum_ack - reasm.delivered,
+        })
+
+
 # ---------------------------------------------------------------------
 # §4: FatTree and BCube traffic matrices
 # ---------------------------------------------------------------------
@@ -874,6 +955,74 @@ def fig16_claims(rows: List[dict]) -> None:
 # The implementation: the same state machines on real sockets
 # ---------------------------------------------------------------------
 
+def _safe_mean(rec, name: str, fallback: float) -> float:
+    try:
+        return rec.mean(name)
+    except ValueError:
+        return fallback
+
+
+def rt_loopback(spec: ScenarioSpec) -> dict:
+    """Two-subflow MPTCP transfer over ``paths`` copies of one profile,
+    on the packet tier or (``tier=rt``) on loopback UDP sockets.
+
+    Params: ``algo`` (default lia), ``netem`` (a
+    :data:`~repro.topology.wireless.PROFILES` name, default 'lan'),
+    ``paths`` (default 2), ``interval`` (series sampling period, default
+    0.25 s).  ``spec.warmup`` / ``spec.duration`` are wall-clock seconds
+    on the rt tier, so keep them small.
+
+    Returns goodput over the measurement window, delivered packets and
+    bytes, series means, ``delivery_gap`` (must be 0) and lifecycle
+    counters.
+    """
+    from ..obs.series import SeriesRecorder
+    from ..pathmgr import ManagedMptcpFlow
+
+    p = spec.params
+    algo = p.get("algo", spec.algorithm or "lia")
+    netem = p.get("netem", "lan")
+    if netem not in PROFILES:
+        raise ValueError(f"unknown netem profile {netem!r}; known: "
+                         f"{', '.join(sorted(PROFILES))}")
+    ctx = CheckContext.from_spec(spec)
+    with ctx.simulation(tiers=("packet", "rt")) as sim:
+        flow = ManagedMptcpFlow(sim, make_controller(algo), name="m")
+        routes = [ctx.path(PROFILES[netem], f"p{i}").route(f"m.p{i}")
+                  for i in range(int(p.get("paths", 2)))]
+        for i, route in enumerate(routes):
+            flow.add_path(route, name=f"p{i}")
+        rec = SeriesRecorder(sim, interval=float(p.get("interval", 0.25)),
+                             warmup=spec.warmup)
+        rec.add_rate_probe("goodput", lambda: flow.packets_delivered)
+        rec.add_probe(
+            "cwnd",
+            lambda: sum(
+                sf.cwnd for sf in flow.connection.subflows if not sf.retired
+            ),
+        )
+        ctx.arm()
+        flow.start()
+        rec.start()
+        sim.run_until_elapsed(spec.warmup)
+        d0 = flow.packets_delivered
+        sim.run_until_elapsed(spec.warmup + spec.duration)
+        delivered = flow.packets_delivered - d0
+        sim.finish()
+        goodput = delivered / spec.duration
+        reasm = flow.receiver.reassembler
+        return ctx.finish({
+            "goodput_pps": goodput,
+            "delivered": delivered,
+            "delivered_bytes": delivered * MSS_BYTES,
+            "goodput_mean": _safe_mean(rec, "goodput", goodput),
+            "cwnd_mean": _safe_mean(rec, "cwnd", 0.0),
+            "delivery_gap": reasm.data_cum_ack - reasm.delivered,
+            "subflows_opened": flow.manager.subflows_opened,
+            "join_failures": flow.manager.join_failures,
+        })
+
+
 def tolerance_scale() -> float:
     """Multiplier on the sim-vs-real tolerance, read from
     ``REPRO_RT_TOLERANCE_SCALE`` (default 1; CI raises it on shared
@@ -883,11 +1032,11 @@ def tolerance_scale() -> float:
 
 @claims("rt_loopback")
 def rt_loopback_claims(rows: List[dict]) -> None:
-    # On the lan profile the loopback-UDP run agrees with its sim twin
-    # (docs/REALNET.md); lossy_lan is measured, not gated.  cwnd_mean is
-    # too noisy over a 2 s window to gate.
-    pair = _by(rows, "netem", "backend")
-    sim, real = pair["lan", "sim"], pair["lan", "rt"]
+    # On the lan profile the loopback-UDP run agrees with the packet
+    # tier's (docs/REALNET.md); lossy_lan is measured, not gated.
+    # cwnd_mean is too noisy over a 2 s window to gate.
+    pair = _by(rows, "netem", "tier")
+    sim, real = pair["lan", "packet"], pair["lan", "rt"]
     assert sim["delivery_gap"] == 0 and real["delivery_gap"] == 0
     limit = 0.35 * tolerance_scale()
     for key in ("goodput_mean", "delivered_bytes"):

@@ -10,12 +10,13 @@ impairment layer standing in for ``tc netem``:
 * :mod:`~repro.rt.wire` — :class:`RtPath` / :class:`RtRoute`, UDP socket
   pairs behind the sim's route API;
 * :mod:`~repro.rt.netem` — delay/jitter/loss/rate impairments,
-  schedule-driven like ``LinkSchedule``;
-* :mod:`~repro.rt.scenarios` — ``rt_loopback`` / ``rt_handover``
-  ``repro.exp`` point functions.
+  schedule-driven like ``LinkSchedule``.
 
-The ``rt_loopback`` grid runs each transfer on both backends, and its
-claim (:mod:`repro.exp.paper`) holds the real run to the simulated one.
+It is a backend only: a point function runs here when its spec sets the
+reserved ``tier=rt`` param (:data:`repro.check.hooks.TIERS`), building
+each path from the same profile the packet tier builds as queue + pipe.
+The ``rt_loopback`` grid runs each transfer on both tiers, and its claim
+(:mod:`repro.exp.paper`) holds the real run to the simulated one.
 See docs/REALNET.md for the quickstart and the sim-vs-real caveats.
 """
 

@@ -89,7 +89,8 @@ class RtSimulation(Simulation):
 
     Supplies only what differs from the base: the timers, the
     :attr:`selector` paths register their sockets with, a blocking
-    :meth:`run_until`, ``origin_unix`` and the ``rt.run`` trace record.
+    :meth:`run_until`, ``origin_unix``, the ``rt.run`` trace record, the
+    CTRL-frame mirror of the handshakes and the row's wire counters.
     Nothing is process-global, so multiple runs — and the sim backend —
     coexist in one process.  :meth:`close` (or ``with``) must be
     reached: it closes the paths' sockets, then the selector.
@@ -105,6 +106,7 @@ class RtSimulation(Simulation):
         self.add_cleanup(self.selector.close)
         #: Wall-clock (Unix epoch) time at the run origin.
         self.origin_unix = time()
+        self._mirrored = False
         if self.trace.enabled:
             self.trace.emit(
                 "rt.run",
@@ -118,9 +120,48 @@ class RtSimulation(Simulation):
     def _make_timers(self) -> MonotonicTimers:
         return MonotonicTimers()
 
+    def _mirror_handshakes(self) -> None:
+        """Mirror each path manager's (synchronous) MPTCP handshake onto
+        the wire as CTRL frames, so the signalling crosses the sockets
+        too: MP_CAPABLE on the first path, one ADD_ADDR per path and one
+        MP_JOIN per further path."""
+        from ..mptcp.handshake import (AddAddrOption, MpCapableOption,
+                                       MpJoinOption)
+        from ..pathmgr.manager import PathManager
+
+        for manager in self._components:
+            if not isinstance(manager, PathManager):
+                continue
+            managed = manager.ordered_paths()
+            paths = [m.route.path for m in managed]
+            if paths:
+                paths[0].send_option(
+                    MpCapableOption(sender_key=manager.client.key))
+            for m, path in zip(managed, paths):
+                path.send_option(AddAddrOption(addr_id=m.addr_id))
+            if manager.token is not None:
+                for path in paths[1:]:
+                    path.send_option(MpJoinOption(token=manager.token))
+
+    def wire_counts(self) -> dict:
+        """What an rt-tier row adds: CTRL frames decoded, and datagrams
+        lost to the codec, an unknown channel or the socket."""
+        from .wire import RtPath
+
+        paths = [c for c in self._components if isinstance(c, RtPath)]
+        return {
+            "ctrl_frames": sum(len(p.options_received) for p in paths),
+            "wire_errors": sum(p.codec_errors + p.unknown_channels
+                               + p.socket_errors for p in paths),
+        }
+
     def run_until(self, end_time: float) -> None:
         """Fire timers and read sockets until absolute clock time
-        ``end_time`` (already-past times return without blocking)."""
+        ``end_time`` (already-past times return without blocking).  The
+        first run mirrors the handshakes (:meth:`_mirror_handshakes`)."""
+        if not self._mirrored:
+            self._mirrored = True
+            self._mirror_handshakes()
         fire_due, select = self.timers.fire_due, self.selector.select
         while True:
             deadline = fire_due()

@@ -25,55 +25,21 @@ walks (§5's stairwell) work verbatim on the real backend.
 Every drop is traced as ``pkt.drop`` with ``kind='netem'``; rate changes
 as ``rt.netem``.
 
-The :data:`PROFILES` registry names the standard impairment sets: the
-sim-twin ``wifi``/``3g`` parameters (matching ``build_wifi_path`` /
-``build_3g_path``), a mild ``lan`` default (the profile the
-``rt_loopback`` claim gates), and a delay-only ``clean``.
+A channel emulates one direction of a
+:class:`~repro.topology.wireless.NetemProfile`, the path declaration
+the packet tier builds as queue + pipe; :data:`PROFILES` and
+:func:`profile_replace` are re-exported from there.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from ..net.network import mbps_to_pps
+from ..topology.wireless import PROFILES, NetemProfile, profile_replace
 
 __all__ = ["NetemProfile", "NetemChannel", "PROFILES", "profile_replace"]
-
-
-@dataclass(frozen=True)
-class NetemProfile:
-    """One direction's impairments.  All times in seconds."""
-
-    delay: float = 0.0                  # one-way propagation delay
-    jitter: float = 0.0                 # uniform ±jitter on the delay
-    loss: float = 0.0                   # i.i.d. loss probability
-    rate_mbps: Optional[float] = None   # emulated line rate (None = ∞)
-    buffer_pkts: int = 64               # waiting packets before drop-tail
-
-    def reverse(self) -> "NetemProfile":
-        """Default return-direction profile: delay only, like the sim's
-        delay-only reverse pipes (ACKs are tiny and rarely the
-        bottleneck; scenarios can pass an explicit reverse profile)."""
-        return NetemProfile(delay=self.delay)
-
-
-#: Named impairment sets.  ``wifi``/``3g`` mirror the sim's
-#: ``build_wifi_path``/``build_3g_path`` parameters so a loopback run
-#: faces the same rates, RTT floors, buffers and ambient loss as its
-#: simulated twin.
-PROFILES: Dict[str, NetemProfile] = {
-    "wifi": NetemProfile(delay=0.005, loss=0.01, rate_mbps=14.4,
-                         buffer_pkts=20),
-    "3g": NetemProfile(delay=0.050, loss=0.0, rate_mbps=2.1,
-                       buffer_pkts=300),
-    "lan": NetemProfile(delay=0.010, loss=0.0, rate_mbps=2.0,
-                        buffer_pkts=50),
-    "lossy_lan": NetemProfile(delay=0.010, loss=0.02, rate_mbps=2.0,
-                              buffer_pkts=50),
-    "clean": NetemProfile(delay=0.002),
-}
 
 
 class NetemChannel:
@@ -186,7 +152,3 @@ class NetemChannel:
             f"sent={self.sent}, dropped={self.dropped})"
         )
 
-
-#: Derive a tweaked profile, e.g. ``profile_replace(PROFILES['lan'],
-#: loss=0.05)`` (just ``dataclasses.replace``, re-exported).
-profile_replace = replace

@@ -179,16 +179,17 @@ SWEEP_GRIDS = {
         "scenario": "rt_loopback",
         "parameters": {
             "algo": ["lia"],
-            "backend": ["rt", "sim"],
+            "tier": ["rt", "packet"],
             "netem": ["lan", "lossy_lan"],
             "check": [1],
         },
         "seed": 5,
         "warmup": 0.5,
         "duration": 2.0,
-        "title": "Real-network backend: loopback-UDP two-subflow transfer "
-                 "vs its sim twin (wall-clock seconds per rt point; "
-                 "backend/netem key the result cache — docs/REALNET.md)",
+        "title": "Implementation vs simulation: one two-subflow transfer "
+                 "on the rt tier (loopback UDP, wall-clock seconds) and "
+                 "the packet tier (tier/netem key the result cache — "
+                 "docs/REALNET.md)",
     },
     # The paper's figures and tables (with fig8_torus and fig16_rtt
     # above): point functions and the claims checked on these rows are

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.exp import specs_for_grid
+from repro.exp import SCENARIOS, specs_for_grid
+from repro.topology import SWEEP_GRIDS
 from repro.harness.plotting import ascii_bars, ascii_timeseries
 
 
@@ -57,10 +58,12 @@ class TestCli:
             main(["point", "two_links", "--param", "algo=warp-drive"])
 
     def test_deleted_commands_are_invalid_choices(self, capsys):
-        for command in ("bottleneck", "twolinks", "wireless", "torus",
-                        "fattree", "check", "handover", "rt"):
+        # The rt handover is `point wifi_3g_handover --param tier=rt`.
+        for argv in (["bottleneck"], ["twolinks"], ["wireless"], ["torus"],
+                     ["fattree"], ["check"], ["handover"], ["rt"],
+                     ["point", "rt_handover"]):
             with pytest.raises(SystemExit) as excinfo:
-                main([command])
+                main(argv)
             assert excinfo.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
@@ -77,8 +80,23 @@ class TestCli:
     def test_a_delivery_gap_fails_the_point(self, monkeypatch, capsys):
         monkeypatch.setattr("repro.cli.point_function",
                             lambda name: lambda spec: {"delivery_gap": 1})
-        assert main(["point", "rt_handover"]) == 1
+        assert main(["point", "wifi_3g_handover"]) == 1
         assert "FAIL: nonzero delivery gap" in capsys.readouterr().err
+
+    @pytest.mark.realnet
+    def test_sweep_prints_rows_of_both_tiers(self, capsys):
+        # Only rt-tier rows carry the wire's counters; packet rows print
+        # "-" in those columns.
+        assert main(["sweep", "rt_loopback", "--no-cache",
+                     "--warmup", "0.1", "--duration", "0.3"]) == 0
+        out = capsys.readouterr().out
+        assert "ctrl_frames" in out and "claims skipped" in out
+
+    def test_every_scenario_is_named_by_a_grid(self):
+        """`point` takes its defaults from the scenario's first grid, so
+        a scenario no grid names would have none."""
+        gridded = {grid["scenario"] for grid in SWEEP_GRIDS.values()}
+        assert sorted(set(SCENARIOS) - gridded) == []
 
     def test_command_required(self):
         with pytest.raises(SystemExit):

@@ -210,10 +210,11 @@ class TestExperimentComposition:
         assert row["fault_fires"] > 0
 
 
-    @pytest.mark.parametrize("backend", [
-        "sim", pytest.param("rt", marks=pytest.mark.realnet),
+    @pytest.mark.parametrize("tier", [
+        pytest.param("packet", id="sim"),
+        pytest.param("rt", marks=pytest.mark.realnet),
     ])
-    def test_fault_start_is_scenario_time_on_every_backend(self, backend):
+    def test_fault_start_is_scenario_time_on_every_backend(self, tier):
         """Regression: faults scheduled ``spec.start`` on the backend
         clock's own epoch, so on real sockets (raw monotonic ``now``) a
         kill with ``start=1.5`` fired 1 ms into the run and an ACK-drop
@@ -222,7 +223,7 @@ class TestExperimentComposition:
         sink = MemorySink()
         spec = ScenarioSpec(
             scenario="rt_loopback",
-            params={"backend": backend, "faults": [
+            params={"tier": tier, "faults": [
                 {"kind": "subflow_kill", "target": "m.p1*", "start": 1.5},
                 {"kind": "ack_drop", "target": "m.p0*", "start": 0.6,
                  "params": {"duration": 0.5, "prob": 0.2}},
@@ -238,7 +239,7 @@ class TestExperimentComposition:
                  for ev in sink.of_type("fault.fire")}
         # Generous on rt: a loaded machine delays timers, never advances
         # them — the parent's 1.499 s error is far outside either bound.
-        slack = 0.0 if backend == "sim" else 0.4 * tolerance_scale()
+        slack = 0.0 if tier == "packet" else 0.4 * tolerance_scale()
         for action, start in (("window_start", 0.6), ("window_end", 1.1),
                               ("kill", 1.5)):
             assert start <= fired[action] <= start + slack, (action, fired)

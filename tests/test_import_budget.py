@@ -52,6 +52,15 @@ Runner().run([ScenarioSpec("torus_balance", params, seed=1,
 print(json.dumps({"import": on_import, "point": loaded()}))
 """
 
+# A packet-tier run of a point that also runs on the rt tier.
+HANDOVER_PROBE = """
+import json, sys
+from repro.exp import Runner, ScenarioSpec
+Runner().run([ScenarioSpec("wifi_3g_handover", {"algo": "lia"}, seed=1,
+                           warmup=0.2, duration=0.6)])
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro."))))
+"""
+
 #: Subsystems a packet-tier point never runs, so never imports.
 UNUSED_BY_A_PACKET_POINT = (
     "repro.rt", "repro.farm", "repro.fluid", "repro.hybrid", "repro.pathmgr",
@@ -96,6 +105,15 @@ class TestImportBudget:
             m == prefix or m.startswith(prefix + ".")
             for prefix in UNUSED_BY_A_PACKET_POINT)]
         assert unused == []
+
+    def test_a_packet_handover_point_loads_no_rt_module(self):
+        """A count, not a clock: the tier picks the backend, so a point
+        that can also run on real sockets loads none of ``repro.rt``
+        when it runs on the packet tier."""
+        loaded = _probe(HANDOVER_PROBE)
+        assert "repro.pathmgr.handover" in loaded
+        assert [m for m in loaded if m == "repro.rt"
+                or m.startswith("repro.rt.")] == []
 
 
 class TestExportTables:

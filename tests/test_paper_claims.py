@@ -33,13 +33,13 @@ def loopback_rows():
     # differs on both profiles; neither is gated.
     cells = {("rt", "lan"): (310.0, 620, 113.0),
              ("rt", "lossy_lan"): (200.0, 400, 12.0),
-             ("sim", "lan"): (312.0, 624, 50.0),
-             ("sim", "lossy_lan"): (331.0, 662, 49.0)}
+             ("packet", "lan"): (312.0, 624, 50.0),
+             ("packet", "lossy_lan"): (331.0, 662, 49.0)}
     return [
-        {"backend": backend, "netem": netem, "goodput_mean": goodput,
+        {"tier": tier, "netem": netem, "goodput_mean": goodput,
          "delivered_bytes": delivered * 1500, "cwnd_mean": cwnd,
          "delivery_gap": 0}
-        for (backend, netem), (goodput, delivered, cwnd) in cells.items()
+        for (tier, netem), (goodput, delivered, cwnd) in cells.items()
     ]
 
 
@@ -215,7 +215,7 @@ def test_tolerance_scale_relaxes_the_rt_loopback_claim(monkeypatch):
 @pytest.mark.realnet
 def test_rt_loopback_claim_holds_on_real_sockets():
     """The sim-vs-real gate: the grid's lan pair, one transfer on
-    loopback UDP and one on its sim twin, must satisfy the claim
+    loopback UDP and one on the packet tier, must satisfy the claim
     (``REPRO_RT_TOLERANCE_SCALE`` relaxes it on noisy runners)."""
     specs = [spec for spec in specs_for_grid("rt_loopback")
              if spec.params["netem"] == "lan"]

@@ -1,7 +1,7 @@
 """Sim-vs-real divergence: the ``rt_loopback`` claim's tolerance.
 
 The claim compares the lan pair of the ``rt_loopback`` grid, one
-transfer on loopback UDP and one on its sim twin.  Here it is fed
+transfer on loopback UDP (``tier=rt``) and one on the packet tier.  Here it is fed
 hand-built pairs whose real row is off by a given relative error per
 metric, without sockets; the end-to-end run is the ``realnet`` test in
 ``test_paper_claims.py``.
@@ -18,8 +18,8 @@ SIM = {"goodput_mean": 100.0, "delivered_bytes": 150000.0, "cwnd_mean": 50.0}
 
 def _rows(**rel_errs):
     """The lan pair, the rt row off its twin by ``rel_errs``."""
-    sim = {"backend": "sim", "netem": "lan", "delivery_gap": 0, **SIM}
-    real = dict(sim, backend="rt")
+    sim = {"tier": "packet", "netem": "lan", "delivery_gap": 0, **SIM}
+    real = dict(sim, tier="rt")
     for key, err in rel_errs.items():
         real[key] = SIM[key] * (1 + err)
     return [real, sim]

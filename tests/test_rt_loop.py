@@ -19,7 +19,8 @@ import tracemalloc
 import pytest
 
 from repro.core.registry import make_controller
-from repro.exp.grids import point_function
+from repro.check.hooks import CheckContext
+from repro.exp.grids import SCENARIOS, point_function
 from repro.exp.spec import ScenarioSpec
 from repro.obs import JsonlSink, MemorySink, TraceBus, validate_jsonl
 from repro.obs.series import SeriesRecorder
@@ -210,18 +211,46 @@ def test_virtual_time_scenario_axis_is_the_identity():
     sim.close()                             # no cleanups: a no-op
 
 
+class _Built(Exception):
+    """Stops a point function once its Simulation is built."""
+
+
 def test_handover_names_share_one_body(monkeypatch):
-    """``wifi_3g_handover`` and ``rt_handover`` are two registrations of
-    one body, differing only in the backend they pass it."""
-    calls = []
-    monkeypatch.setattr(
-        "repro.rt.scenarios._handover_run",
-        lambda spec, backend: calls.append((spec, backend)) or {},
-    )
-    spec = ScenarioSpec(scenario="wifi_3g_handover", params={}, seed=1)
-    assert point_function("wifi_3g_handover")(spec) == {}
-    assert point_function("rt_handover")(spec) == {}
-    assert calls == [(spec, "sim"), (spec, "rt")]
+    """The one registered ``wifi_3g_handover`` runs on both tiers (there
+    is no ``rt_handover``); the ``tier`` param picks the Simulation."""
+    assert "rt_handover" not in SCENARIOS
+    built = []
+    simulation = CheckContext.simulation
+
+    def spy(self, *args, **kwargs):
+        with simulation(self, *args, **kwargs) as sim:
+            built.append(type(sim))
+        raise _Built
+
+    monkeypatch.setattr(CheckContext, "simulation", spy)
+    run = point_function("wifi_3g_handover")
+    for tier in ("packet", "rt"):
+        with pytest.raises(_Built):
+            run(ScenarioSpec("wifi_3g_handover", {"tier": tier}, seed=1))
+    assert built == [Simulation, RtSimulation]
+
+
+def test_unknown_tier_is_named():
+    spec = ScenarioSpec("wifi_3g_handover", {"tier": "fluid"}, seed=1)
+    with pytest.raises(ValueError, match=r"'wifi_3g_handover' runs on "
+                       r"tier packet \| rt, not 'fluid'"):
+        point_function("wifi_3g_handover")(spec)
+
+
+@pytest.mark.parametrize("scenario", ["torus_balance", "torus_hybrid"])
+def test_packet_only_points_refuse_the_rt_tier(scenario):
+    """A point that declares no rt tier fails instead of running its
+    packet topology on the monotonic clock."""
+    spec = ScenarioSpec(scenario, {"tier": "rt", "capacity_c": 250.0},
+                        seed=1, warmup=0.1, duration=0.1)
+    with pytest.raises(ValueError, match=f"'{scenario}' runs on tier "
+                       "packet, not 'rt'"):
+        point_function(scenario)(spec)
 
 
 @pytest.mark.realnet
@@ -357,7 +386,7 @@ def test_two_subflow_lia_exactly_once_delivery():
 @pytest.mark.realnet
 def test_rt_loopback_scenario_row():
     spec = ScenarioSpec(scenario="rt_loopback",
-                        params={"algo": "lia", "check": 1},
+                        params={"algo": "lia", "tier": "rt", "check": 1},
                         seed=5, warmup=0.3, duration=1.2)
     row = point_function("rt_loopback")(spec)
     assert row["delivery_gap"] == 0
@@ -373,10 +402,10 @@ def test_rt_handover_zero_delivery_gap():
     """WiFi→3G handover driven end-to-end through repro.pathmgr on the
     real backend: coverage loss mid-transfer, failover to 3G, recovery —
     with zero delivery gap across the migration."""
-    spec = ScenarioSpec(scenario="rt_handover",
-                        params={"algo": "lia", "check": 1},
+    spec = ScenarioSpec(scenario="wifi_3g_handover",
+                        params={"algo": "lia", "tier": "rt", "check": 1},
                         seed=7, warmup=0.8, duration=3.6)
-    row = point_function("rt_handover")(spec)
+    row = point_function("wifi_3g_handover")(spec)
     assert row["handovers"] >= 1
     assert row["subflows_opened"] >= 3     # wifi, 3g standby, wifi rejoin
     assert row["delivery_gap"] == 0
@@ -392,7 +421,7 @@ def test_rt_trace_validates_and_is_monotonic(tmp_path):
     out = str(tmp_path / "rt.jsonl")
     bus = TraceBus(sinks=[JsonlSink(out)])
     spec = ScenarioSpec(scenario="rt_loopback",
-                        params={"algo": "lia", "check": 1},
+                        params={"algo": "lia", "tier": "rt", "check": 1},
                         seed=5, warmup=0.2, duration=0.8)
     with trace_override(bus):
         point_function("rt_loopback")(spec)
@@ -540,7 +569,7 @@ class TestRtBudget:
 
 
 def test_committed_rt_golden_trace_validates():
-    """The committed rt golden trace (a real-backend rt_handover run)
+    """The committed rt golden trace (a handover run on the rt tier)
     passes schema validation — satellite proof that repro.obs handles
     real monotonic-clock timestamps end to end."""
     golden = (pathlib.Path(__file__).parent / "golden"
