@@ -5,10 +5,12 @@ and run on another tier without changing its shape.  Three reserved
 keys in :attr:`~repro.exp.spec.ScenarioSpec.params` drive it:
 
 ``"tier"``
-    Where the point runs: ``"packet"`` (the default; unset, so it never
-    enters a spec's canonical form) or ``"rt"`` (real loopback sockets).
+    Where the point runs: ``"packet"``, ``"hybrid"`` (fluid flow classes
+    plus packet flows) or ``"rt"`` (real loopback sockets).
     :data:`TIERS` maps each to its Simulation class and path factory; a
-    point declares the tiers it supports with ``simulation(tiers=…)``.
+    point declares the tiers it supports with ``simulation(tiers=…)``,
+    and an unset tier (so it never enters a spec's canonical form) is
+    the first of them.
 
 ``"check"``
     Truthy → run under an attached :class:`InvariantMonitor`.
@@ -64,6 +66,8 @@ __all__ = ["CheckContext", "TIERS", "trace_override"]
 TIERS: Dict[str, Tuple[str, str]] = {
     "packet": ("repro.sim.simulation:Simulation",
                "repro.topology.wireless:profile_path"),
+    "hybrid": ("repro.hybrid.simulation:HybridSimulation",
+               "repro.topology.wireless:profile_path"),
     "rt": ("repro.rt.loop:RtSimulation", "repro.rt.wire:RtPath"),
 }
 
@@ -99,7 +103,7 @@ class CheckContext:
         fault_specs: Optional[List[FaultSpec]] = None,
         check: bool = False,
         scenario: str = "",
-        tier: str = "packet",
+        tier: Optional[str] = None,
     ):
         self.seed = seed
         self.scenario = scenario
@@ -117,31 +121,27 @@ class CheckContext:
             fault_specs=resolve_faults(spec.params.get("faults")),
             check=bool(spec.params.get("check")),
             scenario=spec.scenario,
-            tier=spec.params.get("tier", "packet"),
+            tier=spec.params.get("tier"),
         )
 
     def simulation(
-        self,
-        cls: Optional[type] = None,
-        tiers: Sequence[str] = ("packet",),
-        **sim_kwargs,
+        self, tiers: Sequence[str] = ("packet",), **sim_kwargs
     ) -> Simulation:
         """Build the run's Simulation — monitored only when active.
 
         ``tiers`` are the tiers the point runs on; the spec's tier must
-        be one of them, and picks the class from :data:`TIERS`.  ``cls``
-        lets a point function substitute a Simulation subclass with the
-        same ``(seed, trace)`` constructor shape — e.g.
-        :class:`~repro.hybrid.HybridSimulation` with its ``dt`` passed
-        through ``sim_kwargs`` — without losing the monitor wiring.
+        be one of them (unset: the first), and picks the class from
+        :data:`TIERS`.  ``sim_kwargs`` go to that class's constructor
+        beside ``seed`` and ``trace`` (e.g. the hybrid tier's ``dt``).
         """
+        if self.tier is None:
+            self.tier = tiers[0]
         if self.tier not in tiers:
             raise ValueError(
                 f"scenario {self.scenario!r} runs on tier "
                 f"{' | '.join(tiers)}, not {self.tier!r}"
             )
-        if cls is None:
-            cls = _load(TIERS[self.tier][0])
+        cls = _load(TIERS[self.tier][0])
         if not self.active:
             self.sim = cls(seed=self.seed, **sim_kwargs)
             return self.sim

@@ -224,8 +224,6 @@ def torus_hybrid(spec: ScenarioSpec) -> dict:
     ``check``/``faults``.  Returns the aggregate flow count, fluid and
     tracer goodput, and Jain's index over per-class rates.
     """
-    from ..hybrid.simulation import HybridSimulation
-
     p = spec.params
     algo = p.get("algo", spec.algorithm or "lia")
     classes = int(p.get("classes", 5))
@@ -250,7 +248,7 @@ def torus_hybrid(spec: ScenarioSpec) -> dict:
     rates[2] *= c_factor
 
     ctx = CheckContext.from_spec(spec)
-    sim = ctx.simulation(cls=HybridSimulation, dt=dt)
+    sim = ctx.simulation(tiers=("hybrid",), dt=dt)
     sc = build_torus(sim, rates, delay=0.05)
     class_flows, tracer_flows = {}, {}
     for c in range(classes):

@@ -7,10 +7,12 @@ functions here, plus a *claims* function registered in :data:`CLAIMS`
 under the grid's name: the assertions the paper's argument rests on,
 read off the grid's result rows.  ``python -m repro sweep paper`` runs
 the whole family through one :class:`~repro.exp.runner.Runner` and cache
-and checks every claim; ``tests/golden/equivalence/`` pins each grid at a
-reduced scale.  One claims function judges the implementation rather
-than a figure: ``rt_loopback`` holds the real-socket backend
-(:mod:`repro.rt`) to the simulation of the same point.
+and checks every claim; ``tests/test_paper_claims.py`` does the same for
+the grids that take seconds at registered scale, and
+``tests/golden/equivalence/`` pins each grid at a reduced scale.  One
+claims function judges the implementation rather than a figure:
+``rt_loopback`` holds the real-socket backend (:mod:`repro.rt`) to the
+simulation of the same point.
 
 Point functions have the :class:`~repro.check.hooks.CheckContext` shape
 of :func:`repro.exp.grids.torus_balance`, so the reserved ``check`` /
@@ -152,6 +154,7 @@ def fig1_claims(rows: List[dict]) -> None:
     assert 0.7 < ratios["mptcp"] < 1.6
     assert 0.7 < ratios["ewtcp"] < 1.6
     assert 0.6 < ratios["coupled"] < 1.5
+    assert ratios["uncoupled"] > ratios["mptcp"]
 
 
 @claims("paper_ablation_ewtcp_weight")
@@ -235,9 +238,11 @@ def two_links(spec: ScenarioSpec) -> dict:
 
 @claims("paper_ablation_sack")
 def sack_claims(rows: List[dict]) -> None:
-    rates = {sack: row["total_pps"]
-             for sack, row in _by(rows, "enable_sack").items()}
+    by_sack = _by(rows, "enable_sack")
+    rates = {sack: row["total_pps"] for sack, row in by_sack.items()}
     assert rates[True] >= rates[False]
+    # With SACK the flow fills both idle links.
+    assert rates[True] > 0.93 * sum(by_sack[True]["rates"])
 
 
 @claims("paper_ablation_recompute")
@@ -246,6 +251,11 @@ def recompute_claims(rows: List[dict]) -> None:
     # design: within ~20%.
     values = [row["total_pps"] for row in rows]
     assert min(values) > 0.75 * max(values)
+    # Each fills both links, so the split follows the capacities.
+    for row in rows:
+        for pps, rate in zip((row["path1_pps"], row["path2_pps"]),
+                             row["rates"]):
+            assert pps >= 0.9 * rate
 
 
 @claims("paper_dynamic_cbr")
@@ -616,22 +626,26 @@ def wireless_static_claims(rows: List[dict]) -> None:
     assert 1.5 < rates["tcp_3g"] < 2.2
     # The headline: MPTCP ~ sum of the access links.
     assert rates["mptcp"] > 0.85 * (rates["tcp_wifi"] + rates["tcp_3g"])
+    # ...and of their nominal rates (paper: 14.4 + 2.1).
+    assert rates["mptcp"] > 0.8 * (14.4 + 2.1)
     assert rates["mptcp"] > rates["tcp_wifi"]
 
 
 @claims("paper_fig15")
 def fig15_claims(rows: List[dict]) -> None:
+    by_flow = _by(rows, "flow")
     results = {
         algo: tuple(pps_to_mbps(row[k])
                     for k in ("total_pps", "tcp_wifi_pps", "tcp_3g_pps"))
-        for algo, row in _by(rows, "flow").items()
+        for algo, row in by_flow.items()
     }
     # MPTCP gets the best multipath throughput of the three algorithms.
     assert results["mptcp"][0] > results["ewtcp"][0]
-    assert results["mptcp"][0] > results["coupled"][0]
+    assert results["mptcp"][0] > 1.3 * results["coupled"][0]
     # COUPLED starves the multipath flow's WiFi side and squats on 3G:
     # the WiFi competitor does best under COUPLED (paper's 3.49).
     assert results["coupled"][1] > results["mptcp"][1]
+    assert by_flow["coupled"]["wifi_pps"] < 0.5 * by_flow["mptcp"]["wifi_pps"]
     # MPTCP total is comparable to the best single-path flow (fair).
     assert results["mptcp"][0] > 0.6 * results["mptcp"][1]
 
@@ -936,8 +950,11 @@ def fig8_claims(rows: List[dict]) -> None:
     # Squeezing link C: COUPLED balances best, EWTCP worst.
     assert results[("coupled", 100)][0] > results[("mptcp", 100)][0]
     assert results[("mptcp", 100)][0] > results[("ewtcp", 100)][0]
+    assert (results[("coupled", 250)][0] > results[("mptcp", 250)][0]
+            > results[("ewtcp", 250)][0])
     # Fairness of flow totals mirrors the paper's ordering.
     assert results[("mptcp", 100)][1] > results[("ewtcp", 100)][1]
+    assert results[("mptcp", 250)][1] > results[("ewtcp", 250)][1]
 
 
 @claims("fig16_rtt")

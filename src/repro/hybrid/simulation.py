@@ -11,7 +11,8 @@ those queues under the aggregate load.
 
 Because the constructor signature matches ``Simulation(seed, trace)``,
 everything built for the packet engine — ``repro.exp`` point functions
-(via ``CheckContext.simulation(cls=HybridSimulation)``), the invariant
+(the ``"hybrid"`` row of :data:`repro.check.hooks.TIERS`, picked by
+``CheckContext.simulation(tiers=("hybrid",))``), the invariant
 monitor, the series recorder, the trace CLI — works unchanged.
 
 The fluid stepper fires every ``dt`` once the first class is added:

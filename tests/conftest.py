@@ -11,7 +11,7 @@ import pytest
 from hypothesis import settings
 
 from repro.check import InvariantMonitor
-from repro.exp import Runner, ScenarioSpec, TaskSpec, target_id
+from repro.exp import Runner, ScenarioSpec, TaskSpec, specs_for_grid, target_id
 from repro.exp.spec import grid_points
 from repro.net.pipe import LossyPipe
 from repro.net.queue import DropTailQueue
@@ -134,3 +134,25 @@ def python_calls(also=None):
         yield calls
     finally:
         sys.setprofile(previous)
+
+
+#: The claims grids cheap enough to run at registered scale in tier-1, in
+#: ``repro sweep paper`` order.
+TIER1_GRIDS = (
+    "paper_fig1", "paper_fig2", "paper_fig3", "paper_fig4",
+    "paper_semicoupled", "paper_dynamic_cbr", "paper_wireless_static",
+    "paper_fig15", "paper_rtt_sim", "paper_fig17", "paper_ablation_sack",
+    "paper_ablation_recompute", "paper_ablation_ewtcp_weight",
+)
+
+
+@pytest.fixture(scope="session")
+def registered_rows():
+    """Every TIER1_GRIDS point at its registered seed and windows, as one
+    task list on two workers with no cache; rows keyed by grid.  Simulated
+    once per session, whichever test module asks first."""
+    specs = {grid: specs_for_grid(grid) for grid in TIER1_GRIDS}
+    rows = iter(Runner(parallel=2).run(
+        [spec for grid in TIER1_GRIDS for spec in specs[grid]]
+    ))
+    return {grid: [next(rows) for _ in specs[grid]] for grid in TIER1_GRIDS}

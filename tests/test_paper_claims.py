@@ -1,13 +1,25 @@
-"""The paper's claims are executable and can fail.
+"""The paper's claims hold, and can fail.
 
 Every ``paper_*`` grid (plus ``fig8_torus`` / ``fig16_rtt``, and
 ``rt_loopback``, the implementation against its simulation) carries a
-claims function in :data:`repro.exp.paper.CLAIMS`.  Here each one is fed a
-hand-built row set shaped like the registered-scale rows — it must hold —
-and then the same rows with one value changed — it must raise: a claim
-that cannot fail is not a claim.  (That the claims hold on the *real*
-rows is what ``python -m repro sweep paper`` checks; the ``realnet`` test
-below runs the one claim whose points take seconds on real sockets.)
+claims function in :data:`repro.exp.paper.CLAIMS`.
+
+*They hold.*  The 13 grids of ``conftest.TIER1_GRIDS`` (37 points, each
+under ~30 s serial) run at their registered seed and windows, as one
+task list through one two-worker :class:`~repro.exp.runner.Runner` with
+no cache (the session fixture ``registered_rows``, which
+``test_integration_paper.py`` reads too) — what ``python -m repro sweep paper`` does, restricted to
+the cheap grids — and each grid's claims must hold on its rows.  The
+rest (``fig8_torus``, ``fig16_rtt``, ``paper_fig10``, ``paper_poisson``,
+the four FatTree / BCube grids and ``rt_loopback``) run in ``make paper``
+and CI's ``paper`` job; in this suite ``tests/golden/equivalence`` pins
+their rows at reduced scale, and the ``realnet`` test below runs the
+``rt_loopback`` claim's lan pair on real sockets.
+
+*They can fail.*  Each claims function is also fed a hand-built row set
+shaped like the registered-scale rows — it must hold — and then that set
+with each of a few edits — each must raise, at an assertion of its own:
+a claim that cannot fail is not a claim.
 """
 
 import copy
@@ -17,6 +29,8 @@ import pytest
 from repro.exp import CLAIMS, Runner, specs_for_grid
 from repro.exp.paper import failed_claim, tolerance_scale
 from repro.topology import SWEEP_GRIDS
+
+from conftest import TIER1_GRIDS
 
 MBPS = 1e6 / 12000.0  # pkt/s per Mb/s
 
@@ -44,52 +58,57 @@ def loopback_rows():
 
 
 def torus_rows():
-    ratios = {"ewtcp": (1.0, 0.1, 0.90), "mptcp": (1.1, 0.3, 0.97),
-              "coupled": (2.0, 0.8, 0.99)}
+    # algo -> pa_pc_ratio at capacity_c 1000 / 250 / 100, Jain's index.
+    cells = {"ewtcp": ((1.0, 0.05, 0.1), 0.90),
+             "mptcp": ((1.1, 0.3, 0.3), 0.97),
+             "coupled": ((2.0, 0.6, 0.8), 0.99)}
     return [
-        {"algo": algo, "capacity_c": cap,
-         "pa_pc_ratio": at_1000 if cap == 1000.0 else at_100,
-         "jain": jain}
-        for algo, (at_1000, at_100, jain) in ratios.items()
-        for cap in (1000.0, 100.0)
+        {"algo": algo, "capacity_c": cap, "pa_pc_ratio": ratio, "jain": jain}
+        for algo, (ratios, jain) in cells.items()
+        for cap, ratio in zip((1000.0, 250.0, 100.0), ratios)
     ]
 
 
-#: grid -> (rows that satisfy the claims, (row index, key, value) that
-#: breaks one).
+#: grid -> (rows that satisfy the claims, *edits that each break a
+#: different one); an edit maps (row index, key) to the value it sets.
 CASES = {
     "paper_fig1": (
         [{"algo": a, "ratio": r} for a, r in
          (("uncoupled", 2.1), ("ewtcp", 0.9), ("mptcp", 1.1), ("coupled", 1.1))],
-        (0, "ratio", 1.0),
+        {(0, "ratio"): 1.0},
+        {(0, "ratio"): 1.55, (2, "ratio"): 1.58},
     ),
     "paper_ablation_ewtcp_weight": (
         [{"controller_kwargs": {"a_literal_paper": False}, "ratio": 1.1},
          {"controller_kwargs": {"a_literal_paper": True}, "ratio": 1.9}],
-        (1, "ratio", 1.0),
+        {(1, "ratio"): 1.0},
     ),
     "paper_ablation_sack": (
-        [{"enable_sack": True, "total_pps": 2000.0},
-         {"enable_sack": False, "total_pps": 1300.0}],
-        (0, "total_pps", 1000.0),
+        [{"enable_sack": True, "rates": [1000.0, 1000.0], "total_pps": 2000.0},
+         {"enable_sack": False, "rates": [1000.0, 1000.0], "total_pps": 1300.0}],
+        {(0, "total_pps"): 1000.0},
+        {(0, "total_pps"): 1800.0},
     ),
     "paper_ablation_recompute": (
-        [{"total_pps": 1496.0}, {"total_pps": 1497.0}, {"total_pps": 1490.0}],
-        (2, "total_pps", 1000.0),
+        [{"rates": [1000.0, 500.0], "total_pps": p1 + p2,
+          "path1_pps": p1, "path2_pps": p2}
+         for p1, p2 in ((997.0, 499.0), (998.0, 499.0), (992.0, 498.0))],
+        {(2, "total_pps"): 1000.0},
+        {(1, "path2_pps"): 400.0},
     ),
     "paper_dynamic_cbr": (
         [{"algo": a, "path1_pps": top * MBPS, "path2_pps": 99.0 * MBPS}
          for a, top in (("ewtcp", 40.0), ("mptcp", 45.0), ("coupled", 10.0))],
-        (2, "path1_pps", 30.0 * MBPS),
+        {(2, "path1_pps"): 30.0 * MBPS},
     ),
     "paper_rtt_sim": (
         [{"total_pps": 313.0, "s1_pps": 126.0, "s2_pps": 309.0}],
-        (0, "total_pps", 150.0),
+        {(0, "total_pps"): 150.0},
     ),
     "paper_fig2": (
         [{"algo": a, "f0_pps": v * MBPS, "f1_pps": v * MBPS, "f2_pps": v * MBPS}
          for a, v in (("ewtcp", 8.0), ("coupled", 11.0), ("mptcp", 9.5))],
-        (1, "f0_pps", 1.0 * MBPS),
+        {(1, "f0_pps"): 1.0 * MBPS},
     ),
     "paper_fig3": (
         [{"algo": "ewtcp", "f0_pps": 11 * MBPS, "f1_pps": 11 * MBPS,
@@ -98,48 +117,52 @@ CASES = {
           "f2_pps": 9 * MBPS},
          {"algo": "mptcp", "f0_pps": 10 * MBPS, "f1_pps": 10 * MBPS,
           "f2_pps": 8 * MBPS}],
-        (0, "f2_pps", 11 * MBPS),
+        {(0, "f2_pps"): 11 * MBPS},
     ),
     "paper_fig4": (
         [{"flow": k, "total_pps": v} for k, v in
          (("tcp0", 3000.0), ("tcp1", 600.0), ("ewtcp", 1800.0),
           ("coupled", 600.0), ("mptcp", 2500.0))],
-        (4, "total_pps", 1900.0),
+        {(4, "total_pps"): 1900.0},
     ),
     "paper_semicoupled": (
         [{"flow": "semicoupled", "path_pps": [45.0, 45.0, 10.0]},
          {"flow": "ewtcp", "path_pps": [40.0, 40.0, 20.0]},
          {"flow": "coupled", "path_pps": [50.0, 47.0, 3.0]}],
-        (0, "path_pps", [35.0, 35.0, 30.0]),
+        {(0, "path_pps"): [35.0, 35.0, 30.0]},
     ),
     "paper_fig10": (
         [{"g1_before_pps": 1600.0, "g2_before_pps": 550.0,
           "g1_after_pps": 800.0, "g2_after_pps": 500.0,
           "multi_link1_pps": 3000.0, "multi_link2_pps": 500.0}],
-        (0, "g1_after_pps", 1500.0),
+        {(0, "g1_after_pps"): 1500.0},
     ),
     "paper_poisson": (
         [{"mptcp_pps": 60 * MBPS, "coupled_pps": 55 * MBPS,
           "ewtcp_pps": 47 * MBPS, "completions": 2000}],
-        (0, "completions", 10),
+        {(0, "completions"): 10},
     ),
     "paper_wireless_static": (
         [{"flow": k, "total_pps": v * MBPS} for k, v in
          (("tcp_wifi", 13.6), ("tcp_3g", 2.1), ("mptcp", 15.2))],
-        (2, "total_pps", 9.0 * MBPS),
+        {(2, "total_pps"): 9.0 * MBPS},
+        {(0, "total_pps"): 11.0 * MBPS, (2, "total_pps"): 13.0 * MBPS},
     ),
     "paper_fig15": (
-        [{"flow": a, "total_pps": m * MBPS, "tcp_wifi_pps": w * MBPS,
-          "tcp_3g_pps": g * MBPS}
-         for a, m, w, g in (("ewtcp", 1.6, 3.4, 1.9), ("coupled", 1.0, 4.0, 1.7),
-                            ("mptcp", 2.5, 2.8, 1.7))],
-        (2, "total_pps", 1.2 * MBPS),
+        [{"flow": a, "total_pps": m * MBPS, "wifi_pps": on_wifi * MBPS,
+          "tcp_wifi_pps": w * MBPS, "tcp_3g_pps": g * MBPS}
+         for a, m, on_wifi, w, g in (("ewtcp", 1.6, 1.2, 3.4, 1.9),
+                                     ("coupled", 1.0, 0.6, 4.0, 1.7),
+                                     ("mptcp", 2.5, 2.1, 2.8, 1.7))],
+        {(2, "total_pps"): 1.2 * MBPS},
+        {(1, "total_pps"): 2.0 * MBPS},
+        {(1, "wifi_pps"): 1.5 * MBPS},
     ),
     "paper_fig17": (
         [{"good_pps": 666.0, "stairwell_pps": 233.0, "recovered_pps": 355.0,
           "wifi_good_pps": 494.0, "wifi_stairwell_pps": 0.0,
           "wifi_recovered_pps": 185.0}],
-        (0, "stairwell_pps", 20.0),
+        {(0, "stairwell_pps"): 20.0},
     ),
     "paper_fattree": (
         fabric_rows({
@@ -149,18 +172,18 @@ CASES = {
             ("single", "TP3"): 60.0, ("ewtcp", "TP3"): 95.0,
             ("mptcp", "TP3"): 97.0,
         }),
-        (2, "util_pct", 55.0),
+        {(2, "util_pct"): 55.0},
     ),
     "paper_fig12_paths": (
         [{"paths": n, "util_pct": v}
          for n, v in ((1, 50.0), (2, 70.0), (4, 85.0), (8, 92.0))],
-        (3, "util_pct", 60.0),
+        {(3, "util_pct"): 60.0},
     ),
     "paper_fig13": (
         [{"algo": a, "jain": j, "rate_quartiles": [worst, 0, 0, 0, 0]}
          for a, j, worst in (("single", 0.8, 100.0), ("ewtcp", 0.95, 500.0),
                              ("mptcp", 0.97, 600.0))],
-        (2, "jain", 0.5),
+        {(2, "jain"): 0.5},
     ),
     "paper_bcube": (
         fabric_rows({
@@ -170,16 +193,21 @@ CASES = {
             ("single", "TP3"): 78.0, ("ewtcp", "TP3"): 139.0,
             ("mptcp", "TP3"): 135.0,
         }),
-        (8, "util_pct", 80.0),
+        {(8, "util_pct"): 80.0},
     ),
-    "fig8_torus": (torus_rows(), (5, "pa_pc_ratio", 0.05)),
+    "fig8_torus": (
+        torus_rows(),
+        {(8, "pa_pc_ratio"): 0.05},
+        {(7, "pa_pc_ratio"): 0.2},
+        {(1, "jain"): 0.995},
+    ),
     "fig16_rtt": (
         [{"c2": 400.0, "rtt2": 0.012, "ratio": 0.3},
          {"c2": 800.0, "rtt2": 0.2, "ratio": 1.0},
          {"c2": 3200.0, "rtt2": 0.8, "ratio": 1.1}],
-        (1, "ratio", 0.5),
+        {(1, "ratio"): 0.5},
     ),
-    "rt_loopback": (loopback_rows(), (0, "goodput_mean", 3100.0)),
+    "rt_loopback": (loopback_rows(), {(0, "goodput_mean"): 3100.0}),
 }
 
 
@@ -193,13 +221,23 @@ def test_every_paper_grid_carries_claims():
 
 @pytest.mark.parametrize("grid", sorted(CASES))
 def test_claims_hold_and_can_fail(grid):
-    rows, (index, key, value) = CASES[grid]
+    rows, *edits = CASES[grid]
     assert failed_claim(grid, rows) is None
-    broken = copy.deepcopy(rows)
-    broken[index][key] = value
-    with pytest.raises(AssertionError):
-        CLAIMS[grid](broken)
-    assert failed_claim(grid, broken) is not None
+    failures = set()
+    for edit in edits:
+        broken = copy.deepcopy(rows)
+        for (index, key), value in edit.items():
+            broken[index][key] = value
+        with pytest.raises(AssertionError):
+            CLAIMS[grid](broken)
+        failures.add(failed_claim(grid, broken))
+    assert None not in failures
+    assert len(failures) == len(edits), "two edits break the same assertion"
+
+
+@pytest.mark.parametrize("grid", TIER1_GRIDS)
+def test_claims_hold_at_registered_scale(grid, registered_rows):
+    assert failed_claim(grid, registered_rows[grid]) is None
 
 
 def test_tolerance_scale_relaxes_the_rt_loopback_claim(monkeypatch):

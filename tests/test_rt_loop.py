@@ -242,14 +242,16 @@ def test_unknown_tier_is_named():
         point_function("wifi_3g_handover")(spec)
 
 
-@pytest.mark.parametrize("scenario", ["torus_balance", "torus_hybrid"])
-def test_packet_only_points_refuse_the_rt_tier(scenario):
+@pytest.mark.parametrize("scenario, tier", [
+    ("torus_balance", "packet"), ("torus_hybrid", "hybrid"),
+], ids=["torus_balance", "torus_hybrid"])
+def test_packet_only_points_refuse_the_rt_tier(scenario, tier):
     """A point that declares no rt tier fails instead of running its
-    packet topology on the monotonic clock."""
+    simulated topology on the monotonic clock."""
     spec = ScenarioSpec(scenario, {"tier": "rt", "capacity_c": 250.0},
                         seed=1, warmup=0.1, duration=0.1)
     with pytest.raises(ValueError, match=f"'{scenario}' runs on tier "
-                       "packet, not 'rt'"):
+                       f"{tier}, not 'rt'"):
         point_function(scenario)(spec)
 
 
