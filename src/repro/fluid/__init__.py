@@ -8,15 +8,13 @@ _EXPORTS = {
     "FluidFlow": ".network_equilibrium",
     "FluidNetwork": ".network_equilibrium",
     "FluidTrajectory": ".dynamics",
-    "balia_windows": ".throughput",
     "coupled_windows": ".throughput",
-    "coupled_windows_smoothed": ".throughput",
+    "equilibrium_windows": ".dynamics",
     "ewtcp_windows": ".throughput",
     "fairness_report": ".fairness",
     "integrate_rates_coupled": ".dynamics",
     "integrate_windows": ".dynamics",
     "mptcp_equilibrium_windows": ".throughput",
-    "olia_windows": ".throughput",
     "satisfies_goal_3": ".fairness",
     "satisfies_goal_4": ".fairness",
     "semicoupled_weights": ".throughput",
@@ -26,7 +24,6 @@ _EXPORTS = {
     "tcp_reference_windows": ".fairness",
     "tcp_window": ".throughput",
     "window_derivative": ".dynamics",
-    "wvegas_windows": ".throughput",
 }
 
 __all__ = list(_EXPORTS)

@@ -63,6 +63,7 @@ __all__ = [
     "window_derivative",
     "integrate_windows",
     "integrate_rates_coupled",
+    "equilibrium_windows",
     "step_windows",
     "FluidInstabilityError",
     "FLUID_ALGORITHMS",
@@ -94,6 +95,10 @@ _WINDOW_CEILING = 1e9
 #: Recursive step-halvings tolerated before declaring instability
 #: (2^20 reduction covers any physically meaningful stiffness gap).
 _MAX_HALVINGS = 20
+
+#: Fraction of a trajectory, at its end, averaged into an equilibrium:
+#: the mean absorbs the chatter OLIA's discontinuous path sets produce.
+TAIL_FRACTION = 0.25
 
 
 class FluidTrajectory:
@@ -573,6 +578,17 @@ def integrate_windows(
     state = list(initial) if initial is not None else [2.0] * len(losses)
     deriv, rk4 = _window_stepper(algorithm, state, losses, rtts, a)
     return _integrate(deriv, state, duration, dt, floor, sample_every, rk4)
+
+
+def equilibrium_windows(
+    algorithm: str, losses: Sequence[float], rtts: Sequence[float],
+) -> List[float]:
+    """Equilibrium windows of any ``FLUID_ALGORITHMS`` law at fixed path
+    losses: the mean of the last :data:`TAIL_FRACTION` of a 400 s
+    :func:`integrate_windows` trajectory from two packets per path."""
+    states = integrate_windows(algorithm, losses, rtts, duration=400.0).states
+    tail = states[int(len(states) * (1.0 - TAIL_FRACTION)):]
+    return [sum(column) / len(tail) for column in zip(*tail)]
 
 
 def integrate_rates_coupled(

@@ -12,14 +12,13 @@ small-p approximation (1 - p ≈ 1):
 * MPTCP:          numeric fixed point of the eq. (1) balance (no closed
                   form in general; see :func:`mptcp_equilibrium_windows`)
 
-The post-paper zoo controllers (Peng et al. family) get equilibria the
-same two ways: WVEGAS has the closed form of per-path Reno on the
-fixed-loss validation routes (no queueing delay, so Vegas never leaves
-its increase phase — see ``repro.core.wvegas``), while OLIA and BALIA
-have no closed form here and are solved by integrating their fluid
-dynamics to convergence and tail-averaging (:func:`olia_windows`,
-:func:`balia_windows`) — the OLIA path sets make its vector field
-discontinuous, so a trajectory average is the honest equilibrium.
+These are the analytic oracles the law table in
+:mod:`repro.fluid.dynamics` is tested against; no product code calls
+them.  Every fluid equilibrium the package reports — one flow
+(:func:`repro.fluid.dynamics.equilibrium_windows`) or a whole network
+(:func:`repro.fluid.network_equilibrium.solve_equilibrium`) — is a
+tail-averaged trajectory of that table, for every name in
+``FLUID_ALGORITHMS``.
 """
 
 from __future__ import annotations
@@ -31,16 +30,12 @@ from ..core.alpha import mptcp_increase
 
 __all__ = [
     "tcp_window",
-    "coupled_windows_smoothed",
     "tcp_rate",
     "ewtcp_windows",
     "coupled_windows",
     "semicoupled_windows",
     "semicoupled_weights",
     "mptcp_equilibrium_windows",
-    "olia_windows",
-    "balia_windows",
-    "wvegas_windows",
 ]
 
 
@@ -93,30 +88,6 @@ def coupled_windows(
     return [share if i in winners else 0.0 for i in range(len(losses))]
 
 
-def coupled_windows_smoothed(
-    losses: Sequence[float], kappa: float = 8.0
-) -> List[float]:
-    """A continuous relaxation of the COUPLED equilibrium for network
-    fixed-point solving.
-
-    Exact COUPLED is winner-take-all on the minimum-loss path, which is
-    discontinuous in the loss vector — and in a network its split across
-    equal-loss paths is indeterminate (the paper's Fig 3 argument relies on
-    network feasibility to pin it down).  Sharing the total window in
-    proportion to p_r^-kappa approaches winner-take-all as kappa grows
-    while letting the dual iteration of
-    :func:`repro.fluid.network_equilibrium.solve_equilibrium` converge to
-    the feasible split.
-    """
-    _check_losses(losses)
-    if kappa <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa!r}")
-    total = math.sqrt(2.0 / min(losses))
-    weights = [p ** -kappa for p in losses]
-    weight_sum = sum(weights)
-    return [total * w / weight_sum for w in weights]
-
-
 def semicoupled_windows(losses: Sequence[float], a: float = 1.0) -> List[float]:
     """SEMICOUPLED equilibrium windows (§2.4):
     w_r = sqrt(2a) · (1/p_r) / sqrt(Σ_s 1/p_s)."""
@@ -135,67 +106,6 @@ def semicoupled_weights(losses: Sequence[float]) -> List[float]:
     windows = semicoupled_windows(losses)
     total = sum(windows)
     return [w / total for w in windows]
-
-
-def _integrated_windows(
-    algorithm: str,
-    losses: Sequence[float],
-    rtts: Sequence[float],
-    duration: float = 400.0,
-    tail: float = 0.25,
-) -> List[float]:
-    """Equilibrium windows by integrating the fluid dynamics and averaging
-    the last ``tail`` fraction of the trajectory (absorbs the limit-cycle
-    chatter OLIA's discontinuous path sets can produce)."""
-    from .dynamics import integrate_windows  # local: avoid import cycle
-
-    trajectory = integrate_windows(algorithm, losses, rtts, duration=duration)
-    start = int(len(trajectory.states) * (1.0 - tail))
-    window = trajectory.states[start:]
-    return [
-        sum(state[r] for state in window) / len(window)
-        for r in range(len(losses))
-    ]
-
-
-def olia_windows(losses: Sequence[float], rtts: Sequence[float]) -> List[float]:
-    """OLIA equilibrium windows (numeric; no closed form).
-
-    With distinct loss rates the best path also carries the largest
-    window at equilibrium, so every α_r = 0 and the pure coupling term
-    w_r/RTT_r²/(Σ w/RTT)² balances the w_r/2 decrease at
-    w_r ∝ (1−p_r)/p_r — more best-path-skewed than LIA, less extreme
-    than COUPLED.
-    """
-    _check_losses(losses)
-    if len(losses) != len(rtts):
-        raise ValueError("losses and rtts must have the same length")
-    return _integrated_windows("olia", losses, rtts)
-
-
-def balia_windows(losses: Sequence[float], rtts: Sequence[float]) -> List[float]:
-    """BALIA equilibrium windows (numeric; no closed form).
-
-    The α-modulated increase/decrease pair balances between EWTCP's even
-    split and COUPLED's winner-take-all, close to LIA's split.
-    """
-    _check_losses(losses)
-    if len(losses) != len(rtts):
-        raise ValueError("losses and rtts must have the same length")
-    return _integrated_windows("balia", losses, rtts)
-
-
-def wvegas_windows(losses: Sequence[float]) -> List[float]:
-    """wVegas equilibrium windows on the *fixed-loss* validation routes.
-
-    Without queueing delay the Vegas backlog signal stays at zero, the
-    controller never leaves its increase phase, and each path behaves as
-    an independent Reno flow: w_r = sqrt(2/p_r).  Delay-coupled behaviour
-    needs a shared bottleneck (exercised by the zoo sweep grids), not
-    these routes.
-    """
-    _check_losses(losses)
-    return [tcp_window(p) for p in losses]
 
 
 def mptcp_equilibrium_windows(

@@ -9,17 +9,8 @@ import math
 import pytest
 
 from repro.core.registry import ALGORITHMS, make_controller
-from repro.fluid import (
-    balia_windows,
-    coupled_windows,
-    ewtcp_windows,
-    mptcp_equilibrium_windows,
-    olia_windows,
-    semicoupled_windows,
-    tcp_rate,
-    tcp_window,
-    wvegas_windows,
-)
+from repro.fluid import equilibrium_windows, tcp_rate
+from repro.fluid.dynamics import FLUID_ALGORITHMS
 from repro.harness.experiment import measure
 from repro.mptcp.connection import MptcpFlow
 from repro.sim.simulation import Simulation
@@ -31,39 +22,12 @@ from conftest import lossy_route
 LOSSES = (0.005, 0.02)
 RTT = 0.1
 
-#: Controllers with no closed-form/fixed-point equilibrium to check
-#: against (CUBIC's window law is outside the paper's fluid analysis).
+#: Controllers with no fluid law to integrate (CUBIC's window law is
+#: outside the paper's fluid analysis).
 NO_FLUID_MODEL = {"cubic"}
 
 #: Single-path algorithms, checked against sqrt(2/p)/RTT directly.
 SINGLE_PATH = {"reno", "single"}
-
-
-def _predicted_windows(algo):
-    """Fluid-equilibrium per-path windows for a multipath algorithm."""
-    losses = list(LOSSES)
-    if algo == "uncoupled":
-        return [tcp_window(p) for p in losses]
-    if algo == "ewtcp":
-        return ewtcp_windows(losses)
-    if algo == "coupled":
-        return coupled_windows(losses)
-    if algo == "semicoupled":
-        return semicoupled_windows(losses)
-    if algo in ("mptcp", "lia"):
-        return mptcp_equilibrium_windows(losses, [RTT] * len(losses))
-    if algo == "olia":
-        return olia_windows(losses, [RTT] * len(losses))
-    if algo == "balia":
-        return balia_windows(losses, [RTT] * len(losses))
-    if algo == "wvegas":
-        # No queueing on these routes => Vegas stays in its increase
-        # phase and each path is an independent Reno flow.
-        return wvegas_windows(losses)
-    raise AssertionError(
-        f"no fluid prediction for {algo!r}: add one here or list it in "
-        f"NO_FLUID_MODEL"
-    )
 
 
 def _run(algo, seed):
@@ -100,7 +64,9 @@ def test_controller_matches_fluid_equilibrium(algo):
         return
 
     rates = _run(algo, seed=12)
-    predicted_rates = [w / RTT for w in _predicted_windows(algo)]
+    predicted_rates = [
+        w / RTT for w in equilibrium_windows(algo, LOSSES, [RTT] * 2)
+    ]
     predicted_total = sum(predicted_rates)
 
     total = sum(rates)
@@ -128,4 +94,6 @@ def test_registry_is_fully_covered():
     for algo in sorted(ALGORITHMS):
         if algo in NO_FLUID_MODEL or algo in SINGLE_PATH:
             continue
-        assert _predicted_windows(algo)
+        assert algo in FLUID_ALGORITHMS, (
+            f"no fluid prediction for {algo!r}: give it a law in "
+            f"repro.fluid.dynamics or list it in NO_FLUID_MODEL")

@@ -1,5 +1,6 @@
 """Tests for the fluid/equilibrium models against the paper's arithmetic."""
 
+import functools
 import math
 
 import pytest
@@ -10,7 +11,6 @@ from repro.fluid import (
     FluidFlow,
     FluidNetwork,
     coupled_windows,
-    coupled_windows_smoothed,
     ewtcp_windows,
     mptcp_equilibrium_windows,
     satisfies_goal_3,
@@ -70,12 +70,6 @@ class TestClosedForms:
     def test_semicoupled_single_path_is_tcp(self):
         assert semicoupled_windows([0.02])[0] == pytest.approx(tcp_window(0.02))
 
-    def test_smoothed_coupled_approaches_exact(self):
-        smoothed = coupled_windows_smoothed([0.05, 0.01], kappa=20.0)
-        exact = coupled_windows([0.05, 0.01])
-        assert smoothed[0] < 0.01 * smoothed[1]
-        assert sum(smoothed) == pytest.approx(sum(exact), rel=1e-6)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             tcp_window(0.0)
@@ -83,8 +77,6 @@ class TestClosedForms:
             ewtcp_windows([])
         with pytest.raises(ValueError):
             semicoupled_windows([0.01], a=0.0)
-        with pytest.raises(ValueError):
-            coupled_windows_smoothed([0.01], kappa=0.0)
 
 
 class TestMptcpEquilibrium:
@@ -142,17 +134,48 @@ class TestFairnessChecks:
         assert satisfies_goal_4(w, [0.1], [0.01])
 
 
+#: One registry name per multipath law (``mptcp`` and ``wvegas`` share
+#: the ``lia`` and ``uncoupled`` laws).
+MULTIPATH_LAWS = ["uncoupled", "ewtcp", "coupled", "semicoupled", "lia",
+                  "olia", "balia"]
+
+
+@functools.lru_cache(maxsize=None)
+def chain_equilibrium(algorithm):
+    """Fig 3: three two-path flows over a chain of 5/12/10/3 Mb/s links."""
+    caps = {
+        "L0": mbps_to_pps(5), "L1": mbps_to_pps(12),
+        "L2": mbps_to_pps(10), "L3": mbps_to_pps(3),
+    }
+    net = FluidNetwork(dict(caps))
+    net.add_flow(FluidFlow("A", [["L0"], ["L1"]], algorithm))
+    net.add_flow(FluidFlow("B", [["L1"], ["L2"]], algorithm))
+    net.add_flow(FluidFlow("C", [["L2"], ["L3"]], algorithm))
+    return net, solve_equilibrium(net)
+
+
+@functools.lru_cache(maxsize=None)
+def triangle_equilibrium(algorithm):
+    """Fig 2: three flows, each with a one-hop and a two-hop path over a
+    triangle of 12 Mb/s links."""
+    net = FluidNetwork({f"L{i}": mbps_to_pps(12) for i in range(3)})
+    for i in range(3):
+        net.add_flow(
+            FluidFlow(
+                f"f{i}",
+                [[f"L{i}"], [f"L{(i + 1) % 3}", f"L{(i + 2) % 3}"]],
+                algorithm,
+            )
+        )
+    return net, solve_equilibrium(net)
+
+
 class TestNetworkEquilibrium:
     def chain_network(self, algorithm):
-        caps = {
-            "L0": mbps_to_pps(5), "L1": mbps_to_pps(12),
-            "L2": mbps_to_pps(10), "L3": mbps_to_pps(3),
-        }
-        net = FluidNetwork(dict(caps))
-        net.add_flow(FluidFlow("A", [["L0"], ["L1"]], algorithm))
-        net.add_flow(FluidFlow("B", [["L1"], ["L2"]], algorithm))
-        net.add_flow(FluidFlow("C", [["L2"], ["L3"]], algorithm))
-        return solve_equilibrium(net)
+        return chain_equilibrium(algorithm)[1]
+
+    def triangle_network(self, algorithm):
+        return triangle_equilibrium(algorithm)[1]
 
     def test_fig3_ewtcp_totals(self):
         """Fig 3 left: EWTCP totals are 11 / 11 / 8 Mb/s."""
@@ -178,17 +201,21 @@ class TestNetworkEquilibrium:
         assert 8.0 <= totals["C"] <= 10.0
         assert 10.0 <= totals["A"] <= 11.5
 
-    def triangle_network(self, algorithm):
-        net = FluidNetwork({f"L{i}": mbps_to_pps(12) for i in range(3)})
-        for i in range(3):
-            net.add_flow(
-                FluidFlow(
-                    f"f{i}",
-                    [[f"L{i}"], [f"L{(i + 1) % 3}", f"L{(i + 2) % 3}"]],
-                    algorithm,
-                )
-            )
-        return solve_equilibrium(net)
+    @pytest.mark.parametrize("algorithm", ["lia", "balia", "olia"])
+    def test_fig3_zoo_between_ewtcp_and_coupled(self, algorithm):
+        """Flow C's total sits strictly between EWTCP's 8 Mb/s and
+        COUPLED's ~10 Mb/s for every design that trades the two off."""
+        def total_c(algo):
+            return self.chain_network(algo)["flow_totals"]["C"]
+        assert total_c("ewtcp") < total_c(algorithm) < total_c("coupled")
+
+    @pytest.mark.parametrize("topology", [chain_equilibrium,
+                                          triangle_equilibrium])
+    @pytest.mark.parametrize("algorithm", MULTIPATH_LAWS)
+    def test_every_link_within_capacity(self, topology, algorithm):
+        net, result = topology(algorithm)
+        for link, capacity in net.capacities.items():
+            assert result["link_arrivals"][link] <= 1.05 * capacity, link
 
     def test_fig2_coupled_finds_efficient_allocation(self):
         """Fig 2: COUPLED uses only one-hop paths -> 12 Mb/s per flow."""
@@ -205,16 +232,29 @@ class TestNetworkEquilibrium:
         assert pps_to_mbps(rates[0]) == pytest.approx(5.0, rel=0.1)
         assert pps_to_mbps(rates[1]) == pytest.approx(3.5, rel=0.15)
 
+    def test_fig2_one_hop_rate_orders_the_zoo(self):
+        """The more a design couples, the more of Fig 2's traffic it moves
+        onto the one-hop path: EWTCP < LIA < BALIA < OLIA < COUPLED."""
+        one_hop = [
+            self.triangle_network(algo)["flow_path_rates"]["f0"][0]
+            for algo in ("ewtcp", "lia", "balia", "olia", "coupled")
+        ]
+        assert one_hop == sorted(set(one_hop))
+
     def test_unknown_link_rejected(self):
         net = FluidNetwork({"L0": 100.0})
         with pytest.raises(KeyError):
             net.add_flow(FluidFlow("A", [["L1"]], "reno"))
 
     def test_unknown_algorithm_rejected(self):
-        net = FluidNetwork({"L0": 1000.0})
-        net.add_flow(FluidFlow("A", [["L0"]], "quantum"))
-        with pytest.raises(ValueError):
-            solve_equilibrium(net, iterations=1)
+        for algorithm, message in [
+            ("quantum", "unknown fluid algorithm"),
+            ("cubic", "cubic has no fluid model"),
+        ]:
+            net = FluidNetwork({"L0": 1000.0})
+            net.add_flow(FluidFlow("A", [["L0"]], algorithm))
+            with pytest.raises(ValueError, match=message):
+                solve_equilibrium(net, iterations=1)
 
     def test_single_tcp_fills_link(self):
         net = FluidNetwork({"L0": 1000.0})

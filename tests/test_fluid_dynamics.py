@@ -10,6 +10,7 @@ from repro.core import alpha
 from repro.fluid import (
     coupled_windows,
     dynamics,
+    ewtcp_windows,
     mptcp_equilibrium_windows,
     semicoupled_windows,
     tcp_window,
@@ -17,6 +18,7 @@ from repro.fluid import (
 from repro.fluid.dynamics import (
     FLUID_ALGORITHMS,
     FluidInstabilityError,
+    equilibrium_windows,
     integrate_rates_coupled,
     fluid_law,
     integrate_windows,
@@ -53,6 +55,8 @@ class TestWindowOde:
     def test_mptcp_converges_to_equilibrium_solver(self):
         losses, rtts = [0.004, 0.001], [0.05, 0.2]
         traj = integrate_windows("mptcp", losses, rtts, duration=400.0)
+        # The independent fixed point, not equilibrium_windows: that is
+        # this same integration, and would check it against itself.
         expected = mptcp_equilibrium_windows(losses, rtts)
         for got, want in zip(traj.final, expected):
             assert got == pytest.approx(want, rel=0.08)
@@ -87,6 +91,30 @@ class TestWindowOde:
         rates = integrate_rates_coupled([0.01], duration=duration, dt=dt,
                                         sample_every=every)
         assert rates.times == traj.times
+
+
+class TestEquilibriumWindows:
+    """The tail-averaged integration against the §2 closed forms, the
+    analytic oracles it replaced in the product code."""
+
+    LOSSES, RTTS = [0.005, 0.02], [0.1, 0.1]
+
+    @pytest.mark.parametrize("algorithm, oracle", [
+        ("uncoupled", lambda losses, rtts: [tcp_window(p) for p in losses]),
+        ("ewtcp", lambda losses, rtts: ewtcp_windows(losses)),
+        ("semicoupled", lambda losses, rtts: semicoupled_windows(losses)),
+        ("mptcp", mptcp_equilibrium_windows),
+    ])
+    def test_matches_the_closed_form(self, algorithm, oracle):
+        got = equilibrium_windows(algorithm, self.LOSSES, self.RTTS)
+        for w, want in zip(got, oracle(self.LOSSES, self.RTTS)):
+            assert w == pytest.approx(want, rel=0.03)
+
+    def test_coupled_keeps_only_the_probe_floor_on_the_lossy_path(self):
+        got = equilibrium_windows("coupled", self.LOSSES, self.RTTS)
+        assert got[1] == 1.0
+        assert sum(got) == pytest.approx(sum(coupled_windows(self.LOSSES)),
+                                         rel=0.02)
 
 
 #: Fixed states for the frozen derivative table: two paths, three paths
@@ -181,6 +209,8 @@ class TestKernel:
     def test_cubic_is_registered_but_has_no_law(self):
         with pytest.raises(ValueError, match="cubic has no fluid model"):
             window_derivative("cubic", [2.0], [0.01], [0.1])
+        with pytest.raises(ValueError, match="cubic has no fluid model"):
+            equilibrium_windows("cubic", [0.01], [0.1])
 
 
 class TestStiffnessGuard:
