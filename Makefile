@@ -1,11 +1,8 @@
 # Convenience targets for the reproduction repo.
 #
-#   make test        tier-1 test suite
-#   make obs-test    observability-layer tests only (pytest -m obs)
-#   make exec-test   task-grid execution: runner, cache and farm tests
-#                    (pytest -m "sweep or farm" — one execution core,
-#                    one target), then the kill-resume gate (farm-demo)
-#   make check-test  invariant-monitor + fault-injection tests only
+#   make test        tier-1 test suite, every marker included (one
+#                    subsystem's tests: pytest -m <marker>, see
+#                    pyproject.toml)
 #   make paper       the paper's tables and figures: every claims-bearing
 #                    grid (repro sweep paper) through one runner and the
 #                    .sweep-cache result cache, claims checked — see
@@ -22,12 +19,6 @@
 #                    the schema in docs/OBSERVABILITY.md
 #   make sweep-demo  8-point grid over 2 workers, rerun warm from the
 #                    result cache, progress trace validated
-#   make pathmgr-test  path-management tests only (pytest -m pathmgr)
-#   make hybrid-test hybrid flow-class tier tests only (pytest -m hybrid)
-#   make farm-demo   2-worker farm over demo_rtt with an injected
-#                    worker SIGKILL mid-lease, resumed and gated on the
-#                    resumed rows being bit-identical to a serial run
-#                    — see docs/RUNNER.md
 #   make docs-check  executable-documentation gate: run every fenced
 #                    python block in docs/*.md and assert the event
 #                    table / controller registry stay in sync with the
@@ -53,34 +44,12 @@ SWEEP_CACHE ?= .sweep-demo-cache
 WORKLOAD  ?= zoo_checked
 PERF_OUT  := .perfbench-record
 
-.PHONY: test obs-test exec-test check-test pathmgr-test hybrid-test \
-	farm-demo \
-	paper perf perf-selftest perf-record \
+.PHONY: test paper perf perf-selftest perf-record \
 	trace-demo sweep-demo \
 	point-demo docs-check rt-test
 
 test:
 	$(PP) $(PYTHON) -m pytest -x -q
-
-obs-test:
-	$(PP) $(PYTHON) -m pytest -m obs -q
-
-exec-test:
-	$(PP) $(PYTHON) -m pytest -m "sweep or farm" -q
-	$(MAKE) farm-demo
-
-check-test:
-	$(PP) $(PYTHON) -m pytest -m "invariants or fault" -q
-
-pathmgr-test:
-	$(PP) $(PYTHON) -m pytest -m pathmgr -q
-
-hybrid-test:
-	$(PP) $(PYTHON) -m pytest -m hybrid -q
-
-farm-demo:
-	$(PP) $(PYTHON) -m pytest -m farm -q \
-		"tests/test_farm.py::TestCrashResume::test_worker_sigkill_mid_lease_then_resume_bit_identical[demo_rtt]"
 
 paper:
 	$(PP) $(PYTHON) -m repro sweep paper --parallel $(NCPU) --cache-dir .sweep-cache

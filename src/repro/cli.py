@@ -29,9 +29,11 @@ Parameter sweeps over worker processes (see docs/RUNNER.md):
     python -m repro sweep fig16_rtt --parallel 4
     python -m repro sweep demo_rtt --parallel 2 --trace sweep.jsonl
 
-Distributed, crash-resumable farm execution (see docs/RUNNER.md):
+The same sweep over a kept, crash-resumable farm directory that workers
+on other hosts can join (``--parallel 0``: broker only; see
+docs/RUNNER.md):
 
-    python -m repro farm serve fig16_rtt --root /shared/farm --workers 2
+    python -m repro sweep fig16_rtt --farm /shared/farm --parallel 2
     python -m repro farm work /shared/farm          # on any other host
     python -m repro farm status /shared/farm
 
@@ -68,7 +70,8 @@ from .core.registry import ALGORITHMS
 from .exp import CLAIMS, ResultCache, Runner, specs_for_grid
 from .exp.grids import SCENARIOS, point_function
 from .exp.paper import failed_claim
-from .exp.spec import ScenarioSpec, TaskSpec, grid_points
+from .exp.spec import ScenarioSpec, grid_points
+from .farm import FarmError, farm_status, work
 from .harness.experiment import make_flow, standard_series
 from .harness.table import Table
 from .obs import (
@@ -127,6 +130,7 @@ def _cmd_sweep(args) -> int:
             cache=None if args.no_cache else ResultCache(args.cache_dir),
             timeout=args.timeout,
             retries=args.retries,
+            farm=args.farm,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -136,6 +140,9 @@ def _cmd_sweep(args) -> int:
         bus = runner.trace = TraceBus(sinks=[JsonlSink(args.trace)])
     try:
         rows = runner.run([s for name in names for s in specs[name]])
+    except FarmError as exc:  # e.g. --farm names another grid's directory
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         if bus is not None:
             bus.close()
@@ -178,38 +185,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_farm_serve(args) -> int:
-    from .farm import run_farm
-
-    specs = specs_for_grid(
-        args.grid, seed=args.seed, warmup=args.warmup, duration=args.duration
-    )
-    tasks = [TaskSpec(index=i, spec=s) for i, s in enumerate(specs)]
-    bus = None
-    if args.trace:
-        bus = TraceBus(sinks=[JsonlSink(args.trace)])
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    try:
-        broker = run_farm(
-            tasks, args.root, workers=args.workers, cache=cache, trace=bus,
-            max_failures=args.retries, lease_ttl=args.lease_ttl,
-        )
-        rows = [broker.raw[t.index] for t in tasks]
-    finally:
-        if bus is not None:
-            bus.close()
-    print(
-        f"farm complete: {len(rows)} rows ({args.grid}) in {args.root}; "
-        f"executed={broker.executed}, store_hits={broker.store_hits}, "
-        f"requeued={broker.requeued}"
-    )
-    print(f"rows: {args.root}/rows.jsonl")
-    return 0
-
-
 def _cmd_farm_work(args) -> int:
-    from .farm import work
-
     processed = work(
         args.root, worker_id=args.id, lease_ttl=args.lease_ttl,
         max_tasks=args.max_tasks, idle_timeout=args.idle_timeout,
@@ -219,8 +195,6 @@ def _cmd_farm_work(args) -> int:
 
 
 def _cmd_farm_status(args) -> int:
-    from .farm import FarmError, farm_status
-
     try:
         status = farm_status(args.root)
     except FarmError as exc:
@@ -419,7 +393,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true",
                    help="list the named grids and exit")
     p.add_argument("--parallel", type=int, default=1,
-                   help="worker process count (default 1 = in-process)")
+                   help="worker process count (default 1 = in-process; "
+                        "0 = broker only, with --farm)")
     p.add_argument("--cache-dir", default=".sweep-cache",
                    help="result cache directory (default .sweep-cache)")
     p.add_argument("--no-cache", action="store_true",
@@ -441,47 +416,18 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="write exp.* progress events to this JSONL file")
     p.add_argument("--out", default=None,
                    help="write result rows to this JSON file")
+    p.add_argument("--farm", default=None, metavar="DIR",
+                   help="run out of process through this farm directory "
+                        "and keep it: a rerun resumes it, and workers on "
+                        "other hosts join with 'repro farm work DIR'")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser(
         "farm",
-        help="distributed, crash-resumable grid execution over a shared "
-             "farm directory (see docs/RUNNER.md)",
+        help="join or inspect a farm directory that 'sweep --farm' "
+             "serves (see docs/RUNNER.md)",
     )
     farm_sub = p.add_subparsers(dest="farm_command", required=True)
-
-    fp = farm_sub.add_parser(
-        "serve",
-        help="serve a named grid into a farm directory, spawn local "
-             "workers, aggregate rows (resumes if interrupted)",
-    )
-    fp.add_argument("grid", choices=sorted(SWEEP_GRIDS),
-                    help="named grid (see 'repro sweep --list')")
-    fp.add_argument("--root", required=True,
-                    help="farm directory (shared filesystem for "
-                         "multi-host runs)")
-    fp.add_argument("--workers", type=int, default=1,
-                    help="local worker processes to spawn (default 1; "
-                         "0 = broker only, workers join from elsewhere)")
-    fp.add_argument("--cache-dir", default=".sweep-cache",
-                    help="shared result cache (default .sweep-cache)")
-    fp.add_argument("--no-cache", action="store_true",
-                    help="store results inside the farm directory only")
-    fp.add_argument("--retries", type=int, default=1,
-                    help="failed attempts tolerated per point (default 1)")
-    fp.add_argument("--lease-ttl", type=float, default=15.0,
-                    help="worker lease heartbeat deadline, seconds")
-    fp.add_argument("--seed", type=int, default=None,
-                    help="override the grid's base seed")
-    fp.add_argument("--warmup", type=float, default=None,
-                    help="override the grid's warm-up, simulated seconds")
-    fp.add_argument("--duration", type=float, default=None,
-                    help="override the grid's measurement window, "
-                         "simulated seconds")
-    fp.add_argument("--trace", default=None,
-                    help="write exp.*/farm.* progress events to this JSONL "
-                         "file")
-    fp.set_defaults(func=_cmd_farm_serve)
 
     fp = farm_sub.add_parser(
         "work", help="run one worker against a farm directory"

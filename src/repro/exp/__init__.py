@@ -5,8 +5,8 @@ sweep, Fig 16's RTT/capacity grid, the fabric tables); ``repro.exp``
 reproduces them at full-machine speed:
 
 * :class:`~repro.exp.spec.ScenarioSpec` / :class:`~repro.exp.spec.TaskSpec`
-  — picklable descriptions of one simulation point (scenario, algorithm,
-  seed, warm-up, duration, grid parameters).
+  — picklable descriptions of one simulation point (scenario, seed,
+  warm-up, duration, grid parameters).
 * :class:`~repro.exp.runner.Runner` — serves cached points, runs the
   rest through the :mod:`repro.farm` claim → execute → publish loop on
   forked workers (or in-process when one worker and no timeout is asked

@@ -176,7 +176,6 @@ def golden_specs(name: str) -> List[ScenarioSpec]:
             ScenarioSpec(
                 scenario=spec.scenario,
                 params=params,
-                algorithm=spec.algorithm,
                 seed=spec.seed,
                 warmup=spec.warmup,
                 duration=spec.duration,

@@ -83,7 +83,7 @@ def torus_balance(spec: ScenarioSpec) -> dict:
     invariant monitor and/or a fault schedule.
     """
     p = spec.params
-    algo = p.get("algo", spec.algorithm or "mptcp")
+    algo = p.get("algo", "mptcp")
     rate = float(p.get("rate", 1000.0))
     rates = [rate] * 5
     rates[2] = float(p["capacity_c"])
@@ -127,7 +127,7 @@ def rtt_ratio(spec: ScenarioSpec) -> dict:
         delay1=0.050, delay2=rtt2 / 2.0,
         buffer1_pkts=40, buffer2_pkts=max(8, int(c2 * rtt2)),
     )
-    algo = p.get("algo", spec.algorithm or "mptcp")
+    algo = p.get("algo", "mptcp")
     s1 = make_flow(sim, sc.routes("link1"), "reno", name="S1")
     s2 = make_flow(sim, sc.routes("link2"), "reno", name="S2")
     m = make_flow(sim, sc.routes("multi"), algo, name="M")
@@ -164,7 +164,7 @@ def subflow_churn(spec: ScenarioSpec) -> dict:
     from ..pathmgr.manager import ManagedMptcpFlow
 
     p = spec.params
-    algo = p.get("algo", spec.algorithm or "lia")
+    algo = p.get("algo", "lia")
     policy = p.get("policy", "full_mesh")
     period = float(p.get("churn_period", 3.0))
     churned = p.get("churn_path", "p1")
@@ -225,7 +225,7 @@ def torus_hybrid(spec: ScenarioSpec) -> dict:
     tracer goodput, and Jain's index over per-class rates.
     """
     p = spec.params
-    algo = p.get("algo", spec.algorithm or "lia")
+    algo = p.get("algo", "lia")
     classes = int(p.get("classes", 5))
     flows_per_class = int(p.get("flows_per_class", 1))
     tracers = int(p.get("tracers", 0))

@@ -116,7 +116,7 @@ def shared_bottleneck(spec: ScenarioSpec) -> dict:
     and both rates.
     """
     p = spec.params
-    algo = p.get("algo", spec.algorithm or "mptcp")
+    algo = p.get("algo", "mptcp")
     competitors = int(p.get("competitors", 6))
     ctx = CheckContext.from_spec(spec)
     sim = ctx.simulation()
@@ -187,7 +187,7 @@ def two_links(spec: ScenarioSpec) -> dict:
     rates, plus the single-path rates under ``cross="tcp"``.
     """
     p = spec.params
-    algo = p.get("algo", spec.algorithm or "mptcp")
+    algo = p.get("algo", "mptcp")
     cross = p.get("cross")
     if cross not in (None, "cbr", "tcp"):
         raise ValueError(f"cross must be 'cbr' or 'tcp', got {cross!r}")
@@ -293,7 +293,7 @@ def rtt_sim_claims(rows: List[dict]) -> None:
 
 def _three_flows(spec: ScenarioSpec, ctx: CheckContext, sc) -> dict:
     """Start flows f0..f2 of ``sc`` 0.1 s apart, measure, return rates."""
-    algo = spec.params.get("algo", spec.algorithm or "mptcp")
+    algo = spec.params.get("algo", "mptcp")
     flows = {}
     for i in range(3):
         f = make_flow(ctx.sim, sc.routes(f"f{i}"), algo, name=f"f{i}")
@@ -378,7 +378,7 @@ def fixed_loss_paths(spec: ScenarioSpec) -> dict:
     per-path rates.
     """
     p = spec.params
-    kind = p.get("flow", spec.algorithm or "mptcp")
+    kind = p.get("flow", "mptcp")
     ctx = CheckContext.from_spec(spec)
     sim = ctx.simulation()
     routes = [
@@ -451,7 +451,7 @@ def server_lb(spec: ScenarioSpec) -> dict:
     Returns per-group mean rates before and after, the multipath mean
     and the multipath aggregate on each link.
     """
-    algo = spec.params.get("algo", spec.algorithm or "mptcp")
+    algo = spec.params.get("algo", "mptcp")
     ctx = CheckContext.from_spec(spec)
     sim = ctx.simulation()
     sc = _dual_homed_server(sim)
@@ -582,7 +582,7 @@ def wireless_client(spec: ScenarioSpec) -> dict:
     TCPs' rates.
     """
     p = spec.params
-    kind = p.get("flow", spec.algorithm or "mptcp")
+    kind = p.get("flow", "mptcp")
     ctx = CheckContext.from_spec(spec)
     sim = ctx.simulation()
     wifi = build_wifi_path(
@@ -662,7 +662,7 @@ def mobile_walk(spec: ScenarioSpec) -> dict:
     ``algo``.  Returns the multipath flow's total and WiFi-subflow
     goodput per phase.
     """
-    algo = spec.params.get("algo", spec.algorithm or "mptcp")
+    algo = spec.params.get("algo", "mptcp")
     ctx = CheckContext.from_spec(spec)
     sim = ctx.simulation()
     wifi = build_wifi_path(sim, loss_prob=0.005)
@@ -746,7 +746,7 @@ def wifi_3g_handover(spec: ScenarioSpec) -> dict:
     from ..pathmgr import ManagedMptcpFlow, WirelessHandover
 
     p = spec.params
-    algo = p.get("algo", spec.algorithm or "lia")
+    algo = p.get("algo", "lia")
     policy = p.get("policy", "backup")
     mode = p.get("mode", "break_before_make")
     degraded = float(p.get("degraded_mbps", 5.0))
@@ -830,7 +830,7 @@ def datacenter(spec: ScenarioSpec) -> dict:
     topology = p.get("topology", "fattree")
     pattern = p.get("pattern", "TP1")
     paths = int(p.get("paths", 8))
-    algo = "single" if paths == 1 else p.get("algo", spec.algorithm or "mptcp")
+    algo = "single" if paths == 1 else p.get("algo", "mptcp")
     rate = float(p.get("rate", 1042.0))
     buffer = int(p.get("buffer", 100))
     ctx = CheckContext.from_spec(spec)
@@ -997,7 +997,7 @@ def rt_loopback(spec: ScenarioSpec) -> dict:
     from ..pathmgr import ManagedMptcpFlow
 
     p = spec.params
-    algo = p.get("algo", spec.algorithm or "lia")
+    algo = p.get("algo", "lia")
     netem = p.get("netem", "lan")
     if netem not in PROFILES:
         raise ValueError(f"unknown netem profile {netem!r}; known: "

@@ -80,7 +80,9 @@ class Runner:
     ----------
     parallel:
         Worker process count.  ``1`` (default) runs in-process unless
-        ``timeout`` or ``farm`` asks for worker processes.
+        ``timeout`` or ``farm`` asks for worker processes.  ``0`` is
+        allowed only with ``farm``: the broker serves the directory and
+        workers started elsewhere (``repro farm work DIR``) drain it.
     cache:
         A :class:`ResultCache`, a cache directory path, or ``None``.
     trace:
@@ -118,8 +120,9 @@ class Runner:
         retries: int = 1,
         farm=None,
     ):
-        if parallel < 1:
-            raise ValueError(f"parallel must be >= 1, got {parallel}")
+        least = 0 if farm is not None else 1  # 0: broker only
+        if parallel < least:
+            raise ValueError(f"parallel must be >= {least}, got {parallel}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         self.parallel = parallel
@@ -150,9 +153,14 @@ class Runner:
         raw: Dict[int, dict] = {}
         keys: Dict[int, Optional[str]] = {}
 
-        compute = self._serve_from_cache(tasks, raw, keys)
-        if (self.farm is not None or self.timeout is not None
-                or (self.parallel > 1 and len(compute) > 1)):
+        if self.farm is not None:
+            # The farm's manifest names the whole grid, so a resume must
+            # serve every task; the broker counts the store's hits.
+            self._run_farm([t for t in tasks if _picklable(t)], raw)
+        compute = self._serve_from_cache(
+            [t for t in tasks if t.index not in raw], raw, keys)
+        if self.farm is None and (self.timeout is not None
+                                  or (self.parallel > 1 and len(compute) > 1)):
             self._run_farm([t for t in compute if _picklable(t)], raw)
         for task in compute:
             if task.index not in raw:

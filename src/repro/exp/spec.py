@@ -1,9 +1,9 @@
 """Declarative descriptions of one simulation point.
 
 A sweep is a list of :class:`ScenarioSpec` values — plain, picklable
-dataclasses that say *what* to simulate (scenario, algorithm, seed,
-warm-up, duration, grid-point parameters) without holding any live
-simulator state.  That separation is what lets the
+dataclasses that say *what* to simulate (scenario, seed, warm-up,
+duration, grid-point parameters) without holding any live simulator
+state.  That separation is what lets the
 :class:`~repro.exp.runner.Runner` ship points to worker processes, retry
 a failed point bit-identically (the spec carries the seed), and key the
 on-disk result cache on content rather than identity.
@@ -77,7 +77,6 @@ class ScenarioSpec:
 
     scenario: str
     params: Dict[str, Any] = field(default_factory=dict)
-    algorithm: Optional[str] = None
     seed: int = 1
     warmup: float = 25.0
     duration: float = 60.0
@@ -87,7 +86,6 @@ class ScenarioSpec:
         return {
             "scenario": self.scenario,
             "params": {k: self.params[k] for k in sorted(self.params)},
-            "algorithm": self.algorithm,
             "seed": self.seed,
             "warmup": self.warmup,
             "duration": self.duration,

@@ -5,15 +5,16 @@ The full controller-zoo × topology × fault matrix is 10^5–10^6 cacheable
 points — beyond one machine and one uninterrupted run.  The farm is the
 :class:`~repro.exp.runner.Runner`'s execution layer in three pieces
 that survive crashes independently (a local ``parallel=N`` run is the
-same thing over a temporary directory):
+same thing over a temporary directory; ``repro sweep --farm DIR``
+keeps it):
 
-* a **broker** (:class:`~repro.farm.broker.Broker`) owns a persistent
+* a **broker** (:class:`~repro.farm.Broker`) owns a persistent
   work queue under one *farm directory*: pickled task files, claim
   tokens, a lease table with heartbeat/expiry, and an append-only
   journal used for failure budgets and observability;
-* **workers** (:mod:`repro.farm.worker`: forked and supervised by the
-  broker locally, startable on any host that can see the farm
-  directory) lease tasks via atomic rename, execute them
+* **workers** (:func:`~repro.farm.work`: forked and supervised by the
+  broker locally, or ``repro farm work DIR`` on any host that can see
+  the farm directory) lease tasks via atomic rename, execute them
   through the existing :func:`~repro.exp.spec.execute_task`, and publish
   rows through the shared content-addressed
   :class:`~repro.exp.cache.ResultCache` — already atomic and
@@ -31,9 +32,7 @@ in-process :class:`~repro.exp.runner.Runner` run.  See ``docs/RUNNER.md``.
 
 from .._exports import lazy_exports
 
-#: Public name -> the submodule defining it (loaded on first use, which
-#: also keeps ``python -m repro.farm.worker`` clear of runpy's
-#: double-import warning).
+#: Public name -> the submodule defining it (loaded on first use).
 _EXPORTS = {
     "Broker": ".broker",
     "FarmError": ".broker",

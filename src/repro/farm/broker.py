@@ -15,7 +15,7 @@ execute.  Its responsibilities:
   ``max_failures`` times marks the farm ``FAILED`` and raises
   :exc:`~repro.exp.runner.TaskError`;
 * **local workers** — :meth:`Broker.run` keeps ``workers``
-  ``multiprocessing`` children running :func:`~repro.farm.worker.work`
+  ``multiprocessing`` children running :func:`~repro.farm.work`
   (no interpreter start, no re-import).  One that exits, or that holds a
   lease the broker takes away, is killed, its lease expired at once and
   a replacement started; none outlives :meth:`Broker.run`;
@@ -32,17 +32,17 @@ execute.  Its responsibilities:
   :class:`~repro.exp.runner.Runner`;
 * **progress** — the journal records workers write become ``farm.*``
   events (queue and lease detail) and the ``exp.task_start`` /
-  ``exp.task_done`` / ``exp.task_retry`` / ``exp.task_failed`` lifecycle
-  every execution path shares.
+  ``exp.task_done`` / ``exp.task_retry`` / ``exp.task_failed`` /
+  ``exp.cache_hit`` lifecycle every execution path shares.
 
 Determinism: tasks are seeded specs, every row goes through
 :func:`~repro.exp.cache.publish_row`, and aggregation follows grid
 index — so an interrupted-and-resumed farm run is bit-identical to an
 uninterrupted in-process run.
 
-``python -m repro.farm.broker <root>`` serves a previously initialised
-farm directory (used by the crash-resume tests to SIGKILL a live
-broker); ``repro farm serve`` is the user-facing entry.
+``repro sweep <grid> --farm DIR`` is the command-line entry (through
+:class:`~repro.exp.runner.Runner`); ``--parallel 0`` serves the
+directory with no local worker.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from ..exp.cache import ResultCache
 from ..exp.spec import TaskSpec, merge_row
 from ..obs.trace import NULL_TRACE
 from .layout import DEFAULT_LEASE_TTL, DEFAULT_POLL, FarmLayout
+from .worker import work
 
 __all__ = ["Broker", "FarmError", "WorkerStartError", "run_farm",
            "farm_status"]
@@ -307,11 +308,6 @@ class Broker:
                     self._expire(index, record, "worker_died")
         if len(self._local) >= want:
             return
-        # Lazy: ``python -m repro.farm.worker`` imports this package
-        # first, and importing the worker module at import time would
-        # trip runpy's double-import warning.
-        from .worker import work
-
         while len(self._local) < want:
             worker = f"local-{self._spawned}"
             proc = multiprocessing.Process(
@@ -345,6 +341,8 @@ class Broker:
         for index in self._keys:
             if self._complete(index) and initial:
                 self.store_hits += 1
+                self._emit("exp.cache_hit", task=index,
+                           key=self._keys[index])
 
     def _complete(self, index: int) -> bool:
         """Load the row for ``index`` from the store; done iff it reads."""
@@ -510,9 +508,15 @@ class Broker:
         state only arises when a process died between two file
         operations (claim→heartbeat, release→requeue); recreating the
         token is always safe because execution is idempotent.
+
+        The journal is drained after the snapshot: a worker journals its
+        outcome before it releases its lease, so a lease gone from the
+        snapshot has its failure counted (and its backoff pending) here,
+        not re-enqueued as the same attempt.
         """
         queued = set(self.layout.queued_tasks())
         leased = {index for index, _ in self.layout.leases()}
+        self._drain_journal()
         for index in self._keys:
             if (index in self._done or index in queued or index in leased
                     or index in self._delayed):
@@ -541,24 +545,23 @@ def spawn_worker(
     root: Union[str, os.PathLike],
     worker_id: Optional[str] = None,
     lease_ttl: float = DEFAULT_LEASE_TTL,
-    poll: float = DEFAULT_POLL,
 ) -> subprocess.Popen:
     """Start a worker the way another host would: a separate
-    ``python -m repro.farm.worker`` interpreter against ``root``, not
+    ``python -m repro farm work`` interpreter against ``root``, not
     supervised by any broker (the crash-resume tests SIGKILL these).
 
     The child gets the parent's ``sys.path`` as ``PYTHONPATH`` so
     pickled tasks referencing modules outside ``site-packages`` (e.g.
     test modules) still resolve.
     """
-    cmd = [sys.executable, "-m", "repro.farm.worker", str(root),
-           "--lease-ttl", str(lease_ttl), "--poll", str(poll)]
+    cmd = [sys.executable, "-m", "repro", "farm", "work", str(root),
+           "--lease-ttl", str(lease_ttl)]
     if worker_id is not None:
         cmd += ["--id", worker_id]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
     # Silence the worker's completion line (stderr stays visible for
-    # real trouble); ``repro farm work`` run by hand keeps its stdout.
+    # real trouble); a worker run by hand keeps its stdout.
     return subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
 
 
@@ -580,9 +583,8 @@ def run_farm(
     broker.
 
     This is the :class:`~repro.exp.runner.Runner`'s out-of-process path;
-    remote workers started separately with ``repro farm work`` (or
-    ``python -m repro.farm.worker``) join the same run simply by
-    pointing at the same directory.
+    remote workers started separately with ``repro farm work`` join the
+    same run simply by pointing at the same directory.
     """
     broker = Broker(root, tasks=tasks, cache=cache, trace=trace, t0=t0,
                     max_failures=max_failures, timeout=timeout,
@@ -619,31 +621,3 @@ def farm_status(root: Union[str, os.PathLike]) -> Dict[str, Any]:
         "state": layout.finished() or "running",
     }
 
-
-def main(argv=None) -> int:  # pragma: no cover - exercised via subprocess
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.farm.broker",
-        description="Resume serving an initialised farm directory.",
-    )
-    parser.add_argument("root", help="farm directory")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="local worker processes to spawn (default 0: "
-                        "broker only; workers join from elsewhere)")
-    parser.add_argument("--max-failures", type=int, default=1)
-    parser.add_argument("--lease-ttl", type=float, default=DEFAULT_LEASE_TTL)
-    parser.add_argument("--backoff", type=float, default=DEFAULT_BACKOFF)
-    parser.add_argument("--poll", type=float, default=DEFAULT_POLL)
-    args = parser.parse_args(argv)
-    broker = Broker(args.root, max_failures=args.max_failures,
-                    lease_ttl=args.lease_ttl, backoff=args.backoff,
-                    poll=args.poll)
-    rows = broker.run(workers=max(0, args.workers))
-    print(f"farm complete: {len(rows)} row(s), executed={broker.executed}, "
-          f"store_hits={broker.store_hits}")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

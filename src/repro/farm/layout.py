@@ -57,8 +57,8 @@ def _write_json(path: pathlib.Path, record: Any) -> None:
 class FarmLayout:
     """Paths and file primitives of one farm directory.
 
-    Shared by :class:`~repro.farm.broker.Broker` and
-    :func:`~repro.farm.worker.work`; holds no state beyond the root path,
+    Shared by :class:`~repro.farm.Broker` and
+    :func:`~repro.farm.work`; holds no state beyond the root path,
     so any number of processes can hold their own instance.
     """
 

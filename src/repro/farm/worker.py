@@ -16,16 +16,14 @@ many hosts as can see that directory.  The loop:
 4. journal ``done``/``failed`` and release the lease.
 
 Workers exit when the broker writes a ``DONE``/``FAILED`` marker, or on
-``--max-tasks`` / ``--idle-timeout`` (used by tests and bounded CI
-runs).  Because runs are deterministic and the store is idempotent,
-a task executed twice (lease expired under a slow-but-alive worker)
-publishes the same bytes — duplicate execution wastes time, never
-correctness.
+``max_tasks`` / ``idle_timeout`` (used by tests and bounded CI runs).
+Because runs are deterministic and the store is idempotent, a task
+executed twice (lease expired under a slow-but-alive worker) publishes
+the same bytes — duplicate execution wastes time, never correctness.
 
 The broker starts its local workers by calling :func:`work` in
-``multiprocessing`` children; this module is also the entry point for
-every other host (``python -m repro.farm.worker``), so remote hosts need
-none of the CLI's optional plotting dependencies.
+``multiprocessing`` children; every other host runs it through
+``repro farm work DIR``.
 """
 
 from __future__ import annotations
@@ -99,10 +97,6 @@ def work(
     """
     layout = FarmLayout(root)
     worker = worker_id or _default_worker_id()
-    if store is None:
-        # The manifest names the shared store (an external cache passed
-        # by the broker, or the farm's own results/ directory).
-        store = ResultCache(layout.store_root())
     # Set only in a broker's local worker: that one must not outlive a
     # broker that died without reaping it.
     parent = multiprocessing.parent_process()
@@ -128,6 +122,13 @@ def work(
             time.sleep(poll)
             continue
         index, attempt = claimed
+        if store is None:
+            # The manifest names the shared store (an external cache
+            # passed by the broker, or the farm's own results/
+            # directory).  It is written before any queue token, so it
+            # is read at the first claim: a worker started before the
+            # broker still publishes where the broker looks.
+            store = ResultCache(layout.store_root())
         idle_since = time.monotonic()
         processed += 1
         heartbeat = _Heartbeat(layout, index, worker, attempt, lease_ttl)
@@ -162,33 +163,3 @@ def _run_one(layout: FarmLayout, store: ResultCache, index: int,
     layout.journal("done", task=index, worker=worker, attempt=attempt,
                    wall=time.perf_counter() - start, key=key)
 
-
-def main(argv=None) -> int:  # pragma: no cover - exercised via subprocess
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.farm.worker",
-        description="Run one farm worker against a farm directory.",
-    )
-    parser.add_argument("root", help="farm directory (shared filesystem)")
-    parser.add_argument("--id", default=None, help="worker id "
-                        "(default: <hostname>-<pid>)")
-    parser.add_argument("--lease-ttl", type=float, default=DEFAULT_LEASE_TTL,
-                        help="lease heartbeat deadline, seconds")
-    parser.add_argument("--poll", type=float, default=DEFAULT_POLL,
-                        help="idle poll interval, seconds")
-    parser.add_argument("--max-tasks", type=int, default=None,
-                        help="exit after this many tasks")
-    parser.add_argument("--idle-timeout", type=float, default=None,
-                        help="exit after this long without work, seconds")
-    args = parser.parse_args(argv)
-    processed = work(args.root, worker_id=args.id, lease_ttl=args.lease_ttl,
-                     poll=args.poll, max_tasks=args.max_tasks,
-                     idle_timeout=args.idle_timeout)
-    print(f"worker {args.id or _default_worker_id()}: "
-          f"{processed} task(s) processed")
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

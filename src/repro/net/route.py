@@ -16,7 +16,7 @@ from ..sim.simulation import Simulation
 from .pipe import Pipe
 from .queue import DropTailQueue
 
-__all__ = ["Route", "path_rtt_floor"]
+__all__ = ["Route"]
 
 
 class Route:
@@ -77,7 +77,3 @@ class Route:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Route({self.name!r}, hops={len(self.elements)})"
 
-
-def path_rtt_floor(route: Route) -> float:
-    """Convenience alias for ``route.rtt_floor`` (kept for the public API)."""
-    return route.rtt_floor

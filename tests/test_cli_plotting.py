@@ -58,10 +58,11 @@ class TestCli:
             main(["point", "two_links", "--param", "algo=warp-drive"])
 
     def test_deleted_commands_are_invalid_choices(self, capsys):
-        # The rt handover is `point wifi_3g_handover --param tier=rt`.
+        # The rt handover is `point wifi_3g_handover --param tier=rt`; a
+        # farm grid is `sweep <grid> --farm DIR`.
         for argv in (["bottleneck"], ["twolinks"], ["wireless"], ["torus"],
                      ["fattree"], ["check"], ["handover"], ["rt"],
-                     ["point", "rt_handover"]):
+                     ["point", "rt_handover"], ["farm", "serve"]):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == 2

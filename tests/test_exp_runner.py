@@ -16,6 +16,7 @@ import multiprocessing
 import os
 import pathlib
 import tempfile
+import threading
 import time
 
 import pytest
@@ -23,6 +24,7 @@ import pytest
 from repro.cli import main
 from repro.exp import Runner, ScenarioSpec, TaskError, specs_for_grid
 from repro.exp.spec import target_id
+from repro.farm import work
 from repro.obs import JsonlSink, MemorySink, TraceBus, validate_event
 
 from conftest import sweep
@@ -402,11 +404,26 @@ class TestFaultTolerance:
         rows = sweep({"x": [1, 2]}, lambda x: {"y": x + offset}, parallel=2)
         assert rows == [{"x": 1, "y": 8}, {"x": 2, "y": 9}]
 
-    def test_invalid_runner_arguments(self):
-        with pytest.raises(ValueError):
+    def test_invalid_runner_arguments(self, tmp_path):
+        with pytest.raises(ValueError, match="parallel must be >= 1, got 0"):
             Runner(parallel=0)
+        with pytest.raises(ValueError, match="parallel must be >= 0"):
+            Runner(parallel=-1, farm=str(tmp_path / "farm"))
         with pytest.raises(ValueError):
             Runner(retries=-1)
+        # With a farm directory 0 means broker only: a worker drains the
+        # grid, even one started before the directory is served.
+        root = str(tmp_path / "farm")
+        drain = threading.Thread(target=work, args=(root,),
+                                 kwargs=dict(idle_timeout=30.0))
+        drain.start()
+        try:
+            rows = sweep({"x": [1, 2]}, square_point, parallel=0, farm=root,
+                         cache=str(tmp_path / "cache"))
+        finally:
+            drain.join(timeout=30.0)
+        assert rows == [{"x": 1, "sq": 1}, {"x": 2, "sq": 4}]
+        assert not drain.is_alive()
 
 
 # -- progress events ----------------------------------------------------

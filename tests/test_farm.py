@@ -27,9 +27,10 @@ import pytest
 from repro.cli import main
 from repro.exp import Runner, ResultCache, TaskError, specs_for_grid
 from repro.exp.spec import ScenarioSpec, TaskSpec, target_id
-from repro.farm import Broker, FarmError, FarmLayout, farm_status, run_farm
-from repro.farm.broker import spawn_worker
-from repro.farm.worker import work
+from repro.farm import (
+    Broker, FarmError, FarmLayout, farm_status, run_farm, work,
+)
+from repro.farm import broker as farm_broker
 from repro.obs import MemorySink, TraceBus, validate_event
 
 from conftest import sweep
@@ -248,8 +249,8 @@ class TestCrashResume:
         tasks = [TaskSpec(index=i, spec=s) for i, s in enumerate(specs)]
         Broker(root, tasks=tasks, **FAST)  # serve only, no run
         layout = FarmLayout(root)
-        proc = spawn_worker(root, worker_id="victim", lease_ttl=1.0,
-                            poll=0.02)
+        proc = farm_broker.spawn_worker(root, worker_id="victim",
+                                        lease_ttl=1.0)
         try:
             # A fast grid can drain every task between two of our polls
             # (points here run in milliseconds), so accept either
@@ -293,13 +294,16 @@ class TestCrashResume:
 
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        # The broker to kill is a broker-only sweep (`--parallel 0`)
+        # that resumes the directory initialised above.
         broker_proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.farm.broker", root,
-             "--workers", "0", "--lease-ttl", "1.0", "--poll", "0.02"],
+            [sys.executable, "-m", "repro", "sweep", "demo_rtt",
+             "--farm", root, "--parallel", "0", "--no-cache",
+             "--warmup", "0.5", "--duration", "1.0"],
             env=env, stdout=subprocess.DEVNULL,
         )
-        worker_proc = spawn_worker(root, worker_id="survivor",
-                                   lease_ttl=1.0, poll=0.02)
+        worker_proc = farm_broker.spawn_worker(root, worker_id="survivor",
+                                               lease_ttl=1.0)
         try:
             # Let the grid get partway — at least two rows published —
             # then SIGKILL the broker, not the worker.
@@ -340,8 +344,8 @@ class TestCrashResume:
                            for x in (1, 2)])
         Broker(root, tasks=tasks, **FAST)
         layout = FarmLayout(root)
-        proc = spawn_worker(root, worker_id="victim", lease_ttl=0.5,
-                            poll=0.02)
+        proc = farm_broker.spawn_worker(root, worker_id="victim",
+                                        lease_ttl=0.5)
         try:
             _wait_for(lambda: layout.leases(), timeout=30.0,
                       what="the worker to lease a slow task")
@@ -356,6 +360,23 @@ class TestCrashResume:
         assert [broker.raw[i]["ok"] for i in (0, 1)] == [1, 2]
         assert not FarmLayout(root).leases()
         assert FarmLayout(root).finished() == "done"
+
+    def test_reconcile_counts_a_failure_journalled_since_the_last_drain(
+            self, tmp_path):
+        # A worker journals "failed", then releases its lease.  A
+        # reconcile scan in between must charge the failure (attempt 2
+        # follows its backoff), not re-enqueue attempt 1.
+        root = str(tmp_path / "farm")
+        broker = Broker(root, tasks=_fn_tasks(square_point, [{"x": 1}]),
+                        **FAST)
+        layout = FarmLayout(root)
+        assert layout.claim(0) is not None
+        layout.journal("failed", task=0, worker="w", attempt=1,
+                       reason="RuntimeError: boom")
+        layout.release_lease(0)
+        broker._reconcile()
+        assert layout.queued_tasks() == []
+        assert broker._failures == {0: 1} and 0 in broker._delayed
 
     def test_finished_farm_releases_a_lease_on_a_done_task(self, tmp_path):
         # A worker journals "done" before its lease is released; a broker
@@ -411,12 +432,12 @@ class TestFarmCli:
     def test_serve_then_status(self, tmp_path, capsys):
         root = str(tmp_path / "farm")
         assert main([
-            "farm", "serve", "demo_rtt", "--root", root, "--workers", "1",
+            "sweep", "demo_rtt", "--farm", root,
             "--warmup", "0.2", "--duration", "0.4",
             "--cache-dir", str(tmp_path / "cache"),
         ]) == 0
         out = capsys.readouterr().out
-        assert "farm complete: 8 rows" in out
+        assert "8 points in" in out and "8 executed" in out
         assert main(["farm", "status", root]) == 0
         out = capsys.readouterr().out
         assert "done" in out and "8" in out
@@ -424,12 +445,58 @@ class TestFarmCli:
     def test_work_exits_on_done_marker(self, tmp_path, capsys):
         root = str(tmp_path / "farm")
         assert main([
-            "farm", "serve", "demo_rtt", "--root", root, "--workers", "1",
+            "sweep", "demo_rtt", "--farm", root,
             "--warmup", "0.2", "--duration", "0.4", "--no-cache",
         ]) == 0
         capsys.readouterr()
         assert main(["farm", "work", root]) == 0
         assert "0 task(s) processed" in capsys.readouterr().out
+
+    def test_broker_only_sweep_is_drained_by_a_farm_worker(
+            self, tmp_path, capsys):
+        root = str(tmp_path / "farm")
+        args = ["sweep", "demo_rtt", "--farm", root, "--parallel", "0",
+                "--warmup", "0.2", "--duration", "0.4",
+                "--cache-dir", str(tmp_path / "cache")]
+        worker = threading.Thread(target=main, args=(
+            ["farm", "work", root, "--idle-timeout", "30"],))
+        worker.start()
+        try:
+            assert main(args) == 0
+        finally:
+            worker.join(timeout=30.0)
+        assert not worker.is_alive()
+        assert "8 executed, 0 cache hits" in capsys.readouterr().out
+        assert main(args) == 0
+        assert "0 executed, 8 cache hits" in capsys.readouterr().out
+
+    def test_another_grids_farm_is_a_usage_error(self, tmp_path, capsys):
+        root = str(tmp_path / "farm")
+        args = ["sweep", "demo_rtt", "--farm", root, "--duration", "0.4",
+                "--cache-dir", str(tmp_path / "cache")]
+        assert main(args + ["--warmup", "0.2"]) == 0
+        capsys.readouterr()
+        assert main(args + ["--warmup", "0.3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "different grid" in err
+
+    def test_rerun_resumes_a_partly_published_farm(self, tmp_path, capsys):
+        # The state an interrupted `sweep --farm` leaves: the whole grid
+        # served, three rows published to the sweep's cache, no broker.
+        root, cache = str(tmp_path / "farm"), str(tmp_path / "cache")
+        window = ["--warmup", "0.2", "--duration", "0.4"]
+        specs = specs_for_grid("demo_rtt", warmup=0.2, duration=0.4)
+        Broker(root, tasks=[TaskSpec(index=i, spec=s)
+                            for i, s in enumerate(specs)],
+               cache=ResultCache(cache), **FAST)
+        assert work(root, max_tasks=3, poll=0.02) == 3
+        resumed, reference = tmp_path / "resumed.json", tmp_path / "ref.json"
+        assert main(["sweep", "demo_rtt", "--farm", root, "--cache-dir",
+                     cache, "--out", str(resumed)] + window) == 0
+        assert "5 executed, 3 cache hits" in capsys.readouterr().out
+        assert main(["sweep", "demo_rtt", "--no-cache",
+                     "--out", str(reference)] + window) == 0
+        assert resumed.read_bytes() == reference.read_bytes()
 
     def test_status_on_missing_farm_fails(self, tmp_path, capsys):
         assert main(["farm", "status", str(tmp_path / "void")]) == 1

@@ -40,8 +40,9 @@ Two checks keep ``docs/*.md`` from silently rotting:
    Likewise every ``make <target>`` and ``python -m repro <sub>`` (or
    backquoted ``repro <sub>``) named in the docs, README.md, EXPERIMENTS.md,
    DESIGN.md or the Makefile's header must be a Makefile rule / a
-   subcommand of :func:`repro.cli._build_parser`, so a command cannot be
-   deleted while a doc still tells the reader to run it.
+   subcommand of :func:`repro.cli._build_parser` (and ``repro farm
+   <sub>`` one of its farm subcommands), so a command cannot be deleted
+   while a doc still tells the reader to run it.
 
 Run from the repository root::
 
@@ -236,14 +237,17 @@ def check_reproduction_table(repo: pathlib.Path) -> List[str]:
 
 
 def check_commands(repo: pathlib.Path, paths: List[pathlib.Path]) -> List[str]:
-    """Every ``make <target>`` / ``repro <sub>`` the docs and the
-    Makefile header tell the reader to run must exist."""
+    """Every ``make <target>`` / ``repro <sub>`` / ``repro farm <sub>``
+    the docs and the Makefile header tell the reader to run must
+    exist."""
     from repro.cli import _build_parser
 
-    subcommands = next(
-        action for action in _build_parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
-    ).choices
+    def choices(parser: argparse.ArgumentParser) -> dict:
+        return next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+
+    subcommands = choices(_build_parser())
+    farm_subcommands = choices(subcommands["farm"])
     makefile = (repo / "Makefile").read_text(encoding="utf-8")
     targets = set(re.findall(r"^([a-z][\w-]*):", makefile, re.M))
     errors: List[str] = []
@@ -255,6 +259,10 @@ def check_commands(repo: pathlib.Path, paths: List[pathlib.Path]) -> List[str]:
         for name in sorted(set(named) - set(subcommands)):
             errors.append(f"{label}: `repro {name}` is not a subcommand of "
                           f"repro.cli")
+        named = re.findall(r"(?:python3? -m |`)repro farm ([a-z][\w-]*)", text)
+        for name in sorted(set(named) - set(farm_subcommands)):
+            errors.append(f"{label}: `repro farm {name}` is not a farm "
+                          f"subcommand of repro.cli")
 
     # The Makefile header names a target at the start of a comment line,
     # markdown in code (`make x`, or a fenced block); prose such as "make
