@@ -31,8 +31,10 @@
 #                    each traced under the invariant monitor and
 #                    validated against the schema; the same handover
 #                    point on the rt tier (--param tier=rt, real
-#                    sockets); then the rt_loopback grid's sim-vs-real
-#                    claim — see docs/PATH_MANAGEMENT.md, docs/REALNET.md
+#                    sockets); its windows and goodputs as a CSV series
+#                    (--series -); then the rt_loopback grid's
+#                    sim-vs-real claim — see docs/PATH_MANAGEMENT.md,
+#                    docs/REALNET.md, docs/OBSERVABILITY.md
 
 PYTHON    ?= python
 PP        := PYTHONPATH=src
@@ -90,4 +92,5 @@ point-demo:
 	$(PP) $(PYTHON) -m repro point rt_loopback --trace $(RT_OUT)
 	$(PP) $(PYTHON) -m repro trace-validate $(RT_OUT)
 	$(PP) $(PYTHON) -m repro point wifi_3g_handover --param tier=rt --warmup 0.5 --duration 4.5
+	$(PP) $(PYTHON) -m repro point wifi_3g_handover --warmup 1 --duration 3 --series -
 	$(PP) $(PYTHON) -m repro sweep rt_loopback --no-cache

@@ -1,36 +1,33 @@
 #!/usr/bin/env python3
 """Data center (§4): multipath TCP vs ECMP single-path in a FatTree.
 
-Builds a k=4 FatTree (16 hosts), runs a random-permutation traffic matrix
-(TP1) under single-path TCP (one random shortest path per flow — the
-paper's ECMP mimic) and under MPTCP with 4 paths per flow, and compares
-utilisation and fairness.
+Runs the registered ``datacenter`` point on a k=4 FatTree (16 hosts)
+with a random-permutation traffic matrix (TP1), under single-path TCP
+(one random shortest path per flow — the paper's ECMP mimic) and under
+EWTCP and MPTCP with 4 paths per flow, and compares utilisation and
+fairness.  ``python -m repro point datacenter --param k=4 ...`` prints
+the same rows.
 
 Run:  python examples/datacenter_fattree.py
 """
 
-from repro import Simulation, jain_index
-from repro.harness.datacenter import run_matrix
-from repro.topology import FatTree
-from repro.traffic import permutation_matrix
+from repro.exp import ScenarioSpec, point_function
 
 LINK_RATE = 2083.0  # 25 Mb/s links, keeps the demo quick
 
 
 def run(algorithm: str, paths: int) -> None:
-    sim = Simulation(seed=3)
-    ft = FatTree.build(sim, k=4, rate_pps=LINK_RATE, buffer_pkts=100)
-    pairs = permutation_matrix(ft.hosts, sim.rng)
-    result = run_matrix(
-        sim, ft.net, pairs, algorithm,
-        path_count=paths, warmup=3.0, duration=5.0,
-        host_link_rate=LINK_RATE,
-    )
-    rates = result.sorted_rates()
+    row = point_function("datacenter")(ScenarioSpec(
+        "datacenter", seed=3, warmup=3.0, duration=5.0,
+        params={"topology": "fattree", "k": 4, "pattern": "TP1",
+                "algo": algorithm, "paths": paths, "rate": LINK_RATE,
+                "buffer": 100},
+    ))
+    worst = row["rate_quartiles"][0]
     print(f"{algorithm:>8s} ({paths} path{'s' if paths > 1 else ''}): "
-          f"mean {100 * result.mean_utilisation():5.1f}% of NIC,  "
-          f"worst flow {100 * rates[0] / LINK_RATE:5.1f}%,  "
-          f"Jain {jain_index(rates):.3f}")
+          f"mean {row['util_pct']:5.1f}% of NIC,  "
+          f"worst flow {100 * worst / LINK_RATE:5.1f}%,  "
+          f"Jain {row['jain']:.3f}")
 
 
 def main() -> None:

@@ -56,7 +56,6 @@ _EXPORTS = {
     "measure": ".harness",
     "pps_to_mbps": ".net",
     "specs_for_grid": ".exp",
-    "standard_series": ".harness",
     "validate_event": ".obs",
 }
 

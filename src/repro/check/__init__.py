@@ -19,6 +19,7 @@ _EXPORTS = {
     "CheckContext": ".hooks",
     "InvariantMonitor": ".invariants",
     "InvariantViolation": ".invariants",
+    "observe_simulations": ".hooks",
     "trace_override": ".hooks",
 }
 

@@ -41,14 +41,17 @@ injectors or the event schema.
 
 :func:`trace_override` routes the monitored bus somewhere visible (the
 ``repro point --trace`` CLI uses it to stream the monitored bus's
-records to a JSONL file).
+records to a JSONL file), and :func:`observe_simulations` hands each
+Simulation a point builds to a callback (``repro point --series``
+samples the run's components through it).
 """
 
 from __future__ import annotations
 
 import importlib
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Tuple)
 
 from ..exp.spec import ScenarioSpec
 from ..fault.spec import FaultSpec, resolve_faults
@@ -59,7 +62,7 @@ if TYPE_CHECKING:
     from ..fault.faults import Fault
     from .invariants import InvariantMonitor
 
-__all__ = ["CheckContext", "TIERS", "trace_override"]
+__all__ = ["CheckContext", "TIERS", "observe_simulations", "trace_override"]
 
 #: Tier -> its Simulation class and its path factory ``(sim, name,
 #: profile)``, as ``module:name`` references imported on first use.
@@ -92,6 +95,26 @@ def trace_override(bus: Optional[TraceBus]):
         yield bus
     finally:
         _BUS_OVERRIDE[0] = outer
+
+
+#: Callbacks given each Simulation a CheckContext builds (set by
+#: observe_simulations).
+_OBSERVERS: List[Callable[[Simulation], None]] = []
+
+
+@contextmanager
+def observe_simulations(callback: Optional[Callable[[Simulation], None]]):
+    """Call ``callback(sim)`` with each Simulation a point function
+    builds in the block, before any component of it exists (watch them
+    with ``sim.on_register``); ``None`` is a no-op.  Blocks nest: every
+    callback in force sees the run."""
+    if callback is not None:
+        _OBSERVERS.append(callback)
+    try:
+        yield
+    finally:
+        if callback is not None:
+            _OBSERVERS.remove(callback)
 
 
 class CheckContext:
@@ -133,6 +156,7 @@ class CheckContext:
         be one of them (unset: the first), and picks the class from
         :data:`TIERS`.  ``sim_kwargs`` go to that class's constructor
         beside ``seed`` and ``trace`` (e.g. the hybrid tier's ``dt``).
+        Every :func:`observe_simulations` callback in force then gets it.
         """
         if self.tier is None:
             self.tier = tiers[0]
@@ -144,14 +168,16 @@ class CheckContext:
         cls = _load(TIERS[self.tier][0])
         if not self.active:
             self.sim = cls(seed=self.seed, **sim_kwargs)
-            return self.sim
-        from ..obs.schema import DEFAULT_EVENTS
-        from .invariants import InvariantMonitor
+        else:
+            from ..obs.schema import DEFAULT_EVENTS
+            from .invariants import InvariantMonitor
 
-        bus = _BUS_OVERRIDE[0] or TraceBus(events=DEFAULT_EVENTS)
-        self.sim = cls(seed=self.seed, trace=bus, **sim_kwargs)
-        self.monitor = InvariantMonitor()
-        self.monitor.attach(self.sim)
+            bus = _BUS_OVERRIDE[0] or TraceBus(events=DEFAULT_EVENTS)
+            self.sim = cls(seed=self.seed, trace=bus, **sim_kwargs)
+            self.monitor = InvariantMonitor()
+            self.monitor.attach(self.sim)
+        for observe in _OBSERVERS:
+            observe(self.sim)
         return self.sim
 
     def path(self, profile, name: str):

@@ -231,6 +231,14 @@ class InvariantMonitor(TraceSink):
                 "checked at trace events, so an untraced simulation cannot "
                 "be monitored"
             )
+        hidden = sorted(ev for ev, check in self._route.items()
+                        if callable(check) and not bus.records(ev))
+        if hidden:
+            raise ValueError(
+                f"the trace bus filters out {', '.join(hidden)}, which the "
+                "InvariantMonitor checks; record them on the bus (e.g. "
+                "events=DEFAULT_EVENTS) and narrow a sink with FilterSink"
+            )
         self.sim = sim
         self.bus = bus
         bus.add_sink(self)

@@ -17,11 +17,14 @@ The paper's figures and tables, as cached grids whose claims are checked
     python -m repro sweep paper --parallel 4
     python -m repro sweep paper_fig1
 
-Observability (see docs/OBSERVABILITY.md for the event schema):
+Observability of any point (see docs/OBSERVABILITY.md for the event
+schema): its monitored trace as JSONL, narrowed to some event types, and
+its queues, windows, RTTs and goodputs sampled 100 times after warm-up:
 
-    python -m repro trace --scenario quickstart --out trace.jsonl
+    python -m repro point two_links --trace trace.jsonl
     python -m repro trace-validate trace.jsonl
-    python -m repro series --scenario twolinks --out series.csv
+    python -m repro point torus_balance --trace drops.jsonl --events pkt.drop
+    python -m repro point two_links --param cross=tcp --series series.csv
 
 Parameter sweeps over worker processes (see docs/RUNNER.md):
 
@@ -65,30 +68,24 @@ import sys
 from dataclasses import replace
 from typing import List, Optional
 
-from .check import InvariantViolation, trace_override
+from .check import InvariantViolation, observe_simulations, trace_override
 from .core.registry import ALGORITHMS
 from .exp import CLAIMS, ResultCache, Runner, specs_for_grid
 from .exp.grids import SCENARIOS, point_function
 from .exp.paper import failed_claim
 from .exp.spec import ScenarioSpec, grid_points
 from .farm import FarmError, farm_status, work
-from .harness.experiment import make_flow, standard_series
 from .harness.table import Table
 from .obs import (
     DEFAULT_EVENTS,
     EVENT_TYPES,
+    FilterSink,
     JsonlSink,
     TraceBus,
     TraceSchemaError,
     validate_jsonl,
 )
-from .sim.simulation import Simulation
-from .topology import (
-    SWEEP_GRIDS,
-    build_two_links,
-    build_3g_path,
-    build_wifi_path,
-)
+from .topology import SWEEP_GRIDS
 
 __all__ = ["main"]
 
@@ -239,19 +236,74 @@ def _point_spec(args) -> ScenarioSpec:
     )
 
 
+def _series_observer(spec: ScenarioSpec, recorders: list):
+    """An ``observe_simulations`` callback: a SeriesRecorder on the run,
+    sampling every ``spec.duration / 100`` s after warm-up the depth of
+    each queue, the window, RTT and goodput (rate of ``last_acked``) of
+    each (sub)flow sender and the goodput of each multipath receiver the
+    run registers, including subflows opened mid-run."""
+    from .mptcp.connection import MptcpReceiver
+    from .net.queue import DropTailQueue
+    from .obs.series import (SeriesRecorder, cwnd_probe, queue_depth_probe,
+                             rtt_probe)
+    from .tcp.sender import TcpSender
+
+    def observe(sim) -> None:
+        rec = SeriesRecorder(sim, interval=spec.duration / 100,
+                             warmup=spec.warmup)
+
+        def watch(component) -> None:
+            if isinstance(component, DropTailQueue):
+                rec.add_probe(f"qdepth.{component.name}",
+                              queue_depth_probe(component))
+            elif isinstance(component, TcpSender):
+                rec.add_probe(f"cwnd.{component.name}", cwnd_probe(component))
+                rec.add_probe(f"rtt.{component.name}", rtt_probe(component))
+                rec.add_rate_probe(f"goodput.{component.name}",
+                                   lambda: component.last_acked)
+            elif isinstance(component, MptcpReceiver):
+                rec.add_rate_probe(f"goodput.{component.name}",
+                                   lambda: component.packets_delivered)
+
+        sim.on_register(watch)
+        rec.start()
+        recorders.append(rec)
+
+    return observe
+
+
 def _cmd_point(args) -> int:
     """Run one registered point function and print its row.  ``--trace``
-    runs it under the invariant monitor and streams every record of the
-    monitored bus as JSONL (``-``: to stdout, the table to stderr)."""
+    runs it under the invariant monitor and streams the monitored bus's
+    records as JSONL (``-``: to stdout, the table to stderr), only the
+    ``--events`` types if given; ``--series`` samples the run's
+    components (``.jsonl``: JSONL, else CSV; ``-``: CSV to stdout)."""
+    events = frozenset(e.strip() for e in (args.events or "").split(",")
+                       if e.strip())
+    unknown = sorted(events - set(EVENT_TYPES))
+    for failed, message in (
+        (args.trace == args.series == "-",
+         "--trace - and --series - cannot share stdout"),
+        (events and not args.trace,
+         "--events narrows --trace; name a trace file"),
+        (unknown, f"unknown event types: {', '.join(unknown)}"),
+    ):
+        if failed:
+            print(f"error: {message}", file=sys.stderr)
+            return 2
     spec = _point_spec(args)
-    to_stdout = args.trace == "-"
-    log = sys.stderr if to_stdout else sys.stdout
+    log = sys.stderr if "-" in (args.trace, args.series) else sys.stdout
     sink = bus = None
     if args.trace:
-        sink = JsonlSink(sys.stdout if to_stdout else args.trace)
-        bus = TraceBus(sinks=[sink], events=DEFAULT_EVENTS)
+        sink = JsonlSink(sys.stdout if args.trace == "-" else args.trace)
+        # The monitor needs every type it checks on the bus; --events
+        # narrows only what the file receives.
+        bus = TraceBus(sinks=[FilterSink(sink, events) if events else sink],
+                       events=DEFAULT_EVENTS | events)
+    recorders: list = []
+    observer = _series_observer(spec, recorders) if args.series else None
     try:
-        with trace_override(bus):
+        with trace_override(bus), observe_simulations(observer):
             row = point_function(spec.scenario)(spec)
     except InvariantViolation as exc:
         print(f"VIOLATION: {exc}", file=sys.stderr)
@@ -268,71 +320,18 @@ def _cmd_point(args) -> int:
     ), file=log)
     if sink is not None:
         print(f"wrote {sink.records_written} events"
-              + ("" if to_stdout else f" to {args.trace}"), file=log)
+              + ("" if args.trace == "-" else f" to {args.trace}"), file=log)
+    for rec in recorders:
+        write = rec.to_jsonl if args.series.endswith(".jsonl") else rec.to_csv
+        write(sys.stdout if args.series == "-" else args.series)
+        print(f"wrote {len(rec.rows)} samples x {len(rec.probe_names)} "
+              "probes" + ("" if args.series == "-" else f" to {args.series}"),
+              file=log)
     if row.get("delivery_gap"):
         print("FAIL: nonzero delivery gap — data acknowledged at "
               "connection level but never delivered in order",
               file=sys.stderr)
         return 1
-    return 0
-
-
-#: Scenarios the observability commands can build (small, fast shapes that
-#: cover single-path, multipath and wireless instrumentation).
-OBS_SCENARIOS = ("quickstart", "twolinks", "wireless")
-
-
-def _build_obs_scenario(sim: Simulation, scenario: str, algo: str):
-    """Build one of :data:`OBS_SCENARIOS`; returns (flows, queues)."""
-    if scenario in ("quickstart", "twolinks"):
-        sc = build_two_links(
-            sim, 1000.0, 1000.0, delay1=0.05, delay2=0.05,
-            buffer1_pkts=100, buffer2_pkts=100,
-        )
-        queues = [sc.net.link("s1", "d1").queue, sc.net.link("s2", "d2").queue]
-        flows = {}
-        if scenario == "quickstart":
-            # The examples/quickstart.py shape: a single-path TCP sharing
-            # link 1 with a two-path multipath flow.
-            tcp = make_flow(sim, sc.routes("link1"), "reno", name="tcp")
-            tcp.start()
-            flows["tcp"] = tcp
-        multi = make_flow(sim, sc.routes("multi"), algo, name="mptcp")
-        multi.start(at=0.1)
-        flows["mptcp"] = multi
-        return flows, queues
-    if scenario == "wireless":
-        wifi = build_wifi_path(sim)
-        threeg = build_3g_path(sim)
-        flow = make_flow(
-            sim, [wifi.route("m.wifi"), threeg.route("m.3g")], algo, name="m"
-        )
-        flow.start()
-        return {"m": flow}, [wifi.queue, threeg.queue]
-    raise ValueError(f"unknown scenario {scenario!r}")
-
-
-def _cmd_trace(args) -> int:
-    events = DEFAULT_EVENTS  # engine.event_fired is opt-in
-    if args.events:
-        events = {e.strip() for e in args.events.split(",") if e.strip()}
-        unknown = events - set(EVENT_TYPES)
-        if unknown:
-            print(f"unknown event types: {', '.join(sorted(unknown))}",
-                  file=sys.stderr)
-            return 2
-    to_stdout = args.out == "-"
-    sink = JsonlSink(sys.stdout if to_stdout else args.out)
-    bus = TraceBus(sinks=[sink], events=events)
-    sim = Simulation(seed=args.seed, trace=bus)
-    _build_obs_scenario(sim, args.scenario, args.algo)
-    sim.run_until(args.duration)
-    sim.finish()
-    bus.close()
-    log = sys.stderr if to_stdout else sys.stdout
-    print(f"wrote {sink.records_written} events "
-          f"({args.scenario}, {args.algo}, {args.duration:.0f}s simulated)"
-          + ("" if to_stdout else f" to {args.out}"), file=log)
     return 0
 
 
@@ -346,26 +345,6 @@ def _cmd_trace_validate(args) -> int:
         print(f"error: cannot read {args.path}: {exc.strerror}", file=sys.stderr)
         return 1
     print(f"OK: {count} events conform to the trace schema")
-    return 0
-
-
-def _cmd_series(args) -> int:
-    sim = Simulation(seed=args.seed)
-    flows, queues = _build_obs_scenario(sim, args.scenario, args.algo)
-    rec = standard_series(
-        sim, flows, queues=queues, interval=args.interval, warmup=args.warmup
-    )
-    sim.run_until(args.warmup + args.duration)
-    sim.finish()
-    to_stdout = args.out == "-"
-    target = sys.stdout if to_stdout else args.out
-    if args.format == "csv":
-        rec.to_csv(target)
-    else:
-        rec.to_jsonl(target)
-    log = sys.stderr if to_stdout else sys.stdout
-    print(f"wrote {len(rec.rows)} samples x {len(rec.probe_names)} probes"
-          + ("" if to_stdout else f" to {args.out}"), file=log)
     return 0
 
 
@@ -468,22 +447,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, metavar="PATH|-",
                    help="run under the invariant monitor and write its "
                         "trace records as JSONL ('-' for stdout)")
+    p.add_argument("--events", default=None, metavar="LIST",
+                   help="with --trace: comma-separated event types the "
+                        "file receives (the monitor still sees every type "
+                        "it checks; engine.event_fired turns on scheduler "
+                        "tracing)")
+    p.add_argument("--series", default=None, metavar="PATH|-",
+                   help="sample every queue depth and (sub)flow window, "
+                        "RTT and goodput 100 times after warm-up; JSONL "
+                        "for a .jsonl path, else CSV ('-' for stdout)")
     p.set_defaults(func=_cmd_point)
-
-    p = sub.add_parser(
-        "trace", help="run a scenario with event tracing, emit JSONL"
-    )
-    p.add_argument("--scenario", choices=OBS_SCENARIOS, default="quickstart")
-    p.add_argument("--algo", default="mptcp", choices=sorted(ALGORITHMS))
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--duration", type=float, default=10.0,
-                   help="simulated seconds to trace")
-    p.add_argument("--out", default="-",
-                   help="output JSONL path ('-' for stdout)")
-    p.add_argument("--events", default=None,
-                   help="comma-separated event types to record (default: "
-                        "all except engine.event_fired)")
-    p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser(
         "trace-validate",
@@ -492,20 +465,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("path", help="JSONL trace file to check")
     p.set_defaults(func=_cmd_trace_validate)
 
-    p = sub.add_parser(
-        "series", help="record per-flow/per-queue time series (CSV/JSONL)"
-    )
-    p.add_argument("--scenario", choices=OBS_SCENARIOS, default="quickstart")
-    p.add_argument("--algo", default="mptcp", choices=sorted(ALGORITHMS))
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--warmup", type=float, default=20.0)
-    p.add_argument("--duration", type=float, default=60.0)
-    p.add_argument("--interval", type=float, default=1.0,
-                   help="sampling period, simulated seconds")
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-    p.add_argument("--out", default="-",
-                   help="output path ('-' for stdout)")
-    p.set_defaults(func=_cmd_series)
     return parser
 
 

@@ -33,6 +33,7 @@ from ..check.hooks import CheckContext
 from ..core.registry import make_controller
 from ..harness.datacenter import measure_matrix, start_matrix
 from ..harness.experiment import jain_index, make_flow, measure
+from ..mptcp.connection import MptcpFlow
 from ..net.network import mbps_to_pps, pps_to_mbps
 from ..net.packet import MSS_BYTES
 from ..net.pipe import LossyPipe
@@ -862,18 +863,25 @@ def datacenter(spec: ScenarioSpec) -> dict:
         sim, fabric.net, pairs, algo, path_count=paths, bcube=bcube
     )
     ctx.arm()
-    run = measure_matrix(
-        sim, fabric.net, flows, sources, warmup=spec.warmup,
+    flow_rates, link_loss = measure_matrix(
+        sim, fabric.net, flows, warmup=spec.warmup,
         duration=spec.duration * 3 / 5 if pattern == "TP2" else spec.duration,
-        host_link_rate=rate,
     )
-    rates = run.sorted_rates()
+    # The §4 tables count per-host throughput: a TP2 host's 12 flows
+    # count together.
+    per_host: Dict[str, float] = {}
+    for name, flow_rate in flow_rates.items():
+        per_host[sources[name]] = per_host.get(sources[name], 0.0) + flow_rate
+    rates = sorted(flow_rates.values())
     return ctx.finish({
-        "util_pct": 100.0 * run.mean_utilisation(),
+        "util_pct": 100.0 * (sum(per_host.values()) / len(per_host) / rate),
         "jain": jain_index(rates),
         "rate_quartiles": _quartiles(rates),
-        "loss_quartiles": _quartiles(run.sorted_losses()),
-        "max_subflows": run.max_subflows,
+        "loss_quartiles": _quartiles(sorted(link_loss.values())),
+        "max_subflows": max(
+            len(f.subflows) if isinstance(f, MptcpFlow) else 1
+            for f in flows.values()
+        ),
     })
 
 

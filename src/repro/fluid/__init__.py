@@ -11,7 +11,6 @@ _EXPORTS = {
     "coupled_windows": ".throughput",
     "equilibrium_windows": ".dynamics",
     "ewtcp_windows": ".throughput",
-    "fairness_report": ".fairness",
     "integrate_rates_coupled": ".dynamics",
     "integrate_windows": ".dynamics",
     "mptcp_equilibrium_windows": ".throughput",

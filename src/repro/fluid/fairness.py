@@ -22,7 +22,6 @@ __all__ = [
     "tcp_reference_windows",
     "satisfies_goal_3",
     "satisfies_goal_4",
-    "fairness_report",
 ]
 
 
@@ -72,19 +71,3 @@ def satisfies_goal_4(
         if taken > allowed * (1.0 + slack):
             return False
     return True
-
-
-def fairness_report(
-    windows: Sequence[float],
-    rtts: Sequence[float],
-    losses: Sequence[float],
-) -> dict:
-    """Both goals plus the headline numbers, for logging in experiments."""
-    rates = _rates(windows, rtts)
-    tcp_rates = _rates(tcp_reference_windows(losses), rtts)
-    return {
-        "total_rate": sum(rates),
-        "best_tcp_rate": max(tcp_rates),
-        "goal3": satisfies_goal_3(windows, rtts, losses),
-        "goal4": satisfies_goal_4(windows, rtts, losses),
-    }

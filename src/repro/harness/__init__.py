@@ -5,7 +5,6 @@ from .._exports import lazy_exports
 
 #: Public name -> the submodule defining it (loaded on first use).
 _EXPORTS = {
-    "DataCenterRun": ".datacenter",
     "Measurement": ".experiment",
     "Table": ".table",
     "ascii_bars": ".plotting",
@@ -13,9 +12,7 @@ _EXPORTS = {
     "format_value": ".table",
     "jain_index": ".experiment",
     "make_flow": ".experiment",
-    "run_matrix": ".datacenter",
     "measure": ".experiment",
-    "standard_series": ".experiment",
 }
 
 __all__ = list(_EXPORTS)

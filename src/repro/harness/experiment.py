@@ -9,8 +9,7 @@ window.  :func:`make_flow` and :func:`measure` capture that shape, and
 
 from __future__ import annotations
 
-from typing import (TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence,
-                    Union)
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..core.registry import make_controller
 from ..mptcp.connection import MptcpFlow
@@ -18,11 +17,7 @@ from ..net.route import Route
 from ..sim.simulation import Simulation
 from ..tcp.sender import TcpFlow
 
-if TYPE_CHECKING:
-    from ..obs.series import SeriesRecorder
-
-__all__ = ["jain_index", "make_flow", "measure", "standard_series",
-           "Measurement"]
+__all__ = ["jain_index", "make_flow", "measure", "Measurement"]
 
 Flow = Union[TcpFlow, MptcpFlow]
 
@@ -68,46 +63,6 @@ class Measurement:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         shown = {k: round(v, 1) for k, v in self.rates.items()}
         return f"Measurement({shown})"
-
-
-def standard_series(
-    sim: Simulation,
-    flows: Dict[str, Flow],
-    queues: Iterable = (),
-    interval: float = 1.0,
-    warmup: float = 0.0,
-) -> SeriesRecorder:
-    """Build (and start) a :class:`~repro.obs.series.SeriesRecorder` with
-    the standard probe set every scenario wants:
-
-    * ``goodput.<flow>`` — in-order deliveries per second, per flow;
-    * ``cwnd.<flow>[.sfN]`` / ``rtt.<flow>[.sfN]`` — congestion window
-      (packets) and smoothed RTT (seconds) per (sub)flow;
-    * ``qdepth.<queue.name>`` — occupancy (packets) for each queue passed.
-
-    The recorder is already started; run the simulation, then export with
-    ``rec.to_csv(...)`` / ``rec.to_jsonl(...)``.
-    """
-    from ..obs.series import (SeriesRecorder, cwnd_probe, queue_depth_probe,
-                              rtt_probe)
-
-    rec = SeriesRecorder(sim, interval=interval, warmup=warmup)
-    for name, flow in flows.items():
-        rec.add_rate_probe(
-            f"goodput.{name}", lambda flow=flow: flow.packets_delivered
-        )
-        if isinstance(flow, MptcpFlow):
-            for i, subflow in enumerate(flow.subflows):
-                rec.add_probe(f"cwnd.{name}.sf{i}", cwnd_probe(subflow))
-                rec.add_probe(f"rtt.{name}.sf{i}", rtt_probe(subflow))
-        else:
-            rec.add_probe(f"cwnd.{name}", cwnd_probe(flow.sender))
-            rec.add_probe(f"rtt.{name}", rtt_probe(flow.sender))
-    for queue in queues:
-        label = queue.name or f"q{id(queue):x}"
-        rec.add_probe(f"qdepth.{label}", queue_depth_probe(queue))
-    rec.start()
-    return rec
 
 
 def measure(

@@ -6,7 +6,8 @@ Two sinks cover the common cases:
   interactive inspection.
 * :class:`JsonlSink` — streams one JSON object per line to a file, the
   interchange format documented in ``docs/OBSERVABILITY.md`` (and what
-  ``python -m repro trace`` writes).
+  ``python -m repro point --trace`` writes, through a
+  :class:`FilterSink` when ``--events`` narrows it).
 
 A sink is anything with ``write(record)``, ``flush()`` and ``close()``;
 ``record`` is a plain dict owned by the bus — sinks that keep it beyond the

@@ -94,6 +94,17 @@ class TestFixtureWiring:
         with pytest.raises(ValueError, match="TraceBus"):
             InvariantMonitor().attach(Simulation(seed=1))
 
+    def test_attach_refuses_a_bus_that_hides_checked_types(self):
+        # A bus filtered to pkt.drop used to starve a check=1 point's
+        # monitor silently: it ran about a ninth of its checks.
+        hidden = "cc.cwnd_update, mptcp.dsn_ack, pkt.deliver, pkt.enqueue"
+        narrow = TraceBus(events={"pkt.drop"})
+        with pytest.raises(ValueError, match=hidden):
+            InvariantMonitor().attach(Simulation(seed=1, trace=narrow))
+        with trace_override(TraceBus(events={"pkt.drop"})):
+            with pytest.raises(ValueError, match=hidden):
+                execute_task(TaskSpec(0, PINNED_SPEC))
+
 
 class TestCleanRunsSatisfyInvariants:
     def test_multipath_with_shared_buffer_flow_control(self, sim):
@@ -628,6 +639,21 @@ class TestTraceOverride:
                 assert runs() == [1, 2]
             assert runs() == [2, 2]
         assert runs() == [2, 2]  # no override left: a private bus
+
+    def test_observe_simulations_sees_each_sim_and_blocks_nest(self):
+        outer, inner = [], []
+
+        def build():
+            return hooks.CheckContext.from_spec(PINNED_SPEC).simulation()
+
+        with hooks.observe_simulations(outer.append):
+            first = build()
+            with hooks.observe_simulations(None):
+                second = build()
+            with hooks.observe_simulations(inner.append):
+                third = build()
+        build()  # no observer left
+        assert outer == [first, second, third] and inner == [third]
 
 
 class TestCheckBudget:

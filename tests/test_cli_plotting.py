@@ -59,10 +59,12 @@ class TestCli:
 
     def test_deleted_commands_are_invalid_choices(self, capsys):
         # The rt handover is `point wifi_3g_handover --param tier=rt`; a
-        # farm grid is `sweep <grid> --farm DIR`.
+        # farm grid is `sweep <grid> --farm DIR`; any point is traced or
+        # sampled with `point <scenario> --trace/--events/--series`.
         for argv in (["bottleneck"], ["twolinks"], ["wireless"], ["torus"],
                      ["fattree"], ["check"], ["handover"], ["rt"],
-                     ["point", "rt_handover"], ["farm", "serve"]):
+                     ["point", "rt_handover"], ["farm", "serve"],
+                     ["trace"], ["series"]):
             with pytest.raises(SystemExit) as excinfo:
                 main(argv)
             assert excinfo.value.code == 2

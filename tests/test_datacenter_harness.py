@@ -1,11 +1,23 @@
-"""Tests for the data-center experiment runner (small fabrics)."""
+"""Tests for the data-center traffic matrices (small fabrics)."""
 
-import pytest
-
-from repro.harness.datacenter import run_matrix
+from repro.harness.datacenter import measure_matrix, start_matrix
 from repro.sim.simulation import Simulation
 from repro.topology import BCube, FatTree
 from repro.traffic import permutation_matrix
+
+
+def _run(sim, net, pairs, algorithm, paths, duration, bcube=None):
+    """Start and measure one matrix; returns per-flow rates, per-link loss
+    and mean per-host goodput as a fraction of a 500 pkt/s NIC."""
+    flows, sources = start_matrix(
+        sim, net, pairs, algorithm, path_count=paths, bcube=bcube
+    )
+    rates, loss = measure_matrix(sim, net, flows, warmup=2.0,
+                                 duration=duration)
+    per_host = {}
+    for name, rate in rates.items():
+        per_host[sources[name]] = per_host.get(sources[name], 0.0) + rate
+    return rates, loss, sum(per_host.values()) / len(per_host) / 500.0
 
 
 class TestRunMatrixFatTree:
@@ -13,36 +25,25 @@ class TestRunMatrixFatTree:
         sim = Simulation(seed=seed)
         ft = FatTree.build(sim, k=4, rate_pps=500.0, buffer_pkts=50)
         pairs = permutation_matrix(ft.hosts, sim.rng)
-        return run_matrix(
-            sim, ft.net, pairs, algorithm,
-            path_count=paths, warmup=2.0, duration=3.0,
-            host_link_rate=500.0,
-        )
+        return _run(sim, ft.net, pairs, algorithm, paths, duration=3.0)
 
     def test_one_flow_per_pair(self):
-        run = self._run("single", 1)
-        assert len(run.flow_rates) == 16
+        rates, _, _ = self._run("single", 1)
+        assert len(rates) == 16
 
     def test_multipath_beats_single_path_ecmp(self):
-        single = self._run("single", 1)
-        multi = self._run("mptcp", 4)
-        assert multi.mean_utilisation() > single.mean_utilisation()
+        _, _, single = self._run("single", 1)
+        _, _, multi = self._run("mptcp", 4)
+        assert multi > single
 
     def test_utilisation_bounded_by_nic(self):
-        run = self._run("mptcp", 4)
-        assert 0.0 < run.mean_utilisation() <= 1.05
+        _, _, utilisation = self._run("mptcp", 4)
+        assert 0.0 < utilisation <= 1.05
 
     def test_link_loss_reported_for_busy_links(self):
-        run = self._run("single", 1)
-        assert run.link_loss  # at least the congested links report
-        assert all(0.0 <= v < 1.0 for v in run.link_loss.values())
-
-    def test_sorted_accessors(self):
-        run = self._run("mptcp", 4)
-        rates = run.sorted_rates()
-        assert rates == sorted(rates)
-        losses = run.sorted_losses()
-        assert losses == sorted(losses)
+        _, loss, _ = self._run("single", 1)
+        assert loss  # at least the congested links report
+        assert all(0.0 <= v < 1.0 for v in loss.values())
 
 
 class TestRunMatrixBCube:
@@ -50,14 +51,12 @@ class TestRunMatrixBCube:
         sim = Simulation(seed=6)
         bc = BCube.build(sim, n=3, k=1, rate_pps=500.0, buffer_pkts=50)
         pairs = permutation_matrix(bc.hosts, sim.rng)
-        run = run_matrix(
-            sim, bc.net, pairs, "mptcp",
-            path_count=2, warmup=2.0, duration=3.0,
-            host_link_rate=500.0, bcube=bc,
+        rates, _, utilisation = _run(
+            sim, bc.net, pairs, "mptcp", 2, duration=3.0, bcube=bc
         )
-        assert len(run.flow_rates) == 9
+        assert len(rates) == 9
         # Multipath over 2 interfaces can exceed one NIC's rate per host.
-        assert run.mean_utilisation() > 0.3
+        assert utilisation > 0.3
 
     def test_bcube_multipath_uses_multiple_interfaces(self):
         """Sparse traffic: a BCube host's multipath flow exceeds what a
@@ -65,10 +64,8 @@ class TestRunMatrixBCube:
         sim = Simulation(seed=7)
         bc = BCube.build(sim, n=3, k=1, rate_pps=500.0, buffer_pkts=50)
         pairs = [(bc.hosts[0], bc.hosts[4])]
-        run = run_matrix(
-            sim, bc.net, pairs, "mptcp",
-            path_count=2, warmup=2.0, duration=4.0,
-            host_link_rate=500.0, bcube=bc,
+        rates, _, _ = _run(
+            sim, bc.net, pairs, "mptcp", 2, duration=4.0, bcube=bc
         )
-        only_rate = list(run.flow_rates.values())[0]
+        only_rate = list(rates.values())[0]
         assert only_rate > 1.2 * 500.0

@@ -1,15 +1,15 @@
-"""Unit tests for the time-series recorder and the standard probe set."""
+"""Unit tests for the time-series recorder and ``repro point --series``."""
 
+import csv
 import io
 import json
 
 import pytest
 
-from repro.harness.experiment import make_flow, standard_series
+from repro.cli import main
 from repro.net.queue import DropTailQueue
 from repro.obs import SeriesRecorder, cwnd_probe, queue_depth_probe, rtt_probe
 from repro.sim.simulation import Simulation
-from repro.topology import build_two_links
 
 pytestmark = pytest.mark.obs
 
@@ -119,25 +119,46 @@ class TestSeriesRecorder:
 
 
 class TestStandardSeries:
-    def test_standard_probes_for_mixed_flows(self):
-        sim = Simulation(seed=2)
-        sc = build_two_links(sim, 300.0, 300.0)
-        tcp = make_flow(sim, sc.routes("link1"), "reno", name="t")
-        multi = make_flow(sim, sc.routes("multi"), "mptcp", name="m")
-        tcp.start()
-        multi.start()
-        queues = [sc.net.link("s1", "d1").queue, sc.net.link("s2", "d2").queue]
-        rec = standard_series(
-            sim, {"t": tcp, "m": multi}, queues=queues,
-            interval=0.5, warmup=1.0,
-        )
-        sim.run_until(4.0)
-        assert set(rec.probe_names) == {
-            "goodput.t", "cwnd.t", "rtt.t",
-            "goodput.m", "cwnd.m.sf0", "rtt.m.sf0", "cwnd.m.sf1",
-            "rtt.m.sf1", "qdepth.s1->d1", "qdepth.s2->d2",
-        }
-        assert rec.mean("goodput.m") > 0
-        assert rec.mean("cwnd.m.sf0") >= 1.0
-        times, _ = rec.series("goodput.t")
-        assert all(t > 1.0 for t in times)
+    """``repro point --series``: every queue, sender and multipath
+    receiver a registered point builds, sampled 100 times after warm-up."""
+
+    WINDOWS = ["--warmup", "1", "--duration", "3"]
+
+    def test_standard_probes_for_mixed_flows(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        assert main(["point", "two_links", "--param", "cross=tcp",
+                     *self.WINDOWS, "--series", str(path)]) == 0
+        assert f"to {path}" in capsys.readouterr().out
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {"goodput.m.rx", "cwnd.m.sf0", "rtt.m.sf1", "cwnd.S1",
+                "qdepth.s1->d1"} <= set(rows[0])
+        assert 95 <= len(rows) <= 101
+        assert all(float(row["t"]) > 1.0 for row in rows)
+        assert max(float(row["goodput.m.rx"]) for row in rows) > 0
+        assert min(float(row["cwnd.m.sf0"]) for row in rows) >= 1.0
+
+    def test_a_subflow_joined_mid_run_is_empty_before_it_joined(
+            self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        assert main(["point", "wifi_3g_handover", *self.WINDOWS,
+                     "--series", str(path)]) == 0
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        cells = [row["cwnd.m.wifi.j2"] for row in rows]
+        joined = next(i for i, cell in enumerate(cells) if cell is not None)
+        assert 0 < joined and all(cell is not None for cell in cells[joined:])
+
+    def test_the_row_is_the_same_with_and_without_a_series(
+            self, tmp_path, capsys):
+        argv = ["point", "torus_balance", *self.WINDOWS]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main([*argv, "--series", "-"]) == 0
+        sampled = capsys.readouterr()
+        assert sampled.err.startswith(plain)
+        assert sampled.out.startswith("t,qdepth.")
+
+    def test_stdout_is_for_one_of_trace_and_series(self, capsys):
+        assert main(["point", "two_links", "--trace", "-",
+                     "--series", "-"]) == 2
+        assert "stdout" in capsys.readouterr().err

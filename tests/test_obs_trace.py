@@ -14,6 +14,9 @@ import pathlib
 
 import pytest
 
+from repro.check import trace_override
+from repro.cli import main
+from repro.exp import ScenarioSpec, point_function
 from repro.harness.experiment import make_flow
 from repro.obs import (
     DEFAULT_EVENTS,
@@ -395,3 +398,50 @@ class TestColumnarSink:
             {"ev": "x", "t": 0.5, "i": 1, "b": None},
             {"ev": "x", "t": 1.0, "i": 2, "a": 2, "b": 3},
         ]
+
+
+class TestPointEvents:
+    """``repro point --trace F --events LIST``: the file receives only the
+    listed types, while the monitor keeps every type it checks."""
+
+    SPEC = ScenarioSpec(
+        "torus_balance", seed=1, warmup=0.5, duration=1.0,
+        params={"algo": "lia", "capacity_c": 250.0, "check": 1},
+    )
+    ARGV = ["point", "torus_balance", "--seed", "1", "--warmup", "0.5",
+            "--duration", "1", "--param", "algo=lia",
+            "--param", "capacity_c=250"]
+
+    def test_the_file_holds_only_the_listed_types(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        assert main([*self.ARGV, "--trace", str(path),
+                     "--events", "engine.event_fired,pkt.drop"]) == 0
+        assert validate_jsonl(str(path)) > 0
+        with open(path, encoding="utf-8") as fh:
+            types = {json.loads(line)["ev"] for line in fh}
+        assert types == {"engine.event_fired", "pkt.drop"}
+
+    def test_the_monitor_sees_every_record_it_checks(self, tmp_path):
+        memory = MemorySink()
+        with trace_override(TraceBus(sinks=[memory], events=DEFAULT_EVENTS)):
+            point_function("torus_balance")(self.SPEC)
+        path = tmp_path / "t.jsonl"
+        assert main([*self.ARGV, "--trace", str(path),
+                     "--events", "pkt.drop,check.stats"]) == 0
+        with open(path, encoding="utf-8") as fh:
+            narrowed = [json.loads(line) for line in fh]
+        stats = [r for r in narrowed if r["ev"] == "check.stats"]
+        expected = memory.of_type("check.stats")
+        assert len(stats) == len(expected) == 1
+        assert {k: stats[0][k] for k in ("events", "checks")} == {
+            k: expected[0][k] for k in ("events", "checks")}
+        assert len(narrowed) - 1 == len(memory.of_type("pkt.drop")) > 0
+
+    def test_an_unknown_type_exits_2_and_creates_no_file(
+            self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        assert main([*self.ARGV, "--trace", str(path),
+                     "--events", "pkt.drop,bogus"]) == 2
+        assert "bogus" in capsys.readouterr().err
+        assert not path.exists()
+        assert main([*self.ARGV, "--events", "pkt.drop"]) == 2

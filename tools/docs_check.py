@@ -39,10 +39,13 @@ Two checks keep ``docs/*.md`` from silently rotting:
    every grid that carries claims (:data:`repro.exp.paper.CLAIMS`).
    Likewise every ``make <target>`` and ``python -m repro <sub>`` (or
    backquoted ``repro <sub>``) named in the docs, README.md, EXPERIMENTS.md,
-   DESIGN.md or the Makefile's header must be a Makefile rule / a
-   subcommand of :func:`repro.cli._build_parser` (and ``repro farm
-   <sub>`` one of its farm subcommands), so a command cannot be deleted
-   while a doc still tells the reader to run it.
+   DESIGN.md, the verify skill (``.claude/skills/verify/SKILL.md``) or
+   the Makefile's header must be a Makefile rule / a subcommand of
+   :func:`repro.cli._build_parser` (and ``repro farm <sub>`` one of its
+   farm subcommands), and every ``--flag`` a command in code written
+   after ``repro <sub>`` passes must be an option of that subparser, so
+   a command or an option cannot be deleted while a doc still tells the
+   reader to use it.
 
 Run from the repository root::
 
@@ -248,6 +251,8 @@ def check_commands(repo: pathlib.Path, paths: List[pathlib.Path]) -> List[str]:
 
     subcommands = choices(_build_parser())
     farm_subcommands = choices(subcommands["farm"])
+    parsers = {**subcommands, **{f"farm {name}": parser for name, parser
+                                 in farm_subcommands.items()}}
     makefile = (repo / "Makefile").read_text(encoding="utf-8")
     targets = set(re.findall(r"^([a-z][\w-]*):", makefile, re.M))
     errors: List[str] = []
@@ -263,6 +268,26 @@ def check_commands(repo: pathlib.Path, paths: List[pathlib.Path]) -> List[str]:
         for name in sorted(set(named) - set(farm_subcommands)):
             errors.append(f"{label}: `repro farm {name}` is not a farm "
                           f"subcommand of repro.cli")
+        # A command in code: a fenced line (backslash continuations
+        # joined) or a whole inline span, cut at shell separators.
+        commands = []
+        for unit in re.findall(r"```.*?```|`[^`]+`", text, re.S):
+            lines = (unit.replace("\\\n", " ").splitlines()
+                     if unit.startswith("```") else [unit.replace("\n", " ")])
+            for line in lines:
+                commands.extend(re.split(r"\s(?:\||;|&&|#)", line))
+        for command in commands:
+            match = re.search(
+                r"(?:python3? -m |^`?)repro ((?:farm )?[a-z][\w-]*)(.*)",
+                command)
+            if match is None or match[1] not in parsers:
+                continue
+            known = parsers[match[1]]._option_string_actions
+            for flag in re.findall(r"(?<![\w-])--[a-z][\w-]*", match[2]):
+                error = (f"{label}: `repro {match[1]} {flag}`: {flag} is "
+                         "not an option of that subcommand")
+                if flag not in known and error not in errors:
+                    errors.append(error)
 
     # The Makefile header names a target at the start of a comment line,
     # markdown in code (`make x`, or a fenced block); prose such as "make
@@ -302,7 +327,8 @@ def main() -> int:
     errors.extend(check_scenario_names(docs + [repo / "README.md"]))
     errors.extend(check_reproduction_table(repo))
     errors.extend(check_commands(repo, docs + [
-        repo / name for name in ("README.md", "EXPERIMENTS.md", "DESIGN.md")]))
+        repo / name for name in ("README.md", "EXPERIMENTS.md", "DESIGN.md",
+                                 ".claude/skills/verify/SKILL.md")]))
 
     if errors:
         print(f"\ndocs-check FAILED ({len(errors)} error(s)):",
