@@ -14,7 +14,7 @@ Run:  python examples/algorithm_tour.py
 
 from repro import Simulation, make_flow, measure
 from repro.harness.plotting import ascii_bars
-from repro.net import DropTailQueue, LossyPipe, Route
+from repro.net import DropTailQueue, Pipe, Route
 
 
 def paths(sim):
@@ -22,7 +22,7 @@ def paths(sim):
     routes = []
     for i, (rtt, loss) in enumerate(((0.02, 0.0016), (0.2, 0.0004))):
         q = DropTailQueue(sim, 20000.0, 10**6, name=f"q{i}", jitter=0.0)
-        lp = LossyPipe(sim, rtt / 2, loss, name=f"lp{i}")
+        lp = Pipe(sim, rtt / 2, name=f"lp{i}", loss_prob=loss)
         routes.append(Route(sim, [q, lp], reverse_delay=rtt / 2, name=f"p{i}"))
     return routes
 

@@ -36,13 +36,11 @@ from ..harness.experiment import jain_index, make_flow, measure
 from ..mptcp.connection import MptcpFlow
 from ..net.network import mbps_to_pps, pps_to_mbps
 from ..net.packet import MSS_BYTES
-from ..net.pipe import LossyPipe
-from ..net.queue import DropTailQueue
-from ..net.route import Route
 from ..topology.bcube import BCube
 from ..topology.fattree import FatTree
 from ..topology.scenarios import (
     build_chain,
+    build_fixed_loss_route,
     build_shared_bottleneck,
     build_triangle,
     build_two_links,
@@ -357,18 +355,6 @@ def fig3_claims(rows: List[dict]) -> None:
 # §2.3 Fig 4 and §2.4's SEMICOUPLED split: fixed-loss paths
 # ---------------------------------------------------------------------
 
-def _lossy_route(sim, loss_prob: float, rtt: float, name: str) -> Route:
-    """A fixed-loss, congestion-free route (validates balance formulas);
-    the service rate is finite so a loss-free flow cannot grow without
-    bound."""
-    queue = DropTailQueue(
-        sim, rate_pps=2e4, capacity=10**6, name=f"{name}.q", jitter=0.0
-    )
-    pipe = LossyPipe(sim, delay=rtt / 2.0, loss_prob=loss_prob,
-                     name=f"{name}.p")
-    return Route(sim, [queue, pipe], reverse_delay=rtt / 2.0, name=name)
-
-
 def fixed_loss_paths(spec: ScenarioSpec) -> dict:
     """One flow over paths of fixed loss rate and RTT, no congestion.
 
@@ -383,7 +369,7 @@ def fixed_loss_paths(spec: ScenarioSpec) -> dict:
     ctx = CheckContext.from_spec(spec)
     sim = ctx.simulation()
     routes = [
-        _lossy_route(sim, loss, rtt, name=f"path{i}")
+        build_fixed_loss_route(sim, loss, rtt, name=f"path{i}")
         for i, (loss, rtt) in enumerate(zip(
             p.get("losses", [0.001, 0.001]), p.get("rtts", [0.1, 0.1])
         ))

@@ -195,7 +195,8 @@ class Runner:
         The result store is the caller's cache (or lives in the farm
         directory), so a previously interrupted run over the same
         ``farm=`` resumes instead of recomputing.  If no worker process
-        can be started, ``raw`` is left for the in-process loop to fill.
+        can be started, ``raw`` is left for the in-process loop to fill
+        — unless ``timeout`` is set, which that loop cannot enforce.
         """
         if not tasks:
             return
@@ -215,8 +216,12 @@ class Runner:
                 max_failures=self.retries,
                 timeout=self.timeout,
             )
-        except WorkerStartError:
-            return
+        except WorkerStartError as exc:
+            if self.timeout is None:
+                return
+            raise WorkerStartError(
+                f"{exc}; timeout={self.timeout!r} cannot be enforced in "
+                "process, so the grid is not run without it") from exc
         finally:
             if self.farm is None:
                 shutil.rmtree(root, ignore_errors=True)

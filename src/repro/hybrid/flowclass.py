@@ -11,8 +11,9 @@ class sees the links' loss and queueing delay in return (see
 :class:`repro.hybrid.links.HybridLink`).
 
 The per-path loss a class reacts to combines the path's intrinsic random
-loss (``extra_loss``, extracted from :class:`~repro.net.pipe.LossyPipe`
-elements so the fixed-loss validation routes work unchanged) with the
+loss (``extra_loss``, the ``loss_prob`` of the path's
+:class:`~repro.net.pipe.Pipe` elements, so the fixed-loss validation
+routes work unchanged) with the
 congestion loss of every fluid link on the path; the effective RTT adds
 the links' fluid queueing delay to the propagation floor.
 """

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..net.pipe import LossyPipe
+from ..net.pipe import Pipe
 from ..net.route import Route
 from ..sim.simulation import Simulation
 from .flowclass import ClassPath, FlowClass
@@ -96,8 +96,9 @@ class HybridSimulation(Simulation):
         wrapped as hybrid links (shared with every other class and with
         the tracer flows), its propagation RTT becomes the path's base
         RTT (scaled by ``rtt_scale``, the hook for deterministic
-        per-class RTT diversity), and any :class:`~repro.net.pipe.
-        LossyPipe` on the path contributes intrinsic random loss.
+        per-class RTT diversity), and the ``loss_prob`` of each
+        :class:`~repro.net.pipe.Pipe` on the path contributes intrinsic
+        random loss.
         """
         if rtt_scale <= 0:
             raise ValueError(f"rtt_scale must be positive, got {rtt_scale!r}")
@@ -106,7 +107,7 @@ class HybridSimulation(Simulation):
             links = [self.hybrid_link(q) for q in route.queues]
             survive = 1.0
             for elem in route.elements:
-                if isinstance(elem, LossyPipe):
+                if isinstance(elem, Pipe):
                     survive *= 1.0 - elem.loss_prob
             paths.append(ClassPath(
                 links,

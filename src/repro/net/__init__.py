@@ -10,13 +10,11 @@ _EXPORTS = {
     "DataPacket": ".packet",
     "DropTailQueue": ".queue",
     "Link": ".network",
-    "LossyPipe": ".pipe",
     "Network": ".network",
     "Packet": ".packet",
     "Pipe": ".pipe",
     "Route": ".route",
     "SequenceRandomizingFirewall": ".middlebox",
-    "VariableRateQueue": ".queue",
     "mbps_to_pps": ".network",
     "pps_to_mbps": ".network",
 }

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..sim.simulation import Simulation
 from .packet import MSS_BYTES
 from .pipe import Pipe
-from .queue import DropTailQueue, VariableRateQueue
+from .queue import DropTailQueue
 from .route import Route
 
 __all__ = ["Network", "Link", "mbps_to_pps", "pps_to_mbps"]
@@ -87,28 +87,21 @@ class Network:
         delay: float,
         buffer_pkts: int,
         bidirectional: bool = True,
-        variable: bool = False,
     ) -> Link:
         """Create a link (and its reverse twin unless ``bidirectional=False``).
 
-        ``variable=True`` builds a :class:`VariableRateQueue` so the link's
-        capacity can be changed at run time (wireless scenarios).
-
         Returns the forward :class:`Link`.
         """
-        link = self._add_one_way(src, dst, rate_pps, delay, buffer_pkts, variable)
+        link = self._add_one_way(src, dst, rate_pps, delay, buffer_pkts)
         if bidirectional:
-            self._add_one_way(dst, src, rate_pps, delay, buffer_pkts, variable)
+            self._add_one_way(dst, src, rate_pps, delay, buffer_pkts)
         return link
 
-    def _add_one_way(
-        self, src, dst, rate_pps, delay, buffer_pkts, variable
-    ) -> Link:
+    def _add_one_way(self, src, dst, rate_pps, delay, buffer_pkts) -> Link:
         key = (src, dst)
         if key in self.links:
             raise ValueError(f"link {src}->{dst} already exists")
-        queue_cls = VariableRateQueue if variable else DropTailQueue
-        queue = queue_cls(self.sim, rate_pps, buffer_pkts, name=f"{src}->{dst}")
+        queue = DropTailQueue(self.sim, rate_pps, buffer_pkts, name=f"{src}->{dst}")
         pipe = Pipe(self.sim, delay, name=f"{src}->{dst}.pipe")
         link = Link(src, dst, queue, pipe)
         self.links[key] = link

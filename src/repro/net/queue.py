@@ -6,9 +6,9 @@ are queued, exactly like the output buffer of a router interface.  Losses in
 the simulated networks arise from these overflows, as in the paper's
 simulator.
 
-:class:`VariableRateQueue` extends this with run-time rate changes and
-outages, used for the wireless-client scenarios (§5) where link capacity
-varies as the user moves.
+The rate can change at run time (:meth:`DropTailQueue.set_rate`), and a
+rate of 0 is a coverage outage: the wireless-client scenarios (§5) vary a
+link's capacity as the user moves.
 """
 
 from __future__ import annotations
@@ -19,18 +19,19 @@ from typing import Callable, Optional
 from ..sim.simulation import Simulation
 from .packet import Packet
 
-__all__ = ["DropTailQueue", "VariableRateQueue"]
+__all__ = ["DropTailQueue"]
 
 
 class DropTailQueue:
-    """FIFO queue with finite buffer and fixed service rate.
+    """FIFO queue with finite buffer and a service rate.
 
     Parameters
     ----------
     sim:
         Owning simulation.
     rate_pps:
-        Service rate in full-sized packets per second.
+        Service rate in full-sized packets per second; 0 builds the queue
+        stalled (see :meth:`set_rate`).
     capacity:
         Buffer size in packets (counts packets queued, including the one in
         transmission).
@@ -46,10 +47,6 @@ class DropTailQueue:
     #: creates, which would skew drop-tail losses towards whichever flow
     #: grew its window that round-trip.
     DEFAULT_JITTER = 0.05
-
-    #: Subclasses that support a stalled (rate 0) state relax the
-    #: constructor's positive-rate validation.
-    _allow_stalled = False
 
     __slots__ = (
         "sim",
@@ -81,8 +78,8 @@ class DropTailQueue:
         jitter: Optional[float] = None,
         trace=None,
     ):
-        if rate_pps <= 0 and not (self._allow_stalled and rate_pps == 0):
-            raise ValueError(f"queue rate must be positive, got {rate_pps!r}")
+        if not rate_pps >= 0:
+            raise ValueError(f"queue rate must be >= 0, got {rate_pps!r}")
         if capacity < 1:
             raise ValueError(f"queue capacity must be >= 1, got {capacity!r}")
         self.sim = sim
@@ -172,7 +169,7 @@ class DropTailQueue:
         self._buffer.append(packet)
         if self.trace.enabled:
             self._trace_enqueue(packet)
-        if not self._busy:
+        if not self._busy and self.rate_pps:
             # _start_service inlined: an idle queue serves the arrival.
             self._busy = True
             service = packet.size / self.rate_pps
@@ -206,6 +203,19 @@ class DropTailQueue:
         if self.drop_hook is not None:
             self.drop_hook(packet)
 
+    def set_rate(self, rate_pps: float) -> None:
+        """Change the service rate; 0 (or negative) stalls the queue.
+
+        A stalled queue still buffers arrivals (up to capacity) but serves
+        nothing until the rate becomes positive again.  The change takes
+        effect from the next packet; the packet in transmission completes
+        at its old rate.
+        """
+        was_stalled = not self.rate_pps
+        self.rate_pps = max(0.0, float(rate_pps))
+        if was_stalled and self.rate_pps and self._buffer and not self._busy:
+            self._start_service()
+
     def _start_service(self) -> None:
         packet = self._buffer[0]
         self._busy = True
@@ -220,9 +230,10 @@ class DropTailQueue:
         buffer = self._buffer
         packet = buffer.popleft()
         self.departures += 1
-        if buffer:
+        rate = self.rate_pps
+        if buffer and rate:
             # _start_service inlined: the server stays busy with the next.
-            service = buffer[0].size / self.rate_pps
+            service = buffer[0].size / rate
             if self.jitter:
                 service *= 1.0 + self.jitter * (2.0 * self._rand() - 1.0)
             self._post_in(service, self._complete)
@@ -239,64 +250,3 @@ class DropTailQueue:
             f"{type(self).__name__}({self.name!r}, rate={self.rate_pps:.0f}pps, "
             f"occ={self.occupancy}/{self.capacity}, drops={self.drops})"
         )
-
-
-class VariableRateQueue(DropTailQueue):
-    """Drop-tail queue whose service rate can change at run time.
-
-    Setting the rate to 0 models a coverage outage: arrivals are still
-    buffered (up to capacity) but nothing is served until the rate becomes
-    positive again.  The rate change takes effect from the next packet; the
-    packet currently in transmission completes at its old rate.
-
-    Constructing with ``rate_pps=0`` starts the queue stalled.  The stalled
-    state and the real rate (0.0) are in place *before* the base
-    constructor registers the queue with the simulation, so registration
-    watchers (invariant monitor, series probes) never observe a
-    placeholder rate, and ``_start_service`` can never divide by a
-    stale bookkeeping value: service is only ever started from a
-    positive-rate transition.
-    """
-
-    _allow_stalled = True
-
-    __slots__ = ("_stalled",)
-
-    def __init__(self, sim, rate_pps, capacity, name="", jitter=None, trace=None):
-        self._stalled = rate_pps <= 0
-        super().__init__(
-            sim, max(0.0, float(rate_pps)), capacity, name,
-            jitter=jitter, trace=trace,
-        )
-
-    def set_rate(self, rate_pps: float) -> None:
-        """Change the service rate; 0 (or negative) stalls the queue."""
-        was_stalled = self._stalled
-        self._stalled = rate_pps <= 0
-        self.rate_pps = max(0.0, float(rate_pps))
-        if was_stalled and not self._stalled and self._buffer and not self._busy:
-            self._start_service()
-
-    def receive(self, packet: Packet) -> None:
-        if self.intercept is not None and self.intercept(packet):
-            return
-        self.arrivals += 1
-        if len(self._buffer) >= self.capacity:
-            self.drops += 1
-            self._drop(packet)
-            return
-        self._buffer.append(packet)
-        if self.trace.enabled:
-            self._trace_enqueue(packet)
-        if not self._busy and not self._stalled:
-            self._start_service()
-
-    def _complete(self) -> None:
-        packet = self._buffer.popleft()
-        self.departures += 1
-        self._busy = False
-        if self._buffer and not self._stalled:
-            self._start_service()
-        hop = packet.hop + 1
-        packet.hop = hop
-        packet.route[hop].receive(packet)

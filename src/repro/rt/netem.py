@@ -8,14 +8,14 @@ emulates the same three impairments the simulator's path elements apply:
 * **rate** — a transmission clock: each packet occupies the emulated
   line for ``size / rate_pps`` seconds, departures are serialized
   (``busy_until``), and at most ``buffer_pkts`` packets may be waiting —
-  the drop-tail behaviour of the sim's ``VariableRateQueue``.  A rate of
+  the drop-tail behaviour of the sim's ``DropTailQueue``.  A rate of
   0 models a coverage outage (packets are dropped, senders hit their
   RTO, exactly the condition the handover machinery reacts to);
   ``None`` means unimpeded.
 * **delay/jitter** — one-way propagation delay, plus a uniform ±jitter
-  drawn from the run's seeded RNG (the sim's ``Pipe``/``LossyPipe``
-  delay; jitter is the real-world extra the sim does not model).
-* **loss** — i.i.d. loss probability (the sim's ``LossyPipe``).
+  drawn from the run's seeded RNG (the sim's ``Pipe`` delay; jitter is
+  the real-world extra the sim does not model).
+* **loss** — i.i.d. loss probability (the sim's ``Pipe.loss_prob``).
 
 Rate changes arrive through :meth:`NetemChannel.set_rate_mbps`, so a
 :class:`~repro.topology.wireless.LinkSchedule` drives an ``RtPath``

@@ -6,6 +6,7 @@ from .._exports import lazy_exports
 _EXPORTS = {
     "FiniteSource": ".source",
     "InfiniteSource": ".source",
+    "IntervalSet": ".intervals",
     "RttEstimator": ".rtt",
     "TcpFlow": ".sender",
     "TcpReceiver": ".receiver",

@@ -22,7 +22,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from ..net.packet import AckPacket, DataPacket
 from ..sim.simulation import Simulation
-from ..utils.intervals import IntervalSet
+from .intervals import IntervalSet
 
 __all__ = ["TcpReceiver", "MAX_SACK_BLOCKS"]
 

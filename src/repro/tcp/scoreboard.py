@@ -1,7 +1,7 @@
 """Array-backed SACK scoreboard (the perf-round-2 representation).
 
 The sender's loss-recovery state used to live in four per-seq containers
-(an :class:`~repro.utils.intervals.IntervalSet` of SACKed ranges plus
+(an :class:`~repro.tcp.intervals.IntervalSet` of SACKed ranges plus
 three Python sets).  Every ACK paid set allocations, hashing and
 membership probes for what is, structurally, a dense window of small
 integers next to the cumulative ACK point.  This module replaces them

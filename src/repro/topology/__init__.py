@@ -12,6 +12,7 @@ _EXPORTS = {
     "WirelessPath": ".wireless",
     "build_3g_path": ".wireless",
     "build_chain": ".scenarios",
+    "build_fixed_loss_route": ".scenarios",
     "build_shared_bottleneck": ".scenarios",
     "build_torus": ".scenarios",
     "build_triangle": ".scenarios",

@@ -1,7 +1,10 @@
-"""The small illustrative scenarios of §2–§3 (Figs 1, 2, 3, 5, 7, 9, 14).
+"""The small illustrative scenarios of §2–§3 (Figs 1, 2, 3, 4, 5, 7, 9, 14).
 
-Each builder returns a :class:`Scenario` holding the network and the routes
-each flow may use; point functions and tests attach flows to the routes.
+Each network builder returns a :class:`Scenario` holding the network and
+the routes each flow may use; point functions and tests attach flows to the
+routes.  :func:`build_fixed_loss_route` builds one congestion-free route of
+known loss rate, the controlled environment of Fig 4 and the equilibrium
+formulae.
 Link rates are in packets/second (use :func:`repro.net.mbps_to_pps` for
 Mb/s figures).
 """
@@ -12,6 +15,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from ..net.network import Network, mbps_to_pps
+from ..net.pipe import Pipe
+from ..net.queue import DropTailQueue
 from ..net.route import Route
 from ..sim.simulation import Simulation
 
@@ -23,6 +28,7 @@ __all__ = [
     "build_triangle",
     "build_chain",
     "build_torus",
+    "build_fixed_loss_route",
 ]
 
 
@@ -558,3 +564,20 @@ def build_torus(
             net.route([f"in{j}", f"out{j}"], name=f"f{i}.b"),
         ]
     return Scenario(sim, net, flow_routes)
+
+
+def build_fixed_loss_route(
+    sim: Simulation, loss_prob: float, rtt: float = 0.1, name: str = "lossy"
+) -> Route:
+    """A route with a fixed random loss rate and no congestion drops —
+    the controlled environment for validating equilibrium formulas.
+
+    The service rate (2·10⁴ pkt/s) is high enough never to bottleneck the
+    equilibria under test (a few thousand pkt/s at most) but finite, so a
+    loss-free flow in unbounded slow start cannot blow the event count up
+    exponentially."""
+    queue = DropTailQueue(
+        sim, rate_pps=2e4, capacity=10**6, name=f"{name}.q", jitter=0.0
+    )
+    pipe = Pipe(sim, delay=rtt / 2.0, name=f"{name}.p", loss_prob=loss_prob)
+    return Route(sim, [queue, pipe], reverse_delay=rtt / 2.0, name=name)

@@ -12,10 +12,10 @@ The paper's measurements (§2.3, §5) characterise the two media:
 A path is declared once, as a :class:`NetemProfile` (rate, one-way
 delay, buffer, ambient loss); :data:`PROFILES` names the standard ones.
 On the packet tier :func:`profile_path` builds a profile as an
-access-link queue (variable-rate, so coverage changes can be scripted)
-followed by a lossy pipe for ambient radio loss; on the rt tier
-:class:`~repro.rt.wire.RtPath` emulates the same profile over loopback
-UDP.  The mobile experiment (Fig 17) is reproduced by a
+access-link drop-tail queue (coverage changes call its ``set_rate``)
+followed by a pipe whose ``loss_prob`` is the ambient radio loss; on the
+rt tier :class:`~repro.rt.wire.RtPath` emulates the same profile over
+loopback UDP.  The mobile experiment (Fig 17) is reproduced by a
 :class:`LinkSchedule` that replays capacity changes — e.g. WiFi dropping
 to zero on the stairwell — against either.
 """
@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..net.network import mbps_to_pps
-from ..net.pipe import LossyPipe
-from ..net.queue import VariableRateQueue
+from ..net.pipe import Pipe
+from ..net.queue import DropTailQueue
 from ..net.route import Route
 from ..sim.simulation import Simulation
 
@@ -76,9 +76,9 @@ profile_replace = replace
 class WirelessPath:
     """One wireless access path: its queue, ambient-loss pipe and route."""
 
-    queue: VariableRateQueue
-    pipe: LossyPipe
-    route_template: Tuple[VariableRateQueue, LossyPipe]
+    queue: DropTailQueue
+    pipe: Pipe
+    route_template: Tuple[DropTailQueue, Pipe]
     reverse_delay: float
     sim: Simulation
     name: str
@@ -99,14 +99,15 @@ class WirelessPath:
 
 def profile_path(sim: Simulation, name: str, profile: NetemProfile
                  ) -> WirelessPath:
-    """The packet-tier path of ``profile``: a variable-rate drop-tail
-    queue, then a lossy pipe (an unlimited rate becomes 10 Gb/s; jitter
-    is not modelled)."""
+    """The packet-tier path of ``profile``: a drop-tail queue, then a
+    pipe losing ``profile.loss`` of its packets (an unlimited rate becomes
+    10 Gb/s; jitter is not modelled)."""
     rate = 1e4 if profile.rate_mbps is None else profile.rate_mbps
-    queue = VariableRateQueue(
+    queue = DropTailQueue(
         sim, mbps_to_pps(rate), profile.buffer_pkts, name=f"{name}.q"
     )
-    pipe = LossyPipe(sim, profile.delay, profile.loss, name=f"{name}.pipe")
+    pipe = Pipe(sim, profile.delay, name=f"{name}.pipe",
+                loss_prob=profile.loss)
     return WirelessPath(queue, pipe, (queue, pipe), profile.delay, sim, name)
 
 

@@ -13,7 +13,7 @@ from hypothesis import settings
 from repro.check import InvariantMonitor
 from repro.exp import Runner, ScenarioSpec, TaskSpec, specs_for_grid, target_id
 from repro.exp.spec import grid_points
-from repro.net.pipe import LossyPipe
+from repro.net.pipe import Pipe
 from repro.net.queue import DropTailQueue
 from repro.net.route import Route
 from repro.obs import DEFAULT_EVENTS, TraceBus
@@ -73,27 +73,6 @@ def sweep(parameters, fn, **runner_kwargs):
     return Runner(**runner_kwargs).run_tasks(tasks)
 
 
-def lossy_route(
-    sim: Simulation,
-    loss_prob: float,
-    rtt: float = 0.1,
-    name: str = "lossy",
-    rate_pps: float = 2e4,
-) -> Route:
-    """A route with a fixed random loss rate and no congestion drops —
-    the controlled environment for validating equilibrium formulas.
-
-    The service rate is high enough never to bottleneck the equilibria
-    under test (which sit at a few thousand pkt/s at most) but finite, so
-    a loss-free flow in unbounded slow start cannot blow the event count
-    up exponentially."""
-    queue = DropTailQueue(
-        sim, rate_pps=rate_pps, capacity=10**6, name=f"{name}.q", jitter=0.0
-    )
-    pipe = LossyPipe(sim, delay=rtt / 2.0, loss_prob=loss_prob, name=f"{name}.p")
-    return Route(sim, [queue, pipe], reverse_delay=rtt / 2.0, name=name)
-
-
 def bottleneck_route(
     sim: Simulation,
     rate_pps: float,
@@ -103,7 +82,7 @@ def bottleneck_route(
 ):
     """A single drop-tail bottleneck route (congestion losses only)."""
     queue = DropTailQueue(sim, rate_pps, buffer_pkts, name=f"{name}.q")
-    pipe = LossyPipe(sim, delay=rtt / 2.0, loss_prob=0.0, name=f"{name}.p")
+    pipe = Pipe(sim, delay=rtt / 2.0, name=f"{name}.p")
     return Route(sim, [queue, pipe], reverse_delay=rtt / 2.0, name=name), queue
 
 

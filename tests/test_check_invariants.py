@@ -24,8 +24,9 @@ from repro.net.queue import DropTailQueue
 from repro.obs import DEFAULT_EVENTS, MemorySink, TraceBus, validate_event
 from repro.sim.simulation import Simulation
 from repro.tcp.sender import TcpFlow
+from repro.topology.scenarios import build_fixed_loss_route
 
-from conftest import bottleneck_route, lossy_route, python_calls
+from conftest import bottleneck_route, python_calls
 
 pytestmark = pytest.mark.invariants
 
@@ -112,8 +113,8 @@ class TestCleanRunsSatisfyInvariants:
         # application, lossy paths — buffer accounting, DSN monotonicity
         # and exactly-once delivery all checked at every event.
         routes = [
-            lossy_route(sim, 0.01, name="a"),
-            lossy_route(sim, 0.03, name="b"),
+            build_fixed_loss_route(sim, 0.01, name="a"),
+            build_fixed_loss_route(sim, 0.03, name="b"),
         ]
         flow = MptcpFlow(
             sim, routes, make_controller("lia"), name="m",
@@ -360,8 +361,8 @@ class TestViolationsAreCaught:
         monkeypatch.setattr(LinkedIncreasesController, "on_ack", too_aggressive)
         simulation, monitor, sink = _monitored()
         routes = [
-            lossy_route(simulation, 0.01, name="a"),
-            lossy_route(simulation, 0.02, name="b"),
+            build_fixed_loss_route(simulation, 0.01, name="a"),
+            build_fixed_loss_route(simulation, 0.02, name="b"),
         ]
         flow = MptcpFlow(simulation, routes, make_controller("lia"), name="m")
         flow.start()

@@ -15,8 +15,7 @@ from repro.harness.experiment import measure
 from repro.mptcp.connection import MptcpFlow
 from repro.sim.simulation import Simulation
 from repro.tcp.sender import TcpFlow
-
-from conftest import lossy_route
+from repro.topology.scenarios import build_fixed_loss_route
 
 #: Two fixed-loss paths, same RTT — the §2 comparison environment.
 LOSSES = (0.005, 0.02)
@@ -33,14 +32,14 @@ SINGLE_PATH = {"reno", "single"}
 def _run(algo, seed):
     sim = Simulation(seed=seed)
     if algo in SINGLE_PATH:
-        route = lossy_route(sim, LOSSES[0], rtt=RTT, name="a")
+        route = build_fixed_loss_route(sim, LOSSES[0], rtt=RTT, name="a")
         flow = TcpFlow(sim, route, make_controller(algo), name="f")
         flow.start()
         m = measure(sim, {"f": flow}, warmup=20.0, duration=120.0)
         return [m["f"]]
     routes = [
-        lossy_route(sim, LOSSES[0], rtt=RTT, name="a"),
-        lossy_route(sim, LOSSES[1], rtt=RTT, name="b"),
+        build_fixed_loss_route(sim, LOSSES[0], rtt=RTT, name="a"),
+        build_fixed_loss_route(sim, LOSSES[1], rtt=RTT, name="b"),
     ]
     flow = MptcpFlow(sim, routes, make_controller(algo), name="m")
     flow.start()

@@ -24,7 +24,7 @@ import pytest
 from repro.cli import main
 from repro.exp import Runner, ScenarioSpec, TaskError, specs_for_grid
 from repro.exp.spec import target_id
-from repro.farm import work
+from repro.farm import WorkerStartError, work
 from repro.obs import JsonlSink, MemorySink, TraceBus, validate_event
 
 from conftest import sweep
@@ -377,6 +377,20 @@ class TestFaultTolerance:
         with no_leftovers():
             rows = sweep({"x": [1, 2, 3]}, square_point, parallel=2)
         assert rows == [{"x": x, "sq": x * x} for x in (1, 2, 3)]
+
+    def test_no_startable_worker_process_with_timeout_raises(
+            self, monkeypatch):
+        # In process nothing can preempt a running point, so a timeout
+        # that no worker process can enforce is an error, not a silent
+        # unbounded run.
+        def refuse(self):
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(multiprocessing.Process, "start", refuse)
+        with no_leftovers():
+            with pytest.raises(WorkerStartError,
+                               match="timeout=0.3 cannot be enforced"):
+                sweep({"x": [1]}, square_point, timeout=0.3, retries=0)
 
     def test_retry_budget_exhausted_raises(self):
         with pytest.raises(TaskError, match="retry budget exhausted"):

@@ -19,7 +19,11 @@ from repro.net.route import Route
 from repro.obs import TraceBus
 from repro.obs.schema import validate_event
 from repro.obs.sinks import MemorySink
-from repro.topology.scenarios import build_torus, build_two_links
+from repro.topology.scenarios import (
+    build_fixed_loss_route,
+    build_torus,
+    build_two_links,
+)
 
 pytestmark = pytest.mark.hybrid
 
@@ -95,10 +99,8 @@ class TestFluidDynamics:
         assert all(math.isfinite(w) and w >= fc.floor for w in fc.windows)
 
     def test_lossy_pipe_contributes_intrinsic_loss(self):
-        from conftest import lossy_route
-
         sim = HybridSimulation(seed=1, dt=0.01)
-        route = lossy_route(sim, 0.01, rtt=0.1, name="a")
+        route = build_fixed_loss_route(sim, 0.01, rtt=0.1, name="a")
         fc = sim.add_class([route], "reno", count=1, name="c")
         assert fc.paths[0].extra_loss == pytest.approx(0.01)
         sim.run_until(100.0)

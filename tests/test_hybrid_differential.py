@@ -22,9 +22,11 @@ from repro.core.registry import ALGORITHMS
 from repro.harness.experiment import make_flow, measure
 from repro.hybrid import HybridSimulation
 from repro.sim.simulation import Simulation
-from repro.topology.scenarios import build_torus, build_two_links
-
-from conftest import lossy_route
+from repro.topology.scenarios import (
+    build_fixed_loss_route,
+    build_torus,
+    build_two_links,
+)
 
 pytestmark = pytest.mark.hybrid
 
@@ -44,11 +46,11 @@ def _hybrid_rates(algo, seed=12):
     """Per-path delivered rates of a class-size-1 hybrid run."""
     sim = HybridSimulation(seed=seed, dt=0.01)
     if algo in SINGLE_PATH:
-        routes = [lossy_route(sim, LOSSES[0], rtt=RTT, name="a")]
+        routes = [build_fixed_loss_route(sim, LOSSES[0], rtt=RTT, name="a")]
     else:
         routes = [
-            lossy_route(sim, LOSSES[0], rtt=RTT, name="a"),
-            lossy_route(sim, LOSSES[1], rtt=RTT, name="b"),
+            build_fixed_loss_route(sim, LOSSES[0], rtt=RTT, name="a"),
+            build_fixed_loss_route(sim, LOSSES[1], rtt=RTT, name="b"),
         ]
     fc = sim.add_class(routes, algo, count=1, name="m")
     sim.run_until(25.0)
@@ -61,14 +63,14 @@ def _packet_rates(algo, seed=12):
     """Per-path rates of the same flow, simulated packet by packet."""
     sim = Simulation(seed=seed)
     if algo in SINGLE_PATH:
-        route = lossy_route(sim, LOSSES[0], rtt=RTT, name="a")
+        route = build_fixed_loss_route(sim, LOSSES[0], rtt=RTT, name="a")
         flow = make_flow(sim, [route], algo, name="f")
         flow.start()
         m = measure(sim, {"f": flow}, warmup=25.0, duration=150.0)
         return [m["f"]]
     routes = [
-        lossy_route(sim, LOSSES[0], rtt=RTT, name="a"),
-        lossy_route(sim, LOSSES[1], rtt=RTT, name="b"),
+        build_fixed_loss_route(sim, LOSSES[0], rtt=RTT, name="a"),
+        build_fixed_loss_route(sim, LOSSES[1], rtt=RTT, name="b"),
     ]
     flow = make_flow(sim, routes, algo, name="m")
     flow.start()
@@ -81,7 +83,7 @@ def test_class_size_one_matches_packet_run(algo):
     """Class-size-1 hybrid vs pure packet, full registry."""
     if algo in NO_FLUID_MODEL:
         sim = HybridSimulation(seed=12)
-        route = lossy_route(sim, LOSSES[0], rtt=RTT, name="a")
+        route = build_fixed_loss_route(sim, LOSSES[0], rtt=RTT, name="a")
         with pytest.raises(ValueError, match="no fluid model"):
             sim.add_class([route], algo, count=1)
         return

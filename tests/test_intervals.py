@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.utils.intervals import IntervalSet
+from repro.tcp.intervals import IntervalSet
 
 
 class TestBasics:

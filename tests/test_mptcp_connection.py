@@ -7,8 +7,8 @@ from repro.core.registry import ALGORITHMS, make_controller
 from repro.exp.golden import TraceDigest, golden_specs, run_golden_point
 from repro.fault import arm_faults, resolve_faults
 from repro.mptcp.connection import MptcpConnection, MptcpFlow
-from repro.net.pipe import LossyPipe, Pipe
-from repro.net.queue import DropTailQueue, VariableRateQueue
+from repro.net.pipe import Pipe
+from repro.net.queue import DropTailQueue
 from repro.net.route import Route
 from repro.obs import TraceBus
 from repro.pathmgr import ManagedMptcpFlow
@@ -19,13 +19,12 @@ from conftest import python_calls
 
 
 def two_path_routes(sim, rates=(500.0, 500.0), rtts=(0.1, 0.1),
-                    buffers=(50, 50), losses=(0.0, 0.0), variable=False):
+                    buffers=(50, 50), losses=(0.0, 0.0)):
     routes = []
     queues = []
     for i, (rate, rtt, buf, p) in enumerate(zip(rates, rtts, buffers, losses)):
-        queue_cls = VariableRateQueue if variable else DropTailQueue
-        q = queue_cls(sim, rate, buf, name=f"q{i}")
-        pipe = LossyPipe(sim, rtt / 2, p, name=f"p{i}")
+        q = DropTailQueue(sim, rate, buf, name=f"q{i}")
+        pipe = Pipe(sim, rtt / 2, name=f"p{i}", loss_prob=p)
         routes.append(Route(sim, [q, pipe], reverse_delay=rtt / 2, name=f"r{i}"))
         queues.append(q)
     return routes, queues
@@ -191,7 +190,7 @@ class TestFlowControl:
         the connection once it recovers — the shared pool (plus subflow
         retransmission) drains the hole."""
         sim = Simulation(seed=9)
-        routes, queues = two_path_routes(sim, variable=True)
+        routes, queues = two_path_routes(sim)
         flow = MptcpFlow(
             sim,
             routes,
@@ -240,7 +239,7 @@ class TestReinjection:
         """Extension: with reinjection on, data stranded on a dead subflow
         is retransmitted on the healthy one and the transfer completes."""
         sim = Simulation(seed=13)
-        routes, queues = two_path_routes(sim, variable=True)
+        routes, queues = two_path_routes(sim)
         flow = MptcpFlow(
             sim,
             routes,
@@ -258,7 +257,7 @@ class TestReinjection:
 
     def test_without_reinjection_transfer_stalls_on_dead_path(self):
         sim = Simulation(seed=13)
-        routes, queues = two_path_routes(sim, variable=True)
+        routes, queues = two_path_routes(sim)
         flow = MptcpFlow(
             sim,
             routes,

@@ -29,13 +29,13 @@ from repro.obs import (
     validate_event,
     validate_jsonl,
 )
-from repro.net.pipe import LossyPipe
+from repro.net.packet import Packet
+from repro.net.pipe import Pipe
 from repro.net.queue import DropTailQueue
 from repro.net.route import Route
 from repro.sim.simulation import Simulation
 from repro.topology import build_two_links
-
-from conftest import lossy_route
+from repro.topology.scenarios import build_fixed_loss_route
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "trace_two_subflow.txt"
 
@@ -114,11 +114,16 @@ class TestDefaultWiring:
         assert sim.trace is quiet and sim.scheduler.trace is NULL_TRACE
 
     def test_components_inherit_sim_trace(self):
-        bus = TraceBus(sinks=[MemorySink()])
+        sink = MemorySink()
+        bus = TraceBus(sinks=[sink])
         sim = Simulation(seed=1, trace=bus)
-        q = DropTailQueue(sim, 100.0, 10)
-        p = LossyPipe(sim, 0.01, 0.1)
-        assert q.trace is bus and p.trace is bus
+        q = DropTailQueue(sim, 100.0, 100)
+        assert q.trace is bus
+        # A pipe has no trace of its own: its loss drops go to sim.trace.
+        p = Pipe(sim, 0.0, name="p", loss_prob=0.5)
+        for _ in range(20):
+            Packet((p, q), size=1.0, flow=None).send()
+        assert {r["elem"] for r in sink.of_type("pkt.drop")} == {"p"}
 
     def test_explicit_trace_kwarg_overrides(self):
         bus = TraceBus(sinks=[MemorySink()])
@@ -204,7 +209,7 @@ class TestInstrumentationEvents:
         sink = MemorySink()
         bus = TraceBus(sinks=[sink])
         sim = Simulation(seed=9, trace=bus)
-        route = lossy_route(sim, loss_prob=0.05)
+        route = build_fixed_loss_route(sim, loss_prob=0.05)
         flow = make_flow(sim, [route], "reno", name="f")
         flow.start()
         sim.run_until(5.0)
@@ -218,7 +223,10 @@ class TestInstrumentationEvents:
         sink = MemorySink()
         bus = TraceBus(sinks=[sink])
         sim = Simulation(seed=5, trace=bus)
-        route = lossy_route(sim, loss_prob=0.4, rate_pps=500.0)
+        queue = DropTailQueue(sim, rate_pps=500.0, capacity=10**6,
+                              name="lossy.q", jitter=0.0)
+        pipe = Pipe(sim, delay=0.05, name="lossy.p", loss_prob=0.4)
+        route = Route(sim, [queue, pipe], reverse_delay=0.05, name="lossy")
         flow = make_flow(sim, [route], "reno", name="f")
         flow.start()
         sim.run_until(20.0)

@@ -1,10 +1,10 @@
-"""Unit tests for pipes, lossy pipes and routes."""
+"""Unit tests for pipes (lossless and lossy) and routes."""
 
 import pytest
 
 from repro.net.network import Network, mbps_to_pps, pps_to_mbps
 from repro.net.packet import Packet
-from repro.net.pipe import LossyPipe, Pipe
+from repro.net.pipe import Pipe
 from repro.net.queue import DropTailQueue
 from repro.net.route import Route
 from repro.sim.simulation import Simulation
@@ -49,19 +49,20 @@ class TestPipe:
             Pipe(Simulation(), delay=-1.0)
 
 
-class TestLossyPipe:
+class TestPipeLoss:
     def test_zero_loss_passes_everything(self):
         sim = Simulation()
-        pipe = LossyPipe(sim, delay=0.0, loss_prob=0.0)
+        pipe = Pipe(sim, delay=0.0)
         sink = Collector(sim)
         for _ in range(100):
             Packet((pipe, sink), size=1.0, flow=None).send()
         sim.run()
         assert len(sink.arrivals) == 100
+        assert pipe.drops == 0
 
     def test_loss_rate_statistics(self):
         sim = Simulation(seed=1)
-        pipe = LossyPipe(sim, delay=0.0, loss_prob=0.3)
+        pipe = Pipe(sim, delay=0.0, loss_prob=0.3)
         sink = Collector(sim)
         n = 20000
         for _ in range(n):
@@ -69,33 +70,60 @@ class TestLossyPipe:
         sim.run()
         observed = pipe.drops / n
         assert observed == pytest.approx(0.3, abs=0.02)
+        assert len(sink.arrivals) == n - pipe.drops
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
-            LossyPipe(Simulation(), delay=0.0, loss_prob=1.0)
+            Pipe(Simulation(), delay=0.0, loss_prob=1.0)
         with pytest.raises(ValueError):
-            LossyPipe(Simulation(), delay=0.0, loss_prob=-0.1)
+            Pipe(Simulation(), delay=0.0, loss_prob=-0.1)
 
     def test_default_rng_is_the_simulations_seeded_stream(self):
         """Regression: loss patterns must be reproducible from the sim
         seed alone (the exp result cache and golden traces key on it), so
-        the no-rng fallback is ``sim.rng`` — never an unseeded stream."""
+        a pipe draws from ``sim.rng`` — never an unseeded stream."""
         sim = Simulation(seed=5)
-        assert LossyPipe(sim, delay=0.0, loss_prob=0.1).rng is sim.rng
+        pipe = Pipe(sim, delay=0.0, loss_prob=0.3)
+        sink = Collector(sim)
+        pattern = []
+        for _ in range(200):
+            before = pipe.drops
+            Packet((pipe, sink), size=1.0, flow=None).send()
+            pattern.append(pipe.drops > before)
+        stream = Simulation(seed=5).rng
+        assert pattern == [stream.random() < 0.3 for _ in range(200)]
 
-        def drop_pattern():
-            sim = Simulation(seed=5)
-            pipe = LossyPipe(sim, delay=0.0, loss_prob=0.3)
-            sink = Collector(sim)
-            pattern = []
-            for _ in range(200):
-                before = pipe.drops
-                Packet((pipe, sink), size=1.0, flow=None).send()
-                sim.run()
-                pattern.append(pipe.drops > before)
-            return pattern
 
-        assert drop_pattern() == drop_pattern()
+class TestPipeRngStream:
+    """Every packet-tier golden rests on the order of draws from
+    ``sim.rng``: a lossless pipe must never draw, a lossy one exactly once
+    per packet it sees."""
+
+    def test_lossless_pipe_never_draws(self):
+        sim = Simulation(seed=3)
+        pipe = Pipe(sim, delay=0.01)
+        sink = Collector(sim)
+        state = sim.rng.getstate()
+        for _ in range(1000):
+            Packet((pipe, sink), size=1.0, flow=None).send()
+        sim.run()
+        assert len(sink.arrivals) == 1000
+        assert sim.rng.getstate() == state
+
+    def test_lossy_pipe_draws_once_per_unintercepted_arrival(self):
+        sim = Simulation(seed=3)
+        pipe = Pipe(sim, delay=0.0, loss_prob=0.2)
+        sink = Collector(sim)
+        # Consume every third packet before the pipe sees it.
+        seen = []
+        pipe.intercept = lambda pkt: seen.append(pkt) or len(seen) % 3 == 0
+        twin = Simulation(seed=3).rng
+        for _ in range(999):
+            Packet((pipe, sink), size=1.0, flow=None).send()
+        for _ in range(666):
+            twin.random()
+        assert sim.rng.getstate() == twin.getstate()
+        assert pipe.drops + len(sink.arrivals) == 666
 
 
 class TestRoute:

@@ -18,7 +18,7 @@ from repro.mptcp.reassembly import DataReassembler, SharedReceiveBuffer
 from repro.mptcp.scheduler import DsnScheduler
 from repro.sim.engine import EventScheduler
 from repro.tcp.scoreboard import SackScoreboard
-from repro.utils.intervals import IntervalSet
+from repro.tcp.intervals import IntervalSet
 
 losses = st.lists(
     st.floats(min_value=1e-4, max_value=0.2), min_size=1, max_size=6

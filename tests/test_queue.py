@@ -1,9 +1,9 @@
-"""Unit tests for drop-tail and variable-rate queues."""
+"""Unit tests for drop-tail queues, including run-time rate changes."""
 
 import pytest
 
 from repro.net.packet import Packet
-from repro.net.queue import DropTailQueue, VariableRateQueue
+from repro.net.queue import DropTailQueue
 from repro.sim.simulation import Simulation
 
 
@@ -162,17 +162,17 @@ class TestDropTailQueue:
     def test_invalid_parameters(self):
         sim = Simulation()
         with pytest.raises(ValueError):
-            DropTailQueue(sim, rate_pps=0, capacity=10)
+            DropTailQueue(sim, rate_pps=-1, capacity=10)
         with pytest.raises(ValueError):
             DropTailQueue(sim, rate_pps=10, capacity=0)
         with pytest.raises(ValueError):
             DropTailQueue(sim, rate_pps=10, capacity=10, jitter=1.5)
 
 
-class TestVariableRateQueue:
+class TestRateChanges:
     def test_rate_change_applies_to_next_packet(self):
         sim = Simulation()
-        q = VariableRateQueue(sim, rate_pps=10.0, capacity=10, jitter=0.0)
+        q = DropTailQueue(sim, rate_pps=10.0, capacity=10, jitter=0.0)
         sink = Collector(sim)
         send_packets(sim, q, sink, 2)
         sim.run_until(0.05)         # mid-service of the first packet
@@ -182,7 +182,7 @@ class TestVariableRateQueue:
 
     def test_outage_stalls_and_resumes(self):
         sim = Simulation()
-        q = VariableRateQueue(sim, rate_pps=10.0, capacity=10, jitter=0.0)
+        q = DropTailQueue(sim, rate_pps=10.0, capacity=10, jitter=0.0)
         sink = Collector(sim)
         sim.scheduler.schedule_at(0.0, lambda: q.set_rate(0.0))
         sim.scheduler.schedule_at(0.01, lambda: send_packets(sim, q, sink, 2))
@@ -191,9 +191,23 @@ class TestVariableRateQueue:
         assert len(sink.arrivals) == 2
         assert sink.arrivals[0] == pytest.approx(5.1)
 
+    def test_outage_mid_service_completes_the_packet_in_transmission(self):
+        sim = Simulation()
+        q = DropTailQueue(sim, rate_pps=10.0, capacity=10, jitter=0.0)
+        sink = Collector(sim)
+        send_packets(sim, q, sink, 3)
+        sim.run_until(0.05)
+        q.set_rate(0.0)
+        sim.run_until(2.0)
+        assert sink.arrivals == pytest.approx([0.1])
+        assert q.occupancy == 2
+        q.set_rate(10.0)
+        sim.run()
+        assert sink.arrivals == pytest.approx([0.1, 2.1, 2.2])
+
     def test_buffered_during_outage_up_to_capacity(self):
         sim = Simulation()
-        q = VariableRateQueue(sim, rate_pps=0.0, capacity=3, jitter=0.0)
+        q = DropTailQueue(sim, rate_pps=0.0, capacity=3, jitter=0.0)
         sink = Collector(sim)
         send_packets(sim, q, sink, 5)
         sim.run()
@@ -209,9 +223,9 @@ class TestVariableRateQueue:
         seen = []
         sim.on_register(
             lambda c: seen.append(c.rate_pps)
-            if isinstance(c, VariableRateQueue) else None
+            if isinstance(c, DropTailQueue) else None
         )
-        q = VariableRateQueue(sim, rate_pps=0.0, capacity=4, jitter=0.0)
+        q = DropTailQueue(sim, rate_pps=0.0, capacity=4, jitter=0.0)
         assert q.rate_pps == 0.0
         assert seen == [0.0]
 
@@ -219,7 +233,7 @@ class TestVariableRateQueue:
         """A queue born stalled must serve at exactly the first positive
         rate it is given — no division by the placeholder, no residue."""
         sim = Simulation()
-        q = VariableRateQueue(sim, rate_pps=0.0, capacity=10, jitter=0.0)
+        q = DropTailQueue(sim, rate_pps=0.0, capacity=10, jitter=0.0)
         sink = Collector(sim)
         send_packets(sim, q, sink, 3)
         sim.run_until(1.0)
@@ -228,11 +242,12 @@ class TestVariableRateQueue:
         sim.run()
         assert sink.arrivals == pytest.approx([1.25, 1.5, 1.75])
 
-    def test_fixed_queue_still_rejects_nonpositive_rate(self):
+    def test_negative_rate_rejected_at_construction(self):
+        # 0 builds a stalled queue; a negative rate is a caller's error at
+        # construction, while set_rate() clamps it to 0 (an outage).
         sim = Simulation()
-        with pytest.raises(ValueError):
-            DropTailQueue(sim, rate_pps=0.0, capacity=4)
-        # Negative means "stalled" for the variable-rate queue, exactly as
-        # in set_rate(); it is clamped to 0, never used as a divisor.
-        q = VariableRateQueue(sim, rate_pps=-1.0, capacity=4)
+        with pytest.raises(ValueError, match="queue rate must be >= 0"):
+            DropTailQueue(sim, rate_pps=-1.0, capacity=4)
+        q = DropTailQueue(sim, rate_pps=10.0, capacity=4)
+        q.set_rate(-1.0)
         assert q.rate_pps == 0.0

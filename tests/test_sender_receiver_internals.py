@@ -8,8 +8,7 @@ from repro.net.packet import AckPacket, DataPacket
 from repro.sim.simulation import Simulation
 from repro.tcp.receiver import MAX_SACK_BLOCKS, TcpReceiver
 from repro.tcp.sender import TcpSender
-
-from conftest import lossy_route
+from repro.topology.scenarios import build_fixed_loss_route
 
 
 class AckTrap:
@@ -158,7 +157,8 @@ class TestWindowUpdate:
 
     def test_sender_takes_it_for_neither_dupack_nor_rtt_sample(self, sim):
         sender = TcpSender(sim, RenoController(), name="tx")
-        sender.attach(lossy_route(sim, 0.0), TcpReceiver(sim, name="rx"))
+        sender.attach(build_fixed_loss_route(sim, 0.0),
+                      TcpReceiver(sim, name="rx"))
         seen = []
         sender.on_ack_extension = lambda data_ack, rwnd: seen.append(rwnd)
         sender.running = True
@@ -180,7 +180,7 @@ class TestWindowUpdate:
 class TestSenderRecoveryInternals:
     def _sender(self, sim, **kwargs):
         sender = TcpSender(sim, RenoController(), name="tx", **kwargs)
-        route = lossy_route(sim, 0.0)
+        route = build_fixed_loss_route(sim, 0.0)
         receiver = TcpReceiver(sim, name="rx")
         sender.attach(route, receiver)
         return sender, receiver
@@ -283,7 +283,8 @@ class TestKarnRttSampling:
 
     def _sender(self, sim, **kwargs):
         sender = TcpSender(sim, RenoController(), name="tx", **kwargs)
-        sender.attach(lossy_route(sim, 0.0), TcpReceiver(sim, name="rx"))
+        sender.attach(build_fixed_loss_route(sim, 0.0),
+                      TcpReceiver(sim, name="rx"))
         return sender
 
     def test_retransmit_registers_pending_ambiguity(self, sim):

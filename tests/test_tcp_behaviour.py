@@ -6,12 +6,13 @@ from repro.core.uncoupled import RenoController
 from repro.sim.simulation import Simulation
 from repro.tcp.sender import TcpFlow
 from repro.tcp.source import FiniteSource
+from repro.topology.scenarios import build_fixed_loss_route
 
-from conftest import bottleneck_route, lossy_route
+from conftest import bottleneck_route
 
 
 def make_lossy_flow(sim, p, rtt=0.1, **kwargs):
-    route = lossy_route(sim, p, rtt=rtt)
+    route = build_fixed_loss_route(sim, p, rtt=rtt)
     return TcpFlow(sim, route, RenoController(), name="f", **kwargs)
 
 

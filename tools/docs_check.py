@@ -45,7 +45,10 @@ Two checks keep ``docs/*.md`` from silently rotting:
    farm subcommands), and every ``--flag`` a command in code written
    after ``repro <sub>`` passes must be an option of that subparser, so
    a command or an option cannot be deleted while a doc still tells the
-   reader to use it.
+   reader to use it.  Every backquoted ``repro.<dotted.path>`` outside a
+   fenced block of the docs, README.md, DESIGN.md and EXPERIMENTS.md must
+   import or resolve as an attribute chain, so a class or function
+   cannot be deleted while a doc still names it.
 
 Run from the repository root::
 
@@ -55,6 +58,7 @@ Run from the repository root::
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import pathlib
 import re
@@ -302,6 +306,36 @@ def check_commands(repo: pathlib.Path, paths: List[pathlib.Path]) -> List[str]:
     return errors
 
 
+def resolve_dotted(name: str) -> str:
+    """'' if ``name`` (``repro.a.b...``) imports or resolves as an
+    attribute chain, else what is missing."""
+    parts = name.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        if not hasattr(obj, part):
+            try:
+                importlib.import_module(".".join(parts[:i]))
+            except ModuleNotFoundError:
+                return f"{'.'.join(parts[:i - 1])} has no {part!r}"
+        obj = getattr(obj, part)
+    return ""
+
+
+def check_dotted_names(paths: List[pathlib.Path]) -> List[str]:
+    """Every backquoted ``repro.<dotted.path>`` outside fenced blocks
+    must resolve (a trailing ``.*`` or call is not part of the path)."""
+    errors: List[str] = []
+    for path in paths:
+        text = re.sub(r"```.*?```", "", path.read_text(encoding="utf-8"),
+                      flags=re.S)
+        for name in sorted(set(re.findall(r"`(repro(?:\.\w+)+)", text))):
+            missing = resolve_dotted(name)
+            if missing:
+                errors.append(f"{path.name}: `{name}` does not resolve "
+                              f"({missing})")
+    return errors
+
+
 def main() -> int:
     repo = pathlib.Path(__file__).resolve().parent.parent
     docs = sorted((repo / "docs").glob("*.md"))
@@ -326,6 +360,8 @@ def main() -> int:
     errors.extend(check_controller_docs(repo))
     errors.extend(check_scenario_names(docs + [repo / "README.md"]))
     errors.extend(check_reproduction_table(repo))
+    errors.extend(check_dotted_names(docs + [
+        repo / name for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md")]))
     errors.extend(check_commands(repo, docs + [
         repo / name for name in ("README.md", "EXPERIMENTS.md", "DESIGN.md",
                                  ".claude/skills/verify/SKILL.md")]))
