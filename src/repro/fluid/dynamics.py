@@ -20,14 +20,23 @@ Two families of differential equations:
   equilibria and inherit the RTT bias of windowed control: the
   equilibrium *rate* w/RTT depends on RTT.
 
-  Every law also has a *two-path form* (``_PAIR_FORMS``): built once per
+  Every law also has a *two-path form* (``_PAIR_FORMS``): built each
   step from the path constants, it returns ``deriv(w0, w1) -> (d0,
   d1)``, the vector law's derivative for two paths with every
-  floating-point operation in the same order.  The steppers run it on
+  floating-point operation in the same order.  A stepper runs it on
   scalars whenever the state has two paths — every shipped hybrid
   workload — and the vector law otherwise; the two agree bit for bit
   (``tests/test_fluid_dynamics.py``), so the selection is invisible in
   every row.
+
+  The law and the form are resolved once per flow or class, not per
+  step: ``_window_stepper(algorithm, paths)`` checks the name and the
+  path count and returns a bound ``step_windows(windows, losses, rtts,
+  dt, floor, a)`` that is the guarded RK4 and nothing else.  Flow
+  classes (``repro.hybrid``), :func:`integrate_windows` and
+  ``solve_equilibrium`` each bind one and check their RTTs where they
+  are built; the module-level :func:`step_windows` is the one-shot form
+  that resolves and checks on every call.
 
 * **Rate-based** (:func:`integrate_rates_coupled`) — the Kelly & Voice /
   Han et al. equations the paper adapted COUPLED from ("the rate-based
@@ -496,16 +505,11 @@ def _guarded_step(
     return _guarded_step(deriv, mid, half, floor, halvings - 1, rk4)
 
 
-def _window_stepper(algorithm, windows, losses, rtts, a):
-    """Validate one step's inputs and pick its ``(deriv, rk4)``: the
-    two-path form for two paths, the vector law for any other count.
-
-    Wrong inputs are ValueErrors here, before the guard, so they can
-    never pass for a blown-up stage."""
-    law = fluid_law(algorithm)
+def _check_paths(windows, losses, rtts):
+    """One entry per path in each vector, and positive RTTs: wrong inputs
+    are ValueErrors before the guard, so they can never pass for a
+    blown-up stage."""
     n = len(rtts)
-    if not n:
-        raise ValueError("need at least one path")
     if len(losses) != n:
         raise ValueError(
             f"losses has {len(losses)} entries but rtts has {n}: "
@@ -517,9 +521,29 @@ def _window_stepper(algorithm, windows, losses, rtts, a):
     for rtt in rtts:
         if not rtt > 0.0:
             raise ValueError(f"rtts must be positive, got {list(rtts)!r}")
-    if n == 2:
-        return _PAIR_FORMS[law](rtts, losses, a), _rk4_pair
-    return _vector_derivative(law, losses, rtts, a), _rk4
+
+
+def _window_stepper(algorithm: str, paths: int) -> Callable:
+    """Resolve ``algorithm`` for a ``paths``-path state once: the law, the
+    two-path form for two paths or the vector law for any other count,
+    and the matching RK4.  Returns the bound
+    ``step_windows(windows, losses, rtts, dt, floor, a)``, one guarded
+    step that re-checks nothing: the caller holds one entry per path in
+    each vector and positive RTTs (:func:`_check_paths`)."""
+    law = fluid_law(algorithm)
+    if paths < 1:
+        raise ValueError("need at least one path")
+    if paths == 2:
+        pair = _PAIR_FORMS[law]
+
+        def step_windows(windows, losses, rtts, dt, floor, a):
+            return _guarded_step(pair(rtts, losses, a), windows, dt, floor,
+                                 _MAX_HALVINGS, _rk4_pair)
+    else:
+        def step_windows(windows, losses, rtts, dt, floor, a):
+            return _guarded_step(_vector_derivative(law, losses, rtts, a),
+                                 windows, dt, floor, _MAX_HALVINGS, _rk4)
+    return step_windows
 
 
 def step_windows(
@@ -533,25 +557,30 @@ def step_windows(
 ) -> List[float]:
     """Advance the window-based fluid state by one guarded ``dt`` step.
 
-    This is the single-step entry point of the hybrid engine's per-class
-    stepper (``repro.hybrid``): RK4 with the stiffness guard, so extreme
-    RTT ratios raise :class:`FluidInstabilityError` rather than silently
-    producing NaN windows.  ``windows``, ``losses`` and ``rtts`` need one
-    entry per path and positive RTTs (ValueError otherwise).
+    The one-shot form of the stepper a flow class binds once
+    (``repro.hybrid``): it resolves the law and checks its inputs on
+    every call — ``windows``, ``losses`` and ``rtts`` need one entry per
+    path and positive RTTs (ValueError otherwise) — then takes one RK4
+    step under the stiffness guard, so extreme RTT ratios raise
+    :class:`FluidInstabilityError` rather than silently producing NaN
+    windows.  (The step itself is the bound stepper, so a one-shot call
+    runs two frames of this name where a bound step runs one.)
     """
-    deriv, rk4 = _window_stepper(algorithm, windows, losses, rtts, a)
-    return _guarded_step(deriv, windows, dt, floor, _MAX_HALVINGS, rk4)
+    stepper = _window_stepper(algorithm, len(rtts))
+    _check_paths(windows, losses, rtts)
+    return stepper(windows, losses, rtts, dt, floor, a)
 
 
-def _integrate(deriv, state, duration, dt, floor, sample_every, rk4):
+def _integrate(step, state, duration, dt, sample_every):
     """The sampling loop both integrators share: ``round(duration / dt)``
-    guarded steps, sampled every ``sample_every`` and at the end."""
+    calls of ``step(state) -> state``, sampled every ``sample_every`` and
+    at the end."""
     times, states = [0.0], [list(state)]
     steps = round(duration / dt)
-    for step in range(1, steps + 1):
-        state = _guarded_step(deriv, state, dt, floor, _MAX_HALVINGS, rk4)
-        if step % sample_every == 0 or step == steps:
-            times.append(step * dt)
+    for index in range(1, steps + 1):
+        state = step(state)
+        if index % sample_every == 0 or index == steps:
+            times.append(index * dt)
             states.append(list(state))
     return FluidTrajectory(times, states)
 
@@ -576,8 +605,11 @@ def integrate_windows(
     cannot restore stability.
     """
     state = list(initial) if initial is not None else [2.0] * len(losses)
-    deriv, rk4 = _window_stepper(algorithm, state, losses, rtts, a)
-    return _integrate(deriv, state, duration, dt, floor, sample_every, rk4)
+    stepper = _window_stepper(algorithm, len(rtts))
+    _check_paths(state, losses, rtts)
+    return _integrate(
+        lambda windows: stepper(windows, losses, rtts, dt, floor, a),
+        state, duration, dt, sample_every)
 
 
 def equilibrium_windows(
@@ -616,4 +648,7 @@ def integrate_rates_coupled(
             for x, p in zip(rates, losses)
         ]
 
-    return _integrate(deriv, state, duration, dt, floor, sample_every, _rk4)
+    return _integrate(
+        lambda rates: _guarded_step(deriv, rates, dt, floor, _MAX_HALVINGS,
+                                    _rk4),
+        state, duration, dt, sample_every)

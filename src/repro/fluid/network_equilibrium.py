@@ -9,17 +9,17 @@ Solves for per-link loss rates p_l >= 0 and per-flow windows such that
 
 This is the standard congestion-pricing fixed point behind the theory the
 paper builds on (Kelly & Voice / Han et al.), solved as a primal–dual
-iteration over the law table of :mod:`repro.fluid.dynamics`: each
-iteration advances every flow's windows by one guarded
-:func:`~repro.fluid.dynamics.step_windows` step at its current path
-losses, then nudges each link's price towards its capacity.  Rates are
-averaged over the last ``TAIL_FRACTION`` of the iterations, as
-:func:`~repro.fluid.dynamics.equilibrium_windows` averages a trajectory,
-so every ``FLUID_ALGORITHMS`` name — OLIA, BALIA and wVegas included —
-has a network equilibrium.  It reproduces §2's worked examples — Fig 2
-(COUPLED finds the one-hop paths) and Fig 3 (COUPLED equalises at
-10 Mb/s where EWTCP gives 11/11/8) — independently of the packet
-simulator.
+iteration over the law table of :mod:`repro.fluid.dynamics`: each flow
+resolves its law once, and each iteration advances every flow's windows
+by one guarded :func:`~repro.fluid.dynamics.step_windows` step at its
+current path losses, then nudges each link's price towards its
+capacity.  Rates are averaged over the last ``TAIL_FRACTION`` of the
+iterations, as :func:`~repro.fluid.dynamics.equilibrium_windows`
+averages a trajectory, so every ``FLUID_ALGORITHMS`` name — OLIA, BALIA
+and wVegas included — has a network equilibrium.  It reproduces §2's
+worked examples — Fig 2 (COUPLED finds the one-hop paths) and Fig 3
+(COUPLED equalises at 10 Mb/s where EWTCP gives 11/11/8) — independently
+of the packet simulator.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from .dynamics import TAIL_FRACTION, step_windows
+from .dynamics import TAIL_FRACTION, _window_stepper
 
 __all__ = ["FluidFlow", "FluidNetwork", "solve_equilibrium"]
 
@@ -53,6 +53,11 @@ class FluidFlow:
             self.rtts = [0.1] * len(self.paths)
         if len(self.rtts) != len(self.paths):
             raise ValueError("need one RTT per path")
+        for rtt in self.rtts:
+            if not rtt > 0.0:
+                raise ValueError(
+                    f"flow {self.name!r}: rtts must be positive, "
+                    f"got {list(self.rtts)!r}")
 
 
 @dataclass
@@ -98,6 +103,8 @@ def solve_equilibrium(
     flows = network.flows
     losses = {link: 1e-3 for link in network.capacities}
     windows = [[2.0] * len(flow.paths) for flow in flows]
+    steppers = [_window_stepper(flow.algorithm, len(flow.paths))
+                for flow in flows]
     tail = max(1, round(iterations * TAIL_FRACTION))
     rate_sums = [[0.0] * len(flow.paths) for flow in flows]
     arrival_sums = dict.fromkeys(network.capacities, 0.0)
@@ -110,9 +117,9 @@ def solve_equilibrium(
                 min(p_ceiling, max(p_floor, sum(losses[l] for l in path)))
                 for path in flow.paths
             ]
-            windows[index] = step_windows(
-                flow.algorithm, windows[index], path_losses, flow.rtts,
-                PRIMAL_DT, a=flow.a,
+            windows[index] = steppers[index](
+                windows[index], path_losses, flow.rtts, PRIMAL_DT,
+                floor=1.0, a=flow.a,
             )
             for r, (path, w, rtt) in enumerate(
                     zip(flow.paths, windows[index], flow.rtts)):

@@ -5,10 +5,13 @@ congestion-control algorithm, one path set and one RTT profile.  Instead
 of simulating ``count`` windows packet by packet, the class keeps a single
 per-path window vector and advances it with the guarded fluid integrator
 (:func:`repro.fluid.dynamics.step_windows`) — the deterministic limit the
-paper's §4 equilibrium arguments are stated in.  The class's aggregate
-rate on a path is ``count · w_r / RTT_r``; links see that rate, and the
-class sees the links' loss and queueing delay in return (see
-:class:`repro.hybrid.links.HybridLink`).
+paper's §4 equilibrium arguments are stated in.  The class resolves its
+fluid law once, when it is built (the name, the path count and the
+matching RK4), and :class:`ClassPath` checks each base RTT there, so a
+class-step is the guarded RK4 and the link reads it needs.  The class's
+aggregate rate on a path is ``count · w_r / RTT_r``; links see that
+rate, and the class sees the links' loss and queueing delay in return
+(see :class:`repro.hybrid.links.HybridLink`).
 
 The per-path loss a class reacts to combines the path's intrinsic random
 loss (``extra_loss``, the ``loss_prob`` of the path's
@@ -20,15 +23,13 @@ the links' fluid queueing delay to the propagation floor.
 
 from __future__ import annotations
 
-from operator import attrgetter
+import math
 from typing import List, Optional, Sequence
 
-from ..fluid.dynamics import fluid_law, step_windows
+from ..fluid.dynamics import _window_stepper
 from .links import HybridLink
 
 __all__ = ["ClassPath", "FlowClass"]
-
-_queue_delay = attrgetter("queue_delay")
 
 
 class ClassPath:
@@ -42,8 +43,9 @@ class ClassPath:
         base_rtt: float,
         extra_loss: float = 0.0,
     ):
-        if base_rtt <= 0:
-            raise ValueError(f"base_rtt must be positive, got {base_rtt!r}")
+        if not 0.0 < base_rtt < math.inf:
+            raise ValueError(
+                f"base_rtt must be finite and positive, got {base_rtt!r}")
         if not 0.0 <= extra_loss < 1.0:
             raise ValueError(
                 f"extra_loss must be in [0, 1), got {extra_loss!r}"
@@ -54,8 +56,12 @@ class ClassPath:
 
     @property
     def rtt(self) -> float:
-        """Effective RTT: propagation floor plus fluid queueing delay."""
-        return self.base_rtt + sum(map(_queue_delay, self.links))
+        """Effective RTT: propagation floor plus fluid queueing delay,
+        summed link by link as :meth:`FlowClass.advance` sums it."""
+        delay = 0.0
+        for link in self.links:
+            delay += link.queue_delay
+        return self.base_rtt + delay
 
     @property
     def served_fraction(self) -> float:
@@ -92,7 +98,6 @@ class FlowClass:
         floor: float = 1.0,
         a: Optional[float] = None,
     ):
-        fluid_law(algorithm)  # raises for a name with no fluid model
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count!r}")
         if not paths:
@@ -100,6 +105,8 @@ class FlowClass:
         self.sim = sim
         self.algorithm = algorithm
         self.paths = tuple(paths)
+        # Raises for a name with no fluid model.
+        self._step_windows = _window_stepper(algorithm, len(self.paths))
         self.count = int(count)
         self.name = name
         self.floor = float(floor)
@@ -114,6 +121,12 @@ class FlowClass:
         #: Per-path rates most recently deposited onto the links (set by
         #: :meth:`deposit`; consumed by :meth:`advance`).
         self._offered: List[float] = [0.0] * len(self.paths)
+        #: Effective per-path RTTs as of the last :meth:`advance` (or
+        #: construction), which the next :meth:`deposit` prices with.
+        #: Only ``HybridLink.step`` writes ``queue_delay``, and it runs
+        #: between a deposit and an advance, so these equal
+        #: ``ClassPath.rtt`` whenever :meth:`deposit` runs.
+        self._rtts: List[float] = [p.rtt for p in self.paths]
         sim.register(self)
 
     # ------------------------------------------------------------------
@@ -146,11 +159,17 @@ class FlowClass:
         """Push this class's per-path rates onto the fluid links, and
         remember them: :meth:`advance` integrates delivered packets from
         exactly these rates, so summed over classes, delivered through a
-        link is exactly ``served_fraction · fluid_pps ≤ capacity``."""
-        self._offered = self.rates()
-        for rate, p in zip(self._offered, self.paths):
+        link is exactly ``served_fraction · fluid_pps ≤ capacity``.  The
+        rates are :meth:`rates`, priced with the RTTs the last
+        :meth:`advance` read."""
+        count = self.count
+        offered = []
+        for w, rtt, p in zip(self.windows, self._rtts, self.paths):
+            rate = count * w / rtt
+            offered.append(rate)
             for link in p.links:
-                link.add_fluid(rate)
+                link.fluid_pps += rate
+        self._offered = offered
 
     def advance(self, dt: float) -> None:
         """One fluid step: integrate the delivered counters from the
@@ -160,13 +179,15 @@ class FlowClass:
         for r, p in enumerate(self.paths):
             # Served fraction (as ClassPath.served_fraction), combined
             # loss (intrinsic plus per-link congestion) and effective RTT
-            # (as ClassPath.rtt) in one pass, with no property or
-            # generator calls: this runs once per class-step.
+            # (as ClassPath.rtt) in one pass over the links, with no
+            # property or generator calls: this runs once per class-step.
             served = 1.0
             survive = 1.0 - p.extra_loss
+            delay = 0.0
             for link in p.links:
                 served *= link.served_fraction
                 survive *= 1.0 - link.loss
+                delay += link.queue_delay
             # Intrinsic loss and served fraction only — congestion drops
             # are already the served-fraction shortfall (see
             # throughput_pps).
@@ -174,11 +195,10 @@ class FlowClass:
             self.path_delivered[r] += delivered
             self.packets_delivered += delivered
             losses.append(1.0 - survive)
-            rtts.append(p.base_rtt + sum(map(_queue_delay, p.links)))
-        self.windows = step_windows(
-            self.algorithm, self.windows, losses, rtts, dt,
-            floor=self.floor, a=self.a,
-        )
+            rtts.append(p.base_rtt + delay)
+        self._rtts = rtts
+        self.windows = self._step_windows(
+            self.windows, losses, rtts, dt, self.floor, self.a)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -64,6 +64,8 @@ class HybridLink:
         self.loss = 0.0
         self.queue_delay = 0.0
         self.served_fraction = 1.0
+        #: Fluid offered load, pkt/s: zeroed at the start of each hybrid
+        #: step, then summed by every class's ``deposit``.
         self.fluid_pps = 0.0
         self.tracer_pps = 0.0
         self._intercept_drops = 0
@@ -105,13 +107,6 @@ class HybridLink:
             self.queue.intercept = chained
 
     # ------------------------------------------------------------------
-    def begin_step(self) -> None:
-        """Zero the fluid accumulator before classes push their rates."""
-        self.fluid_pps = 0.0
-
-    def add_fluid(self, rate_pps: float) -> None:
-        self.fluid_pps += rate_pps
-
     def step(self, dt: float) -> None:
         """Advance the fluid backlog one ``dt`` and refresh the coupling."""
         offered = self.queue.arrivals + self._intercept_drops

@@ -17,8 +17,10 @@ monitor, the series recorder, the trace CLI — works unchanged.
 
 The fluid stepper fires every ``dt`` once the first class is added:
 
-1. links zero their fluid accumulators;
-2. every class deposits ``count·w/RTT`` onto each link of each path;
+1. links' fluid accumulators are zeroed;
+2. every class deposits ``count·w/RTT`` onto each link of each path (at
+   the RTTs its last advance read: nothing between step 4 and the next
+   step 2 moves a link's queueing delay);
 3. links measure tracer arrivals, integrate backlog, refresh
    loss/delay/served-fraction and re-couple the packet queues;
 4. classes advance their windows against the fresh link prices;
@@ -28,6 +30,7 @@ The fluid stepper fires every ``dt`` once the first class is added:
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence
 
 from ..net.pipe import Pipe
@@ -60,7 +63,7 @@ class HybridSimulation(Simulation):
     def __init__(self, seed: int = 1, trace=None, dt: float = 0.01,
                  snapshot_every: int = 0):
         super().__init__(seed=seed, trace=trace)
-        if dt <= 0:
+        if not dt > 0:
             raise ValueError(f"dt must be positive, got {dt!r}")
         self.dt = float(dt)
         self.snapshot_every = int(snapshot_every)
@@ -100,8 +103,9 @@ class HybridSimulation(Simulation):
         :class:`~repro.net.pipe.Pipe` on the path contributes intrinsic
         random loss.
         """
-        if rtt_scale <= 0:
-            raise ValueError(f"rtt_scale must be positive, got {rtt_scale!r}")
+        if not 0.0 < rtt_scale < math.inf:
+            raise ValueError(
+                f"rtt_scale must be finite and positive, got {rtt_scale!r}")
         paths = []
         for route in routes:
             links = [self.hybrid_link(q) for q in route.queues]
@@ -148,7 +152,7 @@ class HybridSimulation(Simulation):
         links = self.hybrid_links
         classes = self.classes
         for link in links:
-            link.begin_step()
+            link.fluid_pps = 0.0
         for fc in classes:
             fc.deposit()
         for link in links:

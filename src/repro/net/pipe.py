@@ -37,7 +37,7 @@ class Pipe:
         self, sim: Simulation, delay: float, name: str = "",
         loss_prob: float = 0.0,
     ):
-        if delay < 0:
+        if not delay >= 0:  # NaN fails this too
             raise ValueError(f"pipe delay must be >= 0, got {delay!r}")
         if not 0.0 <= loss_prob < 1.0:
             raise ValueError(f"loss_prob must be in [0, 1), got {loss_prob!r}")

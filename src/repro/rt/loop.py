@@ -35,7 +35,7 @@ from heapq import heappop, heappush
 from time import monotonic, time
 from typing import Any, Callable, Optional
 
-from ..sim.engine import EventHandle, EventHeap
+from ..sim.engine import EventHandle, EventHeap, SimulationError
 from ..sim.simulation import Simulation
 
 __all__ = ["MonotonicTimers", "RtSimulation"]
@@ -58,14 +58,20 @@ class MonotonicTimers(EventHeap):
 
     def schedule_at(self, when: float, callback: Callable, arg: Any = None):
         """Run ``callback(arg?)`` at absolute clock time ``when``; a time
-        in the past fires on the run loop's next pass (never raises,
-        unlike the simulator's scheduler — real clocks cannot rewind)."""
+        in the past fires on the run loop's next pass (unlike the
+        simulator's scheduler — real clocks cannot rewind); only a NaN
+        ``when`` raises :class:`~repro.sim.engine.SimulationError`, since
+        it would stall the heap head forever."""
+        if when != when:  # NaN
+            raise SimulationError(f"cannot schedule event at {when!r}")
         seq = next(self._seq)
         handle = EventHandle(seq, when, self)
         heappush(self._heap, (when, seq, handle, callback, arg))
         return handle
 
     def schedule_in(self, delay: float, callback: Callable, arg: Any = None):
+        """:meth:`schedule_at` ``delay`` seconds from now (a NaN ``delay``
+        makes a NaN time, which raises there)."""
         return self.schedule_at(monotonic() + delay, callback, arg)
 
     def fire_due(self) -> Optional[float]:
@@ -157,8 +163,12 @@ class RtSimulation(Simulation):
 
     def run_until(self, end_time: float) -> None:
         """Fire timers and read sockets until absolute clock time
-        ``end_time`` (already-past times return without blocking).  The
-        first run mirrors the handshakes (:meth:`_mirror_handshakes`)."""
+        ``end_time`` (already-past times return without blocking; NaN
+        raises :class:`~repro.sim.engine.SimulationError`, since no clock
+        reading ever reaches it).  The first run mirrors the handshakes
+        (:meth:`_mirror_handshakes`)."""
+        if end_time != end_time:  # NaN
+            raise SimulationError(f"cannot run until {end_time!r}")
         if not self._mirrored:
             self._mirrored = True
             self._mirror_handshakes()

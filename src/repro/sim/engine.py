@@ -151,9 +151,9 @@ class EventScheduler(EventHeap):
         """Schedule ``callback(arg)`` (or ``callback()`` if arg is None) at
         absolute simulated ``time``.
 
-        Raises :class:`SimulationError` if ``time`` is in the past.
+        Raises :class:`SimulationError` if ``time`` is in the past or NaN.
         """
-        if time < self.now:
+        if not time >= self.now:  # NaN fails this too
             raise SimulationError(
                 f"cannot schedule event at {time:.9f}, now is {self.now:.9f}"
             )
@@ -169,8 +169,8 @@ class EventScheduler(EventHeap):
         arg: Any = None,
     ) -> EventHandle:
         """Schedule an event ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not delay >= 0:  # NaN fails this too
+            raise SimulationError(f"delay must be >= 0, got {delay!r}")
         time = self.now + delay
         seq = next(self._seq)
         handle = EventHandle(seq, time, self)
@@ -189,7 +189,7 @@ class EventScheduler(EventHeap):
         pipe delivery): it skips the :class:`EventHandle` allocation, which
         dominates the scheduling cost for events nobody ever cancels.
         """
-        if time < self.now:
+        if not time >= self.now:  # NaN fails this too
             raise SimulationError(
                 f"cannot schedule event at {time:.9f}, now is {self.now:.9f}"
             )
@@ -202,8 +202,8 @@ class EventScheduler(EventHeap):
         arg: Any = None,
     ) -> None:
         """Like :meth:`schedule_in` but without a cancellation handle."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay!r}")
+        if not delay >= 0:  # NaN fails this too
+            raise SimulationError(f"delay must be >= 0, got {delay!r}")
         heapq.heappush(
             self._heap, (self.now + delay, next(self._seq), None, callback, arg)
         )
@@ -254,7 +254,12 @@ class EventScheduler(EventHeap):
         instant instead of per event.  Events a callback schedules *at* the
         running instant join the same drain (exactly where the unbatched
         loop would have picked them up).
+
+        A NaN ``end_time`` raises :class:`SimulationError`: no event time
+        compares greater than it, so it would drain the whole heap.
         """
+        if end_time != end_time:  # NaN
+            raise SimulationError(f"cannot run until {end_time!r}")
         heap = self._heap
         trace = self.trace
         pop = heapq.heappop

@@ -246,6 +246,12 @@ class TestNetworkEquilibrium:
         with pytest.raises(KeyError):
             net.add_flow(FluidFlow("A", [["L1"]], "reno"))
 
+    @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan])
+    def test_non_positive_rtt_rejected_when_the_flow_is_built(self, bad):
+        # Each flow binds its stepper once, and the step re-checks nothing.
+        with pytest.raises(ValueError, match="rtts must be positive"):
+            FluidFlow("A", [["L0"], ["L1"]], "lia", rtts=[0.1, bad])
+
     def test_unknown_algorithm_rejected(self):
         for algorithm, message in [
             ("quantum", "unknown fluid algorithm"),

@@ -48,6 +48,10 @@ class TestPipe:
         with pytest.raises(ValueError):
             Pipe(Simulation(), delay=-1.0)
 
+    def test_nan_delay_raises(self):
+        with pytest.raises(ValueError, match="pipe delay must be >= 0"):
+            Pipe(Simulation(), delay=float("nan"))
+
 
 class TestPipeLoss:
     def test_zero_loss_passes_everything(self):

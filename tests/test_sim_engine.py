@@ -1,7 +1,10 @@
 """Unit tests for the discrete-event engine."""
 
+import math
+
 import pytest
 
+from repro.rt.loop import MonotonicTimers, RtSimulation
 from repro.sim.engine import EventScheduler, SimulationError
 from repro.sim.simulation import Simulation
 
@@ -174,6 +177,57 @@ class TestPosting:
             sched.post_at(0.5, lambda: None)
         with pytest.raises(SimulationError):
             sched.post_in(-0.1, lambda: None)
+
+
+class TestNanTimes:
+    """NaN compares false with everything, so a plain ``<`` check let it
+    through: a NaN event fired between ordinary ones and left ``now`` at
+    NaN, and ``run_until(nan)`` drained the whole heap."""
+
+    @pytest.mark.parametrize(
+        "method", ["schedule_at", "schedule_in", "post_at", "post_in"])
+    def test_nan_time_is_rejected(self, method):
+        sched = EventScheduler()
+        fired = []
+        for t in (0.5, 1.0, 2.0, 3.0):
+            sched.schedule_at(t, fired.append, t)
+        with pytest.raises(SimulationError, match="nan"):
+            getattr(sched, method)(math.nan, fired.append, "nan")
+        sched.run()
+        assert fired == [0.5, 1.0, 2.0, 3.0]
+        assert sched.now == 3.0
+
+    def test_run_until_nan_is_rejected_and_runs_nothing(self):
+        sched = EventScheduler()
+        fired = []
+
+        def tick():
+            fired.append(sched.now)
+            if len(fired) < 1000:
+                sched.post_in(1.0, tick)
+
+        sched.post_at(1.0, tick)
+        with pytest.raises(SimulationError, match="nan"):
+            sched.run_until(math.nan)
+        assert fired == [] and sched.now == 0.0
+        with pytest.raises(SimulationError, match="nan"):
+            Simulation().run_until(math.nan)
+
+    def test_monotonic_timers_reject_nan(self):
+        timers = MonotonicTimers()
+        with pytest.raises(SimulationError, match="nan"):
+            timers.schedule_at(math.nan, lambda: None)
+        with pytest.raises(SimulationError, match="nan"):
+            timers.schedule_in(math.nan, lambda: None)
+        assert timers.pending == 0
+        # A past time is still fine on a real clock: it fires next pass.
+        timers.schedule_at(timers.now - 1.0, lambda: None)
+        assert timers.fire_due() is None
+
+    def test_rt_run_until_nan_is_rejected(self):
+        with RtSimulation(seed=1) as rt:
+            with pytest.raises(SimulationError, match="nan"):
+                rt.run_until(math.nan)
 
 
 class TestTombstones:
