@@ -10,7 +10,8 @@ Run:  python examples/wireless_client.py
 """
 
 from repro import Simulation, make_flow, pps_to_mbps
-from repro.topology import LinkSchedule, build_3g_path, build_wifi_path
+from repro.fault import FaultSpec, arm_faults
+from repro.topology import build_3g_path, build_wifi_path
 
 
 def main() -> None:
@@ -31,7 +32,10 @@ def main() -> None:
     )
 
     # Walk storyline: WiFi disappears at t=40 s, comes back weaker at 70 s.
-    LinkSchedule(sim, [(40.0, wifi, 0.0), (70.0, wifi, 8.0)]).start()
+    arm_faults(sim, [
+        FaultSpec("rate", "wifi", 40.0, {"mbps": 0.0}),
+        FaultSpec("rate", "wifi", 70.0, {"mbps": 8.0}),
+    ])
 
     competitor.start()
     client.start(at=0.2)

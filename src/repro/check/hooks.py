@@ -16,9 +16,9 @@ keys in :attr:`~repro.exp.spec.ScenarioSpec.params` drive it:
     Truthy → run under an attached :class:`InvariantMonitor`.
 ``"faults"``
     Anything :func:`~repro.fault.spec.resolve_faults` accepts (preset
-    name, spec dict, list).  Implies ``check``: a faulted run is always
-    monitored — the point of injecting a fault is proving the invariants
-    survive it.
+    name, spec dict, list).  A fault kind implies ``check`` — the point
+    of injecting a fault is proving the invariants survive it; a scripted
+    kind (``rate``, ``path_down``, ``path_up``) implies nothing.
 
 Because these live in ``params``, they flow through
 ``ScenarioSpec.canonical()`` into result-cache keys automatically: a
@@ -29,15 +29,15 @@ A point function composes in four lines::
     ctx = CheckContext.from_spec(spec)
     sim = ctx.simulation()          # plain Simulation when inactive
     ... build scenario (ctx.path(profile, name) for a profiled path) ...
-    ctx.arm()                       # bind faults to built components
+    ctx.arm(events)                 # the point's events + the faults
     ... run / measure ...
     return ctx.finish(row)          # adds violations/fault_fires keys
 
 When inactive (the default for every existing spec) this is a strict
 no-op: the same untraced ``Simulation`` as before, and ``finish`` returns
 the row unchanged — cached results and golden numbers are unaffected.
-An inactive context does not even import the monitor, the fault
-injectors or the event schema.
+An inactive context does not even import the monitor, the event schema
+or (with no events to arm) the fault injectors.
 
 :func:`trace_override` routes the monitored bus somewhere visible (the
 ``repro point --trace`` CLI uses it to stream the monitored bus's
@@ -54,7 +54,7 @@ from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
                     Tuple)
 
 from ..exp.spec import ScenarioSpec
-from ..fault.spec import FaultSpec, resolve_faults
+from ..fault.spec import FAULT_KINDS, FaultSpec, resolve_faults
 from ..obs.trace import TraceBus
 from ..sim.simulation import Simulation
 
@@ -132,7 +132,8 @@ class CheckContext:
         self.scenario = scenario
         self.tier = tier
         self.fault_specs = list(fault_specs or ())
-        self.active = bool(check) or bool(self.fault_specs)
+        self.active = bool(check) or any(
+            spec.kind in FAULT_KINDS for spec in self.fault_specs)
         self.sim: Optional[Simulation] = None
         self.monitor: Optional[InvariantMonitor] = None
         self.faults: List[Fault] = []
@@ -186,18 +187,19 @@ class CheckContext:
         run's tier: queue + lossy pipe on packet, an ``RtPath`` on rt."""
         return _load(TIERS[self.tier][1])(self.sim, name, profile)
 
-    def arm(self) -> List[Fault]:
-        """Bind fault specs to the (now built) scenario's components and
-        emit the ``check.attach`` summary."""
-        if not self.active:
-            return []
-        assert self.sim is not None, "call simulation() before arm()"
-        if self.fault_specs:
+    def arm(self, events: Sequence[FaultSpec] = ()) -> List[Fault]:
+        """Arm the point's scripted ``events``, then the spec's faults, on
+        the built scenario (one timeline, scenario time); emit
+        ``check.attach`` when monitored.  Returns everything armed."""
+        armed: List[Fault] = []
+        if events or self.fault_specs:
             from ..fault.faults import arm_faults
 
-            self.faults = arm_faults(self.sim, self.fault_specs)
-        self.monitor.emit_attach(len(self.faults))
-        return self.faults
+            armed = arm_faults(self.sim, [*events, *self.fault_specs])
+        self.faults = [f for f in armed if f.spec.kind in FAULT_KINDS]
+        if self.active:
+            self.monitor.emit_attach(len(self.faults))
+        return armed
 
     def finish(self, row: dict) -> dict:
         """Final invariant sweep; annotate the result row when active.

@@ -29,6 +29,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..check.hooks import CheckContext
 from ..core.registry import make_controller
+from ..fault.spec import FaultSpec
 from ..harness.experiment import jain_index, make_flow, measure
 from ..topology.scenarios import SWEEP_GRIDS, build_torus, build_two_links
 from .spec import ScenarioSpec, grid_points
@@ -96,7 +97,7 @@ def torus_balance(spec: ScenarioSpec) -> dict:
         f.start(at=0.1 * i)
         flows[f"f{i}"] = f
     ctx.arm()
-    sim.run_until(spec.warmup)
+    sim.run_until_elapsed(spec.warmup)
     queues = [sc.net.link(f"in{i}", f"out{i}").queue for i in range(5)]
     for q in queues:
         q.reset_counters()
@@ -183,22 +184,18 @@ def subflow_churn(spec: ScenarioSpec) -> dict:
     flow.add_path(routes[0], name="p0")
     flow.add_path(routes[1], name="p1", backup=(policy == "backup"))
     end = spec.warmup + spec.duration
-    t, flips, down = spec.warmup, 0, True
+    churn, t = [], spec.warmup
     while t < end:
-        if down:
-            flow.manager.schedule_path_down(churned, at=t, cause="churn")
-        else:
-            flow.manager.schedule_path_up(churned, at=t, cause="churn")
-        down = not down
-        flips += 1
+        kind = "path_up" if len(churn) % 2 else "path_down"
+        churn.append(FaultSpec(kind, f"m.{churned}", t, {"cause": "churn"}))
         t += period
-    ctx.arm()
+    ctx.arm(churn)
     flow.start()
     m = measure(sim, {"m": flow}, warmup=spec.warmup, duration=spec.duration)
     reasm = flow.receiver.reassembler
     return ctx.finish({
         "goodput_pps": m["m"],
-        "churn_flips": flips,
+        "churn_flips": len(churn),
         "subflows_opened": flow.manager.subflows_opened,
         "subflows_closed": flow.manager.subflows_closed,
         "delivery_gap": reasm.data_cum_ack - reasm.delivered,

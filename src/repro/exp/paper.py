@@ -31,6 +31,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..check.hooks import CheckContext
 from ..core.registry import make_controller
+from ..fault.spec import FaultSpec
 from ..harness.datacenter import measure_matrix, start_matrix
 from ..harness.experiment import jain_index, make_flow, measure
 from ..mptcp.connection import MptcpFlow
@@ -47,7 +48,6 @@ from ..topology.scenarios import (
 )
 from ..topology.wireless import (
     PROFILES,
-    LinkSchedule,
     build_3g_path,
     build_wifi_path,
 )
@@ -220,7 +220,7 @@ def two_links(spec: ScenarioSpec) -> dict:
     else:
         multi.start()
     ctx.arm()
-    sim.run_until(spec.warmup)
+    sim.run_until_elapsed(spec.warmup)
     queues = [sc.net.link("s1", "d1").queue, sc.net.link("s2", "d2").queue]
     for q in queues:
         q.reset_counters()
@@ -638,7 +638,7 @@ def fig15_claims(rows: List[dict]) -> None:
 
 
 def mobile_walk(spec: ScenarioSpec) -> dict:
-    """Fig 17 point: a walk through changing coverage, as a link schedule.
+    """Fig 17 point: a walk through changing coverage, as ``rate`` events.
 
     With ``d`` the spec's duration and ``w`` its warm-up: good WiFi
     (14.4 Mb/s) + 3G until ``w + d``; the stairwell — WiFi gone, 3G a
@@ -657,24 +657,19 @@ def mobile_walk(spec: ScenarioSpec) -> dict:
     stairwell = spec.warmup + spec.duration
     basestation = stairwell + spec.duration * 3 / 5
     end = basestation + spec.duration * 6 / 5
-    schedule = LinkSchedule(
-        sim,
-        [
-            (stairwell, wifi, 0.0),
-            (stairwell, threeg, 2.8),
-            (basestation, wifi, 8.0),
-            (basestation, threeg, 2.1),
-        ],
-    )
     tcp_wifi = make_flow(sim, [wifi.route("s1")], "reno", name="s1")
     multi = make_flow(
         sim, [wifi.route("m.wifi"), threeg.route("m.3g")], algo, name="m",
         enable_reinjection=True,
     )
-    schedule.start()
     tcp_wifi.start()
     multi.start(at=0.2)
-    ctx.arm()
+    ctx.arm([
+        FaultSpec("rate", "wifi", stairwell, {"mbps": 0.0}),
+        FaultSpec("rate", "3g", stairwell, {"mbps": 2.8}),
+        FaultSpec("rate", "wifi", basestation, {"mbps": 8.0}),
+        FaultSpec("rate", "3g", basestation, {"mbps": 2.1}),
+    ])
     row = {}
     settle = spec.warmup / 2
     for phase, start, stop in (
@@ -743,25 +738,21 @@ def wifi_3g_handover(spec: ScenarioSpec) -> dict:
         g3 = ctx.path(PROFILES["3g"], "3g")
         flow = ManagedMptcpFlow(sim, make_controller(algo), policy=policy,
                                 name="m")
-        flow.add_path(wifi.route("m.wifi"), name="wifi", wireless=wifi)
-        flow.add_path(
-            g3.route("m.3g"), name="3g",
-            backup=(policy == "backup"), wireless=g3,
-        )
+        flow.add_path(wifi.route("m.wifi"), name="wifi")
+        flow.add_path(g3.route("m.3g"), name="3g",
+                      backup=(policy == "backup"))
         manager = flow.manager
         phase = spec.duration / 3.0
         t_down = spec.warmup + phase
         t_up = spec.warmup + 2.0 * phase
         fade = min(1.0, phase / 2.0)
-        schedule = LinkSchedule(sim, [
-            (sim.at(t_down - fade), wifi, 2.0),   # fading signal
-            (sim.at(t_down), wifi, 0.0),          # coverage lost
-            (sim.at(t_up), wifi, 14.4),           # coverage back
+        armed = ctx.arm([
+            FaultSpec("rate", "wifi", t_down - fade, {"mbps": 2.0}),  # fading
+            FaultSpec("rate", "wifi", t_down, {"mbps": 0.0}),   # coverage lost
+            FaultSpec("rate", "wifi", t_up, {"mbps": 14.4}),    # coverage back
         ])
-        handover = WirelessHandover(manager, schedule, mode=mode,
+        handover = WirelessHandover(manager, armed, mode=mode,
                                     degraded_mbps=degraded)
-        ctx.arm()
-        schedule.start()
         flow.start()
         sim.run_until_elapsed(spec.warmup)
         d0 = flow.packets_delivered

@@ -1,4 +1,4 @@
-"""Fault injection: seeded, reproducible network perturbations.
+"""Fault injection and scripted path changes: one timeline of events.
 
 See ``docs/CHECKING.md``.  Fault schedules are declared as
 :class:`FaultSpec` values (or preset names / plain dicts — see
@@ -13,12 +13,15 @@ from .._exports import lazy_exports
 #: Public name -> the submodule defining it (loaded on first use).
 _EXPORTS = {
     "AckDropFault": ".faults",
+    "EVENT_KINDS": ".spec",
     "FAULT_KINDS": ".spec",
     "FAULT_PRESETS": ".spec",
     "Fault": ".faults",
     "FaultSpec": ".spec",
     "LinkFlapFault": ".faults",
     "LossBurstFault": ".faults",
+    "PathLiveness": ".faults",
+    "RateStep": ".faults",
     "ReorderFault": ".faults",
     "SubflowKillFault": ".faults",
     "arm_faults": ".faults",

@@ -1,10 +1,10 @@
-"""Fault injectors: seeded, reproducible network perturbations.
+"""Fault injectors and scripted path changes: one timeline of events.
 
-Each fault binds a :class:`~repro.fault.spec.FaultSpec` to one concrete
-component (queue, pipe or sender) found by name in the simulation's
-component registry.  Injection hooks into the element's ``intercept``
-slot (queues, pipes) or wraps ``receive`` (senders) — the data path is
-untouched until a fault actually arms.
+Each event binds a :class:`~repro.fault.spec.FaultSpec` to one concrete
+component (queue, pipe or sender; a path; a managed path) found by name
+in the simulation's component registry.  Injection hooks into the
+element's ``intercept`` slot (queues, pipes) or wraps ``receive``
+(senders) — the data path is untouched until a fault actually arms.
 
 Reproducibility: every fault draws from its **own** RNG, seeded from
 ``(sim.seed, kind, target, start)``.  Injected randomness therefore never
@@ -40,8 +40,32 @@ __all__ = [
     "ReorderFault",
     "SubflowKillFault",
     "AckDropFault",
+    "RateStep",
+    "PathLiveness",
     "arm_faults",
 ]
+
+
+def _param(spec: FaultSpec, name: str, default: Any, rule: str, ok) -> float:
+    """``spec.params[name]`` (or ``default``) as a float, refusing a value
+    outside ``rule`` — e.g. an inverted window, which would open after it
+    closes and so never close."""
+    value = spec.params.get(name, default)
+    if value is None or not ok(float(value)):
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return float(value)
+
+
+def _prob(spec: FaultSpec, default: float) -> float:
+    return _param(spec, "prob", default, "in (0, 1]", lambda v: 0 < v <= 1)
+
+
+def _positive(spec: FaultSpec, name: str, default: Any = None
+              ) -> Optional[float]:
+    """A > 0 parameter; an optional one (no default) may be absent."""
+    if default is None and spec.params.get(name) is None:
+        return None
+    return _param(spec, name, default, "> 0", lambda v: v > 0)
 
 
 class Fault:
@@ -125,7 +149,56 @@ class Fault:
         )
 
 
-class LinkFlapFault(Fault):
+class _WindowFault(Fault):
+    """Drop a fraction ``prob`` of the packets the target hooks see while
+    a window is open: ``repeats`` windows of ``duration`` seconds,
+    ``period`` apart from ``start``, whose edges trace as ``ACTIONS``."""
+
+    ACTIONS = ("", "")
+
+    def __init__(self, sim, spec, target, trace=None, duration=3.0,
+                 prob=1.0, period=0.0, repeats=1):
+        super().__init__(sim, spec, target, trace=trace)
+        self.duration, self.prob = duration, prob
+        self.period, self.repeats = period, repeats
+        self.active = False
+        self._dropped = 0
+
+    def _schedule(self) -> None:
+        self._install()
+        for k in range(self.repeats):
+            base = self.spec.start + k * self.period
+            self._at(base, self._open)
+            self._at(base + self.duration, self._close)
+
+    def _install(self) -> None:
+        """Hook the target: a queue's or pipe's ``intercept`` slot."""
+        self._chain_intercept(self._intercept)
+
+    def _open(self) -> None:
+        self.active = True
+        self._dropped = 0
+        self._fire(self.ACTIONS[0])
+
+    def _close(self) -> None:
+        self.active = False
+        self._fire(self.ACTIONS[1], count=self._dropped)
+
+    def _intercept(self, packet: Packet) -> bool:
+        return (self.active and isinstance(packet, DataPacket)
+                and self._drops(packet, getattr(packet, "seq", None)))
+
+    def _drops(self, packet: Packet, seq: Optional[int]) -> bool:
+        """Draw for ``packet`` (window open); count and trace a drop."""
+        if self.prob < 1.0 and self.rng.random() >= self.prob:
+            return False
+        self.fires += 1
+        self._dropped += 1
+        self._trace_drop(packet, seq)
+        return True
+
+
+class LinkFlapFault(_WindowFault):
     """Take a link down and up repeatedly.
 
     While down, every data packet arriving at the target queue is dropped
@@ -134,85 +207,31 @@ class LinkFlapFault(Fault):
     ``period`` (outage start-to-start spacing), ``repeats``.
     """
 
+    ACTIONS = ("down", "up")
+
     def __init__(self, sim, spec, target, trace=None):
-        super().__init__(sim, spec, target, trace=trace)
-        self.down = False
-        self._dropped_this_outage = 0
-        params = spec.params
-        self.down_for = float(params.get("down_for", 2.0))
-        self.period = float(params.get("period", self.down_for * 3.0))
-        self.repeats = int(params.get("repeats", 1))
-        if self.down_for <= 0:
-            raise ValueError(f"down_for must be > 0, got {self.down_for!r}")
-        if self.period < self.down_for:
+        down_for = _positive(spec, "down_for", 2.0)
+        period = float(spec.params.get("period", down_for * 3.0))
+        if period < down_for:
             raise ValueError(
-                f"period {self.period!r} shorter than down_for "
-                f"{self.down_for!r}: outages would overlap"
+                f"period {period!r} shorter than down_for "
+                f"{down_for!r}: outages would overlap"
             )
-
-    def _schedule(self) -> None:
-        self._chain_intercept(self._intercept)
-        for k in range(self.repeats):
-            base = self.spec.start + k * self.period
-            self._at(base, self._go_down)
-            self._at(base + self.down_for, self._go_up)
-
-    def _go_down(self) -> None:
-        self.down = True
-        self._dropped_this_outage = 0
-        self._fire("down")
-
-    def _go_up(self) -> None:
-        self.down = False
-        self._fire("up", count=self._dropped_this_outage)
-
-    def _intercept(self, packet: Packet) -> bool:
-        if not self.down or not isinstance(packet, DataPacket):
-            return False
-        self.fires += 1
-        self._dropped_this_outage += 1
-        self._trace_drop(packet, getattr(packet, "seq", None))
-        return True
+        repeats = _param(spec, "repeats", 1, ">= 1", lambda v: v >= 1)
+        super().__init__(sim, spec, target, trace, down_for, 1.0, period,
+                         int(repeats))
 
 
-class LossBurstFault(Fault):
+class LossBurstFault(_WindowFault):
     """Random loss with probability ``prob`` during a window of
     ``duration`` seconds from ``start`` (a burst of non-congestion loss on
     a queue or pipe)."""
 
+    ACTIONS = ("burst_start", "burst_end")
+
     def __init__(self, sim, spec, target, trace=None):
-        super().__init__(sim, spec, target, trace=trace)
-        self.active = False
-        self._dropped_this_burst = 0
-        params = spec.params
-        self.duration = float(params.get("duration", 3.0))
-        self.prob = float(params.get("prob", 0.3))
-        if not 0.0 < self.prob <= 1.0:
-            raise ValueError(f"prob must be in (0, 1], got {self.prob!r}")
-
-    def _schedule(self) -> None:
-        self._chain_intercept(self._intercept)
-        self._at(self.spec.start, self._begin)
-        self._at(self.spec.start + self.duration, self._end)
-
-    def _begin(self) -> None:
-        self.active = True
-        self._dropped_this_burst = 0
-        self._fire("burst_start")
-
-    def _end(self) -> None:
-        self.active = False
-        self._fire("burst_end", count=self._dropped_this_burst)
-
-    def _intercept(self, packet: Packet) -> bool:
-        if not self.active or not isinstance(packet, DataPacket):
-            return False
-        if self.rng.random() >= self.prob:
-            return False
-        self.fires += 1
-        self._dropped_this_burst += 1
-        self._trace_drop(packet, getattr(packet, "seq", None))
-        return True
+        super().__init__(sim, spec, target, trace,
+                         _positive(spec, "duration", 3.0), _prob(spec, 0.3))
 
 
 class ReorderFault(Fault):
@@ -228,16 +247,9 @@ class ReorderFault(Fault):
 
     def __init__(self, sim, spec, target, trace=None):
         super().__init__(sim, spec, target, trace=trace)
-        params = spec.params
-        self.prob = float(params.get("prob", 0.1))
-        self.extra_delay = float(params.get("extra_delay", 0.02))
-        self.duration = params.get("duration")
-        if not 0.0 < self.prob <= 1.0:
-            raise ValueError(f"prob must be in (0, 1], got {self.prob!r}")
-        if self.extra_delay <= 0:
-            raise ValueError(
-                f"extra_delay must be > 0, got {self.extra_delay!r}"
-            )
+        self.prob = _prob(spec, 0.1)
+        self.extra_delay = _positive(spec, "extra_delay", 0.02)
+        self.duration = _positive(spec, "duration")
         self._bypass: Optional[Packet] = None
 
     def _schedule(self) -> None:
@@ -248,7 +260,7 @@ class ReorderFault(Fault):
         if elapsed < self.spec.start:
             return False
         if self.duration is not None:
-            return elapsed < self.spec.start + float(self.duration)
+            return elapsed < self.spec.start + self.duration
         return True
 
     def _intercept(self, packet: Packet) -> bool:
@@ -287,12 +299,12 @@ class SubflowKillFault(Fault):
 
     def __init__(self, sim, spec, target, trace=None):
         super().__init__(sim, spec, target, trace=trace)
-        self.revive_after = spec.params.get("revive_after")
+        self.revive_after = _positive(spec, "revive_after")
 
     def _schedule(self) -> None:
         self._at(self.spec.start, self._kill)
         if self.revive_after is not None:
-            self._at(self.spec.start + float(self.revive_after), self._revive)
+            self._at(self.spec.start + self.revive_after, self._revive)
 
     def _kill(self) -> None:
         self.fires += 1
@@ -304,7 +316,7 @@ class SubflowKillFault(Fault):
         self._fire("revive")
 
 
-class AckDropFault(Fault):
+class AckDropFault(_WindowFault):
     """Drop a fraction ``prob`` of one sender's incoming ACKs for
     ``duration`` seconds from ``start`` (a lossy reverse path).
 
@@ -315,66 +327,112 @@ class AckDropFault(Fault):
     ``__slots__``-constrained).
     """
 
-    def __init__(self, sim, spec, target, trace=None):
-        super().__init__(sim, spec, target, trace=trace)
-        self.active = False
-        self._dropped_this_window = 0
-        params = spec.params
-        self.duration = float(params.get("duration", 3.0))
-        self.prob = float(params.get("prob", 0.25))
-        if not 0.0 < self.prob <= 1.0:
-            raise ValueError(f"prob must be in (0, 1], got {self.prob!r}")
+    ACTIONS = ("window_start", "window_end")
 
-    def _schedule(self) -> None:
+    def __init__(self, sim, spec, target, trace=None):
+        super().__init__(sim, spec, target, trace,
+                         _positive(spec, "duration", 3.0), _prob(spec, 0.25))
+
+    def _install(self) -> None:
         original = self.target.receive
         fault = self
 
         def guarded_receive(ack):
-            if (
-                fault.active
-                and isinstance(ack, AckPacket)
-                and fault.rng.random() < fault.prob
-            ):
-                fault.fires += 1
-                fault._dropped_this_window += 1
-                fault._trace_drop(ack, getattr(ack, "ack_seq", None))
-                return
-            original(ack)
+            if not (fault.active and isinstance(ack, AckPacket)
+                    and fault._drops(ack, getattr(ack, "ack_seq", None))):
+                original(ack)
 
         self.target.receive = guarded_receive
-        self._at(self.spec.start, self._begin)
-        self._at(self.spec.start + self.duration, self._end)
-
-    def _begin(self) -> None:
-        self.active = True
-        self._dropped_this_window = 0
-        self._fire("window_start")
-
-    def _end(self) -> None:
-        self.active = False
-        self._fire("window_end", count=self._dropped_this_window)
 
 
-#: kind -> (fault class, acceptable target component types)
+class _Scripted(Fault):
+    """A scripted path change: part of the scenario's own timeline, not a
+    perturbation of it, so it announces nothing (no ``fault.armed``) —
+    the component it drives traces the transition.  Subclasses define
+    ``_apply``, run once at ``start``."""
+
+    def arm(self) -> None:
+        self._at(self.spec.start, self._apply)
+
+
+class RateStep(_Scripted):
+    """Set a path's line rate to ``mbps`` at ``start`` (0: a coverage
+    outage).  The target is anything with ``set_rate_mbps`` — a sim
+    ``WirelessPath`` or an rt ``RtPath`` — so one list drives either."""
+
+    def __init__(self, sim, spec, target, trace=None):
+        super().__init__(sim, spec, target, trace=trace)
+        self.mbps = _param(spec, "mbps", None, ">= 0", lambda v: v >= 0)
+        self._subscribers: List[Any] = []
+
+    def subscribe(self, callback) -> None:
+        """Call ``callback(now, target, mbps)`` after the step (once the
+        rate has taken effect on the target)."""
+        self._subscribers.append(callback)
+
+    def _apply(self) -> None:
+        self.target.set_rate_mbps(self.mbps)
+        for callback in self._subscribers:
+            callback(self.sim.now, self.target, self.mbps)
+
+
+class PathLiveness(_Scripted):
+    """Take a managed path (target ``<connection>.<path>``, e.g. ``m.p1``)
+    down or back up at ``start`` through its path manager, with
+    ``cause`` (default ``"schedule"``) for the ``pathmgr`` record."""
+
+    def __init__(self, sim, spec, target, trace=None):
+        super().__init__(sim, spec, target, trace=trace)
+        self.manager, self.path = target
+        self.target_name = f"{self.manager.connection.name}.{self.path}"
+        self.cause = str(spec.params.get("cause", "schedule"))
+
+    def _apply(self) -> None:
+        if self.spec.kind == "path_down":
+            self.manager.path_down(self.path, cause=self.cause)
+        else:
+            self.manager.path_up(self.path, cause=self.cause)
+
+
+def _of_types(*types: type):
+    return lambda c: [(c.name, c)] if isinstance(c, types) else ()
+
+
+def _rate_settable(c):
+    return [(c.name, c)] if hasattr(c, "set_rate_mbps") else ()
+
+
+def _managed_paths(c):
+    # A path manager, duck-typed: the fault layer imports no pathmgr.
+    if not hasattr(c, "ordered_paths"):
+        return ()
+    return [(f"{c.connection.name}.{p.name}", (c, p.name))
+            for p in c.ordered_paths()]
+
+
+#: kind -> (event class, component -> the (name, target) pairs it offers)
 _KIND_MAP = {
-    "link_flap": (LinkFlapFault, (DropTailQueue,)),
-    "loss_burst": (LossBurstFault, (DropTailQueue, Pipe)),
-    "reorder": (ReorderFault, (DropTailQueue, Pipe)),
-    "subflow_kill": (SubflowKillFault, (TcpSender,)),
-    "ack_drop": (AckDropFault, (TcpSender,)),
+    "link_flap": (LinkFlapFault, _of_types(DropTailQueue)),
+    "loss_burst": (LossBurstFault, _of_types(DropTailQueue, Pipe)),
+    "reorder": (ReorderFault, _of_types(DropTailQueue, Pipe)),
+    "subflow_kill": (SubflowKillFault, _of_types(TcpSender)),
+    "ack_drop": (AckDropFault, _of_types(TcpSender)),
+    "rate": (RateStep, _rate_settable),
+    "path_down": (PathLiveness, _managed_paths),
+    "path_up": (PathLiveness, _managed_paths),
 }
 
 
-def _candidates(sim: Simulation, types: Tuple[type, ...]) -> List[Tuple[str, Any]]:
+def _candidates(sim: Simulation, targets) -> List[Tuple[str, Any]]:
     by_name = {}
     on_path = set()
     for component in sim.components:
         if isinstance(component, Route):
             on_path.update(id(e) for e in component.elements)
-        elif isinstance(component, types):
-            name = getattr(component, "name", "")
+            continue
+        for name, target in targets(component):
             if name:
-                by_name.setdefault(name, component)
+                by_name.setdefault(name, target)
     # Rank forward-path elements first, then queues before pipes, then by
     # name: a bare "*" should fault a link buffer that actually carries
     # data, not an idle reverse-twin queue or a reverse-path ACK pipe
@@ -392,19 +450,21 @@ def _candidates(sim: Simulation, types: Tuple[type, ...]) -> List[Tuple[str, Any
 def arm_faults(
     sim: Simulation, specs: List[FaultSpec], trace=None
 ) -> List[Fault]:
-    """Bind each spec to its target component(s) and arm the faults.
+    """Bind each spec to its target component(s) and arm it: faults and
+    scripted path changes alike, in list order, at scenario time.
 
-    Targets are matched by ``fnmatch`` glob over component names, in
-    sorted name order for determinism; the first match is used unless the
-    spec sets ``params["scope"] = "all"``.  Raises :class:`ValueError`
-    when a spec matches nothing (listing what was available), because a
-    silently unarmed fault would make a "fault tolerated" result
-    meaningless.
+    Targets are matched by ``fnmatch`` glob over component names (a
+    managed path is named ``<connection>.<path>``), in sorted name order
+    for determinism; the first match is used unless the spec sets
+    ``params["scope"] = "all"``.  Raises :class:`ValueError` when a spec
+    matches nothing (listing what was available), because a silently
+    unarmed fault would make a "fault tolerated" result meaningless, and
+    a silently dropped path change a mobility result.
     """
     armed: List[Fault] = []
     for spec in specs:
-        cls, types = _KIND_MAP[spec.kind]
-        candidates = _candidates(sim, types)
+        cls, targets = _KIND_MAP[spec.kind]
+        candidates = _candidates(sim, targets)
         matches = [
             (name, comp) for name, comp in candidates
             if fnmatch(name, spec.target)

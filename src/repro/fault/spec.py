@@ -1,24 +1,21 @@
-"""Declarative fault schedules.
+"""Declarative network-event schedules: faults and scripted path changes.
 
-A :class:`FaultSpec` names a fault kind, the element it targets (a glob
+A :class:`FaultSpec` names an event kind, the element it targets (a glob
 over component names), when it starts, and kind-specific parameters.  The
 spec layer is deliberately plain data — dicts in, dicts out — so that
-fault schedules compose with :class:`~repro.exp.spec.ScenarioSpec`
+event schedules compose with :class:`~repro.exp.spec.ScenarioSpec`
 parameter grids: putting ``{"faults": [spec.to_dict()]}`` in a scenario's
-``params`` makes the fault schedule part of the sweep point's identity
-(result-cache keys change when the faults do).
+``params`` makes the schedule part of the sweep point's identity
+(result-cache keys change when the events do).
 
-:data:`FAULT_PRESETS` provides one ready-made schedule per kind, used by
-``repro point <scenario> --param faults=<name>`` and handy as a starting
-point in tests:
-
-========== =============================================================
-link_flap   take a link down/up repeatedly (§5's wireless handover story)
-loss_burst  a burst of random loss on one element
-reorder     delay a fraction of packets so they arrive out of order
-subflow_kill stop one subflow's sender mid-run (path failure)
-ack_drop    drop a fraction of one sender's ACKs (lossy reverse path)
-========== =============================================================
+One list holds two families: the five *faults* (:data:`FAULT_KINDS`)
+perturb a run and imply invariant checking; the *scripted* kinds
+(``rate``, ``path_down``, ``path_up``) are the scenario's own timeline —
+Fig 17's capacity walk, a handover's outage, a churned path.  The kind
+table is docs/CHECKING.md's (``tools/docs_check.py`` holds it to
+:data:`EVENT_KINDS`).  :data:`FAULT_PRESETS` provides one ready-made
+schedule per fault kind, used by ``repro point <scenario> --param
+faults=<name>`` and handy as a starting point in tests.
 """
 
 from __future__ import annotations
@@ -26,15 +23,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Union
 
-__all__ = ["FaultSpec", "FAULT_KINDS", "FAULT_PRESETS", "resolve_faults"]
+__all__ = ["FaultSpec", "EVENT_KINDS", "FAULT_KINDS", "FAULT_PRESETS",
+           "resolve_faults"]
 
-#: The fault kinds implemented by :mod:`repro.fault.faults`.
+#: The fault kinds: perturbations that imply invariant checking and count
+#: toward a row's ``fault_fires``.
 FAULT_KINDS = ("link_flap", "loss_burst", "reorder", "subflow_kill", "ack_drop")
+
+#: Every kind :mod:`repro.fault.faults` arms: the faults plus the
+#: scripted path changes of a scenario's own timeline.
+EVENT_KINDS = FAULT_KINDS + ("rate", "path_down", "path_up")
 
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One scheduled fault.
+    """One scheduled fault or scripted path change.
 
     ``target`` is an ``fnmatch``-style glob over component names; by
     default the first matching component (in sorted name order, for
@@ -49,10 +52,10 @@ class FaultSpec:
     params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in FAULT_KINDS:
+        if self.kind not in EVENT_KINDS:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; expected one of "
-                f"{', '.join(FAULT_KINDS)}"
+                f"{', '.join(EVENT_KINDS)}"
             )
         if self.start < 0:
             raise ValueError(f"fault start must be >= 0, got {self.start!r}")

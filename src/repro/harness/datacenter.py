@@ -74,13 +74,13 @@ def measure_matrix(
     warmup: float,
     duration: float,
 ) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """Run started flows through warm-up, then measure over ``duration``
-    seconds; returns each flow's goodput (pkt/s) and the drop fraction
+    """Run started flows through ``warmup`` (scenario time), then measure
+    over ``duration`` seconds; returns each flow's goodput (pkt/s) and the drop fraction
     of each link that saw arrivals."""
-    sim.run_until(warmup)
+    sim.run_until_elapsed(warmup)
     base = {name: f.packets_delivered for name, f in flows.items()}
     net.reset_counters()
-    sim.run_until(warmup + duration)
+    sim.run_until_elapsed(warmup + duration)
 
     flow_rates = {
         name: (f.packets_delivered - base[name]) / duration

@@ -71,22 +71,22 @@ def measure(
     warmup: float,
     duration: float,
 ) -> Measurement:
-    """Run to ``warmup`` (absolute sim time), then measure goodput for
-    ``duration`` seconds.
+    """Run to ``warmup`` (scenario time: seconds after the run origin),
+    then measure goodput for ``duration`` seconds.
 
     Flows must already be started.  Returns per-flow rates in pkt/s, plus
     per-subflow rates for multipath flows (per-path load split).
     """
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration!r}")
-    sim.run_until(warmup)
+    sim.run_until_elapsed(warmup)
     base = {name: flow.packets_delivered for name, flow in flows.items()}
     sub_base = {
         name: list(flow.subflow_delivered())
         for name, flow in flows.items()
         if isinstance(flow, MptcpFlow)
     }
-    sim.run_until(warmup + duration)
+    sim.run_until_elapsed(warmup + duration)
     rates = {
         name: (flow.packets_delivered - base[name]) / duration
         for name, flow in flows.items()

@@ -8,9 +8,9 @@ peer (ADD_ADDR/REMOVE_ADDR analogues), opens subflows through the MP_JOIN
 handshake under a pluggable :class:`~.policy.PathPolicy` (``full_mesh``,
 ``ndiffports``, ``backup``), and retires them on path death — reinjecting
 stranded data and recomputing the coupled ``alpha`` over the new set.
-:class:`WirelessHandover` connects
-:class:`~repro.topology.wireless.LinkSchedule` capacity changes to those
-transitions for the §5 WiFi→3G mobility experiments.
+:class:`WirelessHandover` connects a scenario's ``rate`` events
+(:mod:`repro.fault`) to those transitions for the §5 WiFi→3G mobility
+experiments; ``path_down`` / ``path_up`` events script them directly.
 
 See ``docs/PATH_MANAGEMENT.md``.
 """

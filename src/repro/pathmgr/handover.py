@@ -1,10 +1,11 @@
-"""WiFi↔3G handover: wiring link schedules into the path manager.
+"""WiFi↔3G handover: wiring a scenario's rate events into the path manager.
 
 The paper's §5 mobile experiment (Fig 17) scripts the client walking out
-of WiFi coverage and back; :class:`~repro.topology.wireless.LinkSchedule`
-already replays the capacity changes against the access queues.  This
-module closes the loop: a :class:`WirelessHandover` subscribes to the
-schedule and translates rate changes into path-manager transitions.
+of WiFi coverage and back; the scenario's ``rate`` events
+(:class:`~repro.fault.faults.RateStep`) replay the capacity changes
+against the access paths.  This module closes the loop: a
+:class:`WirelessHandover` subscribes to those events and translates rate
+changes into path-manager transitions.
 
 Two migration modes:
 
@@ -24,9 +25,8 @@ tentpole requires.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Iterable, Optional
 
-from ..topology.wireless import LinkSchedule, WirelessPath
 from .manager import ManagedPath, PathManager
 
 __all__ = ["WirelessHandover", "HANDOVER_MODES"]
@@ -36,12 +36,13 @@ HANDOVER_MODES = ("break_before_make", "make_before_break")
 
 
 class WirelessHandover:
-    """Drives path-manager transitions from a wireless link schedule."""
+    """Drives path-manager transitions from the ``rate`` events among
+    ``events`` (what ``arm_faults`` or ``CheckContext.arm`` returned)."""
 
     def __init__(
         self,
         manager: PathManager,
-        schedule: LinkSchedule,
+        events: Iterable[Any],
         mode: str = "break_before_make",
         degraded_mbps: Optional[float] = None,
     ):
@@ -55,19 +56,15 @@ class WirelessHandover:
         self.degraded_mbps = degraded_mbps
         #: Completed migrations (traffic moved to a surviving path).
         self.handovers = 0
-        schedule.subscribe(self._on_rate_change)
+        for event in events:
+            if event.spec.kind == "rate":
+                event.subscribe(self._on_rate_change)
 
     # ------------------------------------------------------------------
-    def _managed(self, wireless: WirelessPath) -> Optional[ManagedPath]:
-        for path in self.manager.ordered_paths():
-            if path.wireless is wireless:
-                return path
-        return None
-
-    def _on_rate_change(
-        self, now: float, wireless: WirelessPath, mbps: float
-    ) -> None:
-        path = self._managed(wireless)
+    def _on_rate_change(self, now: float, stepped: Any, mbps: float) -> None:
+        # The managed path whose route runs over the stepped path.
+        path = next((path for path in self.manager.ordered_paths()
+                     if stepped.carries(path.route)), None)
         if path is None:
             return
         if mbps <= 0.0:

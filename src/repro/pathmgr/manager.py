@@ -43,7 +43,6 @@ from ..mptcp.handshake import (
 from ..mptcp.subflow import MptcpSubflow
 from ..net.route import Route
 from ..sim.simulation import Simulation
-from ..topology.wireless import WirelessPath
 from .policy import PathPolicy, make_policy
 
 __all__ = ["ManagedPath", "PathManager", "ManagedMptcpFlow"]
@@ -52,19 +51,10 @@ __all__ = ["ManagedPath", "PathManager", "ManagedMptcpFlow"]
 class ManagedPath:
     """One path under management: route, role, liveness and subflows."""
 
-    def __init__(
-        self,
-        name: str,
-        route: Route,
-        backup: bool = False,
-        wireless: Optional[WirelessPath] = None,
-    ):
+    def __init__(self, name: str, route: Route, backup: bool = False):
         self.name = name
         self.route = route
         self.backup = backup
-        #: The WirelessPath behind the route, when there is one — lets the
-        #: handover module map LinkSchedule changes back to this path.
-        self.wireless = wireless
         self.up = True
         #: MP_JOIN completed ahead of time (hot standby); consumed by the
         #: next open.
@@ -94,8 +84,9 @@ class PathManager:
 
     Attaches itself to the connection (``connection.path_manager``), so
     path signals raised by subflows — fault injection's ``subflow_kill``,
-    the handover module's schedule events — arrive here and are answered
-    by the configured policy.
+    the handover module's rate events, a scenario's ``path_down`` /
+    ``path_up`` events — arrive here and are answered by the configured
+    policy.
     """
 
     def __init__(
@@ -181,11 +172,7 @@ class PathManager:
     # Path advertisement / withdrawal (ADD_ADDR / REMOVE_ADDR analogues)
     # ------------------------------------------------------------------
     def add_path(
-        self,
-        route: Route,
-        name: str = "",
-        backup: bool = False,
-        wireless: Optional[WirelessPath] = None,
+        self, route: Route, name: str = "", backup: bool = False
     ) -> ManagedPath:
         """Advertise a path and hand it to the policy."""
         label = name or route.name or f"path{len(self.paths)}"
@@ -193,7 +180,7 @@ class PathManager:
             raise ValueError(f"duplicate path name {label!r}")
         if self.multipath is None:
             self._establish()
-        path = ManagedPath(label, route, backup=backup, wireless=wireless)
+        path = ManagedPath(label, route, backup=backup)
         path.addr_id = self._next_addr_id
         self._next_addr_id += 1
         path.advertised = advertise_address(
@@ -358,25 +345,6 @@ class PathManager:
         self._emit("pathmgr.path_up", conn=self.connection.name, path=name)
         self.policy.on_path_up(self, path)
 
-    def schedule_path_down(
-        self, name: str, at: float, cause: str = "schedule"
-    ) -> None:
-        """Script a path failure at absolute time ``at``."""
-        self.sim.schedule_at(at, self._apply_scheduled, (name, False, cause))
-
-    def schedule_path_up(
-        self, name: str, at: float, cause: str = "schedule"
-    ) -> None:
-        """Script a path recovery at absolute time ``at``."""
-        self.sim.schedule_at(at, self._apply_scheduled, (name, True, cause))
-
-    def _apply_scheduled(self, event) -> None:
-        name, up, cause = event
-        if up:
-            self.path_up(name, cause=cause)
-        else:
-            self.path_down(name, cause=cause)
-
     # ------------------------------------------------------------------
     # Signals from subflows (via MptcpConnection.notice_path_*)
     # ------------------------------------------------------------------
@@ -442,8 +410,8 @@ class ManagedMptcpFlow:
     (and may come and go) at run time::
 
         flow = ManagedMptcpFlow(sim, make_controller("lia"), policy="backup")
-        flow.add_path(wifi.route("m.wifi"), name="wifi", wireless=wifi)
-        flow.add_path(g3.route("m.3g"), name="3g", backup=True, wireless=g3)
+        flow.add_path(wifi.route("m.wifi"), name="wifi")
+        flow.add_path(g3.route("m.3g"), name="3g", backup=True)
         flow.start()
     """
 
@@ -491,15 +459,9 @@ class ManagedMptcpFlow:
 
     # ------------------------------------------------------------------
     def add_path(
-        self,
-        route: Route,
-        name: str = "",
-        backup: bool = False,
-        wireless: Optional[WirelessPath] = None,
+        self, route: Route, name: str = "", backup: bool = False
     ) -> ManagedPath:
-        return self.manager.add_path(
-            route, name=name, backup=backup, wireless=wireless
-        )
+        return self.manager.add_path(route, name=name, backup=backup)
 
     def remove_path(self, name: str) -> int:
         return self.manager.remove_path(name)

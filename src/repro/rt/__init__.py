@@ -9,8 +9,8 @@ impairment layer standing in for ``tc netem``:
 * :mod:`~repro.rt.codec` — packets and MPTCP options ⇄ datagrams;
 * :mod:`~repro.rt.wire` — :class:`RtPath` / :class:`RtRoute`, UDP socket
   pairs behind the sim's route API;
-* :mod:`~repro.rt.netem` — delay/jitter/loss/rate impairments,
-  schedule-driven like ``LinkSchedule``.
+* :mod:`~repro.rt.netem` — delay/jitter/loss/rate impairments, the
+  rate driven by a scenario's ``rate`` events like a sim path's.
 
 It is a backend only: a point function runs here when its spec sets the
 reserved ``tier=rt`` param (:data:`repro.check.hooks.TIERS`), building

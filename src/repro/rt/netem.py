@@ -18,9 +18,9 @@ emulates the same three impairments the simulator's path elements apply:
 * **loss** — i.i.d. loss probability (the sim's ``Pipe.loss_prob``).
 
 Rate changes arrive through :meth:`NetemChannel.set_rate_mbps`, so a
-:class:`~repro.topology.wireless.LinkSchedule` drives an ``RtPath``
-exactly as it drives a sim ``WirelessPath`` — schedule-driven capacity
-walks (§5's stairwell) work verbatim on the real backend.
+scenario's ``rate`` events (:mod:`repro.fault`) drive an ``RtPath``
+exactly as they drive a sim ``WirelessPath`` — scripted capacity walks
+(§5's stairwell) work verbatim on the real backend.
 
 Every drop is traced as ``pkt.drop`` with ``kind='netem'``; rate changes
 as ``rt.netem``.
@@ -75,7 +75,7 @@ class NetemChannel:
 
     # ------------------------------------------------------------------
     def set_rate_mbps(self, mbps: Optional[float]) -> None:
-        """Change the emulated line rate (``LinkSchedule`` calls this
+        """Change the emulated line rate (a ``rate`` event calls this
         through :meth:`RtPath.set_rate_mbps`).  0 starts an outage."""
         self.rate_pps = None if mbps is None else mbps_to_pps(mbps)
         if self.trace.enabled:

@@ -23,8 +23,9 @@ is synchronous — see docs/REALNET.md for the caveat); the server side
 records them in :attr:`RtPath.options_received` and traces ``rt.ctrl``.
 
 Like the sim's :class:`~repro.topology.wireless.WirelessPath`, an
-``RtPath`` exposes ``set_rate_mbps``, so ``LinkSchedule`` +
-``WirelessHandover`` drive it unmodified.
+``RtPath`` is a registered component with ``set_rate_mbps`` and
+``carries(route)``, so a scenario's ``rate`` events (:mod:`repro.fault`)
+and ``WirelessHandover`` drive it unmodified, by path name.
 """
 
 from __future__ import annotations
@@ -184,9 +185,13 @@ class RtPath:
         return RtRoute(self, name=name or self.name)
 
     def set_rate_mbps(self, mbps: float) -> None:
-        """Change the forward (data) line rate — the hook
-        ``LinkSchedule`` drives, as on a sim ``WirelessPath``."""
+        """Change the forward (data) line rate — the hook a ``rate``
+        event drives, as on a sim ``WirelessPath``."""
         self.fwd.set_rate_mbps(mbps)
+
+    def carries(self, route) -> bool:
+        """Does ``route`` run over this path?"""
+        return getattr(route, "path", None) is self
 
     @property
     def rtt_floor(self) -> float:

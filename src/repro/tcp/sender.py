@@ -207,7 +207,7 @@ class TcpSender:
         self._cancel_timer()
 
     # ------------------------------------------------------------------
-    # Path signals (fault injection, link schedules)
+    # Path signals (fault injection, scripted path events)
     # ------------------------------------------------------------------
     def path_down(self, reason: str = "") -> None:
         """The path under this sender failed.  Plain TCP has no connection

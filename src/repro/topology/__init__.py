@@ -7,7 +7,6 @@ _EXPORTS = {
     "BCube": ".bcube",
     "FatTree": ".fattree",
     "SWEEP_GRIDS": ".scenarios",
-    "LinkSchedule": ".wireless",
     "Scenario": ".scenarios",
     "WirelessPath": ".wireless",
     "build_3g_path": ".wireless",

@@ -15,15 +15,16 @@ On the packet tier :func:`profile_path` builds a profile as an
 access-link drop-tail queue (coverage changes call its ``set_rate``)
 followed by a pipe whose ``loss_prob`` is the ambient radio loss; on the
 rt tier :class:`~repro.rt.wire.RtPath` emulates the same profile over
-loopback UDP.  The mobile experiment (Fig 17) is reproduced by a
-:class:`LinkSchedule` that replays capacity changes — e.g. WiFi dropping
-to zero on the stairwell — against either.
+loopback UDP.  Both are registered components with ``set_rate_mbps``,
+so the mobile experiment (Fig 17) is a list of scenario-time ``rate``
+events (:mod:`repro.fault`) that replays capacity changes — e.g. WiFi
+dropping to zero on the stairwell — against either, by path name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional
 
 from ..net.network import mbps_to_pps
 from ..net.pipe import Pipe
@@ -32,7 +33,7 @@ from ..net.route import Route
 from ..sim.simulation import Simulation
 
 __all__ = ["NetemProfile", "PROFILES", "profile_replace", "profile_path",
-           "WirelessPath", "build_wifi_path", "build_3g_path", "LinkSchedule"]
+           "WirelessPath", "build_wifi_path", "build_3g_path"]
 
 
 @dataclass(frozen=True)
@@ -74,12 +75,13 @@ profile_replace = replace
 
 @dataclass
 class WirelessPath:
-    """One wireless access path: its queue, ambient-loss pipe and route."""
+    """One wireless access path: its queue, ambient-loss pipe and route.
+
+    Registered with the simulation under ``name``, so a ``rate`` event
+    (:mod:`repro.fault`) can target it by name."""
 
     queue: DropTailQueue
     pipe: Pipe
-    route_template: Tuple[DropTailQueue, Pipe]
-    reverse_delay: float
     sim: Simulation
     name: str
 
@@ -88,13 +90,17 @@ class WirelessPath:
         queue and pipe, as they share the physical medium)."""
         return Route(
             self.sim,
-            list(self.route_template),
-            reverse_delay=self.reverse_delay,
+            [self.queue, self.pipe],
+            reverse_delay=self.pipe.delay,
             name=name or self.name,
         )
 
     def set_rate_mbps(self, mbps: float) -> None:
         self.queue.set_rate(mbps_to_pps(mbps))
+
+    def carries(self, route) -> bool:
+        """Does ``route`` run over this path (through its queue)?"""
+        return self.queue in getattr(route, "elements", ())
 
 
 def profile_path(sim: Simulation, name: str, profile: NetemProfile
@@ -108,7 +114,7 @@ def profile_path(sim: Simulation, name: str, profile: NetemProfile
     )
     pipe = Pipe(sim, profile.delay, name=f"{name}.pipe",
                 loss_prob=profile.loss)
-    return WirelessPath(queue, pipe, (queue, pipe), profile.delay, sim, name)
+    return sim.register(WirelessPath(queue, pipe, sim, name))
 
 
 _WIFI, _3G = PROFILES["wifi"], PROFILES["3g"]
@@ -141,43 +147,3 @@ def build_3g_path(
     return profile_path(sim, name, NetemProfile(
         delay=rtt_floor / 2.0, loss=loss_prob, rate_mbps=rate_mbps,
         buffer_pkts=buffer_pkts))
-
-
-class LinkSchedule:
-    """Replays scripted capacity changes against wireless paths (Fig 17).
-
-    Each event is ``(time, path, rate_mbps)``; a rate of 0 models a
-    coverage outage (the stairwell with no WiFi).  Observers — e.g. the
-    handover module of :mod:`repro.pathmgr` — can :meth:`subscribe` to be
-    told about each applied change, in schedule order.
-    """
-
-    def __init__(
-        self,
-        sim: Simulation,
-        events: Sequence[Tuple[float, WirelessPath, float]],
-    ):
-        self.sim = sim
-        self.events: List[Tuple[float, WirelessPath, float]] = sorted(
-            events, key=lambda e: e[0]
-        )
-        self.applied = 0
-        self._subscribers: List[Callable[[float, WirelessPath, float], None]] = []
-
-    def subscribe(
-        self, callback: Callable[[float, WirelessPath, float], None]
-    ) -> None:
-        """Call ``callback(now, path, rate_mbps)`` after each applied
-        change (after the rate has taken effect on the queue)."""
-        self._subscribers.append(callback)
-
-    def start(self) -> None:
-        for time, path, mbps in self.events:
-            self.sim.schedule_at(time, self._apply, (path, mbps))
-
-    def _apply(self, event: Tuple[WirelessPath, float]) -> None:
-        path, mbps = event
-        path.set_rate_mbps(mbps)
-        self.applied += 1
-        for callback in list(self._subscribers):
-            callback(self.sim.now, path, mbps)

@@ -9,7 +9,9 @@ import pathlib
 
 import pytest
 
-from repro.check import CHECK_EVENTS, InvariantMonitor, trace_override
+from repro.check import (
+    CHECK_EVENTS, InvariantMonitor, observe_simulations, trace_override,
+)
 from repro.cli import main
 from repro.core.registry import make_controller
 from repro.exp import specs_for_grid
@@ -28,7 +30,7 @@ from repro.obs import (
     DEFAULT_EVENTS, FilterSink, JsonlSink, MemorySink, TraceBus,
 )
 from repro.sim.simulation import Simulation
-from repro.topology import build_two_links
+from repro.topology import build_two_links, build_wifi_path
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "trace_link_flap.txt"
 
@@ -152,11 +154,46 @@ class TestSpecsAndTargeting:
             assert spec.kind == name
 
     def test_unmatched_target_raises_listing_candidates(self):
+        from repro.pathmgr import ManagedMptcpFlow
+
         sim = Simulation(seed=1)
         sc = build_two_links(sim, 1000.0, 1000.0)
         make_flow(sim, sc.routes("multi"), "lia", name="m")
         with pytest.raises(ValueError, match="s1->d1"):
             arm_faults(sim, [FaultSpec("link_flap", target="nope*")])
+        # A scripted path change is never a silent no-op either: an
+        # unknown path, or a managed path of another connection.
+        flow = ManagedMptcpFlow(sim, make_controller("lia"), name="c")
+        for i, route in enumerate(sc.routes("multi")):
+            flow.add_path(route, name=f"p{i}")
+        build_wifi_path(sim)
+        for kind, target, listed in (("rate", "lte", "wifi"),
+                                     ("path_down", "c.p9", "c.p1"),
+                                     ("path_up", "m.p0", "c.p0")):
+            with pytest.raises(ValueError, match=listed):
+                arm_faults(sim, [FaultSpec(kind, target, 1.0, {"mbps": 1.0})])
+
+    @pytest.mark.parametrize("kind, params", [
+        ("loss_burst", {"duration": -1.0}),
+        ("ack_drop", {"duration": -1.0}),
+        ("reorder", {"duration": 0.0}),
+        ("link_flap", {"repeats": 0}),
+        ("subflow_kill", {"revive_after": 0.0}),
+        ("rate", {"mbps": -1.0}),
+    ], ids=["loss_burst.duration", "ack_drop.duration", "reorder.duration",
+            "link_flap.repeats", "subflow_kill.revive_after", "rate.mbps"])
+    def test_a_window_that_cannot_open_and_close_is_rejected(self, kind,
+                                                             params):
+        """Regression: a negative ``duration`` closed a loss burst before
+        it opened, so it stayed active for the rest of the run; the other
+        values armed a fault that never fired or revived before it
+        killed.  Each is refused when the spec is bound."""
+        sim = Simulation(seed=1)
+        sc = build_two_links(sim, 1000.0, 1000.0)
+        make_flow(sim, sc.routes("multi"), "lia", name="m")
+        build_wifi_path(sim)
+        with pytest.raises(ValueError, match=next(iter(params))):
+            arm_faults(sim, [FaultSpec(kind, start=2.0, params=params)])
 
     def test_scope_all_arms_every_match(self):
         sim = Simulation(seed=1)
@@ -209,6 +246,17 @@ class TestExperimentComposition:
         assert row["violations"] == 0
         assert row["fault_fires"] > 0
 
+        # Only the fault kinds imply check: a scripted path change in
+        # "faults" arms (the row moves), but adds no monitor columns.
+        churn = dict(scenario="subflow_churn", seed=3, warmup=2.0,
+                     duration=2.0)
+        scripted = point_function("subflow_churn")(ScenarioSpec(
+            params={"faults": [{"kind": "path_down", "target": "m.p0",
+                                "start": 2.5}]}, **churn))
+        assert "violations" not in scripted and "fault_fires" not in scripted
+        assert scripted != point_function("subflow_churn")(
+            ScenarioSpec(params={}, **churn))
+
 
     @pytest.mark.parametrize("tier", [
         pytest.param("packet", id="sim"),
@@ -219,29 +267,57 @@ class TestExperimentComposition:
         clock's own epoch, so on real sockets (raw monotonic ``now``) a
         kill with ``start=1.5`` fired 1 ms into the run and an ACK-drop
         window was open from the first packet.  ``start`` is scenario
-        time: seconds after the run origin, whatever the backend."""
+        time: seconds after the run origin, whatever the backend — also
+        for a scripted ``rate`` step and ``path_down``/``path_up`` pair
+        on the same event list (on a third path, clear of the faults)."""
         sink = MemorySink()
         spec = ScenarioSpec(
             scenario="rt_loopback",
-            params={"tier": tier, "faults": [
+            params={"tier": tier, "paths": 3, "faults": [
                 {"kind": "subflow_kill", "target": "m.p1*", "start": 1.5},
                 {"kind": "ack_drop", "target": "m.p0*", "start": 0.6,
                  "params": {"duration": 0.5, "prob": 0.2}},
+                {"kind": "rate", "target": "p2", "start": 0.4,
+                 "params": {"mbps": 1.0}},
+                {"kind": "path_down", "target": "m.p2", "start": 0.8},
+                {"kind": "path_up", "target": "m.p2", "start": 1.2},
             ]},
             seed=5, warmup=0.2, duration=1.6,
         )
-        with trace_override(TraceBus(sinks=[sink])):
+        steps = []
+
+        def watch_rate_steps(sim):
+            def wrap(component):
+                if getattr(component, "name", "") == "p2" and hasattr(
+                        component, "set_rate_mbps"):
+                    inner = component.set_rate_mbps
+
+                    def set_rate_mbps(mbps):
+                        steps.append((sim.elapsed, mbps))
+                        inner(mbps)
+                    component.set_rate_mbps = set_rate_mbps
+            sim.on_register(wrap)
+
+        with trace_override(TraceBus(sinks=[sink])), \
+                observe_simulations(watch_rate_steps):
             row = point_function("rt_loopback")(spec)
         assert row["violations"] == 0 and row["delivery_gap"] == 0
         runs = sink.of_type("rt.run")
         origin = runs[0]["origin_mono"] if runs else 0.0
         fired = {ev["action"]: ev["t"] - origin
                  for ev in sink.of_type("fault.fire")}
+        for ev in ("pathmgr.path_down", "pathmgr.path_up"):
+            [fired[ev]] = [rec["t"] - origin for rec in sink.of_type(ev)
+                           if rec["path"] == "p2"]
+        [(fired["rate"], mbps)] = steps
+        assert mbps == 1.0
         # Generous on rt: a loaded machine delays timers, never advances
         # them — the parent's 1.499 s error is far outside either bound.
         slack = 0.0 if tier == "packet" else 0.4 * tolerance_scale()
         for action, start in (("window_start", 0.6), ("window_end", 1.1),
-                              ("kill", 1.5)):
+                              ("kill", 1.5), ("rate", 0.4),
+                              ("pathmgr.path_down", 0.8),
+                              ("pathmgr.path_up", 1.2)):
             assert start <= fired[action] <= start + slack, (action, fired)
         drops = [ev["t"] - origin for ev in sink.of_type("pkt.drop")
                  if ev["kind"] == "fault"]

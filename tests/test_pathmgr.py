@@ -30,7 +30,7 @@ from repro.pathmgr import (
 )
 from repro.sim.simulation import Simulation
 from repro.topology import build_two_links
-from repro.topology.wireless import LinkSchedule, build_3g_path, build_wifi_path
+from repro.topology.wireless import build_3g_path, build_wifi_path
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "trace_wifi_3g_handover.txt"
 
@@ -335,10 +335,9 @@ class TestHandoverScenarios:
         sim = Simulation(seed=1)
         wifi = build_wifi_path(sim)
         flow = ManagedMptcpFlow(sim, make_controller("lia"), name="m")
-        flow.add_path(wifi.route("m.wifi"), name="wifi", wireless=wifi)
-        schedule = LinkSchedule(sim, [])
+        flow.add_path(wifi.route("m.wifi"), name="wifi")
         with pytest.raises(ValueError, match="unknown handover mode"):
-            WirelessHandover(flow.manager, schedule, mode="teleport")
+            WirelessHandover(flow.manager, [], mode="teleport")
 
 
 class TestGoldenHandoverTrace:
@@ -361,16 +360,15 @@ class TestGoldenHandoverTrace:
         g3 = build_3g_path(sim, name="3g")
         flow = ManagedMptcpFlow(sim, make_controller("lia"),
                                 policy="backup", name="m")
-        flow.add_path(wifi.route("m.wifi"), name="wifi", wireless=wifi)
-        flow.add_path(g3.route("m.3g"), name="3g", backup=True, wireless=g3)
-        schedule = LinkSchedule(sim, [
-            (5.0, wifi, 2.0),     # fading signal
-            (6.0, wifi, 0.0),     # coverage lost
-            (11.0, wifi, 14.4),   # coverage back
-        ])
-        WirelessHandover(flow.manager, schedule, mode="break_before_make")
+        flow.add_path(wifi.route("m.wifi"), name="wifi")
+        flow.add_path(g3.route("m.3g"), name="3g", backup=True)
         monitor.emit_attach(0)
-        schedule.start()
+        events = arm_faults(sim, [
+            FaultSpec("rate", "wifi", 5.0, {"mbps": 2.0}),    # fading signal
+            FaultSpec("rate", "wifi", 6.0, {"mbps": 0.0}),    # coverage lost
+            FaultSpec("rate", "wifi", 11.0, {"mbps": 14.4}),  # coverage back
+        ])
+        WirelessHandover(flow.manager, events, mode="break_before_make")
         flow.start()
         sim.run_until(14.0)
         monitor.finish()

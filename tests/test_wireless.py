@@ -1,16 +1,13 @@
-"""Tests for the wireless path models and the mobility schedule (§5)."""
+"""Tests for the wireless path models and their scripted rate steps (§5)."""
 
 import pytest
 
 from repro.core.registry import make_controller
+from repro.fault import FaultSpec, arm_faults
 from repro.net.network import mbps_to_pps
 from repro.sim.simulation import Simulation
 from repro.tcp.sender import TcpFlow
-from repro.topology.wireless import (
-    LinkSchedule,
-    build_3g_path,
-    build_wifi_path,
-)
+from repro.topology.wireless import build_3g_path, build_wifi_path
 
 
 class TestPathModels:
@@ -65,26 +62,28 @@ class TestPathModels:
         assert rate > 0.5 * mbps_to_pps(14.4)
 
 
-class TestLinkSchedule:
+def _rate(start, mbps, target="wifi"):
+    return FaultSpec("rate", target, start, {"mbps": mbps})
+
+
+class TestRateEvents:
     def test_events_apply_in_order(self):
         sim = Simulation()
         wifi = build_wifi_path(sim)
-        schedule = LinkSchedule(
-            sim,
-            [(2.0, wifi, 0.0), (1.0, wifi, 7.2)],
-        )
-        schedule.start()
+        seen = []
+        for step in arm_faults(sim, [_rate(2.0, 0.0), _rate(1.0, 7.2)]):
+            step.subscribe(lambda now, path, mbps: seen.append((now, mbps)))
         sim.run_until(1.5)
         assert wifi.queue.rate_pps == pytest.approx(mbps_to_pps(7.2))
         sim.run_until(2.5)
         assert wifi.queue.rate_pps == 0.0
-        assert schedule.applied == 2
+        assert seen == [(1.0, 7.2), (2.0, 0.0)]
 
     def test_outage_and_recovery_affect_flow(self):
         sim = Simulation(seed=3)
         wifi = build_wifi_path(sim, loss_prob=0.0)
         flow = TcpFlow(sim, wifi.route(), make_controller("reno"), name="f")
-        LinkSchedule(sim, [(5.0, wifi, 0.0), (10.0, wifi, 14.4)]).start()
+        arm_faults(sim, [_rate(5.0, 0.0), _rate(10.0, 14.4)])
         flow.start()
         sim.run_until(6.0)
         during_outage_start = flow.packets_delivered

@@ -28,8 +28,10 @@ Two checks keep ``docs/*.md`` from silently rotting:
    docs/CONTROLLERS.md and the README controller table; the
    CONTROLLERS.md fluid-mapping table must name exactly
    :data:`repro.fluid.dynamics.FLUID_ALGORITHMS` plus the exempt
-   controllers, each row naming the law its keys resolve to.  Adding an
-   event, a controller or a fluid law without documenting it fails CI.
+   controllers, each row naming the law its keys resolve to; and
+   CHECKING.md's fault-kind table must list exactly
+   :data:`repro.fault.spec.EVENT_KINDS`.  Adding an event, a controller,
+   a fluid law or an event kind without documenting it fails CI.
    In the other direction, every ``point_function("<name>")`` and
    ``repro sweep <grid>`` a doc (or the README) spells must resolve
    through :func:`repro.exp.grids.point_function` / exist in
@@ -175,6 +177,22 @@ def check_fluid_mapping(text: str) -> List[str]:
                 f"{rel}: names {label} are {sorted(documented)}, "
                 f"the code has {sorted(actual)}")
     return errors
+
+
+def check_fault_kinds(text: str) -> List[str]:
+    """CHECKING.md's fault-kind table (the first table of its fault
+    injection section) lists exactly EVENT_KINDS, once each."""
+    from repro.fault.spec import EVENT_KINDS
+
+    rel = "docs/CHECKING.md fault-kind table"
+    section = text.partition("## Fault injection")[2].partition("\n## ")[0]
+    table = section[section.find("| kind |"):].partition("\n\n")[0]
+    listed = [m.group(1) for line in table.splitlines()
+              if (m := re.match(r"\| `(\w+)` \|", line))]
+    if sorted(listed) != sorted(EVENT_KINDS):
+        return [f"{rel}: lists {sorted(listed)}, repro.fault.spec."
+                f"EVENT_KINDS is {sorted(EVENT_KINDS)}"]
+    return []
 
 
 def check_controller_docs(repo: pathlib.Path) -> List[str]:
@@ -358,6 +376,8 @@ def main() -> int:
     print("docs-check: verifying schema/doc sync")
     errors.extend(check_event_table(repo))
     errors.extend(check_controller_docs(repo))
+    errors.extend(check_fault_kinds(
+        (repo / "docs/CHECKING.md").read_text(encoding="utf-8")))
     errors.extend(check_scenario_names(docs + [repo / "README.md"]))
     errors.extend(check_reproduction_table(repo))
     errors.extend(check_dotted_names(docs + [
