@@ -8,7 +8,7 @@ their traffic onto the emptier link and narrow the gap.
 Run:  python examples/multihomed_server.py
 """
 
-from repro import Simulation, make_flow, mbps_to_pps, pps_to_mbps
+from repro import Simulation, make_flow, mbps_to_pps, measure, pps_to_mbps
 from repro.topology import build_two_links
 
 
@@ -44,34 +44,24 @@ def main() -> None:
         for i in range(10)
     ]
 
-    def report(label):
-        g1 = sum(f.packets_delivered for f in group1)
-        g2 = sum(f.packets_delivered for f in group2)
-        return label, g1, g2, sum(f.packets_delivered for f in multis)
+    def report_clients(m):
+        g1 = sum(m[f.name] for f in group1) / 5
+        g2 = sum(m[f.name] for f in group2) / 15
+        print(f"  link-1 client: {pps_to_mbps(g1):5.1f} Mb/s each")
+        print(f"  link-2 client: {pps_to_mbps(g2):5.1f} Mb/s each")
 
+    clients = {f.name: f for f in group1 + group2}
     print("phase 1: 5 TCPs on link 1, 15 TCPs on link 2 (no multipath)")
-    sim.run_until(30.0)
-    snap = [f.packets_delivered for f in group1 + group2]
-    sim.run_until(60.0)
-    after = [f.packets_delivered for f in group1 + group2]
-    rates = [(a - b) / 30.0 for a, b in zip(after, snap)]
-    print(f"  link-1 client: {pps_to_mbps(sum(rates[:5]) / 5):5.1f} Mb/s each")
-    print(f"  link-2 client: {pps_to_mbps(sum(rates[5:]) / 15):5.1f} Mb/s each")
+    report_clients(measure(sim, clients, warmup=30.0, duration=30.0))
 
     print("\nphase 2: 10 MPTCP flows join, able to use both links")
     for i, f in enumerate(multis):
         f.start(at=sim.now + 0.05 * i)
-    sim.run_until(90.0)
-    snap = [f.packets_delivered for f in group1 + group2]
-    msnap = [list(f.subflow_delivered()) for f in multis]
-    sim.run_until(150.0)
-    after = [f.packets_delivered for f in group1 + group2]
-    mafter = [list(f.subflow_delivered()) for f in multis]
-    rates = [(a - b) / 60.0 for a, b in zip(after, snap)]
-    link1_share = sum((a[0] - b[0]) / 60.0 for a, b in zip(mafter, msnap))
-    link2_share = sum((a[1] - b[1]) / 60.0 for a, b in zip(mafter, msnap))
-    print(f"  link-1 client: {pps_to_mbps(sum(rates[:5]) / 5):5.1f} Mb/s each")
-    print(f"  link-2 client: {pps_to_mbps(sum(rates[5:]) / 15):5.1f} Mb/s each")
+    m = measure(sim, {**clients, **{f.name: f for f in multis}},
+                warmup=90.0, duration=60.0)
+    report_clients(m)
+    link1_share = sum(m.subflow_rates[f.name][0] for f in multis)
+    link2_share = sum(m.subflow_rates[f.name][1] for f in multis)
     print(f"  MPTCP aggregate on link 1: {pps_to_mbps(link1_share):5.1f} Mb/s, "
           f"on link 2: {pps_to_mbps(link2_share):5.1f} Mb/s")
     print()

@@ -9,7 +9,7 @@ outage, and rebalances when coverage returns.
 Run:  python examples/wireless_client.py
 """
 
-from repro import Simulation, make_flow, pps_to_mbps
+from repro import Simulation, make_flow, measure, pps_to_mbps
 from repro.fault import FaultSpec, arm_faults
 from repro.topology import build_3g_path, build_wifi_path
 
@@ -41,26 +41,20 @@ def main() -> None:
     client.start(at=0.2)
 
     print("t(s)   client Mb/s   wifi-subflow   3g-subflow   tcp-wifi Mb/s")
-    last = [0, [0, 0], 0]
+    flows = {"client": client, "tcp": competitor}
     for step in range(1, 10):
         t = step * 10.0
-        sim.run_until(t)
-        total = client.packets_delivered
-        subs = client.subflow_delivered()
-        comp = competitor.packets_delivered
-        rate = (total - last[0]) / 10.0
-        sub_rates = [(a - b) / 10.0 for a, b in zip(subs, last[1])]
-        comp_rate = (comp - last[2]) / 10.0
+        m = measure(sim, flows, warmup=t - 10.0, duration=10.0)
+        wifi_rate, threeg_rate = m.subflow_rates["client"]
         note = ""
         if 40 <= t - 10 < 70:
             note = "   <- WiFi outage"
         elif t - 10 >= 70:
             note = "   <- new basestation (8 Mb/s)"
-        print(f"{t:4.0f}   {pps_to_mbps(rate):8.2f}      "
-              f"{pps_to_mbps(sub_rates[0]):8.2f}     "
-              f"{pps_to_mbps(sub_rates[1]):8.2f}     "
-              f"{pps_to_mbps(comp_rate):8.2f}{note}")
-        last = [total, subs, comp]
+        print(f"{t:4.0f}   {pps_to_mbps(m['client']):8.2f}      "
+              f"{pps_to_mbps(wifi_rate):8.2f}     "
+              f"{pps_to_mbps(threeg_rate):8.2f}     "
+              f"{pps_to_mbps(m['tcp']):8.2f}{note}")
 
     print()
     print("The multipath client keeps transferring through the outage on 3G")

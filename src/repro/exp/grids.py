@@ -97,15 +97,13 @@ def torus_balance(spec: ScenarioSpec) -> dict:
         f.start(at=0.1 * i)
         flows[f"f{i}"] = f
     ctx.arm()
-    sim.run_until_elapsed(spec.warmup)
-    queues = [sc.net.link(f"in{i}", f"out{i}").queue for i in range(5)]
-    for q in queues:
-        q.reset_counters()
-    m = measure(sim, flows, warmup=spec.warmup, duration=spec.duration)
-    losses = [q.loss_rate for q in queues]
+    links = [sc.net.link(f"in{i}", f"out{i}") for i in range(5)]
+    m = measure(sim, flows, warmup=spec.warmup, duration=spec.duration,
+                links=links)
+    pa, pc = m.loss[links[0].name], m.loss[links[2].name]
     totals = [m[f"f{i}"] for i in range(5)]
     return ctx.finish({
-        "pa_pc_ratio": losses[0] / max(losses[2], 1e-9),
+        "pa_pc_ratio": pa / max(pc, 1e-9),
         "jain": jain_index(totals),
         "total_pps": sum(totals),
     })

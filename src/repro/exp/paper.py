@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional
 from ..check.hooks import CheckContext
 from ..core.registry import make_controller
 from ..fault.spec import FaultSpec
-from ..harness.datacenter import measure_matrix, start_matrix
+from ..harness.datacenter import start_matrix
 from ..harness.experiment import jain_index, make_flow, measure
 from ..mptcp.connection import MptcpFlow
 from ..net.network import mbps_to_pps, pps_to_mbps
@@ -220,15 +220,13 @@ def two_links(spec: ScenarioSpec) -> dict:
     else:
         multi.start()
     ctx.arm()
-    sim.run_until_elapsed(spec.warmup)
-    queues = [sc.net.link("s1", "d1").queue, sc.net.link("s2", "d2").queue]
-    for q in queues:
-        q.reset_counters()
-    m = measure(sim, flows, warmup=spec.warmup, duration=spec.duration)
+    link1, link2 = sc.net.link("s1", "d1"), sc.net.link("s2", "d2")
+    m = measure(sim, flows, warmup=spec.warmup, duration=spec.duration,
+                links=(link1, link2))
     path1, path2 = m.subflow_rates["m"]
     row = {
         "total_pps": m["m"], "path1_pps": path1, "path2_pps": path2,
-        "p1": queues[0].loss_rate, "p2": queues[1].loss_rate,
+        "p1": m.loss[link1.name], "p2": m.loss[link2.name],
     }
     if cross == "tcp":
         row["s1_pps"], row["s2_pps"] = m["S1"], m["S2"]
@@ -466,7 +464,7 @@ def server_lb(spec: ScenarioSpec) -> dict:
         multis[f"m{i}"] = mf
     phase2 = measure(
         sim, {**flows, **multis},
-        warmup=sim.now + 1.5 * spec.warmup, duration=1.5 * spec.duration,
+        warmup=sim.elapsed + 1.5 * spec.warmup, duration=1.5 * spec.duration,
     )
 
     def group_mean(measurement, prefix, count):
@@ -754,20 +752,21 @@ def wifi_3g_handover(spec: ScenarioSpec) -> dict:
         handover = WirelessHandover(manager, armed, mode=mode,
                                     degraded_mbps=degraded)
         flow.start()
-        sim.run_until_elapsed(spec.warmup)
-        d0 = flow.packets_delivered
-        sim.run_until_elapsed(t_down)
-        d1 = flow.packets_delivered
-        sim.run_until_elapsed(t_up)
-        d2 = flow.packets_delivered
-        sim.run_until_elapsed(spec.warmup + spec.duration)
-        d3 = flow.packets_delivered
+        # Each phase's count over ``phase``.  Every window ends exactly
+        # on t_down, t_up, warmup + duration: end - start is exact
+        # (Sterbenz: end <= 2 start), so start + (end - start) == end.
+        row = {}
+        for key, start, length in (
+            ("pre_pps", spec.warmup, phase),
+            ("outage_pps", t_down, t_up - t_down),
+            ("post_pps", t_up, spec.warmup + spec.duration - t_up),
+        ):
+            m = measure(sim, {"m": flow}, warmup=start, duration=length)
+            row[key] = m.delivered["m"] / phase
         sim.finish()
         reasm = flow.receiver.reassembler
         return ctx.finish({
-            "pre_pps": (d1 - d0) / phase,
-            "outage_pps": (d2 - d1) / phase,
-            "post_pps": (d3 - d2) / phase,
+            **row,
             "handovers": handover.handovers,
             "subflows_opened": manager.subflows_opened,
             "subflows_closed": manager.subflows_closed,
@@ -840,21 +839,23 @@ def datacenter(spec: ScenarioSpec) -> dict:
         sim, fabric.net, pairs, algo, path_count=paths, bcube=bcube
     )
     ctx.arm()
-    flow_rates, link_loss = measure_matrix(
-        sim, fabric.net, flows, warmup=spec.warmup,
+    m = measure(
+        sim, flows, warmup=spec.warmup,
         duration=spec.duration * 3 / 5 if pattern == "TP2" else spec.duration,
+        links=fabric.net.all_links(),
     )
     # The §4 tables count per-host throughput: a TP2 host's 12 flows
     # count together.
     per_host: Dict[str, float] = {}
-    for name, flow_rate in flow_rates.items():
+    for name, flow_rate in m.rates.items():
         per_host[sources[name]] = per_host.get(sources[name], 0.0) + flow_rate
-    rates = sorted(flow_rates.values())
+    rates = sorted(m.rates.values())
+    busy = sorted(m.loss[name] for name, n in m.arrivals.items() if n)
     return ctx.finish({
         "util_pct": 100.0 * (sum(per_host.values()) / len(per_host) / rate),
         "jain": jain_index(rates),
         "rate_quartiles": _quartiles(rates),
-        "loss_quartiles": _quartiles(sorted(link_loss.values())),
+        "loss_quartiles": _quartiles(busy),
         "max_subflows": max(
             len(f.subflows) if isinstance(f, MptcpFlow) else 1
             for f in flows.values()
@@ -1006,12 +1007,10 @@ def rt_loopback(spec: ScenarioSpec) -> dict:
         ctx.arm()
         flow.start()
         rec.start()
-        sim.run_until_elapsed(spec.warmup)
-        d0 = flow.packets_delivered
-        sim.run_until_elapsed(spec.warmup + spec.duration)
-        delivered = flow.packets_delivered - d0
+        m = measure(sim, {"m": flow}, warmup=spec.warmup,
+                    duration=spec.duration)
         sim.finish()
-        goodput = delivered / spec.duration
+        delivered, goodput = m.delivered["m"], m["m"]
         reasm = flow.receiver.reassembler
         return ctx.finish({
             "goodput_pps": goodput,

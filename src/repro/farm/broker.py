@@ -131,8 +131,9 @@ class Broker:
         interval, in seconds.
 
     After :meth:`run`: ``raw`` maps grid index to canonical row;
-    ``executed`` counts ``done`` journal records observed this run,
-    ``store_hits`` counts rows already in the store at serve time, and
+    ``executed`` counts the tasks whose ``done`` journal record was
+    observed this run, ``store_hits`` the other tasks whose row was
+    already in the store at serve time (each task counts once), and
     ``requeued`` counts requeues issued this run.
     """
 
@@ -159,9 +160,9 @@ class Broker:
         self.poll = poll
 
         self.raw: Dict[int, dict] = {}
-        self.executed = 0
-        self.store_hits = 0
         self.requeued = 0
+        self._executed: set = set()
+        self._store_hits: set = set()
 
         self._keys: Dict[int, str] = {}
         self._tasks: Dict[int, TaskSpec] = {}
@@ -234,6 +235,14 @@ class Broker:
                 task = record.get("task")
                 if isinstance(task, int):
                     self._failures[task] = self._failures.get(task, 0) + 1
+
+    @property
+    def executed(self) -> int:
+        return len(self._executed)
+
+    @property
+    def store_hits(self) -> int:
+        return len(self._store_hits)
 
     # -- main loop -----------------------------------------------------
     def run(self, workers: int = 0) -> List[dict]:
@@ -340,7 +349,7 @@ class Broker:
         """Mark every task whose row is already in the store as done."""
         for index in self._keys:
             if self._complete(index) and initial:
-                self.store_hits += 1
+                self._store_hits.add(index)
                 self._emit("exp.cache_hit", task=index,
                            key=self._keys[index])
 
@@ -380,7 +389,10 @@ class Broker:
             elif op == "done":
                 if self._complete(task):
                     wall = float(record.get("wall", 0.0))
-                    self.executed += 1
+                    # Each task counts once: a store hit this farm ran
+                    # is executed.
+                    self._store_hits.discard(task)
+                    self._executed.add(task)
                     self._emit("farm.task_done", task=task, worker=worker,
                                wall=wall, key=key)
                     if task in self._open:

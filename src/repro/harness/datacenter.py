@@ -2,10 +2,11 @@
 
 For a list of (src, dst) host pairs :func:`start_matrix` attaches one
 flow per pair — single-path over a random ECMP shortest path, or
-multipath over a sampled path set — and :func:`measure_matrix` runs the
-simulation and reports per-flow goodput and per-link loss, the
-quantities behind the §4 tables and Figs 12–13 (the ``datacenter``
-point function of :mod:`repro.exp.paper` reduces them to its row).
+multipath over a sampled path set.  The harness's one window,
+``measure(sim, flows, warmup, duration, links=net.all_links())``, then
+reports per-flow goodput and per-link loss, the quantities behind the
+§4 tables and Figs 12–13 (the ``datacenter`` point function of
+:mod:`repro.exp.paper` reduces them to its row).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from ..net.network import Network
 from ..sim.simulation import Simulation
 from .experiment import Flow, make_flow
 
-__all__ = ["measure_matrix", "start_matrix"]
+__all__ = ["start_matrix"]
 
 
 def _paths_for(
@@ -66,29 +67,3 @@ def start_matrix(
         flow_sources[name] = src
     return flows, flow_sources
 
-
-def measure_matrix(
-    sim: Simulation,
-    net: Network,
-    flows: Dict[str, Flow],
-    warmup: float,
-    duration: float,
-) -> Tuple[Dict[str, float], Dict[str, float]]:
-    """Run started flows through ``warmup`` (scenario time), then measure
-    over ``duration`` seconds; returns each flow's goodput (pkt/s) and the drop fraction
-    of each link that saw arrivals."""
-    sim.run_until_elapsed(warmup)
-    base = {name: f.packets_delivered for name, f in flows.items()}
-    net.reset_counters()
-    sim.run_until_elapsed(warmup + duration)
-
-    flow_rates = {
-        name: (f.packets_delivered - base[name]) / duration
-        for name, f in flows.items()
-    }
-    link_loss = {
-        link.name: link.queue.loss_rate
-        for link in net.all_links()
-        if link.queue.arrivals > 0
-    }
-    return flow_rates, link_loss

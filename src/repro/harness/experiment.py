@@ -2,17 +2,20 @@
 
 The evaluation methodology is the same everywhere: build a scenario, attach
 flows (single- or multipath), run a warm-up period, then measure goodput
-(in-order deliveries per second) and link loss rates over a measurement
-window.  :func:`make_flow` and :func:`measure` capture that shape, and
-:func:`jain_index` is the fairness figure §3 reports over the rates.
+(in-order deliveries per second), the per-path split and link loss rates
+over a measurement window.  :func:`make_flow` builds the flows and
+:func:`measure` is the one window every point function and example reads
+through; :func:`jain_index` is the fairness figure §3 reports over the
+rates.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Collection, Dict, List, Optional, Sequence, Union
 
 from ..core.registry import make_controller
 from ..mptcp.connection import MptcpFlow
+from ..net.network import Link
 from ..net.route import Route
 from ..sim.simulation import Simulation
 from ..tcp.sender import TcpFlow
@@ -42,17 +45,24 @@ def make_flow(
 
 
 class Measurement:
-    """Goodput rates per flow over a measurement window."""
+    """What one window of ``duration`` seconds saw: each flow's in-order
+    deliveries (``delivered``; ``rates`` in pkt/s derive from them, and
+    ``m[name]`` is ``m.rates[name]``), each multipath flow's per-subflow
+    split, and each measured link's ``arrivals`` and ``loss``."""
 
     def __init__(
         self,
-        rates: Dict[str, float],
+        duration: float,
+        delivered: Dict[str, float],
         subflow_rates: Dict[str, List[float]],
-        window: float,
+        links: Collection[Link],
     ):
-        self.rates = rates
+        self.delivered = delivered
+        self.rates = {name: count / duration
+                      for name, count in delivered.items()}
         self.subflow_rates = subflow_rates
-        self.window = window
+        self.arrivals = {link.name: link.queue.arrivals for link in links}
+        self.loss = {link.name: link.loss_rate for link in links}
 
     def __getitem__(self, name: str) -> float:
         return self.rates[name]
@@ -70,16 +80,21 @@ def measure(
     flows: Dict[str, Flow],
     warmup: float,
     duration: float,
+    links: Collection[Link] = (),
 ) -> Measurement:
     """Run to ``warmup`` (scenario time: seconds after the run origin),
-    then measure goodput for ``duration`` seconds.
+    then measure for ``duration`` seconds.
 
-    Flows must already be started.  Returns per-flow rates in pkt/s, plus
-    per-subflow rates for multipath flows (per-path load split).
+    Flows must already be started; any object with ``packets_delivered``
+    measures (a managed flow, a fluid class).  At the window start the
+    queue counters of ``links`` are reset, so ``loss`` and ``arrivals``
+    cover the window alone.
     """
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration!r}")
     sim.run_until_elapsed(warmup)
+    for link in links:
+        link.queue.reset_counters()
     base = {name: flow.packets_delivered for name, flow in flows.items()}
     sub_base = {
         name: list(flow.subflow_delivered())
@@ -87,19 +102,16 @@ def measure(
         if isinstance(flow, MptcpFlow)
     }
     sim.run_until_elapsed(warmup + duration)
-    rates = {
-        name: (flow.packets_delivered - base[name]) / duration
+    delivered = {
+        name: flow.packets_delivered - base[name]
         for name, flow in flows.items()
     }
-    subflow_rates = {}
-    for name, flow in flows.items():
-        if isinstance(flow, MptcpFlow):
-            after = flow.subflow_delivered()
-            subflow_rates[name] = [
-                (now - then) / duration
-                for now, then in zip(after, sub_base[name])
-            ]
-    return Measurement(rates, subflow_rates, duration)
+    subflow_rates = {
+        name: [(now - then) / duration
+               for now, then in zip(flows[name].subflow_delivered(), before)]
+        for name, before in sub_base.items()
+    }
+    return Measurement(duration, delivered, subflow_rates, links)
 
 
 def jain_index(rates: Sequence[float]) -> float:

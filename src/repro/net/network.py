@@ -235,11 +235,6 @@ class Network:
     def all_links(self) -> Iterable[Link]:
         return self.links.values()
 
-    def reset_counters(self) -> None:
-        """Reset every link queue's arrival/drop counters (for warm-up)."""
-        for link in self.links.values():
-            link.queue.reset_counters()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Network(nodes={len(self.adjacency)}, "

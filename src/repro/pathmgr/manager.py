@@ -351,7 +351,11 @@ class PathManager:
     def on_subflow_path_down(self, subflow: MptcpSubflow, reason: str = "") -> None:
         name = self._path_of.get(id(subflow))
         if name is not None:
-            self.path_down(name, cause=reason or "fault")
+            # A retired subflow no longer speaks for its path, which may
+            # have reopened on a fresh subflow since.
+            path = self.paths.get(name)
+            if path is not None and subflow in path.subflows:
+                self.path_down(name, cause=reason or "fault")
             return
         # A subflow built outside the manager (e.g. attaching a manager to
         # a pre-existing MptcpFlow): retire it directly so its data still

@@ -1,6 +1,7 @@
 """Tests for the data-center traffic matrices (small fabrics)."""
 
-from repro.harness.datacenter import measure_matrix, start_matrix
+from repro.harness.datacenter import start_matrix
+from repro.harness.experiment import measure
 from repro.sim.simulation import Simulation
 from repro.topology import BCube, FatTree
 from repro.traffic import permutation_matrix
@@ -12,8 +13,10 @@ def _run(sim, net, pairs, algorithm, paths, duration, bcube=None):
     flows, sources = start_matrix(
         sim, net, pairs, algorithm, path_count=paths, bcube=bcube
     )
-    rates, loss = measure_matrix(sim, net, flows, warmup=2.0,
-                                 duration=duration)
+    m = measure(sim, flows, warmup=2.0, duration=duration,
+                links=net.all_links())
+    rates = m.rates
+    loss = {name: m.loss[name] for name, n in m.arrivals.items() if n}
     per_host = {}
     for name, rate in rates.items():
         per_host[sources[name]] = per_host.get(sources[name], 0.0) + rate

@@ -395,6 +395,28 @@ class TestCrashResume:
         assert layout.leases() == []
         assert layout.finished() == "done"
 
+    def test_a_row_is_counted_once_even_when_its_done_record_follows(
+            self, tmp_path):
+        # Both rows are in the store when the broker first scans it, and
+        # task 1's "done" is journalled too (a worker published it just
+        # before the scan).  Task 0 is a store hit, task 1 executed, and
+        # a second "done" for task 1 (a re-run) counts nothing more.
+        root = str(tmp_path / "farm")
+        cache = ResultCache(str(tmp_path / "store"))
+        tasks = _fn_tasks(square_point, [{"x": x} for x in (1, 2)])
+        broker = Broker(root, tasks=tasks, cache=cache, **FAST)
+        layout = FarmLayout(root)
+        for task in tasks:
+            cache.store(cache.key(task), task,
+                        square_point(**task.spec.params))
+        for _ in range(2):
+            layout.journal("done", task=1, worker="w", attempt=1,
+                           wall=0.0, key=cache.key(tasks[1]))
+        broker._scan_store(initial=True)
+        broker._drain_journal()
+        assert (broker.store_hits, broker.executed) == (1, 1)
+        assert broker.executed + broker.store_hits == len(tasks)
+
 
 # -- farm.* events ------------------------------------------------------
 

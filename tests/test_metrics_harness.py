@@ -1,7 +1,11 @@
 """Tests for the experiment harness: fairness, tables, sweeps, flows."""
 
+import ast
+import pathlib
+
 import pytest
 
+import repro.exp
 from repro.core.registry import make_controller
 from repro.exp.spec import grid_points, merge_row
 from repro.harness import Table, format_value, jain_index, make_flow, measure
@@ -9,8 +13,10 @@ from repro.mptcp.connection import MptcpFlow
 from repro.net.queue import DropTailQueue
 from repro.net.pipe import Pipe
 from repro.net.route import Route
+from repro.pathmgr import ManagedMptcpFlow
 from repro.sim.simulation import Simulation
 from repro.tcp.sender import TcpFlow
+from repro.topology import build_two_links
 
 from conftest import sweep
 
@@ -133,7 +139,73 @@ class TestMakeFlowAndMeasure:
         assert len(m.subflow_rates["m"]) == 2
         assert sum(m.subflow_rates["m"]) == pytest.approx(m["m"], rel=0.05)
 
+    def test_measure_loss_covers_the_window_alone(self):
+        sim = Simulation(seed=3)
+        sc = build_two_links(sim, 500.0, 500.0, buffer1_pkts=10)
+        flow = make_flow(sim, sc.routes("link1"), "reno", name="f")
+        flow.start()
+        busy, idle = sc.net.link("s1", "d1"), sc.net.link("s2", "d2")
+        sim.run_until_elapsed(5.0)
+        arrivals, drops = busy.queue.total_arrivals, busy.queue.total_drops
+        m = measure(sim, {"f": flow}, warmup=5.0, duration=10.0,
+                    links=[busy, idle])
+        window_drops = busy.queue.total_drops - drops
+        window_arrivals = busy.queue.total_arrivals - arrivals
+        assert window_drops > 0
+        assert m.loss[busy.name] == busy.queue.loss_rate
+        assert m.loss[busy.name] == window_drops / window_arrivals
+        assert m.arrivals[busy.name] == window_arrivals
+        # A link no packet reached reads 0.0.
+        assert (m.loss[idle.name], m.arrivals[idle.name]) == (0.0, 0)
+
+    def test_measure_rates_are_delivered_counts_over_duration(self):
+        sim = Simulation(seed=4)
+        flows = {"f": make_flow(sim, [self._route(sim)], "reno", name="f"),
+                 "m": make_flow(sim, [self._route(sim), self._route(sim)],
+                                "mptcp", name="m")}
+        for flow in flows.values():
+            flow.start()
+        m = measure(sim, flows, warmup=2.0, duration=3.0)
+        assert m.loss == {} and m.arrivals == {}
+        for name in flows:
+            assert isinstance(m.delivered[name], int) and m.delivered[name] > 0
+            assert m[name] == m.delivered[name] / 3.0
+
+    def test_measure_managed_flow_on_the_packet_tier(self):
+        sim = Simulation(seed=5)
+        sc = build_two_links(sim, 500.0, 500.0)
+        routes = sc.routes("multi")
+        flow = ManagedMptcpFlow(sim, make_controller("lia"), name="m")
+        flow.add_path(routes[0], name="p0")
+        flow.add_path(routes[1], name="p1")
+        flow.start()
+        sim.run_until_elapsed(2.0)
+        before = flow.packets_delivered
+        m = measure(sim, {"m": flow}, warmup=2.0, duration=4.0,
+                    links=sc.net.all_links())
+        assert m.delivered["m"] == flow.packets_delivered - before
+        assert 800.0 < m["m"] <= 1000.0
+        assert m.arrivals["s1->d1"] > 0 and m.arrivals["s2->d2"] > 0
+        # A managed flow's subflow set changes over time: no split.
+        assert m.subflow_rates == {}
+
     def test_measure_validates_duration(self):
         sim = Simulation()
         with pytest.raises(ValueError):
             measure(sim, {}, warmup=0.0, duration=0.0)
+
+
+class TestOneWindow:
+    def test_no_point_module_runs_or_resets_a_window_by_hand(self):
+        """Point functions say what they measure and when; how (running
+        to the window, resetting link counters) is ``measure``'s job."""
+        exp_dir = pathlib.Path(repro.exp.__file__).parent
+        calls = [
+            f"{path.name}:{node.lineno} {node.func.attr}"
+            for path in sorted(exp_dir.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("run_until_elapsed", "reset_counters")
+        ]
+        assert calls == []

@@ -276,6 +276,28 @@ class TestFaultComposition:
         reasm = flow.receiver.reassembler
         assert reasm.data_cum_ack - reasm.delivered == 0
 
+    def test_killing_a_retired_subflow_spares_the_reopened_one(self):
+        # The kill binds m.p1's first subflow when armed; by 3 s that
+        # subflow is retired and m.p1.j2 carries the path.
+        sink = MemorySink()
+        sim = Simulation(seed=13, trace=TraceBus(sinks=[sink]))
+        sc = build_two_links(sim, 1000.0, 1000.0)
+        routes = sc.routes("multi")
+        flow = ManagedMptcpFlow(sim, make_controller("lia"), name="m")
+        flow.add_path(routes[0], name="p0")
+        flow.add_path(routes[1], name="p1")
+        arm_faults(sim, [
+            FaultSpec("path_down", "m.p1", 1.0),
+            FaultSpec("path_up", "m.p1", 2.0),
+            FaultSpec("subflow_kill", "m.p1", 3.0),
+        ])
+        flow.start()
+        sim.run_until(4.0)
+        [down] = sink.of_type("pathmgr.path_down")
+        assert down["t"] == 1.0
+        assert [sf.name for sf in flow.subflows] == ["m.p0", "m.p1.j2"]
+        assert flow.manager.paths["p1"].up
+
     def test_unmanaged_subflow_kill_still_emits_path_down(self):
         sink = MemorySink()
         sim = Simulation(seed=12, trace=TraceBus(sinks=[sink]))
