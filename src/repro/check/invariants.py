@@ -15,11 +15,9 @@ Checked invariants
 
 ``queue_conservation``
     Per drop-tail queue: ``arrivals == departures + drops + occupancy``
-    (packets are never created or lost inside a buffer).  Tolerates
-    ``reset_counters()`` — the conserved quantity is the *balance*, which
-    a counter reset shifts by the occupancy frozen in the buffer; the
-    queue's monotonic ``total_*`` counters, which a reset does not touch,
-    tell that shift from a leak.
+    (packets are never created or lost inside a buffer).  The counters
+    only count up from the queue's creation, so the balance
+    ``arrivals - departures - drops - occupancy`` is 0 at every instant.
 ``queue_bounds``
     ``0 <= occupancy <= capacity`` for the queue a record names, also
     re-checked from each ``pkt.enqueue`` event's ``occ`` field.
@@ -47,7 +45,7 @@ Checked invariants
 Detection points and cost model
 -------------------------------
 
-``pkt.enqueue`` / ``pkt.drop`` check the watched queues of the name they
+``pkt.enqueue`` / ``pkt.drop`` check the queues of the name they
 carry (one, unless names are empty or shared), ``pkt.deliver`` /
 ``mptcp.dsn_ack`` the receiver that flow or connection delivers to; a name
 that resolves to nothing checks *every* queue, or receiver, and
@@ -57,7 +55,7 @@ reported at the next record naming the broken component
 widens, the measured slowdown).  A record costs one memoised dict lookup
 for its check, the check of its own fields, and a few attribute reads and
 one comparison per named component; only a failed comparison reaches the
-slow path that tells a counter reset from a leak and words the violation.
+slow path that words the violation.
 The dense-delivery and DSN checks need *every* record, so a monitored bus
 must not be ``pause()``d mid-run.
 """
@@ -66,7 +64,7 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..mptcp.connection import MptcpConnection, MptcpReceiver
 from ..net.queue import DropTailQueue
@@ -126,29 +124,6 @@ class InvariantViolation(AssertionError):
         )
 
 
-def _queue_balances(queue: DropTailQueue) -> Tuple[int, int]:
-    """``arrivals - departures - drops - occupancy`` over the since-reset
-    counters, which ``reset_counters()`` legitimately shifts, and over the
-    monotonic ``total_*`` counters, which nothing may shift."""
-    occ = queue.occupancy
-    return (
-        queue.arrivals - queue.departures - queue.drops - occ,
-        queue.total_arrivals - queue.total_departures
-        - queue.total_drops - occ,
-    )
-
-
-class _QueueWatch:
-    """What the sweep remembers about one watched queue: the two
-    :func:`_queue_balances` it expects to find."""
-
-    __slots__ = ("queue", "expected", "expected_total")
-
-    def __init__(self, queue: DropTailQueue):
-        self.queue = queue
-        self.expected, self.expected_total = _queue_balances(queue)
-
-
 #: ``InvariantMonitor._route`` value for event types the monitor skips.
 _BOOKKEEPING = object()
 
@@ -192,11 +167,9 @@ class InvariantMonitor(TraceSink):
         self._senders_by_name: Dict[str, TcpSender] = {}
         self._wrapped_controllers: Dict[int, Any] = {}
 
-        # Per-entity check state.
-        self._queue_watch: List[_QueueWatch] = []  # one per entry of queues
-        # The same watches by queue name: lists, so that queues sharing a
-        # name (or unnamed) are checked together rather than not at all.
-        self._watches_named: Dict[str, List[_QueueWatch]] = {}
+        # Per-entity check state.  Queues by name are lists, so that queues
+        # sharing a name (or unnamed) are checked together, not skipped.
+        self._queues_named: Dict[str, List[DropTailQueue]] = {}
         self._receivers_of = functools.cache(self._find_receivers)  # by name
         self._next_deliver: Dict[str, int] = {}   # flow name -> next seq
         self._last_data_ack: Dict[str, int] = {}  # conn name -> data_ack
@@ -248,9 +221,7 @@ class InvariantMonitor(TraceSink):
     def _watch(self, component: Any) -> None:
         if isinstance(component, DropTailQueue):
             self.queues.append(component)
-            watch = _QueueWatch(component)
-            self._queue_watch.append(watch)
-            self._watches_named.setdefault(component.name, []).append(watch)
+            self._queues_named.setdefault(component.name, []).append(component)
         elif isinstance(component, TcpSender):
             self.senders.append(component)
             if component.name:
@@ -311,19 +282,19 @@ class InvariantMonitor(TraceSink):
     # ------------------------------------------------------------------
     def _check_enqueue(self, record: dict) -> None:
         self.checks_run += 1
-        watches = self._watches_named.get(record["queue"], ())
-        if len(watches) == 1 and record["occ"] > watches[0].queue.capacity:
+        queues = self._queues_named.get(record["queue"], ())
+        if len(queues) == 1 and record["occ"] > queues[0].capacity:
             self._violate(
                 "queue_bounds",
                 f"queue {record['queue']!r} enqueued to occupancy "
-                f"{record['occ']} > capacity {watches[0].queue.capacity}",
+                f"{record['occ']} > capacity {queues[0].capacity}",
                 record,
             )
-        self._sweep(watches or self._queue_watch, (), record)
+        self._sweep(queues or self.queues, (), record)
 
     def _check_drop(self, record: dict) -> None:
-        watches = self._watches_named.get(record["elem"])
-        self._sweep(watches or self._queue_watch, (), record)
+        queues = self._queues_named.get(record["elem"])
+        self._sweep(queues or self.queues, (), record)
 
     def _check_deliver(self, record: dict) -> None:
         self.checks_run += 1
@@ -414,25 +385,23 @@ class InvariantMonitor(TraceSink):
         ]
         return found or self.receivers
 
-    def _sweep(self, watches, receivers, record: Optional[dict]) -> None:
-        """Re-check these queue watches and receivers against live state.
+    def _sweep(self, queues, receivers, record: Optional[dict]) -> None:
+        """Re-check these queues and receivers against live state.
 
         The loops below are the fast path: slot reads, the count and one
         comparison per component, nothing allocated.  A component whose
         comparison fails is handed to a ``_recheck_*`` method, which works
         out what (if anything) is wrong and builds the violation.
         """
-        for watch in watches:
+        for queue in queues:
             self.checks_run += 1
-            queue = watch.queue
             occ = len(queue._buffer)  # queue.occupancy, minus the call
             if (
-                queue.arrivals - queue.departures - queue.drops - occ
-                == watch.expected
-                and 0 <= occ <= queue.capacity
+                queue.arrivals == queue.departures + queue.drops + occ
+                and occ <= queue.capacity
             ):
                 continue
-            self._recheck_queue(watch, record)
+            self._recheck_queue(queue, record)
         for receiver in receivers:
             self.checks_run += 1
             reassembler = receiver.reassembler
@@ -448,36 +417,26 @@ class InvariantMonitor(TraceSink):
                 continue
             self._recheck_receiver(receiver, record)
 
-    def _recheck_queue(
-        self, watch: _QueueWatch, record: Optional[dict]
-    ) -> None:
+    def _recheck_queue(self, queue, record: Optional[dict]) -> None:
         """Slow path for a queue that failed the sweep's comparison: a
-        bound is broken, packets leaked, or ``reset_counters()`` shifted
-        the since-reset balance (then re-base and carry on)."""
-        queue = watch.queue
+        bound is broken or packets leaked."""
         occ = queue.occupancy
-        if occ < 0 or occ > queue.capacity:
+        if occ > queue.capacity:
             self._violate(
                 "queue_bounds",
                 f"queue {queue.name!r} occupancy {occ} outside "
                 f"[0, {queue.capacity}]",
                 record,
             )
-        # The total_* counters do not move at a reset, so their balance
-        # tells a reset (still conserved) from a leak (off by the leak),
-        # even when both fell between the same two sweeps.
-        balance, total_balance = _queue_balances(queue)
-        leaked = total_balance - watch.expected_total
-        if leaked:
-            self._violate(
-                "queue_conservation",
-                f"queue {queue.name!r} leaks packets: arrivals "
-                f"{queue.arrivals} != departures {queue.departures} + "
-                f"drops {queue.drops} + occupancy {occ} "
-                f"(balance {balance}, expected {balance - leaked})",
-                record,
-            )
-        watch.expected = balance
+        balance = queue.arrivals - queue.departures - queue.drops - occ
+        self._violate(
+            "queue_conservation",
+            f"queue {queue.name!r} leaks packets: arrivals "
+            f"{queue.arrivals} != departures {queue.departures} + "
+            f"drops {queue.drops} + occupancy {occ} "
+            f"(balance {balance}, expected 0)",
+            record,
+        )
 
     def _recheck_receiver(
         self, receiver: MptcpReceiver, record: Optional[dict]
@@ -554,7 +513,7 @@ class InvariantMonitor(TraceSink):
         if self._finished:
             return
         self._finished = True
-        self._sweep(self._queue_watch, self.receivers, None)
+        self._sweep(self.queues, self.receivers, None)
         if self.bus is not None and self.bus.enabled:
             self.bus.emit(
                 "check.stats",

@@ -346,10 +346,13 @@ class Broker:
 
     # -- completion ----------------------------------------------------
     def _scan_store(self, initial: bool = False) -> None:
-        """Mark every task whose row is already in the store as done."""
+        """Mark every task whose row is already in the store as done; the
+        first scan also withdraws their queue tokens, so no worker runs
+        them (one that claimed a task before the scan still does)."""
         for index in self._keys:
             if self._complete(index) and initial:
                 self._store_hits.add(index)
+                self.layout.withdraw(index)
                 self._emit("exp.cache_hit", task=index,
                            key=self._keys[index])
 
@@ -615,20 +618,20 @@ def farm_status(root: Union[str, os.PathLike]) -> Dict[str, Any]:
     store = ResultCache(layout.store_root())
     done = sum(1 for key in keys if store.contains(key))
     failures: Dict[int, int] = {}
-    executed = 0
+    executed = set()  # a task that ran twice counts once
     for record in layout.iter_journal():
         op = record.get("op")
         task = record.get("task")
         if op in ("failed", "expired") and isinstance(task, int):
             failures[task] = failures.get(task, 0) + 1
-        elif op == "done":
-            executed += 1
+        elif op == "done" and isinstance(task, int):
+            executed.add(task)
     return {
         "tasks": len(keys),
         "done": done,
         "queued": len(layout.queued_tasks()),
         "leased": len(layout.leases()),
-        "executed": executed,
+        "executed": len(executed),
         "failures": sum(failures.values()),
         "state": layout.finished() or "running",
     }

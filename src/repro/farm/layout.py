@@ -180,6 +180,13 @@ class FarmLayout:
                     {"task": index, "worker": worker, "attempt": attempt,
                      "deadline": deadline, "claimed": claimed})
 
+    def withdraw(self, index: int) -> None:
+        """Remove a task's queue token; a task already claimed stays so."""
+        try:
+            os.unlink(self.queue_token_path(index))
+        except FileNotFoundError:
+            pass
+
     def release_lease(self, index: int) -> None:
         try:
             os.unlink(self.lease_path(index))

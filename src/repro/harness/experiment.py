@@ -11,7 +11,7 @@ rates.
 
 from __future__ import annotations
 
-from typing import Collection, Dict, List, Optional, Sequence, Union
+from typing import Collection, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.registry import make_controller
 from ..mptcp.connection import MptcpFlow
@@ -48,21 +48,23 @@ class Measurement:
     """What one window of ``duration`` seconds saw: each flow's in-order
     deliveries (``delivered``; ``rates`` in pkt/s derive from them, and
     ``m[name]`` is ``m.rates[name]``), each multipath flow's per-subflow
-    split, and each measured link's ``arrivals`` and ``loss``."""
+    split, and each measured link's ``arrivals`` and ``loss`` (window
+    drops / window arrivals, 0.0 when nothing arrived)."""
 
     def __init__(
         self,
         duration: float,
         delivered: Dict[str, float],
         subflow_rates: Dict[str, List[float]],
-        links: Collection[Link],
+        link_counts: Dict[str, Tuple[int, int]],
     ):
         self.delivered = delivered
         self.rates = {name: count / duration
                       for name, count in delivered.items()}
         self.subflow_rates = subflow_rates
-        self.arrivals = {link.name: link.queue.arrivals for link in links}
-        self.loss = {link.name: link.loss_rate for link in links}
+        self.arrivals = {name: n for name, (n, _) in link_counts.items()}
+        self.loss = {name: drops / n if n else 0.0
+                     for name, (n, drops) in link_counts.items()}
 
     def __getitem__(self, name: str) -> float:
         return self.rates[name]
@@ -86,15 +88,15 @@ def measure(
     then measure for ``duration`` seconds.
 
     Flows must already be started; any object with ``packets_delivered``
-    measures (a managed flow, a fluid class).  At the window start the
-    queue counters of ``links`` are reset, so ``loss`` and ``arrivals``
-    cover the window alone.
+    measures (a managed flow, a fluid class).  Queue counters only count
+    up, so the ``loss`` and ``arrivals`` of ``links`` are differences of
+    two readings and cover the window alone.
     """
     if duration <= 0:
         raise ValueError(f"duration must be positive, got {duration!r}")
     sim.run_until_elapsed(warmup)
-    for link in links:
-        link.queue.reset_counters()
+    link_base = [(link, link.queue.arrivals, link.queue.drops)
+                 for link in links]
     base = {name: flow.packets_delivered for name, flow in flows.items()}
     sub_base = {
         name: list(flow.subflow_delivered())
@@ -111,7 +113,10 @@ def measure(
                for now, then in zip(flows[name].subflow_delivered(), before)]
         for name, before in sub_base.items()
     }
-    return Measurement(duration, delivered, subflow_rates, links)
+    link_counts = {link.name: (link.queue.arrivals - arrivals,
+                               link.queue.drops - drops)
+                   for link, arrivals, drops in link_base}
+    return Measurement(duration, delivered, subflow_rates, link_counts)
 
 
 def jain_index(rates: Sequence[float]) -> float:

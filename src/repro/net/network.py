@@ -56,10 +56,6 @@ class Link:
         return self.pipe.delay
 
     @property
-    def loss_rate(self) -> float:
-        return self.queue.loss_rate
-
-    @property
     def name(self) -> str:
         return f"{self.src}->{self.dst}"
 

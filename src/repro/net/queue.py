@@ -9,6 +9,10 @@ simulator.
 The rate can change at run time (:meth:`DropTailQueue.set_rate`), and a
 rate of 0 is a coverage outage: the wireless-client scenarios (§5) vary a
 link's capacity as the user moves.
+
+The ``arrivals``, ``departures`` and ``drops`` counters count up from
+creation and are never reset: a measurement window is the difference of
+two readings (:func:`repro.harness.experiment.measure`).
 """
 
 from __future__ import annotations
@@ -62,9 +66,6 @@ class DropTailQueue:
         "arrivals",
         "departures",
         "drops",
-        "_arrivals_offset",
-        "_departures_offset",
-        "_drops_offset",
         "drop_hook",
         "intercept",
     )
@@ -102,12 +103,6 @@ class DropTailQueue:
         self.arrivals = 0
         self.departures = 0
         self.drops = 0
-        # Consumed counts folded away by reset_counters(); the total_*
-        # properties add them back so meters baselined before a reset
-        # (e.g. a warmup re-baseline) never see counters go backwards.
-        self._arrivals_offset = 0
-        self._departures_offset = 0
-        self._drops_offset = 0
         #: Optional callback invoked with each dropped packet.
         self.drop_hook: Optional[Callable[[Packet], None]] = None
         #: Optional arrival interceptor (``repro.fault``): called with each
@@ -122,40 +117,9 @@ class DropTailQueue:
         """Packets currently queued (including the one being transmitted)."""
         return len(self._buffer)
 
-    @property
-    def loss_rate(self) -> float:
-        """Fraction of arrivals dropped since the last counter reset."""
-        if self.arrivals == 0:
-            return 0.0
-        return self.drops / self.arrivals
-
-    @property
-    def total_arrivals(self) -> int:
-        """Arrivals since creation — monotonic across counter resets."""
-        return self.arrivals + self._arrivals_offset
-
-    @property
-    def total_departures(self) -> int:
-        """Departures since creation — monotonic across counter resets."""
-        return self.departures + self._departures_offset
-
-    @property
-    def total_drops(self) -> int:
-        """Drops since creation — monotonic across counter resets."""
-        return self.drops + self._drops_offset
-
-    def reset_counters(self) -> None:
-        """Zero the since-reset arrival/departure/drop counters (not the
-        buffer).  ``loss_rate`` and the public counters cover the window
-        from this point; the ``total_*`` properties keep counting from
-        queue creation, so rate/loss meters that baselined *before* the
-        reset remain correct across it."""
-        self._arrivals_offset += self.arrivals
-        self._departures_offset += self.departures
-        self._drops_offset += self.drops
-        self.arrivals = 0
-        self.departures = 0
-        self.drops = 0
+    # Read-only aliases kept for perfbench/trace.py, which reads them.
+    total_departures = property(lambda self: self.departures)
+    total_drops = property(lambda self: self.drops)
 
     # ------------------------------------------------------------------
     def receive(self, packet: Packet) -> None:

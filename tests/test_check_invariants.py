@@ -126,62 +126,6 @@ class TestCleanRunsSatisfyInvariants:
         assert flow.packets_delivered > 0
         assert sim.check_monitor.violations == 0
 
-    def test_conservation_tolerates_counter_resets(self, sim):
-        # torus_balance resets queue counters mid-run; the conservation
-        # check must rebase instead of flagging the discontinuity.
-        route, queue = bottleneck_route(sim, rate_pps=400.0, buffer_pkts=20)
-        flow = TcpFlow(sim, route, make_controller("reno"), name="f")
-        flow.start()
-        sim.run_until(4.0)
-        queue.reset_counters()
-        sim.run_until(8.0)
-        sim.check_monitor.finish()
-        assert sim.check_monitor.violations == 0
-
-
-class TestCounterResets:
-    """``reset_counters()`` is told from a leak by the queue's monotonic
-    ``total_*`` counters, not by guessing from ``arrivals`` going
-    backwards."""
-
-    @staticmethod
-    def _running_bottleneck():
-        simulation, monitor, _ = _monitored()
-        route, queue = bottleneck_route(
-            simulation, rate_pps=400.0, buffer_pkts=20
-        )
-        flow = TcpFlow(simulation, route, make_controller("reno"), name="f")
-        flow.start()
-        simulation.run_until(1.0)
-        assert queue.occupancy > 0  # the reset below shifts the balance
-        return simulation, monitor, queue
-
-    def test_reset_unseen_between_sweeps_is_not_a_leak(self):
-        # With the bus paused the monitor next looks at the queue after
-        # ``arrivals`` has grown back past its pre-reset value, so nothing
-        # "went backwards" — the old heuristic called this a leak.
-        simulation, monitor, queue = self._running_bottleneck()
-        simulation.trace.pause()
-        queue.reset_counters()
-        simulation.run_until(6.0)
-        assert queue.arrivals > 400
-        monitor.finish()
-        assert monitor.violations == 0
-
-    def test_leak_coincident_with_a_reset_is_caught(self):
-        # The old heuristic re-based on whatever balance it found after a
-        # reset, absorbing a leak that fell between the same two sweeps.
-        simulation, monitor, queue = self._running_bottleneck()
-        occ = queue.occupancy
-        queue.reset_counters()
-        queue.drops += 2
-        with pytest.raises(InvariantViolation) as excinfo:
-            simulation.run_until(6.0)
-        assert excinfo.value.invariant == "queue_conservation"
-        assert excinfo.value.detail.endswith(
-            f"(balance {-occ - 2}, expected {-occ})"
-        )
-
 
 PINNED_SPEC = ScenarioSpec(
     "torus_balance", seed=1, warmup=0.5, duration=1.0,
@@ -252,18 +196,16 @@ class _Discard:
 
 
 class TestSweepAgreesWithOracle:
-    """The monitor only compares a queue's since-reset balance with the
-    one it expects and hands anything else to its slow path; an oracle
-    that recomputes every queue invariant from scratch over the
-    ``total_*`` counters must agree with it — about the queue a record
-    names at every step of any interleaving of traffic, counter resets
-    and corruption, and about both queues at ``finish()``."""
+    """The monitor's fast path compares a queue's counters once and hands
+    anything else to its slow path; an oracle that recomputes every queue
+    invariant from scratch must agree with it — about the queue a record
+    names at every step of any interleaving of traffic and corruption,
+    and about both queues at ``finish()``."""
 
     OPS = st.lists(
         st.one_of(
             st.tuples(st.just("enqueue"), st.integers(0, 1)),
             st.tuples(st.just("service")),
-            st.tuples(st.just("reset"), st.integers(0, 1)),
             st.tuples(
                 st.just("corrupt"), st.integers(0, 1),
                 st.sampled_from(
@@ -285,10 +227,7 @@ class TestSweepAgreesWithOracle:
             if not 0 <= occ <= queue.capacity:
                 return "queue_bounds", queue.name
             # Both queues were created empty, so the conserved total is 0.
-            if (
-                queue.total_arrivals - queue.total_departures
-                - queue.total_drops - occ
-            ):
+            if queue.arrivals - queue.departures - queue.drops - occ:
                 return "queue_conservation", queue.name
         return None
 
@@ -313,11 +252,11 @@ class TestSweepAgreesWithOracle:
         for step, op in enumerate(ops):
             undo = None
             if op[0] == "service":
-                departed = [queue.total_departures for queue in queues]
+                departed = [queue.departures for queue in queues]
                 simulation.run(max_events=1)
                 touched = [
                     queue for queue, before in zip(queues, departed)
-                    if queue.total_departures != before
+                    if queue.departures != before
                 ]
             else:
                 touched = [queues[op[1]]]
@@ -325,8 +264,6 @@ class TestSweepAgreesWithOracle:
                     packet = Packet(elements, 1.0, None)
                     packet.hop = op[1]
                     elements[op[1]].receive(packet)
-                elif op[0] == "reset":
-                    touched[0].reset_counters()
                 else:
                     _, _, field, delta = op
                     undo = (touched[0], field, getattr(touched[0], field))

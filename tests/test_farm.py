@@ -25,7 +25,9 @@ import time
 import pytest
 
 from repro.cli import main
-from repro.exp import Runner, ResultCache, TaskError, specs_for_grid
+from repro.exp import (
+    Runner, ResultCache, TaskError, execute_task, specs_for_grid,
+)
 from repro.exp.spec import ScenarioSpec, TaskSpec, target_id
 from repro.farm import (
     Broker, FarmError, FarmLayout, farm_status, run_farm, work,
@@ -416,6 +418,30 @@ class TestCrashResume:
         broker._drain_journal()
         assert (broker.store_hits, broker.executed) == (1, 1)
         assert broker.executed + broker.store_hits == len(tasks)
+
+    def test_rows_already_in_the_store_are_not_run_again(self, tmp_path):
+        # The broker's first store scan withdraws the queue tokens of the
+        # rows it finds; before, workers leased and re-ran all of them.
+        root = str(tmp_path / "farm")
+        cache = ResultCache(str(tmp_path / "store"))
+        specs = specs_for_grid("demo_rtt", warmup=0.2, duration=0.3)[:3]
+        tasks = [TaskSpec(index=i, spec=s) for i, s in enumerate(specs)]
+        for task in tasks[:2]:
+            cache.store(cache.key(task), task, execute_task(task))
+        broker = Broker(root, tasks=tasks, cache=cache, **FAST)
+        broker.run(workers=1)
+        leases = [record["task"] for record in FarmLayout(root).iter_journal()
+                  if record["op"] == "lease"]
+        assert leases == [2]
+        assert (broker.executed, broker.store_hits) == (1, 2)
+
+    def test_status_counts_a_task_that_ran_twice_once(self, tmp_path):
+        root = str(tmp_path / "farm")
+        Broker(root, tasks=_fn_tasks(square_point, [{"x": 1}]), **FAST)
+        layout = FarmLayout(root)
+        for _ in range(2):
+            layout.journal("done", task=0, worker="w", attempt=1, wall=0.0)
+        assert farm_status(root)["executed"] == 1
 
 
 # -- farm.* events ------------------------------------------------------

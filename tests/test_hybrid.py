@@ -246,6 +246,26 @@ class TestCoupling:
         assert monitor.violations == 0
         assert all(f.packets_delivered > 0 for f in tracers.values())
 
+    def test_measuring_links_never_reads_a_negative_tracer_rate(self):
+        # A hybrid link reads its tracer rate as the growth of its queue's
+        # arrival count; a measure(links=) that reset that count made the
+        # next step read a negative rate (-1200 pkt/s here).
+        sink = MemorySink()
+        bus = TraceBus(sinks=[sink], events={"hybrid.link_state"})
+        sim = HybridSimulation(seed=1, trace=bus, dt=0.01, snapshot_every=1)
+        sc = build_torus(sim, [200.0] * 5, delay=0.05)
+        for i in range(5):
+            sim.add_class(sc.routes(f"f{i}"), "lia", count=5, name=f"c{i}")
+        tracer = make_flow(sim, sc.routes("f0"), "lia", name="tr")
+        tracer.start()
+        m = measure(sim, {"tr": tracer}, warmup=2.0, duration=1.0,
+                    links=sc.net.all_links())
+        assert sum(m.arrivals.values()) > 0
+        rates = [record["tracer_pps"]
+                 for record in sink.of_type("hybrid.link_state")]
+        assert len(rates) >= 5 * 299 and max(rates) > 0.0
+        assert min(rates) >= 0.0
+
 
 class TestTraceEvents:
     def test_attach_and_snapshots_are_schema_valid(self):

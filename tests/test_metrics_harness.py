@@ -146,17 +146,36 @@ class TestMakeFlowAndMeasure:
         flow.start()
         busy, idle = sc.net.link("s1", "d1"), sc.net.link("s2", "d2")
         sim.run_until_elapsed(5.0)
-        arrivals, drops = busy.queue.total_arrivals, busy.queue.total_drops
+        arrivals, drops = busy.queue.arrivals, busy.queue.drops
         m = measure(sim, {"f": flow}, warmup=5.0, duration=10.0,
                     links=[busy, idle])
-        window_drops = busy.queue.total_drops - drops
-        window_arrivals = busy.queue.total_arrivals - arrivals
+        window_drops = busy.queue.drops - drops
+        window_arrivals = busy.queue.arrivals - arrivals
         assert window_drops > 0
-        assert m.loss[busy.name] == busy.queue.loss_rate
         assert m.loss[busy.name] == window_drops / window_arrivals
         assert m.arrivals[busy.name] == window_arrivals
         # A link no packet reached reads 0.0.
         assert (m.loss[idle.name], m.arrivals[idle.name]) == (0.0, 0)
+
+    def test_consecutive_windows_leave_the_counters_counting_up(self):
+        # A window reads the queue counters; it never resets them, so two
+        # back-to-back windows and the warm-up add up to the queue's count.
+        sim = Simulation(seed=3)
+        sc = build_two_links(sim, 500.0, 500.0, buffer1_pkts=10)
+        flow = make_flow(sim, sc.routes("link1"), "reno", name="f")
+        flow.start()
+        busy = sc.net.link("s1", "d1")
+        sim.run_until_elapsed(2.0)
+        warmup_arrivals = busy.queue.arrivals
+        first = measure(sim, {"f": flow}, warmup=2.0, duration=3.0,
+                        links=[busy])
+        second = measure(sim, {"f": flow}, warmup=5.0, duration=3.0,
+                         links=[busy])
+        assert warmup_arrivals > 0 and second.arrivals[busy.name] > 0
+        assert busy.queue.arrivals == (
+            warmup_arrivals + first.arrivals[busy.name]
+            + second.arrivals[busy.name]
+        )
 
     def test_measure_rates_are_delivered_counts_over_duration(self):
         sim = Simulation(seed=4)
@@ -198,7 +217,7 @@ class TestMakeFlowAndMeasure:
 class TestOneWindow:
     def test_no_point_module_runs_or_resets_a_window_by_hand(self):
         """Point functions say what they measure and when; how (running
-        to the window, resetting link counters) is ``measure``'s job."""
+        to the window, reading link counters) is ``measure``'s job."""
         exp_dir = pathlib.Path(repro.exp.__file__).parent
         calls = [
             f"{path.name}:{node.lineno} {node.func.attr}"
@@ -206,6 +225,6 @@ class TestOneWindow:
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("run_until_elapsed", "reset_counters")
+            and node.func.attr == "run_until_elapsed"
         ]
         assert calls == []

@@ -64,7 +64,7 @@ class TestPipeLoss:
         assert len(sink.arrivals) == 100
         assert pipe.drops == 0
 
-    def test_loss_rate_statistics(self):
+    def test_loss_prob_statistics(self):
         sim = Simulation(seed=1)
         pipe = Pipe(sim, delay=0.0, loss_prob=0.3)
         sink = Collector(sim)
