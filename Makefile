@@ -5,8 +5,9 @@
 #                    pyproject.toml)
 #   make paper       the paper's tables and figures: every claims-bearing
 #                    grid (repro sweep paper) through one runner and the
-#                    .sweep-cache result cache, claims checked — see
-#                    EXPERIMENTS.md
+#                    .sweep-cache result cache, claims checked, every
+#                    grid's rows written to .sweep-cache/paper-rows.json
+#                    — see EXPERIMENTS.md
 #   make perf WORKLOAD=<name>  one perfbench workload (BENCHMARK.json)
 #                    exactly as the PR gate runs it: seed 1, 15 s, timed
 #                    (tracing off) — see perfbench/README.md
@@ -54,7 +55,8 @@ test:
 	$(PP) $(PYTHON) -m pytest -x -q
 
 paper:
-	$(PP) $(PYTHON) -m repro sweep paper --parallel $(NCPU) --cache-dir .sweep-cache
+	$(PP) $(PYTHON) -m repro sweep paper --parallel $(NCPU) --cache-dir .sweep-cache \
+		--out .sweep-cache/paper-rows.json
 
 perf:
 	python3 -m perfbench --workload $(WORKLOAD) --seed 1 --seconds 15 --trace 0

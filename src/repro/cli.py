@@ -71,8 +71,8 @@ from typing import List, Optional
 from .check import InvariantViolation, observe_simulations, trace_override
 from .core.registry import ALGORITHMS
 from .exp import CLAIMS, ResultCache, Runner, specs_for_grid
+from .exp.claims import failed_claim
 from .exp.grids import SCENARIOS, point_function
-from .exp.paper import failed_claim
 from .exp.spec import ScenarioSpec, grid_points
 from .farm import FarmError, farm_status, work
 from .harness.table import Table

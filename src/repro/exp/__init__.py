@@ -20,7 +20,8 @@ reproduces them at full-machine speed:
   module, resolved by :func:`~repro.exp.grids.point_function`) and the
   named grids behind ``python -m repro sweep``.
 * :mod:`repro.exp.paper` — the paper's figures and tables as point
-  functions, with the claims ``python -m repro sweep paper`` checks.
+  functions; :mod:`repro.exp.claims` — the table of claims
+  ``python -m repro sweep paper`` checks on their rows.
 
 Progress streams through the PR-1 trace bus as ``exp.*`` events; see
 ``docs/RUNNER.md`` for the full contract.
@@ -36,7 +37,7 @@ from . import runner  # noqa: F401
 
 #: Public name -> the submodule defining it (loaded on first use).
 _EXPORTS = {
-    "CLAIMS": ".paper",
+    "CLAIMS": ".claims",
     "Runner": ".runner",
     "ResultCache": ".cache",
     "SCENARIOS": ".grids",

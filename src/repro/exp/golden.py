@@ -115,7 +115,7 @@ GOLDEN_SETTINGS: Dict[str, dict] = {
     # Explicit opt-OUT: half the rt_loopback points run on the rt tier,
     # whose rows are wall-clock (same spec, different run → slightly
     # different goodput; see docs/REALNET.md), so the grid cannot be
-    # pinned bit-for-bit.  Its claim (repro.exp.paper) bounds packet-
+    # pinned bit-for-bit.  Its claim (repro.exp.claims) bounds packet-
     # vs-rt disagreement instead, and the realnet test in
     # tests/test_paper_claims.py runs it on the grid's lan pair.
     "rt_loopback": None,

@@ -16,7 +16,7 @@ It is a backend only: a point function runs here when its spec sets the
 reserved ``tier=rt`` param (:data:`repro.check.hooks.TIERS`), building
 each path from the same profile the packet tier builds as queue + pipe.
 The ``rt_loopback`` grid runs each transfer on both tiers, and its claim
-(:mod:`repro.exp.paper`) holds the real run to the simulated one.
+(:mod:`repro.exp.claims`) holds the real run to the simulated one.
 See docs/REALNET.md for the quickstart and the sim-vs-real caveats.
 """
 

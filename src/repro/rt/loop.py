@@ -23,7 +23,7 @@ Two deliberate differences from the simulator:
   on these timers — a wall-clock heap cannot be drained to exhaustion —
   and ``engine.event_fired`` is not emitted.  Nothing here is
   deterministic; determinism claims stay with the sim backend, and the
-  ``rt_loopback`` claim (:mod:`repro.exp.paper`) bounds how far the two
+  ``rt_loopback`` claim (:mod:`repro.exp.claims`) bounds how far the two
   may disagree.
 """
 

@@ -198,8 +198,8 @@ SWEEP_GRIDS = {
                  "docs/REALNET.md)",
     },
     # The paper's figures and tables (with fig8_torus and fig16_rtt
-    # above): point functions and the claims checked on these rows are
-    # in repro.exp.paper; `repro sweep paper` runs the family.
+    # above): point functions are in repro.exp.paper, the claims checked
+    # on these rows in repro.exp.claims; `repro sweep paper` runs them.
     "paper_fig1": {
         "scenario": "shared_bottleneck",
         "parameters": {"algo": ["uncoupled", "ewtcp", "mptcp", "coupled"]},

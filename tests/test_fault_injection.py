@@ -16,7 +16,7 @@ from repro.cli import main
 from repro.core.registry import make_controller
 from repro.exp import specs_for_grid
 from repro.exp.grids import point_function
-from repro.exp.paper import tolerance_scale
+from repro.exp.claims import tolerance_scale
 from repro.exp.spec import ScenarioSpec
 from repro.fault import (
     FAULT_PRESETS,

@@ -61,11 +61,19 @@ Runner().run([ScenarioSpec("wifi_3g_handover", {"algo": "lia"}, seed=1,
 print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro."))))
 """
 
+# What the CLI loads before it runs anything.
+CLI_PROBE = """
+import json, sys
+import repro.cli
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("repro."))))
+"""
+
 #: Subsystems a packet-tier point never runs, so never imports.
 UNUSED_BY_A_PACKET_POINT = (
     "repro.rt", "repro.farm", "repro.fluid", "repro.hybrid", "repro.pathmgr",
-    "repro.traffic", "repro.exp.paper", "repro.obs.schema", "repro.obs.series",
-    "repro.check.invariants", "repro.fault.faults", "repro.topology.fattree",
+    "repro.traffic", "repro.exp.paper", "repro.exp.claims", "repro.obs.schema",
+    "repro.obs.series", "repro.check.invariants", "repro.fault.faults",
+    "repro.topology.fattree",
     "repro.topology.bcube", "repro.topology.wireless",
     "repro.harness.datacenter",
 )
@@ -114,6 +122,20 @@ class TestImportBudget:
         assert "repro.pathmgr.handover" in loaded
         assert [m for m in loaded if m == "repro.rt"
                 or m.startswith("repro.rt.")] == []
+
+    def test_checking_a_claim_loads_no_point_function(self):
+        """A count, not a clock: the CLI reaches the claims table
+        without the paper's point functions, so ``import repro.cli``
+        loads no topology, traffic or fabric module that only they
+        use."""
+        loaded = _probe(CLI_PROBE)
+        assert "repro.exp.claims" in loaded
+        point_only = ("repro.exp.paper", "repro.topology.fattree",
+                      "repro.topology.bcube", "repro.traffic",
+                      "repro.harness.datacenter")
+        assert [m for m in loaded if any(
+            m == prefix or m.startswith(prefix + ".")
+            for prefix in point_only)] == []
 
 
 class TestExportTables:

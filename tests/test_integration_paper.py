@@ -4,9 +4,9 @@ These read the rows of ``paper_fig1`` and ``paper_dynamic_cbr`` that
 ``tests/test_paper_claims.py`` checks the claims of: the session's
 ``registered_rows`` fixture (``conftest.py``) simulates every tier-1
 claims grid once, so nothing here runs a simulation of its own.  Each
-bound is also an assertion of the grid's claims function in
-:data:`repro.exp.paper.CLAIMS`; a regression names the argument it
-breaks here and the claim's source line there.
+bound is also a claim of the grid's rows in the claims table
+:data:`repro.exp.claims.CLAIMS`; a regression names the argument it
+breaks here and the claim, its measured value and its bound there.
 """
 
 import pytest

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exp.paper import failed_claim
+from repro.exp.claims import failed_claim
 
 SIM = {"goodput_mean": 100.0, "delivered_bytes": 150000.0, "cwnd_mean": 50.0}
 

@@ -38,7 +38,7 @@ Two checks keep ``docs/*.md`` from silently rotting:
    :data:`repro.topology.scenarios.SWEEP_GRIDS`, so merging or renaming
    point functions cannot leave a doc pointing at a name that is gone;
    DESIGN.md's reproduction table must name only registered grids and
-   every grid that carries claims (:data:`repro.exp.paper.CLAIMS`).
+   every grid that carries claims (:data:`repro.exp.claims.CLAIMS`).
    Likewise every ``make <target>`` and ``python -m repro <sub>`` (or
    backquoted ``repro <sub>``) named in the docs, README.md, EXPERIMENTS.md,
    DESIGN.md, the verify skill (``.claude/skills/verify/SKILL.md``) or
@@ -242,7 +242,7 @@ def check_reproduction_table(repo: pathlib.Path) -> List[str]:
     """DESIGN.md's per-experiment index and the claims-bearing grids name
     each other: every grid in the table's last column is a key of
     ``SWEEP_GRIDS``, and every grid with claims appears there."""
-    from repro.exp.paper import CLAIMS
+    from repro.exp.claims import CLAIMS
     from repro.topology.scenarios import SWEEP_GRIDS
 
     text = (repo / "DESIGN.md").read_text(encoding="utf-8")
