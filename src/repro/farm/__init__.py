@@ -10,11 +10,12 @@ keeps it):
 
 * a **broker** (:class:`~repro.farm.Broker`) owns a persistent
   work queue under one *farm directory*: pickled task files, claim
-  tokens, a lease table with heartbeat/expiry, and an append-only
-  journal used for failure budgets and observability;
+  tokens, a lease table with expiry, and an append-only journal used
+  for failure budgets, observability and lease heartbeats;
 * **workers** (:func:`~repro.farm.work`: forked and supervised by the
   broker locally, or ``repro farm work DIR`` on any host that can see
-  the farm directory) lease tasks via atomic rename, execute them
+  the farm directory) lease tasks via atomic rename, journal
+  heartbeats for them (a lease file is never rewritten), execute them
   through the existing :func:`~repro.exp.spec.execute_task`, and publish
   rows through the shared content-addressed
   :class:`~repro.exp.cache.ResultCache` — already atomic and

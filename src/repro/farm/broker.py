@@ -25,8 +25,7 @@ execute.  Its responsibilities:
   bookkeeping, never correctness;
 * **self-healing** — a periodic reconcile scan re-enqueues any task
   that is not done yet has no token, no lease and no pending backoff
-  (the crash windows: a worker killed between claim and heartbeat, a
-  broker killed between unlink and requeue);
+  (the crash window: a broker killed between unlink and requeue);
 * **aggregation** — rows are folded in grid order into ``rows.jsonl``
   as they land, and exposed as ``broker.raw`` for the
   :class:`~repro.exp.runner.Runner`;
@@ -52,8 +51,6 @@ import multiprocessing
 import multiprocessing.connection
 import os
 import pathlib
-import subprocess
-import sys
 import time
 from typing import Any, Dict, List, Optional, Sequence, Union
 
@@ -171,7 +168,10 @@ class Broker:
         self._open: Dict[int, int] = {}  # index -> attempt started, unclosed
         self._done: set = set()
         self._journal_offset = 0
-        self._lease_grace: Dict[int, float] = {}  # unparsable-lease grace
+        # (index, attempt) -> its "lease" record updated by its "beat"s:
+        # holder, claim time and heartbeat deadline of a lease file.
+        self._holders: Dict[tuple, Dict[str, Any]] = {}
+        self._lease_grace: Dict[int, float] = {}  # unjournalled-lease grace
         self._aggregator: Optional[_Aggregator] = None
         self._local: Dict[str, multiprocessing.Process] = {}
         self._spawned = 0
@@ -209,10 +209,7 @@ class Broker:
         self.layout.write_manifest(keys, store=store_path)
         for task, key in zip(tasks, keys):
             self.layout.write_task(task, key)
-            self.layout.enqueue(task.index, attempt=1)
-            self.layout.journal("enqueue", task=task.index, attempt=1,
-                                key=key)
-            self._emit("farm.enqueue", task=task.index, attempt=1, key=key)
+            self._enqueue(task.index, attempt=1)
 
     def _resume(self) -> None:
         manifest = self.layout.read_manifest()
@@ -228,13 +225,16 @@ class Broker:
         self.layout.clear_markers()
 
     def _replay_journal(self) -> None:
-        """Restore failure budgets from the journal (backoffs restart)."""
+        """Restore failure budgets and lease holders from the journal
+        (backoffs restart)."""
         records, self._journal_offset = self.layout.read_journal(0)
         for record in records:
-            if record.get("op") in ("failed", "expired"):
-                task = record.get("task")
-                if isinstance(task, int):
-                    self._failures[task] = self._failures.get(task, 0) + 1
+            task = record.get("task")
+            if not isinstance(task, int):
+                continue
+            self._hold(record)
+            if record["op"] in ("failed", "expired"):
+                self._failures[task] = self._failures.get(task, 0) + 1
 
     @property
     def executed(self) -> int:
@@ -312,7 +312,9 @@ class Broker:
                 continue
             proc.join()
             del self._local[worker]
-            for index, record in self.layout.leases():
+            self._drain_journal()  # its last lease record may be unread
+            for index, token in self.layout.leases():
+                record = self._holders.get((index, token.get("attempt")), {})
                 if record.get("worker") == worker:
                     self._expire(index, record, "worker_died")
         if len(self._local) >= want:
@@ -381,6 +383,7 @@ class Broker:
                 continue
             worker = str(record.get("worker", "?"))
             key = self._keys[task]
+            self._hold(record)
             if op == "lease":
                 attempt = int(record.get("attempt", 1))
                 self._emit("farm.lease", task=task, worker=worker,
@@ -442,12 +445,25 @@ class Broker:
         raise TaskError(self._tasks[index], failures, reason)
 
     # -- lease expiry --------------------------------------------------
+    def _hold(self, record: Dict[str, Any]) -> None:
+        """Fold a ``lease``/``beat`` record into its attempt's holder
+        record (a beat moves the deadline, the claim time stays); a
+        ``done``/``failed`` one closes it.  A lease file is judged by the
+        attempt its token names, so another attempt's beat cannot keep
+        it alive."""
+        key = (record["task"], record.get("attempt"))
+        if record["op"] in ("done", "failed"):
+            self._holders.pop(key, None)
+        elif record["op"] in ("lease", "beat") and key[0] not in self._done:
+            self._holders[key] = dict(self._holders.get(key, {}), **record)
+
     def _expire_leases(self) -> None:
         now = time.time()
         mono = time.monotonic()
         live = set()
-        for index, record in self.layout.leases():
+        for index, token in self.layout.leases():
             live.add(index)
+            record = self._holders.get((index, token.get("attempt")), {})
             deadline = record.get("deadline")
             claimed = record.get("claimed")
             reason = "lease expired"
@@ -456,8 +472,9 @@ class Broker:
                     and claimed + self.timeout <= now):
                 reason = "timeout"
             elif not isinstance(deadline, (int, float)):
-                # Claim-to-rewrite race window or torn heartbeat: grant
-                # one ttl of grace from first sighting.
+                # Claimed but no lease record read yet (claim-to-journal
+                # window, or a worker killed in it): grant one ttl of
+                # grace from first sighting.
                 grace = self._lease_grace.setdefault(index,
                                                      mono + self.lease_ttl)
                 if mono < grace:
@@ -507,12 +524,7 @@ class Broker:
             del self._delayed[index]
             if self._complete(index):
                 continue
-            attempt = self._failures.get(index, 0) + 1
-            self.layout.enqueue(index, attempt=attempt)
-            self.layout.journal("enqueue", task=index, attempt=attempt,
-                                key=self._keys[index])
-            self._emit("farm.enqueue", task=index, attempt=attempt,
-                       key=self._keys[index])
+            self._enqueue(index, attempt=self._failures.get(index, 0) + 1)
             self.requeued += 1
 
     def _reconcile(self) -> None:
@@ -521,8 +533,8 @@ class Broker:
         A task that is not done, holds no queue token, no lease and no
         pending backoff is unreachable — nothing will ever run it.  That
         state only arises when a process died between two file
-        operations (claim→heartbeat, release→requeue); recreating the
-        token is always safe because execution is idempotent.
+        operations (a broker between release and requeue); recreating
+        the token is always safe because execution is idempotent.
 
         The journal is drained after the snapshot: a worker journals its
         outcome before it releases its lease, so a lease gone from the
@@ -538,12 +550,18 @@ class Broker:
                 continue
             if self._complete(index):
                 continue
-            attempt = self._failures.get(index, 0) + 1
-            self.layout.enqueue(index, attempt=attempt)
-            self.layout.journal("enqueue", task=index, attempt=attempt,
-                                key=self._keys[index])
-            self._emit("farm.enqueue", task=index, attempt=attempt,
-                       key=self._keys[index])
+            self._enqueue(index, attempt=self._failures.get(index, 0) + 1)
+
+    def _enqueue(self, index: int, attempt: int) -> None:
+        """Issue a queue token.  A holder record of the same attempt
+        is from an earlier claim (reconcile reuses the number), so it
+        goes."""
+        self._holders.pop((index, attempt), None)
+        self.layout.enqueue(index, attempt=attempt)
+        self.layout.journal("enqueue", task=index, attempt=attempt,
+                            key=self._keys[index])
+        self._emit("farm.enqueue", task=index, attempt=attempt,
+                   key=self._keys[index])
 
     # -- events --------------------------------------------------------
     def _emit(self, ev: str, **fields) -> None:
@@ -556,30 +574,6 @@ class Broker:
 
 
 # ----------------------------------------------------------------------
-def spawn_worker(
-    root: Union[str, os.PathLike],
-    worker_id: Optional[str] = None,
-    lease_ttl: float = DEFAULT_LEASE_TTL,
-) -> subprocess.Popen:
-    """Start a worker the way another host would: a separate
-    ``python -m repro farm work`` interpreter against ``root``, not
-    supervised by any broker (the crash-resume tests SIGKILL these).
-
-    The child gets the parent's ``sys.path`` as ``PYTHONPATH`` so
-    pickled tasks referencing modules outside ``site-packages`` (e.g.
-    test modules) still resolve.
-    """
-    cmd = [sys.executable, "-m", "repro", "farm", "work", str(root),
-           "--lease-ttl", str(lease_ttl)]
-    if worker_id is not None:
-        cmd += ["--id", worker_id]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-    # Silence the worker's completion line (stderr stays visible for
-    # real trouble); a worker run by hand keeps its stdout.
-    return subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
-
-
 def run_farm(
     tasks: Sequence[TaskSpec],
     root: Union[str, os.PathLike],

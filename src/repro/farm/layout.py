@@ -8,9 +8,9 @@ hosts that mount it.  The layout::
       manifest.json        grid identity: task count + per-task keys
       tasks/<index>.task   pickled TaskSpec per grid point (written once)
       queue/<index>        claim token: JSON {"task", "attempt"}
-      leases/<index>       lease: JSON {"task", "worker", "attempt",
-                           "deadline", "claimed"} (unix seconds)
-      journal.jsonl        append-only event log (budgets, observability)
+      leases/<index>       lease: the claimed token itself, never rewritten
+      journal.jsonl        append-only event log: budgets, observability,
+                           and each lease's holder and heartbeat deadline
       results/             content-addressed ResultCache (default store)
       rows.jsonl           aggregated rows in grid order (broker output)
       DONE / FAILED        terminal markers — workers exit on sight
@@ -20,11 +20,13 @@ Concurrency rests on three POSIX guarantees:
 * **claim** — a worker claims a task by ``os.rename(queue/i, leases/i)``;
   rename is atomic, so exactly one claimant wins and the token is never
   duplicated or lost;
-* **overwrite** — lease heartbeats and queue tokens are written to a
-  temp file and ``os.replace``d, so readers never observe a partial
-  file;
+* **overwrite** — queue tokens and the manifest are written to a temp
+  file and ``os.replace``d, so readers never observe a partial file (a
+  lease is never written: it is a token renamed into ``leases/``);
 * **append** — journal records are single ``write()`` calls on an
   ``O_APPEND`` descriptor, so concurrent writers interleave whole lines.
+  A worker's ``lease`` record and its periodic ``beat`` records carry
+  the heartbeat deadline the broker judges the lease by.
 
 Corrupt or partial journal lines (a writer killed mid-record) are
 skipped on replay, mirroring the cache's read-as-miss policy.
@@ -170,16 +172,6 @@ class FarmLayout:
             token = {"task": index, "attempt": 1}
         return token
 
-    def write_lease(self, index: int, worker: str, attempt: int,
-                    deadline: float, claimed: Optional[float] = None) -> None:
-        """(Re)write a lease: ``deadline`` is the heartbeat horizon,
-        ``claimed`` the time the holder claimed the task — the broker
-        measures a per-task ``timeout`` from it, whatever the heartbeat
-        says."""
-        _write_json(self.lease_path(index),
-                    {"task": index, "worker": worker, "attempt": attempt,
-                     "deadline": deadline, "claimed": claimed})
-
     def withdraw(self, index: int) -> None:
         """Remove a task's queue token; a task already claimed stays so."""
         try:
@@ -194,12 +186,13 @@ class FarmLayout:
             pass
 
     def leases(self) -> List[Tuple[int, Dict[str, Any]]]:
-        """All current ``(index, lease-record)`` pairs.
+        """All current ``(index, claim-token)`` pairs.
 
-        A lease file that cannot be parsed (claim-to-rewrite race window,
-        or a worker killed mid-heartbeat) yields an empty record — the
-        broker grants such leases a grace period instead of trusting a
-        deadline that is not there.
+        A lease file is the queue token its claimant renamed, so the
+        record is ``{"task", "attempt"}``; the holder and its deadline
+        are in the journal.  A file that cannot be parsed yields an
+        empty record, which no journal record matches — the broker
+        grants such leases a grace period.
         """
         try:
             names = os.listdir(self.leases_dir)

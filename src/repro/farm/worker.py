@@ -4,10 +4,12 @@ A worker is a plain process pointed at a farm directory — run it on as
 many hosts as can see that directory.  The loop:
 
 1. claim a queued task by atomic rename (exactly one claimant wins);
-2. rewrite the lease with this worker's id and a heartbeat deadline,
-   then keep extending it from a daemon thread every ``ttl/3`` seconds —
-   a worker that dies stops heartbeating and the broker requeues its
-   task after the deadline passes;
+   the renamed token is the lease file, and it is never rewritten;
+2. journal a ``lease`` record (this worker's id, the attempt, the claim
+   time and a heartbeat deadline), then append a ``beat`` record with a
+   fresh deadline from a daemon thread every ``ttl/3`` seconds — a
+   worker that dies stops beating and the broker requeues its task
+   after the last deadline passes;
 3. execute via :func:`~repro.exp.spec.execute_task` (the task file
    carries the full pickled :class:`~repro.exp.spec.TaskSpec`, seed
    included) and publish the row to the shared content-addressed store
@@ -47,7 +49,14 @@ def _default_worker_id() -> str:
 
 
 class _Heartbeat:
-    """Daemon thread extending one lease until stopped."""
+    """Journals one lease, then extends it from a daemon thread until
+    stopped.
+
+    Liveness lives in the append-only journal, not in the lease file:
+    rewriting a just-renamed file over itself makes the release
+    ``unlink`` wait for the rewrite's writeback on some filesystems
+    (ext4's ``auto_da_alloc``), tens of milliseconds per task.
+    """
 
     def __init__(self, layout: FarmLayout, index: int, worker: str,
                  attempt: int, ttl: float):
@@ -56,22 +65,22 @@ class _Heartbeat:
         self._worker = worker
         self._attempt = attempt
         self._ttl = ttl
-        self._claimed = time.time()
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
-    def _beat(self) -> None:
-        self._layout.write_lease(self._index, self._worker, self._attempt,
-                                 time.time() + self._ttl, self._claimed)
+    def _beat(self, op: str, **fields) -> None:
+        self._layout.journal(op, task=self._index, worker=self._worker,
+                             attempt=self._attempt,
+                             deadline=time.time() + self._ttl, **fields)
 
     def start(self) -> None:
-        self._beat()
+        self._beat("lease", claimed=time.time())
         self._thread.start()
 
     def _run(self) -> None:
         while not self._stop.wait(self._ttl / 3.0):
             try:
-                self._beat()
+                self._beat("beat")
             except OSError:  # pragma: no cover - transient fs trouble
                 pass
 
@@ -142,7 +151,6 @@ def work(
 
 def _run_one(layout: FarmLayout, store: ResultCache, index: int,
              attempt: int, worker: str) -> None:
-    layout.journal("lease", task=index, worker=worker, attempt=attempt)
     start = time.perf_counter()
     try:
         entry = layout.read_task(index)

@@ -32,7 +32,6 @@ from repro.exp.spec import ScenarioSpec, TaskSpec, target_id
 from repro.farm import (
     Broker, FarmError, FarmLayout, farm_status, run_farm, work,
 )
-from repro.farm import broker as farm_broker
 from repro.obs import MemorySink, TraceBus, validate_event
 
 from conftest import sweep
@@ -73,6 +72,12 @@ def slow_once_point(flag_dir, x):
     return {"ok": x}
 
 
+def nap_point(x):
+    """Long enough for a short-ttl worker to beat a few times."""
+    time.sleep(0.25)
+    return {"napped": x}
+
+
 def _fn_tasks(fn, points):
     return [
         TaskSpec(index=i,
@@ -80,6 +85,23 @@ def _fn_tasks(fn, points):
                  fn=fn)
         for i, p in enumerate(points)
     ]
+
+
+def spawn_worker(root, worker_id, lease_ttl):
+    """Start a worker the way another host would: a separate
+    ``python -m repro farm work`` interpreter against ``root``, not
+    supervised by any broker (the crash-resume tests SIGKILL these).
+
+    The child gets this process's ``sys.path`` as ``PYTHONPATH``, so the
+    pickled point functions of this module resolve there.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+    # Silence the worker's completion line; stderr stays visible.
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro", "farm", "work", str(root),
+         "--lease-ttl", str(lease_ttl), "--id", worker_id],
+        env=env, stdout=subprocess.DEVNULL)
 
 
 def _wait_for(predicate, timeout, what):
@@ -196,11 +218,13 @@ class TestFaultHandling:
         broker = Broker(root, tasks=tasks, trace=TraceBus(sinks=[sink]),
                         max_failures=2, lease_ttl=0.2, backoff=0.05,
                         poll=0.02)
-        # Simulate a worker that claimed the task and died without a
-        # heartbeat: the lease's deadline is already in the past.
+        # Simulate a worker that claimed the task, journalled its lease
+        # and died: the lease's deadline is already in the past.
         layout = broker.layout
         assert layout.claim(0) is not None
-        layout.write_lease(0, "dead-worker", 1, time.time() - 1.0)
+        layout.journal("lease", task=0, worker="dead-worker", attempt=1,
+                       deadline=time.time() - 1.0,
+                       claimed=time.time() - 2.0)
         # A live in-process worker picks the task up once it is requeued.
         t = threading.Thread(
             target=work,
@@ -237,6 +261,93 @@ class TestFaultHandling:
         assert rows == [{"x": 2, "sq": 4}]
 
 
+# -- the lease protocol ------------------------------------------------
+
+
+class TestLeases:
+    def test_a_lease_is_the_claimed_token_and_is_never_rewritten(
+            self, tmp_path, monkeypatch):
+        # Liveness is journalled: the file a worker unlinks at release is
+        # the inode its claim's rename produced, and no os.replace ever
+        # lands on an existing lease (rewriting one makes the release
+        # unlink wait for writeback on ext4).
+        root = tmp_path / "farm"
+        leases = root / "leases"
+        claimed, released, replaced, pinned = {}, {}, [], []
+        real_rename, real_replace, real_unlink = os.rename, os.replace, os.unlink
+
+        def rename(src, dst, **kw):
+            real_rename(src, dst, **kw)
+            if pathlib.Path(dst).parent == leases:
+                # Held open, the claimed inode cannot be recycled by a
+                # rewrite, so an equal number at release means the file.
+                pinned.append(os.open(dst, os.O_RDONLY))
+                claimed[pathlib.Path(dst).name] = os.fstat(pinned[-1]).st_ino
+
+        def replace(src, dst, **kw):
+            dst = pathlib.Path(dst)
+            replaced.append((dst.parent.name, dst.exists()))
+            real_replace(src, dst, **kw)
+
+        def unlink(path, **kw):
+            if pathlib.Path(path).parent == leases:
+                try:
+                    released[pathlib.Path(path).name] = os.stat(path).st_ino
+                except OSError:
+                    pass
+            real_unlink(path, **kw)
+
+        monkeypatch.setattr(os, "rename", rename)
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "unlink", unlink)
+        # An in-process worker, so the patches see its file operations;
+        # a 0.3 s ttl beats every 0.1 s through each 0.25 s point.
+        worker = threading.Thread(target=work, kwargs=dict(
+            root=str(root), worker_id="w", lease_ttl=0.3, poll=0.02,
+            idle_timeout=30.0))
+        worker.start()
+        try:
+            broker = run_farm(_fn_tasks(nap_point, [{"x": x} for x in (1, 2)]),
+                              str(root), workers=0, max_failures=3, **FAST)
+        finally:
+            worker.join(timeout=30.0)
+            for fd in pinned:
+                os.close(fd)
+        assert not worker.is_alive()
+        assert [broker.raw[i]["napped"] for i in (0, 1)] == [1, 2]
+        assert len(claimed) == 2 and released == claimed
+        assert ("queue", False) in replaced  # the patch saw the tokens
+        assert [r for r in replaced if r[0] == "leases"] == []
+        ops = [r["op"] for r in FarmLayout(root).iter_journal()]
+        assert ops.count("lease") >= 2 and ops.count("beat") >= 2
+
+    def test_a_stale_beat_does_not_keep_a_later_attempt_alive(
+            self, tmp_path):
+        # Attempt 1's holder still beats after attempt 2 was claimed and
+        # its holder died: attempt 2's lease expires on its own deadline.
+        root = str(tmp_path / "farm")
+        broker = Broker(root, tasks=_fn_tasks(square_point, [{"x": 1}]),
+                        **FAST)
+        layout = broker.layout
+        layout.withdraw(0)
+        layout.enqueue(0, attempt=2)
+        assert layout.claim(0) == {"task": 0, "attempt": 2}
+        now = time.time()
+        layout.journal("lease", task=0, worker="old", attempt=1,
+                       deadline=now - 5.0, claimed=now - 9.0)
+        layout.journal("lease", task=0, worker="new", attempt=2,
+                       deadline=now - 1.0, claimed=now - 2.0)
+        layout.journal("beat", task=0, worker="old", attempt=1,
+                       deadline=now + 60.0)
+        broker._drain_journal()
+        broker._expire_leases()
+        assert layout.leases() == []
+        expired = [r for r in layout.iter_journal() if r["op"] == "expired"]
+        assert [(r["worker"], r["reason"]) for r in expired] == [
+            ("new", "lease expired")]
+        assert broker._failures == {0: 1}
+
+
 # -- crash-resume property ---------------------------------------------
 
 
@@ -251,8 +362,7 @@ class TestCrashResume:
         tasks = [TaskSpec(index=i, spec=s) for i, s in enumerate(specs)]
         Broker(root, tasks=tasks, **FAST)  # serve only, no run
         layout = FarmLayout(root)
-        proc = farm_broker.spawn_worker(root, worker_id="victim",
-                                        lease_ttl=1.0)
+        proc = spawn_worker(root, worker_id="victim", lease_ttl=1.0)
         try:
             # A fast grid can drain every task between two of our polls
             # (points here run in milliseconds), so accept either
@@ -304,8 +414,8 @@ class TestCrashResume:
              "--warmup", "0.5", "--duration", "1.0"],
             env=env, stdout=subprocess.DEVNULL,
         )
-        worker_proc = farm_broker.spawn_worker(root, worker_id="survivor",
-                                               lease_ttl=1.0)
+        worker_proc = spawn_worker(root, worker_id="survivor",
+                                   lease_ttl=1.0)
         try:
             # Let the grid get partway — at least two rows published —
             # then SIGKILL the broker, not the worker.
@@ -337,20 +447,22 @@ class TestCrashResume:
                 worker_proc.wait()
 
     def test_slow_task_worker_kill_leaves_no_orphan_lease(self, tmp_path):
-        # Deterministic mid-execution kill: the point sleeps until
-        # SIGKILLed, so the lease is guaranteed live when the worker
-        # dies; resume completes instantly (flag file short-circuits).
+        # Deterministic mid-execution kill: the worker is SIGKILLed once
+        # the point has written its flag, so the point is running and
+        # its lease live when the worker dies.  x=2's flag exists from
+        # the start, so only the killed point sleeps, and every resumed
+        # attempt is instant (the flag short-circuits it).
         root = str(tmp_path / "farm")
         tasks = _fn_tasks(slow_once_point,
                           [{"flag_dir": str(tmp_path), "x": x}
                            for x in (1, 2)])
+        (tmp_path / "slow-2").write_text("")
         Broker(root, tasks=tasks, **FAST)
         layout = FarmLayout(root)
-        proc = farm_broker.spawn_worker(root, worker_id="victim",
-                                        lease_ttl=0.5)
+        proc = spawn_worker(root, worker_id="victim", lease_ttl=0.5)
         try:
-            _wait_for(lambda: layout.leases(), timeout=30.0,
-                      what="the worker to lease a slow task")
+            _wait_for(lambda: (tmp_path / "slow-1").exists(), timeout=30.0,
+                      what="the worker to start the slow point")
             os.kill(proc.pid, signal.SIGKILL)
         finally:
             if proc.poll() is None:
@@ -362,6 +474,8 @@ class TestCrashResume:
         assert [broker.raw[i]["ok"] for i in (0, 1)] == [1, 2]
         assert not FarmLayout(root).leases()
         assert FarmLayout(root).finished() == "done"
+        walls = [r["wall"] for r in layout.iter_journal() if r["op"] == "done"]
+        assert len(walls) == 2 and max(walls) < 1.0
 
     def test_reconcile_counts_a_failure_journalled_since_the_last_drain(
             self, tmp_path):
@@ -392,7 +506,9 @@ class TestCrashResume:
             cache.store(cache.key(task), task, square_point(**task.spec.params))
         broker = Broker(root, tasks=tasks, cache=cache, **FAST)
         layout = FarmLayout(root)
-        layout.write_lease(1, "gone", attempt=1, deadline=time.time() + 60.0)
+        assert layout.claim(1) is not None
+        layout.journal("lease", task=1, worker="gone", attempt=1,
+                       deadline=time.time() + 60.0, claimed=time.time())
         assert [row["sq"] for row in broker.run(workers=0)] == [1, 4]
         assert layout.leases() == []
         assert layout.finished() == "done"
